@@ -20,9 +20,19 @@ EXIT_PARSE = 3
 EXIT_VERIFICATION = 4
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _add_spec_args(p: argparse.ArgumentParser, many: bool = True):
     p.add_argument("specs", nargs="+" if many else 1, help="action spec file(s)")
-    p.add_argument("--max-cosets", type=int, default=100_000)
+    p.add_argument("--max-cosets", type=_positive_int, default=100_000)
     p.add_argument("--strict-equalized", action="store_true")
 
 
@@ -33,62 +43,69 @@ def _pipeline(path: str, args) -> ReportBundle:
     )
 
 
-def _emit(payload: bytes, out: str | None):
-    if out:
-        with open(out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
+def _run_per_spec(args, render, errors=None) -> int:
+    """Run the pipeline on each spec file in turn and render its report.
+
+    ``render(path, bundle)`` prints text itself or returns bytes, which go to
+    ``--out`` (opened once, on the first payload) or else to stdout.  A file
+    that fails to parse, validate or derive is reported on ``errors``
+    (stderr by default) and the loop goes on with the next file; the exit
+    code is the worst over the files.
+    """
+    errors = errors or sys.stderr
+    out = getattr(args, "out", None)
+    fh = None
+    worst = EXIT_OK
+    try:
+        for path in args.specs:
+            try:
+                bundle = _pipeline(path, args)
+            except (SpecSyntaxError, SchemaError) as exc:
+                print(f"{path}: parse error: {exc}", file=errors)
+                worst = max(worst, EXIT_PARSE)
+                continue
+            except InvalidActionError as exc:
+                print(f"{path}: invalid:", file=errors)
+                for v in exc.violations:
+                    print(f"  {v.code}: {v.message}", file=errors)
+                worst = max(worst, EXIT_VALIDATION)
+                continue
+            except ActionError as exc:
+                print(f"{path}: error: {exc}", file=errors)
+                worst = max(worst, EXIT_VALIDATION)
+                continue
+            payload = render(path, bundle)
+            if payload is not None:
+                if not out:
+                    sys.stdout.buffer.write(payload)
+                else:
+                    fh = fh or open(out, "wb")
+                    fh.write(payload)
+            if bundle["verification"]["failures"]:
+                worst = max(worst, EXIT_VERIFICATION)
+    finally:
+        if fh is not None:
+            fh.close()
+    return worst
 
 
 def _cmd_validate(args) -> int:
-    worst = EXIT_OK
-    for path in args.specs:
-        try:
-            bundle = _pipeline(path, args)
-        except (SpecSyntaxError, SchemaError) as exc:
-            print(f"{path}: parse error: {exc}")
-            worst = max(worst, EXIT_PARSE)
-            continue
-        except InvalidActionError as exc:
-            print(f"{path}: invalid:")
-            for v in exc.violations:
-                print(f"  {v.code}: {v.message}")
-            worst = max(worst, EXIT_VALIDATION)
-            continue
+    def render(path: str, bundle: ReportBundle):
         failures = bundle["verification"]["failures"]
         if failures:
             print(f"{path}: valid model, verification mismatches:")
             for f in failures:
                 print(f"  {f}")
-            worst = max(worst, EXIT_VERIFICATION)
         else:
             print(f"{path}: ok ({bundle['name']}, criticality {bundle['criticality']})")
-    return worst
 
-
-def _run_per_spec(args, render) -> int:
-    worst = EXIT_OK
-    for path in args.specs:
-        try:
-            bundle = _pipeline(path, args)
-        except (SpecSyntaxError, SchemaError) as exc:
-            print(f"{path}: parse error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except InvalidActionError as exc:
-            print(f"{path}: invalid: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        render(bundle)
-        if bundle["verification"]["failures"]:
-            worst = max(worst, EXIT_VERIFICATION)
-    return worst
+    return _run_per_spec(args, render, errors=sys.stdout)
 
 
 def _cmd_analyze(args) -> int:
-    def render(bundle: ReportBundle):
+    def render(path: str, bundle: ReportBundle):
         if args.format == "json":
-            _emit(bundle.to_json(), args.out)
-            return
+            return bundle.to_json()
         d = bundle.data
         print(f"== {d['name']} ==")
         print(f"case: {d['case']}  bandwidth: {d['bandwidth']}  criticality: {d['criticality']}")
@@ -112,7 +129,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_chambers(args) -> int:
-    def render(bundle: ReportBundle):
+    def render(path: str, bundle: ReportBundle):
         print(f"== {bundle['name']} ==")
         for c in bundle["chambers"]:
             poly = " ".join(f"({a},{b})" for a, b in c["polygon"])
@@ -122,7 +139,7 @@ def _cmd_chambers(args) -> int:
 
 
 def _cmd_flips(args) -> int:
-    def render(bundle: ReportBundle):
+    def render(path: str, bundle: ReportBundle):
         print(f"== {bundle['name']} ==")
         fg = bundle["flip_graph"]
         print("nodes: " + ", ".join(f"X({i},{j})" for i, j in fg["nodes"]))
@@ -146,7 +163,7 @@ def _cmd_flips(args) -> int:
 
 
 def _cmd_quotients(args) -> int:
-    def render(bundle: ReportBundle):
+    def render(path: str, bundle: ReportBundle):
         print(f"== {bundle['name']} ==")
         q = bundle["quotients"]
         print("geometric: " + ", ".join(f"{n['label']} (dim {n['dim']})" for n in q["geometric"]))
@@ -166,8 +183,8 @@ def _cmd_quotients(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    def render(bundle: ReportBundle):
-        _emit(export(bundle, args.format), args.out)
+    def render(path: str, bundle: ReportBundle):
+        return export(bundle, args.format)
 
     return _run_per_spec(args, render)
 
@@ -177,18 +194,20 @@ def _cmd_dynkin(args) -> int:
     from .lie.roots import build_root_system, fundamental_cocharacter, grading
 
     try:
+        cochar = tuple(int(x) for x in args.cochar.split(",")) if args.cochar else None
+    except ValueError:
+        print(f"error: --cochar takes comma separated integers, got {args.cochar!r}",
+              file=sys.stderr)
+        return EXIT_PARSE
+    try:
         datum = build_root_system(args.type, args.rank)
     except ActionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(f"{datum.name}: {len(datum.positive_roots)} positive roots, "
+    print(f"{datum.name}: {datum.table.n_positive} positive roots, "
           f"Lie algebra dimension {datum.dim_lie_algebra}")
-    if args.cochar:
-        cochar = tuple(int(x) for x in args.cochar.split(","))
-    elif args.cochar_node:
+    if cochar is None and args.cochar_node:
         cochar = fundamental_cocharacter(args.rank, args.cochar_node)
-    else:
-        cochar = None
     if cochar is not None:
         g = grading(datum, cochar)
         dims = ", ".join(f"g_{m}: {d}" for m, d in g.graded_dims)
@@ -282,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=int, help="marked node of the variety")
     p.add_argument("--cochar", help="comma separated cocharacter coefficients")
     p.add_argument("--cochar-node", type=int, help="fundamental cocharacter at this node")
-    p.add_argument("--max-cosets", type=int, default=100_000)
+    p.add_argument("--max-cosets", type=_positive_int, default=100_000)
     p.set_defaults(func=_cmd_dynkin)
 
     p = sub.add_parser("catalog", help="list (and optionally verify) the catalog")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--max-cosets", type=int, default=100_000)
+    p.add_argument("--max-cosets", type=_positive_int, default=100_000)
     p.set_defaults(func=_cmd_catalog)
     return parser
 

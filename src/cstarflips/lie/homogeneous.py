@@ -13,6 +13,10 @@ Fixed points connected through zero-weight tangent directions belong to one
 fixed component of the circle action; per component the number of zero /
 positive / negative tangent weights gives its dimension and the normal ranks
 ``nu_plus`` / ``nu_minus`` toward higher and lower critical values.
+
+Weights are kept as Dynkin labels and roots as indices into the root
+system's integer ``RootTable``, so the whole derivation is integer sums and
+table lookups.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from ..actions import ActionModel, ActionError, validate_action
-from .roots import RootSystem, Vector, build_root_system
+from .roots import RootSystem, RootTable, build_root_system
 
 DEFAULT_MAX_COSETS = 100_000
 
@@ -48,12 +52,11 @@ class HomogeneousSpace:
         return f"{self.datum.name}({self.node})"
 
     @property
-    def base_tangent_roots(self) -> Tuple[Vector, ...]:
-        """Positive roots supported on the marked node."""
+    def base_tangent_roots(self) -> Tuple[int, ...]:
+        """Positive roots supported on the marked node, as root-table indices."""
         k = self.node - 1
-        return tuple(
-            a for a in self.datum.positive_roots if self.datum.coords(a)[k] > 0
-        )
+        table = self.datum.table
+        return tuple(r for r in range(table.n_positive) if table.coords[r][k] > 0)
 
     @property
     def dim(self) -> int:
@@ -66,18 +69,15 @@ def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
     for n in nodes:
         if not 1 <= n <= datum.rank:
             raise IllegalRangeError(f"node {n} outside 1..{datum.rank}")
-    count = 0
-    for a in datum.positive_roots:
-        c = datum.coords(a)
-        if any(c[k] > 0 for k in idx):
-            count += 1
-    return count
+    table = datum.table
+    return sum(1 for c in table.coords[: table.n_positive] if any(c[k] > 0 for k in idx))
 
 
 @dataclass(frozen=True)
 class FixedPoint:
-    weight: Vector  # translate of the fundamental weight
-    tangent_roots: Tuple[Vector, ...]
+    weight: Tuple[int, ...]  # Dynkin labels of the translated fundamental weight
+    depth: Tuple[int, ...]  # fundamental weight minus this weight, in simple-root coordinates
+    tangent_roots: Tuple[int, ...]  # root-table indices
 
 
 def enumerate_fixed_points(
@@ -85,22 +85,32 @@ def enumerate_fixed_points(
 ) -> Tuple[FixedPoint, ...]:
     """Weyl orbit of the marked fundamental weight with translated tangents.
 
-    Tangent root sets are propagated through the orbit by the same simple
-    reflections that move the weight; the resulting set at a point does not
-    depend on the path taken.
+    A simple reflection moves a weight by ``s_k(mu) = mu - mu_k * alpha_k``,
+    so it lowers the weight by ``mu_k`` in the ``k``-th simple-root
+    coordinate; tangent roots move along by the table's reflection rows.
+    The tangent roots at ``mu`` are the roots ``beta`` with
+    ``<mu, beta^vee> > 0``, so they do not depend on the path taken.
+    Points come in breadth-first order from the fundamental weight.
     """
     datum = space.datum
+    table = datum.table
+    rank = datum.rank
     base = FixedPoint(
-        weight=datum.fundamental_weights[space.node - 1],
-        tangent_roots=tuple(sorted(space.base_tangent_roots)),
+        weight=tuple(int(i == space.node - 1) for i in range(rank)),
+        depth=(0,) * rank,
+        tangent_roots=space.base_tangent_roots,
     )
-    seen: Dict[Vector, FixedPoint] = {base.weight: base}
+    seen: Dict[Tuple[int, ...], FixedPoint] = {base.weight: base}
     frontier = [base]
     while frontier:
         new: list[FixedPoint] = []
         for point in frontier:
-            for k in range(datum.rank):
-                w = datum.simple_reflect(point.weight, k)
+            mu = point.weight
+            for k in range(rank):
+                m = mu[k]
+                if m == 0:
+                    continue
+                w = tuple(a - m * b for a, b in zip(mu, table.labels[k]))
                 if w in seen:
                     continue
                 if len(seen) >= max_cosets:
@@ -108,16 +118,26 @@ def enumerate_fixed_points(
                         f"{space.label}: more than {max_cosets} fixed points; "
                         "raise max_cosets to enumerate"
                     )
+                row = table.reflections[k]
+                depth = point.depth
                 moved = FixedPoint(
                     weight=w,
-                    tangent_roots=tuple(
-                        sorted(datum.simple_reflect(t, k) for t in point.tangent_roots)
-                    ),
+                    depth=depth[:k] + (depth[k] + m,) + depth[k + 1:],
+                    tangent_roots=tuple(row[t] for t in point.tangent_roots),
                 )
                 seen[w] = moved
                 new.append(moved)
         frontier = new
-    return tuple(seen[w] for w in sorted(seen))
+    return tuple(seen.values())
+
+
+def _levi_simple_roots(table: RootTable, root_pairings: Sequence[int]) -> list[int]:
+    """Simple roots of the positive roots of weight zero: those that are not
+    the sum of two others."""
+    levi = [table.coords[r] for r in range(table.n_positive) if root_pairings[r] == 0]
+    sums = {tuple(a + b for a, b in zip(u, v)) for u in levi for v in levi}
+    return [r for r in range(table.n_positive)
+            if root_pairings[r] == 0 and table.coords[r] not in sums]
 
 
 class _UnionFind:
@@ -162,40 +182,42 @@ def build_action(
     """
     from .roots import grading
 
-    datum = space.datum
+    table = space.datum.table
     points = enumerate_fixed_points(space, max_cosets=max_cosets)
-    l_raw = {p.weight: -datum.pairing(p.weight, cocharacter) for p in points}
-    pairings = {
-        p.weight: tuple(datum.pairing(t, cocharacter) for t in p.tangent_roots) for p in points
-    }
+    root_pairings = table.pairings(cocharacter)
+    # linearization level, up to a constant: l(s_k mu) = l(mu) + mu_k * n_k
+    levels = [sum(n * d for n, d in zip(cocharacter, p.depth)) for p in points]
+    pairings = [tuple(root_pairings[t] for t in p.tangent_roots) for p in points]
 
-    uf = _UnionFind([p.weight for p in points])
-    for p in points:
-        for t, m in zip(p.tangent_roots, pairings[p.weight]):
-            if m == 0:
-                uf.union(p.weight, datum.reflect(p.weight, t))
+    # fixed points joined by a zero-weight tangent direction lie in one
+    # component: the components are the orbits of the Levi subgroup's Weyl
+    # group, generated by the reflections in the simple roots of its roots
+    position = {p.weight: idx for idx, p in enumerate(points)}
+    uf = _UnionFind(range(len(points)))
+    for r in _levi_simple_roots(table, root_pairings):
+        for idx, p in enumerate(points):
+            uf.union(idx, position[table.reflect_weight(p.weight, r)])
 
-    groups: Dict[Vector, list[FixedPoint]] = {}
-    for p in points:
-        groups.setdefault(uf.find(p.weight), []).append(p)
+    groups: Dict[int, list[int]] = {}
+    for idx in range(len(points)):
+        groups.setdefault(uf.find(idx), []).append(idx)
 
-    offset = min(l_raw.values())
+    offset = min(levels)
     records = []
-    for rep in sorted(groups):
-        members = groups[rep]
-        weights = {l_raw[p.weight] for p in members}
+    for members in groups.values():
+        weights = {levels[idx] for idx in members}
         sigs = {
             (
-                sum(1 for m in pairings[p.weight] if m == 0),
-                sum(1 for m in pairings[p.weight] if m > 0),
-                sum(1 for m in pairings[p.weight] if m < 0),
+                sum(1 for m in pairings[idx] if m == 0),
+                sum(1 for m in pairings[idx] if m > 0),
+                sum(1 for m in pairings[idx] if m < 0),
             )
-            for p in members
+            for idx in members
         }
         if len(weights) != 1 or len(sigs) != 1:  # pragma: no cover
             raise ActionError("inconsistent component grouping")
         zeros, pos, neg = next(iter(sigs))
-        cert = tuple(sorted(int(m) for m in pairings[members[0].weight]))
+        cert = tuple(sorted(pairings[members[0]]))
         records.append((next(iter(weights)) - offset, zeros, pos, neg, cert, len(members)))
 
     # deterministic names: level index, then a letter when a level is reducible
@@ -213,10 +235,8 @@ def build_action(
             )
             certificates[name] = cert
 
-    equalized = all(
-        m in (-1, 0, 1) for p in points for m in (int(x) for x in pairings[p.weight])
-    )
-    short = grading(datum, cocharacter).is_short
+    equalized = all(m in (-1, 0, 1) for row in pairings for m in row)
+    short = grading(space.datum, cocharacter).is_short
     warnings = [] if short else ["GradingNotShort: grading support exceeds {-1, 0, 1}"]
     model = validate_action(
         components,

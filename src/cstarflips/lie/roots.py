@@ -1,13 +1,15 @@
-"""Root systems of the simple Lie types, with exact rational arithmetic.
+"""Root systems of the simple Lie types, in exact integer arithmetic.
 
 Simple roots are given in their standard Euclidean realizations (Bourbaki
-numbering); the full root system is generated from them by closing under the
-simple reflections.  Everything downstream only needs two exact pairings:
+numbering), which fix the integer Cartan matrix.  The full root system is
+generated from the Cartan matrix alone, by closing the simple roots under the
+simple reflections in simple-root coordinates, and kept as a ``RootTable``.
+Everything downstream only needs two integer pairings:
 
-* simple-root coordinates of a vector in the root span, and
-* the pairing of a vector with an integral cocharacter written in the basis
+* the pairing of a weight, written in Dynkin labels, with a coroot, and
+* the pairing of a root with an integral cocharacter written in the basis
   of fundamental coweights, which is just the cocharacter-weighted sum of
-  those coordinates.
+  its simple-root coordinates.
 """
 
 from __future__ import annotations
@@ -134,15 +136,106 @@ def _simple_roots(dynkin_type: str, rank: int) -> list[Vector]:
 
 
 @dataclass(frozen=True)
+class RootTable:
+    """Every root of one root system as integer data, by index.
+
+    Indices ``0 .. n_positive - 1`` are the positive roots by height, the
+    simple root ``alpha_k`` at index ``k``; index ``r + n_positive`` is the
+    negative of root ``r``.  For each root the table holds its simple-root
+    coordinates, its Dynkin labels ``<beta, alpha_i^vee>``, its coroot in
+    simple-coroot coordinates, and per node ``k`` the index of its image
+    under the simple reflection ``s_k``.  Weights are written as Dynkin
+    labels too, so every pairing below is an integer sum.
+    """
+
+    coords: Tuple[Tuple[int, ...], ...]
+    labels: Tuple[Tuple[int, ...], ...]
+    coroots: Tuple[Tuple[int, ...], ...]
+    reflections: Tuple[Tuple[int, ...], ...]  # reflections[k][r] = index of s_k(root r)
+
+    @property
+    def n_positive(self) -> int:
+        return len(self.coords) // 2
+
+    def pairings(self, cocharacter: Sequence[int]) -> Tuple[int, ...]:
+        """Pairing of every root with sum_k cocharacter[k] * (k-th
+        fundamental coweight): the cocharacter-weighted sum of its
+        coordinates."""
+        rank = len(self.reflections)
+        if len(cocharacter) != rank:
+            raise IllegalTypeError(
+                f"cocharacter has {len(cocharacter)} entries, rank is {rank}"
+            )
+        return tuple(sum(c * n for c, n in zip(row, cocharacter)) for row in self.coords)
+
+    def reflect_weight(self, weight: Tuple[int, ...], r: int) -> Tuple[int, ...]:
+        """Reflection of a weight (Dynkin labels) in root ``r``."""
+        m = sum(a * b for a, b in zip(weight, self.coroots[r]))
+        return tuple(a - m * b for a, b in zip(weight, self.labels[r]))
+
+
+def _root_table(cartan: Sequence[Sequence[int]], half_norms: Sequence[int]) -> RootTable:
+    """Close the simple roots under the simple reflections, in integers.
+
+    ``cartan[i][j] = <alpha_j, alpha_i^vee>``; ``half_norms[i]`` is
+    ``(alpha_i, alpha_i) / 2`` up to a common factor, so that
+    ``(alpha_i, alpha_j) = half_norms[i] * cartan[i][j]``.  A positive root
+    with a negative label at ``k`` reflects to the higher positive root
+    ``beta - label_k * alpha_k``, and every positive root arises this way
+    from a simple one.
+    """
+    n = len(cartan)
+
+    def labels(c):
+        return tuple(sum(c[j] * cartan[i][j] for j in range(n)) for i in range(n))
+
+    simple = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    seen = set(simple)
+    frontier = simple
+    while frontier:
+        new = []
+        for c in frontier:
+            for k, lab in enumerate(labels(c)):
+                if lab < 0:
+                    up = c[:k] + (c[k] - lab,) + c[k + 1:]
+                    if up not in seen:
+                        seen.add(up)
+                        new.append(up)
+        frontier = new
+    positive = sorted(seen, key=lambda c: (sum(c), tuple(-x for x in c)))
+    coords = positive + [tuple(-x for x in c) for c in positive]
+    all_labels = [labels(c) for c in coords]
+
+    def coroot(c):
+        norm = sum(c[i] * c[j] * half_norms[i] * cartan[i][j] for i in range(n) for j in range(n))
+        return tuple(2 * c[j] * half_norms[j] // norm for j in range(n))
+
+    index = {c: r for r, c in enumerate(coords)}
+    reflections = tuple(
+        tuple(index[c[:k] + (c[k] - lab[k],) + c[k + 1:]] for c, lab in zip(coords, all_labels))
+        for k in range(n)
+    )
+    return RootTable(
+        coords=tuple(coords),
+        labels=tuple(all_labels),
+        coroots=tuple(coroot(c) for c in coords),
+        reflections=reflections,
+    )
+
+
+@dataclass(frozen=True)
 class RootSystem:
+    """A root system: its integer ``table`` and its Euclidean realization.
+
+    The derivation of actions reads only ``table``.  The Euclidean vectors
+    beyond the simple roots are kept for inspection and built on first use."""
+
     dynkin_type: str
     rank: int
     simple_roots: Tuple[Vector, ...]
-    positive_roots: Tuple[Vector, ...]
-    fundamental_weights: Tuple[Vector, ...]
-    cartan_matrix: Tuple[Tuple[Fraction, ...], ...]
+    cartan_matrix: Tuple[Tuple[int, ...], ...]  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
     gram: Tuple[Tuple[Fraction, ...], ...]  # bilinear form on the simple roots
-    gram_inverse: Tuple[Tuple[Fraction, ...], ...]
+    table: RootTable = field(compare=False, repr=False)
     _coords_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -150,19 +243,35 @@ class RootSystem:
         return f"{self.dynkin_type}_{self.rank}"
 
     @property
-    def all_roots(self) -> Tuple[Vector, ...]:
-        return self.positive_roots + tuple(_scale(Fraction(-1), r) for r in self.positive_roots)
-
-    @property
     def dim_lie_algebra(self) -> int:
-        return self.rank + 2 * len(self.positive_roots)
+        return self.rank + 2 * self.table.n_positive
 
-    def reflect(self, v: Vector, alpha: Vector) -> Vector:
-        coeff = Fraction(2) * _dot(v, alpha) / _dot(alpha, alpha)
-        return _sub(v, _scale(coeff, alpha))
+    def _combine(self, coefficients) -> Vector:
+        """The vector sum_k coefficients[k] * (k-th simple root)."""
+        return tuple(
+            sum((c * a[axis] for c, a in zip(coefficients, self.simple_roots)), Fraction(0))
+            for axis in range(len(self.simple_roots[0]))
+        )
 
-    def simple_reflect(self, v: Vector, k: int) -> Vector:
-        return self.reflect(v, self.simple_roots[k])
+    @functools.cached_property
+    def positive_roots(self) -> Tuple[Vector, ...]:
+        table = self.table
+        return tuple(
+            v for _, v in sorted(
+                (sum(c), self._combine(c)) for c in table.coords[: table.n_positive]
+            )
+        )
+
+    @functools.cached_property
+    def fundamental_weights(self) -> Tuple[Vector, ...]:
+        inverse = _invert([[Fraction(x) for x in row] for row in self.cartan_matrix])
+        return tuple(
+            self._combine([inverse[j][k] for j in range(self.rank)]) for k in range(self.rank)
+        )
+
+    @functools.cached_property
+    def gram_inverse(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return tuple(tuple(row) for row in _invert(self.gram))
 
     def coords(self, v: Vector) -> Tuple[Fraction, ...]:
         """Coordinates of v in the simple-root basis."""
@@ -202,61 +311,27 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
     if t not in _LEGAL_RANKS or not _LEGAL_RANKS[t](rank):
         raise IllegalTypeError(f"illegal Dynkin datum {dynkin_type}_{rank}")
     simples = _simple_roots(t, rank)
-
-    roots: set[Vector] = set(simples)
-    frontier = list(simples)
-    while frontier:
-        new: list[Vector] = []
-        for v in frontier:
-            for a in simples:
-                coeff = Fraction(2) * _dot(v, a) / _dot(a, a)
-                w = _sub(v, _scale(coeff, a))
-                if w not in roots:
-                    roots.add(w)
-                    new.append(w)
-        frontier = new
-
     gram = [[_dot(a, b) for b in simples] for a in simples]
-    gram_inv = _invert(gram)
-
-    def coords(v: Vector) -> Tuple[Fraction, ...]:
-        rhs = [_dot(v, a) for a in simples]
-        return tuple(
-            sum((gram_inv[i][j] * rhs[j] for j in range(rank)), Fraction(0))
-            for i in range(rank)
-        )
-
-    positive = sorted(
-        (v for v in roots if all(c >= 0 for c in coords(v))),
-        key=lambda v: (sum(coords(v)), v),
+    cartan = tuple(
+        tuple(int(2 * gram[i][j] / gram[i][i]) for j in range(rank)) for i in range(rank)
     )
+    shortest = min(gram[i][i] for i in range(rank))
+    table = _root_table(cartan, [int(gram[i][i] / shortest) for i in range(rank)])
+
     expected = POSITIVE_ROOT_COUNTS[t]
     expected_n = expected[rank] if isinstance(expected, dict) else expected(rank)
-    if len(positive) != expected_n:  # pragma: no cover
+    if table.n_positive != expected_n:  # pragma: no cover
         raise IllegalTypeError(
-            f"{t}_{rank}: generated {len(positive)} positive roots, expected {expected_n}"
+            f"{t}_{rank}: generated {table.n_positive} positive roots, expected {expected_n}"
         )
 
-    cartan = tuple(
-        tuple(Fraction(2) * _dot(a, b) / _dot(a, a) for b in simples) for a in simples
-    )
-    cartan_inv = _invert([list(row) for row in cartan])
-    weights = tuple(
-        tuple(
-            sum((cartan_inv[j][k] * simples[j][axis] for j in range(rank)), Fraction(0))
-            for axis in range(len(simples[0]))
-        )
-        for k in range(rank)
-    )
     return RootSystem(
         dynkin_type=t,
         rank=rank,
         simple_roots=tuple(simples),
-        positive_roots=tuple(positive),
-        fundamental_weights=weights,
         cartan_matrix=cartan,
         gram=tuple(tuple(row) for row in gram),
-        gram_inverse=tuple(tuple(row) for row in gram_inv),
+        table=table,
     )
 
 
@@ -292,12 +367,7 @@ class GradingSpec:
 def grading(datum: RootSystem, cocharacter: Sequence[int]) -> GradingSpec:
     """Grade the Lie algebra by pairing every root with the cocharacter."""
     counts: dict[int, int] = {0: datum.rank}
-    for alpha in datum.positive_roots:
-        m = datum.pairing(alpha, cocharacter)
-        if m.denominator != 1:  # pragma: no cover
-            raise IllegalTypeError(f"non-integral pairing {m} for root {alpha}")
-        m = int(m)
+    for m in datum.table.pairings(cocharacter):
         counts[m] = counts.get(m, 0) + 1
-        counts[-m] = counts.get(-m, 0) + 1
     dims = tuple(sorted(counts.items()))
     return GradingSpec(cocharacter=tuple(int(n) for n in cocharacter), graded_dims=dims)

@@ -15,8 +15,9 @@ shifting level:
   dimension dim Y + nu_plus(Y), flipped dimension dim Y + nu_minus(Y) - 1,
   legal when nu_minus(Y) > 1.
 
-Either way the center and flipped dimensions add up to dim X - 1 and the
-criticality drops by one.
+Either way, since dim Y + nu_minus(Y) + nu_plus(Y) = dim X, the center and
+flipped dimensions add up to dim X - 1 + dim Y, and the criticality drops by
+one.
 """
 
 from __future__ import annotations

@@ -17,6 +17,11 @@ from typing import Optional, Tuple
 
 from .actions import ActionError
 
+# Largest number of decimal digits in the numerator or denominator of a
+# rational field, well below Python's limit for int <-> str conversion
+# (4300 digits), so that every number derived from a spec can be written out.
+MAX_RATIONAL_DIGITS = 1000
+
 
 class SpecSyntaxError(ActionError):
     pass
@@ -72,12 +77,29 @@ def _expect_str(value, path: str) -> str:
     return value
 
 
+def _implied_digits(text: str) -> int:
+    """An upper bound on the digits of the numerator and denominator that a
+    rational string stands for, read off the string without building them:
+    its length, plus the size of a decimal exponent (``1e5`` is 100000)."""
+    _, e, exponent = text.lower().partition("e")
+    try:
+        shift = abs(int(exponent)) if e else 0
+    except ValueError:  # not an exponent; Fraction rejects the string
+        shift = 0
+    return len(text) + shift
+
+
 def _parse_rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(path, f"expected a rational, got {value!r}")
+    too_big = f"more than {MAX_RATIONAL_DIGITS} digits"
     if isinstance(value, int):
+        if abs(value) >= 10**MAX_RATIONAL_DIGITS:
+            raise SchemaError(path, too_big)
         return Fraction(value)
     if isinstance(value, str):
+        if _implied_digits(value) > MAX_RATIONAL_DIGITS:
+            raise SchemaError(path, too_big)
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -156,4 +178,6 @@ def parse_spec(path) -> ActionSpecFile:
         raise SpecSyntaxError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise SpecSyntaxError(f"{path}: {exc}") from exc
     return parse_spec_dict(obj)

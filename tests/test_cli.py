@@ -1,0 +1,137 @@
+"""Command line: per-file independence, ``--out`` with several specs, and
+arguments that fail with a message instead of a traceback."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cstarflips import specfiles
+from cstarflips.cli import main
+from cstarflips.specfiles import SchemaError
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+GR24, A42, BORDISM = (str(SPECS / f) for f in ("gr24_k2.json", "a4_2.json", "bordism_r3.json"))
+
+E8_SPEC = {"name": "e8", "lie": {"type": "E", "rank": 8, "node": 1,
+                                 "cocharacter": [0, 0, 0, 0, 0, 0, 0, 1]}}
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+class TestPerFileIndependence:
+    def test_analyze_goes_on_after_a_bad_file(self, tmp_path, capsys):
+        bad = write(tmp_path, "bad.json", '{"name": "x", ')
+        assert main(["analyze", GR24, bad, A42]) == 3
+        captured = capsys.readouterr()
+        assert [line for line in captured.out.splitlines() if line.startswith("==")] == [
+            "== gr24-k2 ==",
+            "== a4-2-k2 ==",
+        ]
+        assert f"{bad}: parse error: " in captured.err
+
+    def test_validate_goes_on_after_the_coset_cap(self, tmp_path, capsys):
+        e8 = write(tmp_path, "e8.json", json.dumps(E8_SPEC))
+        assert main(["validate", GR24, e8, A42, "--max-cosets", "50"]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{GR24}: ok (gr24-k2, criticality 2)",
+            f"{e8}: error: E_8(1): more than 50 fixed points; raise max_cosets to enumerate",
+            f"{A42}: ok (a4-2-k2, criticality 2)",
+        ]
+
+    def test_worst_exit_code_wins(self, tmp_path, capsys):
+        e8 = write(tmp_path, "e8.json", json.dumps(E8_SPEC))
+        bad = write(tmp_path, "bad.json", "{")
+        assert main(["export", "--format", "dot", e8, bad, GR24, "--max-cosets", "50"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.count("digraph") == 2  # one spec, two graphs
+        assert f"{e8}: error: " in captured.err and f"{bad}: parse error: " in captured.err
+
+    def test_invalid_model_lists_violations(self, tmp_path, capsys):
+        spec = json.loads(Path(BORDISM).read_text())
+        spec["components"][1]["dim"] = 7
+        bad = write(tmp_path, "bad.json", json.dumps(spec))
+        assert main(["analyze", bad, GR24]) == 2
+        captured = capsys.readouterr()
+        assert "== gr24-k2 ==" in captured.out
+        assert captured.err.startswith(f"{bad}: invalid:\n  DimensionMismatch: ")
+
+
+class TestOut:
+    def test_every_report_is_kept(self, tmp_path, capsys):
+        out = tmp_path / "reports.json"
+        specs = [GR24, A42, BORDISM]
+        assert main(["analyze", *specs, "--format", "json", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        singles = []
+        for spec in specs:
+            assert main(["analyze", spec, "--format", "json"]) == 0
+            singles.append(capsys.readouterr().out)
+        assert out.read_text() == "".join(singles)
+        assert [json.loads(line)["name"] for line in out.read_text().splitlines()] == [
+            "gr24-k2", "a4-2-k2", "synthetic-bordism-r3",
+        ]
+
+    def test_single_spec_bytes_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "one.svg"
+        assert main(["export", BORDISM, "--format", "svg", "--out", str(out)]) == 0
+        assert main(["export", BORDISM, "--format", "svg"]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
+
+class TestArguments:
+    @pytest.mark.parametrize("value", ["0", "-5", "x"])
+    @pytest.mark.parametrize("command", [["validate", GR24], ["dynkin", "A", "3"], ["catalog"]])
+    def test_max_cosets_must_be_positive(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--max-cosets", value])
+        assert exc.value.code == 2
+        assert f"expected a positive integer, got '{value}'" in capsys.readouterr().err
+
+    def test_dynkin_cochar_not_integers(self, capsys):
+        assert main(["dynkin", "A", "3", "--node", "1", "--cochar", "1,x"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cochar takes comma separated integers, got '1,x'\n"
+
+
+class TestRationalBound:
+    def test_huge_exponent_rejected_before_it_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the value was built")
+
+        monkeypatch.setattr(specfiles, "Fraction", refuse)
+        with pytest.raises(SchemaError) as exc:
+            specfiles._parse_rational("1e2000000", ".components[1].weight")
+        assert str(exc.value) == ".components[1].weight: more than 1000 digits"
+
+    @pytest.mark.parametrize("value", ["1E-2000000", "1e996", "1/" + "7" * 999, 10**1000],
+                             ids=["tiny", "exponent", "long", "integer"])
+    def test_over_the_bound(self, value):
+        with pytest.raises(SchemaError):
+            specfiles._parse_rational(value, ".w")
+
+    @pytest.mark.parametrize("value", ["1e995", "1/" + "7" * 998, 10**1000 - 1, "2.5e-3"],
+                             ids=["exponent", "long", "integer", "decimal"])
+    def test_within_the_bound(self, value):
+        specfiles._parse_rational(value, ".w")
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        spec = json.loads(Path(BORDISM).read_text())
+        spec["components"][1]["weight"] = "1e2000000"
+        path = write(tmp_path, "huge.json", json.dumps(spec))
+        assert main(["validate", path, GR24]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"{path}: parse error: .components[1].weight: more than 1000 digits"
+        assert lines[1].endswith("ok (gr24-k2, criticality 2)")
+
+    def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
+        spec = json.loads(Path(BORDISM).read_text())
+        text = json.dumps(spec).replace('"weight": 1,', '"weight": ' + "1" * 5000 + ",", 1)
+        path = write(tmp_path, "long.json", text)
+        assert main(["analyze", path]) == 3
+        assert "parse error" in capsys.readouterr().err
