@@ -7,7 +7,6 @@ from .actions import (
     FixedComponent,
     InvalidActionError,
     Violation,
-    bandwidth_criticality,
     blowup_extremal,
     index_set_i,
     is_bordism,
@@ -57,7 +56,6 @@ __all__ = [
     "InvalidActionError",
     "ReportBundle",
     "Violation",
-    "bandwidth_criticality",
     "blowup_extremal",
     "build_flip_graph",
     "chamber_decomposition",

@@ -160,6 +160,41 @@ class ActionModel:
             )
         return (self.sink_origin_dim, self.source_origin_dim)
 
+    def isolated_extremes(self) -> Tuple[bool, bool]:
+        """Whether the original sink and source are points.
+
+        This one fact decides every case of the blowup: an isolated sink
+        removes chamber (0, 1) and index 0 and adds the curve C_{1,r}, and
+        makes the left end of the quotient chain divisorial; an isolated
+        source is the mirror image."""
+        sink_dim, source_dim = self.origin_dims()
+        return (sink_dim == 0, source_dim == 0)
+
+
+def level_signature(model: ActionModel) -> Tuple[Tuple[Fraction, tuple], ...]:
+    """Per critical value, the sorted (dim, nu_minus, nu_plus) of its components."""
+    return tuple(
+        (a, tuple(sorted((c.dim, c.nu_minus, c.nu_plus) for c in comps)))
+        for a, comps in model.levels
+    )
+
+
+def unit_tangent_weights(weights: Iterable[int]) -> bool:
+    """The equalization rule: every tangent weight is -1, 0 or 1."""
+    return all(w in (-1, 0, 1) for w in weights)
+
+
+def _component(raw: FixedComponent | Mapping) -> FixedComponent:
+    if isinstance(raw, FixedComponent):
+        return raw
+    return FixedComponent(
+        name=str(raw["name"]),
+        weight=as_rational(raw["weight"]),
+        dim=int(raw["dim"]),
+        nu_minus=int(raw["nu_minus"]),
+        nu_plus=int(raw["nu_plus"]),
+    )
+
 
 def check_action(components: Iterable[FixedComponent | Mapping], dim_x: int) -> list[Violation]:
     """Collect every invariant violated by raw component data.
@@ -167,22 +202,8 @@ def check_action(components: Iterable[FixedComponent | Mapping], dim_x: int) -> 
     Accepts either FixedComponent instances or mappings with the same field
     names.  Returns an empty list when the data is a valid model.
     """
-    comps: list[FixedComponent] = []
+    comps = [_component(c) for c in components]
     violations: list[Violation] = []
-    for raw in components:
-        if isinstance(raw, FixedComponent):
-            comps.append(raw)
-        else:
-            comps.append(
-                FixedComponent(
-                    name=str(raw["name"]),
-                    weight=as_rational(raw["weight"]),
-                    dim=int(raw["dim"]),
-                    nu_minus=int(raw["nu_minus"]),
-                    nu_plus=int(raw["nu_plus"]),
-                )
-            )
-
     if not comps:
         return [Violation(EMPTY_SPEC, "no fixed components given")]
 
@@ -255,18 +276,7 @@ def validate_action(
     as ``weight_offset`` metadata.  Raises :class:`InvalidActionError` carrying
     the full list of violations otherwise.
     """
-    comps = [
-        c
-        if isinstance(c, FixedComponent)
-        else FixedComponent(
-            name=str(c["name"]),
-            weight=as_rational(c["weight"]),
-            dim=int(c["dim"]),
-            nu_minus=int(c["nu_minus"]),
-            nu_plus=int(c["nu_plus"]),
-        )
-        for c in components
-    ]
+    comps = [_component(c) for c in components]
     violations = check_action(comps, dim_x)
     if violations:
         raise InvalidActionError(violations)
@@ -310,10 +320,6 @@ def model_warnings(model: ActionModel) -> list[str]:
     return notes
 
 
-def bandwidth_criticality(model: ActionModel) -> Tuple[Fraction, int]:
-    return (model.bandwidth, model.criticality)
-
-
 def orbit_degree(w_sink: Fraction, w_source: Fraction) -> Fraction:
     """Degree of an orbit closure with the given extremal weights."""
     w_sink, w_source = as_rational(w_sink), as_rational(w_source)
@@ -354,7 +360,7 @@ def is_equalized(
     for c in model.components:
         if c.name not in tangent_weights:
             raise UnknownComponentError(f"no tangent weights for component {c.name!r}")
-        if any(w not in (-1, 0, 1) for w in tangent_weights[c.name]):
+        if not unit_tangent_weights(tangent_weights[c.name]):
             return False
     return True
 
@@ -374,7 +380,7 @@ def is_bordism(model: ActionModel) -> bool:
     if not is_btype(model):
         return False
     if model.flat and model.sink_origin_dim is not None and model.source_origin_dim is not None:
-        return model.sink_origin_dim > 0 and model.source_origin_dim > 0
+        return not any(model.isolated_extremes())
     return all(c.nu_minus >= 2 and c.nu_plus >= 2 for c in model.inner_components)
 
 
@@ -383,11 +389,15 @@ def blowup_extremal(model: ActionModel) -> ActionModel:
 
     The extremal components are replaced by divisors carrying one normal
     direction toward the interior; inner components are copied bit-exactly and
-    the original extremal dims are recorded.
+    the original extremal dims are recorded.  Blowing up a divisor changes
+    nothing, so a B-type input comes back with the same components, marked
+    flat, its own extremal dims recorded as the origin dims.
     """
     if model.flat:
         raise AlreadyFlatError("model already has divisorial sink and source")
     sink, source = model.sink, model.source
+    if is_btype(model):
+        return replace(model, flat=True, sink_origin_dim=sink.dim, source_origin_dim=source.dim)
     delta = model.bandwidth
     new_sink = FixedComponent(
         name=f"{sink.name}_flat", weight=Fraction(0), dim=model.dim_x - 1, nu_minus=0, nu_plus=1
@@ -415,11 +425,6 @@ def index_set_i(model: ActionModel) -> frozenset[int]:
     On a flat model this is {0, ..., r-1} with 0 removed when the original
     sink is a point and r-1 removed when the original source is a point.
     """
-    sink_dim, source_dim = model.origin_dims()
     r = model.criticality
-    out = set(range(r))
-    if sink_dim == 0:
-        out.discard(0)
-    if source_dim == 0:
-        out.discard(r - 1)
-    return frozenset(out)
+    ends = zip((0, r - 1), model.isolated_extremes())
+    return frozenset(range(r)) - {i for i, isolated in ends if isolated}

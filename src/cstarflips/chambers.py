@@ -139,14 +139,13 @@ def stable_base_locus(
 
 
 def extremal_case(model: ActionModel) -> str:
-    sink_dim, source_dim = model.origin_dims()
-    if sink_dim > 0 and source_dim > 0:
-        return "bordism"
-    if sink_dim == 0 and source_dim > 0:
-        return "isolated-sink"
-    if sink_dim > 0 and source_dim == 0:
-        return "isolated-source"
-    return "isolated-both"
+    """The label of the isolated-extremes case, as the report prints it."""
+    return {
+        (False, False): "bordism",
+        (True, False): "isolated-sink",
+        (False, True): "isolated-source",
+        (True, True): "isolated-both",
+    }[model.isolated_extremes()]
 
 
 def _dedup(points: list[Point]) -> Tuple[Point, ...]:
@@ -162,27 +161,24 @@ def _dedup(points: list[Point]) -> Tuple[Point, ...]:
 def movable_polygon(model: ActionModel) -> Tuple[Point, ...]:
     """Vertices of the movable region in the (tau_minus, tau_plus) plane.
 
-    For criticality one with a single isolated extreme the region degenerates
-    to a segment (the blowup has no small modifications); with both extremes
-    isolated there is nothing to describe and the call is rejected.
+    The triangle 0 <= tau_minus <= tau_plus <= bandwidth loses the corner
+    tau_plus < a_1 when the original sink is a point and the corner
+    tau_minus > a_{r-1} when the original source is.  For criticality one
+    with a single isolated extreme the region degenerates to a segment (the
+    blowup has no small modifications); with both extremes isolated there is
+    nothing to describe and the call is rejected.
     """
     a = model.critical_values
     delta = a[-1]
     zero = Fraction(0)
-    case = extremal_case(model)
-    if model.criticality == 1 and case == "isolated-both":
+    sink_point, source_point = model.isolated_extremes()
+    if model.criticality == 1 and sink_point and source_point:
         raise OutOfRangeError(
             "criticality-one action with isolated sink and source has no movable region"
         )
-    if case == "bordism":
-        pts = [(zero, zero), (delta, delta), (zero, delta)]
-    elif case == "isolated-sink":
-        pts = [(zero, a[1]), (a[1], a[1]), (delta, delta), (zero, delta)]
-    elif case == "isolated-source":
-        pts = [(zero, zero), (a[-2], a[-2]), (a[-2], delta), (zero, delta)]
-    else:
-        pts = [(zero, a[1]), (a[1], a[1]), (a[-2], a[-2]), (a[-2], delta), (zero, delta)]
-    return _dedup(pts)
+    low = [(zero, a[1]), (a[1], a[1])] if sink_point else [(zero, zero)]
+    high = [(a[-2], a[-2]), (a[-2], delta)] if source_point else [(delta, delta)]
+    return _dedup(low + high + [(zero, delta)])
 
 
 def movable_cone(model: ActionModel) -> list[DivisorClass]:
@@ -193,13 +189,9 @@ def movable_cone(model: ActionModel) -> list[DivisorClass]:
 def chamber_pairs(model: ActionModel) -> list[Tuple[int, int]]:
     """The index pairs whose chamber lies inside the movable cone."""
     r = model.criticality
-    sink_dim, source_dim = model.origin_dims()
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r + 1)]
-    if sink_dim == 0 and (0, 1) in pairs:
-        pairs.remove((0, 1))
-    if source_dim == 0 and (r - 1, r) in pairs:
-        pairs.remove((r - 1, r))
-    return pairs
+    corners = zip(((0, 1), (r - 1, r)), model.isolated_extremes())
+    removed = {pair for pair, isolated in corners if isolated}
+    return [(i, j) for i in range(r) for j in range(i + 1, r + 1) if (i, j) not in removed]
 
 
 def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, ...]:
@@ -212,27 +204,6 @@ def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, .
 
 def chamber_decomposition(model: ActionModel) -> list[Chamber]:
     return [Chamber(pair, chamber_polygon(model, pair)) for pair in chamber_pairs(model)]
-
-
-def quotient_nef_segment(model: ActionModel, i: int) -> Tuple[Point, Point]:
-    """Slice of the nef cone of the i-th geometric quotient: the diagonal
-    segment of the (i, i+1) chamber."""
-    a = model.critical_values
-    if not 0 <= i < model.criticality:
-        raise OutOfRangeError(f"no geometric quotient with index {i}")
-    return ((a[i], a[i]), (a[i + 1], a[i + 1]))
-
-
-def in_movable(model: ActionModel, x: Fraction, y: Fraction) -> bool:
-    a = model.critical_values
-    if not (0 <= x <= y <= a[-1]):
-        return False
-    sink_dim, source_dim = model.origin_dims()
-    if sink_dim == 0 and y < a[1]:
-        return False
-    if source_dim == 0 and x > a[-2]:
-        return False
-    return True
 
 
 def locate_chamber(model: ActionModel, d: DivisorClass) -> SliceLocation:
@@ -248,10 +219,10 @@ def locate_chamber(model: ActionModel, d: DivisorClass) -> SliceLocation:
     r = model.criticality
     if not (0 <= x <= y <= a[-1]):
         raise OutOfSliceError(f"({x}, {y}) outside the slice region 0 <= tau- <= tau+ <= {a[-1]}")
-    sink_dim, source_dim = model.origin_dims()
-    if sink_dim == 0 and y < a[1]:
+    sink_point, source_point = model.isolated_extremes()
+    if sink_point and y < a[1]:
         return SliceLocation(kind="outside-movable", fixed_divisor="closure of X^-(Y_1)")
-    if source_dim == 0 and x > a[-2]:
+    if source_point and x > a[-2]:
         return SliceLocation(
             kind="outside-movable", fixed_divisor=f"closure of X^+(Y_{{{r - 1}}})"
         )
@@ -299,10 +270,5 @@ def intersection_number(d: DivisorClass, curve: CurveClass, model: ActionModel) 
 
 def relevant_curves(model: ActionModel) -> list[CurveClass]:
     """Curve classes generating the dual of the movable cone in this case."""
-    curves = [CurveClass.GEN, CurveClass.C0, CurveClass.CR]
-    sink_dim, source_dim = model.origin_dims()
-    if sink_dim == 0:
-        curves.append(CurveClass.C1R)
-    if source_dim == 0:
-        curves.append(CurveClass.C0RM1)
-    return curves
+    extra = zip((CurveClass.C1R, CurveClass.C0RM1), model.isolated_extremes())
+    return [CurveClass.GEN, CurveClass.C0, CurveClass.CR] + [c for c, isolated in extra if isolated]

@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 validation failure, 3 parse/schema error,
-4 verification mismatch between Lie-derived and expected components.
+Exit codes: 0 success, 2 validation failure, illegal Dynkin datum or an
+``--out`` path that cannot be opened, 3 parse/schema error, 4 verification
+mismatch between Lie-derived and expected components.
 """
 
 from __future__ import annotations
@@ -43,6 +44,17 @@ def _pipeline(path: str, args) -> ReportBundle:
     )
 
 
+def _failure(exc: Exception) -> tuple[list[str], int]:
+    """The message lines and exit code of an error that ends a run or a file."""
+    if isinstance(exc, (SpecSyntaxError, SchemaError)):
+        return [f"parse error: {exc}"], EXIT_PARSE
+    if isinstance(exc, InvalidActionError):
+        return ["invalid:"] + [f"  {v.code}: {v.message}" for v in exc.violations], EXIT_VALIDATION
+    if isinstance(exc, OSError):
+        return [f"error: cannot write {exc.filename}: {exc.strerror}"], EXIT_VALIDATION
+    return [f"error: {exc}"], EXIT_VALIDATION
+
+
 def _run_per_spec(args, render, errors=None) -> int:
     """Run the pipeline on each spec file in turn and render its report.
 
@@ -50,7 +62,8 @@ def _run_per_spec(args, render, errors=None) -> int:
     ``--out`` (opened once, on the first payload) or else to stdout.  A file
     that fails to parse, validate or derive is reported on ``errors``
     (stderr by default) and the loop goes on with the next file; the exit
-    code is the worst over the files.
+    code is the worst over the files.  An ``--out`` path that cannot be
+    opened ends the run.
     """
     errors = errors or sys.stderr
     out = getattr(args, "out", None)
@@ -60,26 +73,22 @@ def _run_per_spec(args, render, errors=None) -> int:
         for path in args.specs:
             try:
                 bundle = _pipeline(path, args)
-            except (SpecSyntaxError, SchemaError) as exc:
-                print(f"{path}: parse error: {exc}", file=errors)
-                worst = max(worst, EXIT_PARSE)
-                continue
-            except InvalidActionError as exc:
-                print(f"{path}: invalid:", file=errors)
-                for v in exc.violations:
-                    print(f"  {v.code}: {v.message}", file=errors)
-                worst = max(worst, EXIT_VALIDATION)
-                continue
             except ActionError as exc:
-                print(f"{path}: error: {exc}", file=errors)
-                worst = max(worst, EXIT_VALIDATION)
+                lines, code = _failure(exc)
+                print(f"{path}: " + "\n".join(lines), file=errors)
+                worst = max(worst, code)
                 continue
             payload = render(path, bundle)
             if payload is not None:
                 if not out:
                     sys.stdout.buffer.write(payload)
                 else:
-                    fh = fh or open(out, "wb")
+                    try:
+                        fh = fh or open(out, "wb")
+                    except OSError as exc:
+                        lines, code = _failure(exc)
+                        print("\n".join(lines), file=sys.stderr)
+                        return code
                     fh.write(payload)
             if bundle["verification"]["failures"]:
                 worst = max(worst, EXIT_VERIFICATION)
@@ -199,11 +208,7 @@ def _cmd_dynkin(args) -> int:
         print(f"error: --cochar takes comma separated integers, got {args.cochar!r}",
               file=sys.stderr)
         return EXIT_PARSE
-    try:
-        datum = build_root_system(args.type, args.rank)
-    except ActionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    datum = build_root_system(args.type, args.rank)
     print(f"{datum.name}: {datum.table.n_positive} positive roots, "
           f"Lie algebra dimension {datum.dim_lie_algebra}")
     if cochar is None and args.cochar_node:
@@ -316,15 +321,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecSyntaxError, SchemaError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InvalidActionError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ActionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        lines, code = _failure(exc)
+        print("\n".join(lines), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

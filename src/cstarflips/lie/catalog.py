@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
+from ..actions import level_signature
 from .homogeneous import (
     DEFAULT_MAX_COSETS,
     HomogeneousSpace,
@@ -212,13 +213,6 @@ class RowVerification:
     signatures_equal: Optional[bool]  # only for rows with two grading nodes
 
 
-def _level_signature(model):
-    return tuple(
-        (str(a), tuple(sorted((c.dim, c.nu_minus, c.nu_plus) for c in comps)))
-        for a, comps in model.levels
-    )
-
-
 def verify_row(instance: RowInstance, max_cosets: int = DEFAULT_MAX_COSETS) -> RowVerification:
     """Recompute the row's action and compare against the label data.
 
@@ -233,7 +227,7 @@ def verify_row(instance: RowInstance, max_cosets: int = DEFAULT_MAX_COSETS) -> R
     for node in instance.grading_nodes:
         result = build_action(space, fundamental_cocharacter(instance.rank, node), max_cosets)
         model = result.model
-        signatures.append(_level_signature(model))
+        signatures.append(level_signature(model))
         tag = f"{instance.family}, grading node {node}"
         weights = tuple(int(a) for a in model.critical_values)
         if weights != instance.expected_weights:

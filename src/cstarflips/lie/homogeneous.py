@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
-from ..actions import ActionModel, ActionError, validate_action
+from ..actions import ActionModel, ActionError, unit_tangent_weights, validate_action
 from .roots import RootSystem, RootTable, build_root_system
 
 DEFAULT_MAX_COSETS = 100_000
@@ -235,7 +235,9 @@ def build_action(
             )
             certificates[name] = cert
 
-    equalized = all(m in (-1, 0, 1) for row in pairings for m in row)
+    # the Levi Weyl group fixes the cocharacter, so one point per component
+    # carries all of its tangent weights
+    equalized = all(unit_tangent_weights(cert) for cert in certificates.values())
     short = grading(space.datum, cocharacter).is_short
     warnings = [] if short else ["GradingNotShort: grading support exceeds {-1, 0, 1}"]
     model = validate_action(

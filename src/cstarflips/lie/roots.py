@@ -33,6 +33,10 @@ POSITIVE_ROOT_COUNTS = {
     "G": {2: 6},
 }
 
+# Largest rank accepted.  The root table costs O(rank^2) per root: about a
+# second for B_32, C_32 and D_32, minutes for A_150.
+MAX_RANK = 32
+
 _LEGAL_RANKS = {
     "A": lambda n: n >= 1,
     "B": lambda n: n >= 2,
@@ -308,6 +312,8 @@ class RootSystem:
 def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
     """Construct the exact root datum, checking the classical root count."""
     t = dynkin_type.upper()
+    if rank > MAX_RANK:
+        raise IllegalTypeError(f"illegal Dynkin datum {dynkin_type}_{rank}: rank above {MAX_RANK}")
     if t not in _LEGAL_RANKS or not _LEGAL_RANKS[t](rank):
         raise IllegalTypeError(f"illegal Dynkin datum {dynkin_type}_{rank}")
     simples = _simple_roots(t, rank)

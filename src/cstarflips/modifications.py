@@ -259,12 +259,10 @@ def extremal_ray_type(model: ActionModel, end: str) -> str:
     """Contraction type at an endpoint of the quotient chain: the projective
     bundle over a positive-dimensional extremal component, or divisorial when
     that component is a point."""
-    sink_dim, source_dim = model.origin_dims()
-    if end == "left":
-        return "divisorial" if sink_dim == 0 else "fibration"
-    if end == "right":
-        return "divisorial" if source_dim == 0 else "fibration"
-    raise ValueError(f"end must be 'left' or 'right', got {end!r}")
+    ends = dict(zip(("left", "right"), model.isolated_extremes()))
+    if end not in ends:
+        raise ValueError(f"end must be 'left' or 'right', got {end!r}")
+    return "divisorial" if ends[end] else "fibration"
 
 
 @dataclass(frozen=True)

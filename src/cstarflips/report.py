@@ -10,7 +10,7 @@ order, so identical input produces byte-identical JSON output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -24,6 +24,7 @@ from .actions import (
     is_btype,
     blowup_extremal,
     index_set_i,
+    level_signature,
     model_warnings,
     validate_action,
 )
@@ -88,8 +89,7 @@ def _compare_expected(model: ActionModel, expected: ActionModel) -> list[str]:
     failures = []
     if model.dim_x != expected.dim_x:
         failures.append(f"dim_X: derived {model.dim_x}, expected {expected.dim_x}")
-    got = {a: sorted((c.dim, c.nu_minus, c.nu_plus) for c in comps) for a, comps in model.levels}
-    want = {a: sorted((c.dim, c.nu_minus, c.nu_plus) for c in comps) for a, comps in expected.levels}
+    got, want = dict(level_signature(model)), dict(level_signature(expected))
     if set(got) != set(want):
         failures.append(
             f"critical values: derived {sorted(map(str, got))}, expected {sorted(map(str, want))}"
@@ -98,7 +98,7 @@ def _compare_expected(model: ActionModel, expected: ActionModel) -> list[str]:
     for a in sorted(got):
         if got[a] != want[a]:
             failures.append(
-                f"level {a}: derived (dim, nu-, nu+) = {got[a]}, expected {want[a]}"
+                f"level {a}: derived (dim, nu-, nu+) = {list(got[a])}, expected {list(want[a])}"
             )
     return failures
 
@@ -173,15 +173,8 @@ def run_pipeline(
 
     notes.extend(model_warnings(model))
     if is_btype(model):
-        flat = replace(
-            model,
-            flat=True,
-            sink_origin_dim=model.sink.dim,
-            source_origin_dim=model.source.dim,
-        )
         notes.append("input already has divisorial extremes; treated as its own blowup")
-    else:
-        flat = blowup_extremal(model)
+    flat = blowup_extremal(model)
 
     graph = md.build_flip_graph(flat)
     diagram = md.quotient_diagram(flat)

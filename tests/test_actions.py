@@ -13,7 +13,6 @@ from cstarflips.actions import (
     MissingOriginDimsError,
     NegativeDegreeError,
     UnknownComponentError,
-    bandwidth_criticality,
     blowup_extremal,
     check_action,
     index_set_i,
@@ -75,7 +74,7 @@ class TestValidation:
 
 class TestBandwidthCriticality:
     def test_gr24(self, gr24):
-        assert bandwidth_criticality(gr24) == (2, 2)
+        assert (gr24.bandwidth, gr24.criticality) == (2, 2)
 
     def test_trivial_rejected(self):
         with pytest.raises(InvalidActionError):
@@ -86,7 +85,7 @@ class TestBandwidthCriticality:
 
         for n, i, k in [(4, 2, 2), (5, 3, 3), (6, 2, 3)]:
             m = grassmannian_model(n, i, k)
-            assert bandwidth_criticality(m) == (i, i)
+            assert (m.bandwidth, m.criticality) == (i, i)
 
 
 class TestOrbitDegree:
@@ -186,6 +185,15 @@ class TestBlowup:
 
     def test_a42_extremal_dims(self, a42_flat):
         assert a42_flat.sink.dim == 5 and a42_flat.source.dim == 5
+
+    def test_btype_is_its_own_blowup(self):
+        rows = [("S", 0, 5, 0, 1), ("M", 1, 2, 2, 2), ("T", 2, 5, 1, 0)]
+        model = model_from_rows(rows, 6)
+        flat = blowup_extremal(model)
+        assert flat.flat
+        assert flat.components == model.components
+        assert (flat.sink_origin_dim, flat.source_origin_dim) == (5, 5)
+        assert flat.isolated_extremes() == (False, False)
 
     def test_already_flat(self, gr24_flat):
         with pytest.raises(AlreadyFlatError):

@@ -8,6 +8,7 @@ import pytest
 
 from cstarflips import specfiles
 from cstarflips.cli import main
+from cstarflips.lie import roots
 from cstarflips.specfiles import SchemaError
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -76,6 +77,13 @@ class TestOut:
             "gr24-k2", "a4-2-k2", "synthetic-bordism-r3",
         ]
 
+    def test_path_that_cannot_be_opened(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["analyze", A42, "--format", "json", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
     def test_single_spec_bytes_unchanged(self, tmp_path, capsys):
         out = tmp_path / "one.svg"
         assert main(["export", BORDISM, "--format", "svg", "--out", str(out)]) == 0
@@ -97,6 +105,34 @@ class TestArguments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --cochar takes comma separated integers, got '1,x'\n"
+
+
+class TestRankCap:
+    def test_refused_before_any_root_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the root table was built")
+
+        monkeypatch.setattr(roots, "_root_table", refuse)
+        with pytest.raises(roots.IllegalTypeError) as exc:
+            roots.build_root_system("A", 10**9)
+        assert str(exc.value) == f"illegal Dynkin datum A_{10**9}: rank above {roots.MAX_RANK}"
+
+    def test_dynkin_exit_code(self, capsys):
+        assert main(["dynkin", "A", str(10**9)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: illegal Dynkin datum A_{10**9}: rank above {roots.MAX_RANK}\n"
+
+    def test_lie_spec_goes_on_to_the_next_file(self, tmp_path, capsys):
+        rank = roots.MAX_RANK + 1
+        spec = {"name": "a33", "lie": {"type": "A", "rank": rank, "node": 1,
+                                       "cocharacter": [1] + [0] * (rank - 1)}}
+        path = write(tmp_path, "a33.json", json.dumps(spec))
+        assert main(["validate", path, GR24]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: error: illegal Dynkin datum A_{rank}: rank above {roots.MAX_RANK}",
+            f"{GR24}: ok (gr24-k2, criticality 2)",
+        ]
 
 
 class TestRationalBound:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from cstarflips.actions import blowup_extremal, index_set_i
-from cstarflips.chambers import chamber_pairs, chamber_polygon
+from cstarflips.chambers import chamber_pairs, chamber_polygon, relevant_curves
 from cstarflips.modifications import (
     MINUS,
     PLUS,
@@ -333,3 +333,19 @@ class TestChainSummary:
     def test_isolated_both(self, gr24_flat):
         s = flip_chain_summary(gr24_flat)
         assert (s.blowups, s.flips, s.blowdowns) == (1, 0, 1)
+
+
+class TestIsolatedExtremes:
+    @given(action_models())
+    def test_every_consumer_reads_one_fact(self, model):
+        """With k the number of isolated extremes of the original model, an
+        isolated extreme removes one chamber and one index, adds one curve and
+        turns one end of the quotient chain into a blowup or a blowdown."""
+        k = (model.sink.dim == 0) + (model.source.dim == 0)
+        flat = blowup_extremal(model)
+        r = flat.criticality
+        summary = flip_chain_summary(flat)
+        assert len(chamber_pairs(flat)) == r * (r + 1) // 2 - k
+        assert len(index_set_i(flat)) == r - k
+        assert len(relevant_curves(flat)) == 3 + k
+        assert summary.blowups + summary.blowdowns == k
