@@ -16,6 +16,7 @@ that the sink sits at weight zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
@@ -99,6 +100,7 @@ class ActionModel:
     produced by :func:`blowup_extremal`); such models remember the extremal
     dimensions of the variety they came from in ``sink_origin_dim`` /
     ``source_origin_dim``, which drive the chamber bookkeeping downstream.
+    Critical values and levels are computed once: the model is frozen.
     """
 
     dim_x: int
@@ -111,7 +113,7 @@ class ActionModel:
     source_origin_dim: int | None = None
     weight_offset: Fraction = Fraction(0)
 
-    @property
+    @cached_property
     def critical_values(self) -> Tuple[Fraction, ...]:
         return tuple(sorted({c.weight for c in self.components}))
 
@@ -123,12 +125,12 @@ class ActionModel:
     def bandwidth(self) -> Fraction:
         return self.critical_values[-1]
 
-    @property
+    @cached_property
     def levels(self) -> Tuple[Tuple[Fraction, Tuple[FixedComponent, ...]], ...]:
-        out = []
-        for a in self.critical_values:
-            out.append((a, tuple(c for c in self.components if c.weight == a)))
-        return tuple(out)
+        by_weight: dict[Fraction, list[FixedComponent]] = {a: [] for a in self.critical_values}
+        for c in self.components:
+            by_weight[c.weight].append(c)
+        return tuple((a, tuple(comps)) for a, comps in by_weight.items())
 
     def level_components(self, k: int) -> Tuple[FixedComponent, ...]:
         return self.levels[k][1]
@@ -371,11 +373,11 @@ def is_btype(model: ActionModel) -> bool:
 
 
 def is_bordism(model: ActionModel) -> bool:
-    """B-type with all inner nu_minus, nu_plus >= 2.
+    """Whether a B-type model counts as a bordism.
 
-    For a flat model produced by :func:`blowup_extremal` this is equivalent to
-    both original extremal components being positive-dimensional, which is the
-    test used when the origin dims are recorded.
+    With recorded origin dims the verdict is the isolated-extremes fact alone:
+    both original extremal components are positive-dimensional, whatever the
+    inner ranks.  Only without them do inner ranks decide (all >= 2).
     """
     if not is_btype(model):
         return False

@@ -80,15 +80,32 @@ def bordism_r2_flat():
     return blowup_extremal(model_from_rows(BORDISM_R2_ROWS, 6))
 
 
+# Whether the sink and the source are points, per extremal case.
+CASE_ISOLATED = {
+    "bordism": (False, False),
+    "isolated-sink": (True, False),
+    "isolated-source": (False, True),
+    "isolated-both": (True, True),
+}
+
+
 @st.composite
-def action_models(draw, min_r=2, max_r=5):
+def action_models(draw, min_r=2, max_r=5, case=None):
     """Random valid non-flat models: integer critical values 0..r, one or two
-    components per inner level, extremes of any dimension."""
+    components per inner level, extremes of any dimension, or points exactly
+    where the extremal ``case`` says."""
     r = draw(st.integers(min_r, max_r))
     dim_x = draw(st.integers(4, 9))
     rows = []
-    sink_dim = draw(st.integers(0, dim_x - 2))
-    source_dim = draw(st.integers(0, dim_x - 2))
+
+    def extreme_dim(isolated):
+        if isolated is None:
+            return draw(st.integers(0, dim_x - 2))
+        return 0 if isolated else draw(st.integers(1, dim_x - 2))
+
+    sink_isolated, source_isolated = CASE_ISOLATED[case] if case else (None, None)
+    sink_dim = extreme_dim(sink_isolated)
+    source_dim = extreme_dim(source_isolated)
     rows.append(("Y0", 0, sink_dim, 0, dim_x - sink_dim))
     rows.append((f"Y{r}", r, source_dim, dim_x - source_dim, 0))
     for level in range(1, r):

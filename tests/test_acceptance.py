@@ -23,7 +23,7 @@ from cstarflips.chambers import (
     movable_polygon,
     stable_base_locus,
 )
-from cstarflips.modifications import MINUS, build_flip_graph, flip_chain_summary
+from cstarflips.modifications import MINUS, build_flip_graph, flip_chain_summary, induced_action
 from cstarflips.report import ReportBundle, run_pipeline
 from cstarflips.specfiles import parse_spec_dict
 from conftest import (
@@ -191,7 +191,7 @@ def test_criterion_4_sbl_equals_mori():
 def _flip_bookkeeping_body(model):
     flat = blowup_extremal(model)
     graph = build_flip_graph(flat)
-    models = {n.pair: n.model for n in graph.nodes}
+    models = {n.pair: induced_action(flat, n.pair) for n in graph.nodes}
     for e in graph.edges:
         assert models[e.to_pair].criticality == models[e.from_pair].criticality - 1
         lo, hi = max(e.from_pair[0], e.to_pair[0]), min(e.from_pair[1], e.to_pair[1])

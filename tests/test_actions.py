@@ -72,6 +72,26 @@ class TestValidation:
             assert c.dim + c.nu_minus + c.nu_plus == model.dim_x
 
 
+class TestLevelIndex:
+    def test_computed_once(self, gr24):
+        assert gr24.levels is gr24.levels
+        assert gr24.critical_values is gr24.critical_values
+
+    def test_replace_starts_a_fresh_index(self, gr24):
+        from dataclasses import replace
+
+        assert len(gr24.levels) == 3
+        shorter = replace(gr24, components=gr24.components[:2])
+        assert shorter.critical_values == gr24.critical_values[:2]
+        assert len(shorter.levels) == 2
+
+    @given(action_models())
+    def test_level_components_match_filter(self, model):
+        for m in (model, blowup_extremal(model)):
+            for k, a in enumerate(m.critical_values):
+                assert m.level_components(k) == tuple(c for c in m.components if c.weight == a)
+
+
 class TestBandwidthCriticality:
     def test_gr24(self, gr24):
         assert (gr24.bandwidth, gr24.criticality) == (2, 2)

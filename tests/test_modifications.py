@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+from cstarflips import modifications
 from cstarflips.actions import blowup_extremal, index_set_i
 from cstarflips.chambers import chamber_pairs, chamber_polygon, relevant_curves
 from cstarflips.modifications import (
@@ -15,7 +16,10 @@ from cstarflips.modifications import (
     p1_bundle_models,
     quotient_diagram,
 )
-from conftest import action_models
+from cstarflips.report import run_pipeline
+from cstarflips.specfiles import parse_spec_dict
+from conftest import CASE_ISOLATED, action_models, synthetic_case_model
+from test_report_golden import _model_spec
 
 
 class TestInducedAction:
@@ -48,6 +52,29 @@ class TestInducedAction:
     def test_not_a_chamber(self, a42_flat):
         with pytest.raises(NotAChamberError):
             induced_action(a42_flat, (0, 1))
+
+    def test_origin_dims(self, a42_flat):
+        assert induced_action(a42_flat, (0, 2)).origin_dims() == (0, 2)
+        assert induced_action(a42_flat, (1, 2)).origin_dims() == (5, 2)
+
+    @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+    @given(data=st.data())
+    def test_sub_rectangle(self, case, data):
+        """X(i, j) goes back through the pipeline: its chambers, index set and
+        semigeometric quotients are those of the flat model inside [i, j],
+        shifted by i."""
+        flat = blowup_extremal(data.draw(action_models(max_r=7, case=case)))
+        chambers = chamber_pairs(flat)
+        semi_dims = [q.dim for q in quotient_diagram(flat).semigeometric]
+        for i, j in chambers:
+            sub = induced_action(flat, (i, j))
+            assert [(p + i, q + i) for p, q in chamber_pairs(sub)] == [
+                (p, q) for p, q in chambers if i <= p and q <= j
+            ]
+            assert {k + i for k in index_set_i(sub)} == {
+                k for k in index_set_i(flat) if i <= k < j
+            }
+            assert [q.dim for q in quotient_diagram(sub).semigeometric] == semi_dims[i : j + 1]
 
 
 class TestFlipGraph:
@@ -95,6 +122,13 @@ class TestFlipGraph:
         # level 1: dim 3, nu_minus 1, nu_plus 2
         assert center.center_dim == 4 and center.flipped_dim == 4
 
+    def test_node_lookup(self, a42_flat):
+        g = build_flip_graph(a42_flat)
+        assert g.node((0, 2)).pair == (0, 2)
+        for pair in ((0, 1), (2, 3), (1, 1)):
+            with pytest.raises(NotAChamberError):
+                g.node(pair)
+
     def test_nef_attachment(self, bordism_r3_flat):
         g = build_flip_graph(bordism_r3_flat)
         for node in g.nodes:
@@ -106,7 +140,7 @@ class TestFlipGraph:
         and center/flipped dims follow the nu bookkeeping on every edge."""
         flat = blowup_extremal(model)
         g = build_flip_graph(flat)
-        models = {n.pair: n.model for n in g.nodes}
+        models = {n.pair: induced_action(flat, n.pair) for n in g.nodes}
         for e in g.edges:
             src, dst = models[e.from_pair], models[e.to_pair]
             assert dst.criticality == src.criticality - 1
@@ -165,6 +199,38 @@ class TestFlipGraph:
         r = flat.criticality
         expected = r * (r + 1) // 2 - (model.sink.dim == 0) - (model.source.dim == 0)
         assert len(g.nodes) == expected
+
+
+def _chain_report(case, r):
+    return run_pipeline(parse_spec_dict(_model_spec(f"{case}-r{r}", synthetic_case_model(case, r))))
+
+
+class TestLongChains:
+    """The report reads the chamber pairs and the levels of the flat model
+    only; it builds no X(i, j), so its cost follows its size."""
+
+    @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+    def test_report_builds_no_node_model(self, case, monkeypatch):
+        expected = _chain_report(case, 8).to_json()
+
+        def refuse(model, pair):
+            raise AssertionError(f"X{pair} built")
+
+        monkeypatch.setattr(modifications, "induced_action", refuse)
+        assert _chain_report(case, 8).to_json() == expected
+
+    @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+    def test_criticality_160(self, case):
+        r = 160
+        report = _chain_report(case, r)
+        chambers = [tuple(c["pair"]) for c in report["chambers"]]
+        assert len(chambers) == r * (r + 1) // 2 - sum(CASE_ISOLATED[case])
+        nodes = [tuple(n) for n in report["flip_graph"]["nodes"]]
+        assert sorted(nodes) == sorted(chambers) and len(set(nodes)) == len(nodes)
+        pairs = set(chambers)
+        moves = sum(((i + 1, j) in pairs) + ((i, j - 1) in pairs) for i, j in pairs)
+        fg = report["flip_graph"]
+        assert len(fg["edges"]) + len(fg["obstructions"]) == moves
 
 
 class TestReducibleLevels:
