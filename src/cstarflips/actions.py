@@ -100,7 +100,6 @@ class ActionModel:
     produced by :func:`blowup_extremal`); such models remember the extremal
     dimensions of the variety they came from in ``sink_origin_dim`` /
     ``source_origin_dim``, which drive the chamber bookkeeping downstream.
-    Critical values and levels are computed once: the model is frozen.
     """
 
     dim_x: int

@@ -186,19 +186,12 @@ def movable_cone(model: ActionModel) -> list[DivisorClass]:
     return [DivisorClass(x, y) for (x, y) in movable_polygon(model)]
 
 
-def is_chamber(model: ActionModel, pair: Tuple[int, int]) -> bool:
-    """Whether the chamber of the index pair lies inside the movable cone."""
-    i, j = pair
-    r = model.criticality
-    sink_point, source_point = model.isolated_extremes()
-    corner = (sink_point and (i, j) == (0, 1)) or (source_point and (i, j) == (r - 1, r))
-    return 0 <= i < j <= r and not corner
-
-
 def chamber_pairs(model: ActionModel) -> list[Tuple[int, int]]:
     """The index pairs whose chamber lies inside the movable cone."""
     r = model.criticality
-    return [(i, j) for i in range(r) for j in range(i + 1, r + 1) if is_chamber(model, (i, j))]
+    corners = zip(((0, 1), (r - 1, r)), model.isolated_extremes())
+    removed = {pair for pair, isolated in corners if isolated}
+    return [(i, j) for i in range(r) for j in range(i + 1, r + 1) if (i, j) not in removed]
 
 
 def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, ...]:

@@ -3,9 +3,10 @@
 Each chamber pair (i, j) carries a small modification X(i, j) of the flat
 model, again with a divisorial-extremes action: sink GX(i, i+1), source
 GX(j-1, j), and the original inner components between critical values i and j
-copied bit-exactly (weights renormalized to start at zero).  Moving to
-(i+1, j) or (i, j-1) is a flip removing the cell closures attached to the
-shifting level:
+copied bit-exactly (weights renormalized to start at zero).  X(i, j) is built
+on demand by :func:`induced_action`; a flip-graph node carries only its pair
+and nef polygon.  Moving to (i+1, j) or (i, j-1) is a flip removing the cell
+closures attached to the shifting level:
 
 * the plus flip (i, j) -> (i+1, j) removes the downward closures of level
   i+1; per component Y the removed center has dimension dim Y + nu_minus(Y)
@@ -18,20 +19,16 @@ shifting level:
 Either way, since dim Y + nu_minus(Y) + nu_plus(Y) = dim X, the center and
 flipped dimensions add up to dim X - 1 + dim Y, and the criticality drops by
 one.
-
-X(i, j) is built on demand by :func:`induced_action`; the nodes of the flip
-graph carry only their pair and its nef polygon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from fractions import Fraction
 from typing import Tuple
 
-from .actions import ActionError, ActionModel, FixedComponent, index_set_i
-from .chambers import Point, chamber_pairs, chamber_polygon, is_chamber
+from .actions import ActionError, ActionModel, FixedComponent
+from .chambers import Point, chamber_pairs, chamber_polygon
 
 PLUS = "plus"
 MINUS = "minus"
@@ -85,26 +82,20 @@ class FlipGraph:
     edges: Tuple[FlipEdge, ...]
     obstructions: Tuple[FlipObstruction, ...]
 
-    @cached_property
-    def _by_pair(self) -> dict:
-        return {n.pair: n for n in self.nodes}
-
     def node(self, pair: Tuple[int, int]) -> GraphNode:
-        if pair not in self._by_pair:
-            raise NotAChamberError(f"{pair} is not a chamber of this model")
-        return self._by_pair[pair]
+        for n in self.nodes:
+            if n.pair == pair:
+                return n
+        raise NotAChamberError(f"{pair} is not a chamber of this model")
 
 
 def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
-    """The action carried by X(i, j): inner levels i+1 .. j-1 of the flat
-    model at weights a_k - a_i, between divisorial extremes GX(i, i+1) and
-    GX(j-1, j) of dimension dim X - 1.  An end strictly inside the flat model
-    is its own blowup (origin dim dim X - 1); at i = 0 or j = r the end keeps
-    the flat model's origin dim."""
-    if not is_chamber(model, pair):
+    """X(i, j): inner levels i+1 .. j-1 of the flat model at weights a_k - a_i,
+    between divisorial extremes GX(i, i+1) and GX(j-1, j); an end at i = 0 or
+    j = r keeps the flat model's origin dim, any other is its own blowup."""
+    if pair not in chamber_pairs(model):
         raise NotAChamberError(f"{pair} is not a chamber of this model")
     i, j = pair
-    sink_dim, source_dim = model.origin_dims()
     a = model.critical_values
     base = a[i]
     inner = tuple(
@@ -126,8 +117,8 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
         picard_rank_one=model.picard_rank_one,
         equalized=model.equalized,
         equalization_source=model.equalization_source,
-        sink_origin_dim=sink_dim if i == 0 else model.dim_x - 1,
-        source_origin_dim=source_dim if j == model.criticality else model.dim_x - 1,
+        sink_origin_dim=model.origin_dims()[0] if i == 0 else model.dim_x - 1,
+        source_origin_dim=model.origin_dims()[1] if j == model.criticality else model.dim_x - 1,
     )
 
 
@@ -141,10 +132,17 @@ def _flip_records(direction: str, comps) -> Tuple[Tuple[FlipCenter, ...], Tuple[
     centers = []
     blocked = []
     for c in comps:
-        center_nu, flipped_nu = (c.nu_minus, c.nu_plus) if direction == PLUS else (c.nu_plus, c.nu_minus)
-        if flipped_nu <= 1:
+        if direction == PLUS:
+            legal = c.nu_plus > 1
+            center_dim = c.dim + c.nu_minus
+            flipped_dim = c.dim + c.nu_plus - 1
+        else:
+            legal = c.nu_minus > 1
+            center_dim = c.dim + c.nu_plus
+            flipped_dim = c.dim + c.nu_minus - 1
+        if not legal:
             blocked.append(c.name)
-        centers.append(FlipCenter(c.name, c.dim, c.dim + center_nu, c.dim + flipped_nu - 1))
+        centers.append(FlipCenter(c.name, c.dim, center_dim, flipped_dim))
     return tuple(centers), tuple(blocked)
 
 
@@ -156,14 +154,13 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     flip inequality, otherwise the obstruction is recorded and the edge
     omitted.
     """
-    pairs = chamber_pairs(model)
-    chambers = set(pairs)
-    nodes = tuple(GraphNode(pair, chamber_polygon(model, pair)) for pair in pairs)
+    polygons = {pair: chamber_polygon(model, pair) for pair in chamber_pairs(model)}
+    nodes = tuple(GraphNode(pair, polygon) for pair, polygon in polygons.items())
     edges: list[FlipEdge] = []
     obstructions: list[FlipObstruction] = []
-    for pair in pairs:
+    for pair in polygons:
         for direction, target, level in _edge_candidates(pair):
-            if target not in chambers:
+            if target not in polygons:
                 continue
             centers, blocked = _flip_records(direction, model.level_components(level))
             if blocked:
@@ -205,18 +202,25 @@ def quotient_diagram(model: ActionModel) -> QuotientDiagram:
         QuotientNode("geometric", (i, i + 1), model.dim_x - 1, f"GX({i},{i + 1})")
         for i in range(r)
     )
-    dims = (sink_dim,) + (model.dim_x - 1,) * (r - 1) + (source_dim,)
-    semi = tuple(
-        QuotientNode("semigeometric", (i, i), d, f"GX({i},{i})",
-                     identity=f"Y_{i}" if i in (0, r) else None)
-        for i, d in enumerate(dims)
-    )
+    semi: list[QuotientNode] = []
+    for i in range(r + 1):
+        if i == 0:
+            semi.append(QuotientNode("semigeometric", (0, 0), sink_dim, "GX(0,0)", identity="Y_0"))
+        elif i == r:
+            semi.append(
+                QuotientNode("semigeometric", (r, r), source_dim, f"GX({r},{r})", identity=f"Y_{r}")
+            )
+        else:
+            semi.append(QuotientNode("semigeometric", (i, i), model.dim_x - 1, f"GX({i},{i})"))
     dashed = tuple((geometric[i].label, geometric[i + 1].label) for i in range(r - 1))
-    diagonal = tuple(
-        (g.label, s.label) for i, s in enumerate(semi) for g in geometric[max(i - 1, 0) : i + 1]
-    )
+    diagonal = []
+    for i in range(r + 1):
+        if i >= 1:
+            diagonal.append((geometric[i - 1].label, semi[i].label))
+        if i <= r - 1:
+            diagonal.append((geometric[i].label, semi[i].label))
     fiber = "projective spaces" if model.equalized else "weighted projective spaces"
-    return QuotientDiagram(geometric, semi, dashed, diagonal, fiber)
+    return QuotientDiagram(geometric, tuple(semi), dashed, tuple(diagonal), fiber)
 
 
 @dataclass(frozen=True)
@@ -230,6 +234,8 @@ class P1BundleModel:
 def p1_bundle_models(model: ActionModel, indices=None) -> list[P1BundleModel]:
     """The small modifications that are P1-bundles over geometric quotients,
     one for every admissible index."""
+    from .actions import index_set_i
+
     admissible = index_set_i(model)
     if indices is None:
         indices = sorted(admissible)
@@ -277,12 +283,17 @@ def flip_chain_summary(model: ActionModel) -> ChainSummary:
     r = model.criticality
     left = extremal_ray_type(model, "left")
     right = extremal_ray_type(model, "right")
-    blowups, blowdowns = int(left == "divisorial"), int(right == "divisorial")
+    blowups = 1 if left == "divisorial" else 0
+    blowdowns = 1 if right == "divisorial" else 0
+    if blowups + blowdowns == 0:
+        flips = r - 1
+    else:
+        flips = max(r - 2, 0)
     return ChainSummary(
         chain_arrows=r - 1,
         left=left,
         right=right,
         blowups=blowups,
         blowdowns=blowdowns,
-        flips=max(r - 2, 0) if blowups or blowdowns else r - 1,
+        flips=flips,
     )

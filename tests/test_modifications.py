@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from cstarflips import modifications
-from cstarflips.actions import blowup_extremal, index_set_i
+from cstarflips.actions import blowup_extremal, index_set_i, is_bordism, level_signature
 from cstarflips.chambers import chamber_pairs, chamber_polygon, relevant_curves
 from cstarflips.modifications import (
     MINUS,
@@ -18,7 +20,7 @@ from cstarflips.modifications import (
 )
 from cstarflips.report import run_pipeline
 from cstarflips.specfiles import parse_spec_dict
-from conftest import CASE_ISOLATED, action_models, synthetic_case_model
+from conftest import CASE_ISOLATED, action_models, model_from_rows, synthetic_case_model
 from test_report_golden import _model_spec
 
 
@@ -64,6 +66,8 @@ class TestInducedAction:
         semigeometric quotients are those of the flat model inside [i, j],
         shifted by i."""
         flat = blowup_extremal(data.draw(action_models(max_r=7, case=case)))
+        r = flat.criticality
+        sink_point, source_point = flat.isolated_extremes()
         chambers = chamber_pairs(flat)
         semi_dims = [q.dim for q in quotient_diagram(flat).semigeometric]
         for i, j in chambers:
@@ -75,6 +79,19 @@ class TestInducedAction:
                 k for k in index_set_i(flat) if i <= k < j
             }
             assert [q.dim for q in quotient_diagram(sub).semigeometric] == semi_dims[i : j + 1]
+            assert sub.isolated_extremes() == (i == 0 and sink_point, j == r and source_point)
+            assert is_bordism(sub) == (not any(sub.isolated_extremes()))
+
+    def test_bordism_verdict_ignores_inner_ranks(self):
+        """With origin dims recorded, X(i, j) of a bordism counts as a bordism
+        even where an inner component has nu_minus = 1; the same components
+        without origin dims do not (is_bordism then reads the inner ranks)."""
+        rows = [("S", 0, 3, 0, 5), ("M1", 1, 2, 2, 4), ("M2", 2, 3, 1, 4), ("T", 3, 4, 4, 0)]
+        flat = blowup_extremal(model_from_rows(rows, 8))
+        for pair in ((0, 3), (1, 3)):
+            sub = induced_action(flat, pair)
+            assert is_bordism(sub)
+            assert not is_bordism(replace(sub, sink_origin_dim=None, source_origin_dim=None))
 
 
 class TestFlipGraph:
@@ -177,7 +194,8 @@ class TestFlipGraph:
 
     @given(action_models())
     def test_commutation(self, model):
-        """Both orders of a plus and a minus step reach the same node."""
+        """Both orders of a plus and a minus step reach the same node: flipping
+        X(i, j) plus then minus, or minus then plus, gives X(i+1, j-1)."""
         flat = blowup_extremal(model)
         pairs = set(chamber_pairs(flat))
         g = build_flip_graph(flat)
@@ -187,10 +205,14 @@ class TestFlipGraph:
             via_plus = ((i, j), (i + 1, j)) in legal and ((i + 1, j), corner) in legal
             via_minus = ((i, j), (i, j - 1)) in legal and ((i, j - 1), corner) in legal
             if via_plus and via_minus:
-                assert induced_action(flat, corner) == induced_action(flat, corner)
-                path_a = induced_action(flat, corner)
-                path_b = induced_action(flat, corner)
-                assert path_a == path_b
+                x, n = induced_action(flat, (i, j)), j - i
+                path_a = induced_action(induced_action(x, (1, n)), (0, n - 2))
+                path_b = induced_action(induced_action(x, (0, n - 1)), (1, n - 1))
+                direct = induced_action(flat, corner)
+                for m in (path_a, path_b):
+                    assert level_signature(m) == level_signature(direct)
+                    assert m.inner_components == direct.inner_components
+                    assert m.origin_dims() == direct.origin_dims()
 
     @given(action_models())
     def test_node_count_formula(self, model):
