@@ -219,8 +219,7 @@ def _cmd_dynkin(args) -> int:
         print(f"grading by {list(cochar)}: {dims}  short: {g.is_short}")
     if args.node:
         if cochar is None:
-            print("error: --node needs --cochar or --cochar-node", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ActionError("--node needs --cochar or --cochar-node")
         result = build_action(
             HomogeneousSpace(datum, args.node), cochar, max_cosets=args.max_cosets
         )

@@ -15,17 +15,14 @@ from .homogeneous import (
     grassmannian_reference,
     homogeneous_dim,
 )
-from .catalog import Catalog, catalog, verify_row
 
 __all__ = [
-    "Catalog",
     "GradingSpec",
     "HomogeneousSpace",
     "LieActionResult",
     "RootSystem",
     "build_action",
     "build_root_system",
-    "catalog",
     "enumerate_fixed_points",
     "fundamental_cocharacter",
     "grading",
@@ -33,5 +30,4 @@ __all__ = [
     "grassmannian_model",
     "grassmannian_reference",
     "homogeneous_dim",
-    "verify_row",
 ]

@@ -115,14 +115,14 @@ def run_pipeline(
     listed components are cross-checked; mismatches are collected in the
     bundle's verification section rather than raised.
     """
-    from .lie.homogeneous import HomogeneousSpace, build_action
-    from .lie.roots import build_root_system
-
     notes: list[str] = []
     lie_section: Optional[dict] = None
     verification_failures: list[str] = []
 
     if spec.lie is not None:
+        from .lie.homogeneous import HomogeneousSpace, build_action
+        from .lie.roots import build_root_system
+
         datum = build_root_system(spec.lie.dynkin_type, spec.lie.rank)
         result = build_action(
             HomogeneousSpace(datum, spec.lie.node), spec.lie.cocharacter, max_cosets=max_cosets

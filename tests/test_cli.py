@@ -2,10 +2,14 @@
 arguments that fail with a message instead of a traceback."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cstarflips
 from cstarflips import specfiles
 from cstarflips.cli import main
 from cstarflips.lie import roots
@@ -105,6 +109,49 @@ class TestArguments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --cochar takes comma separated integers, got '1,x'\n"
+
+    def test_dynkin_node_needs_a_cocharacter(self, capsys):
+        assert main(["dynkin", "A", "3", "--node", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "A_3: 6 positive roots, Lie algebra dimension 15\n"
+        assert captured.err == "error: --node needs --cochar or --cochar-node\n"
+
+
+# Runs cli.main on argv in a fresh interpreter, then prints the exit code and
+# the cstarflips.lie modules the call left loaded.
+_LOADED_PROBE = """
+import contextlib, io, sys
+from cstarflips.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("cstarflips.lie")))
+"""
+
+
+def _loaded_by(*argv) -> list[str]:
+    env = dict(os.environ)
+    src = str(Path(cstarflips.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    return proc.stdout.split()
+
+
+class TestLazyLie:
+    """A CLI call loads the Lie engine only for Lie input.  Each call runs in
+    a fresh interpreter, since this one has imported the engine already."""
+
+    def test_plain_spec_loads_no_lie_module(self):
+        assert _loaded_by("analyze", BORDISM) == ["0"]
+
+    def test_lie_spec_loads_the_engine_but_not_the_catalog(self):
+        assert _loaded_by("analyze", A42) == [
+            "0", "cstarflips.lie", "cstarflips.lie.homogeneous", "cstarflips.lie.roots",
+        ]
+
+    def test_catalog_still_runs(self):
+        code, *loaded = _loaded_by("catalog")
+        assert code == "0" and "cstarflips.lie.catalog" in loaded
 
 
 class TestRankCap:

@@ -82,6 +82,28 @@ class TestInducedAction:
             assert sub.isolated_extremes() == (i == 0 and sink_point, j == r and source_point)
             assert is_bordism(sub) == (not any(sub.isolated_extremes()))
 
+    @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+    @given(data=st.data())
+    def test_flip_graph_self_similar(self, case, data):
+        """The flip graph of X(i, j), shifted by i, is the flat model's inside
+        [i, j]: the same edges with the same centers, the same obstructions."""
+        flat = blowup_extremal(data.draw(action_models(max_r=7, case=case)))
+        graph = build_flip_graph(flat)
+
+        def inside(moves, i, j):
+            return [m for m in moves if i <= m.from_pair[0] and m.from_pair[1] <= j
+                    and i <= m.to_pair[0] and m.to_pair[1] <= j]
+
+        def shifted(moves, i):
+            return [replace(m, from_pair=(m.from_pair[0] + i, m.from_pair[1] + i),
+                            to_pair=(m.to_pair[0] + i, m.to_pair[1] + i), level=m.level + i)
+                    for m in moves]
+
+        for i, j in chamber_pairs(flat):
+            sub = build_flip_graph(induced_action(flat, (i, j)))
+            assert shifted(sub.edges, i) == inside(graph.edges, i, j)
+            assert shifted(sub.obstructions, i) == inside(graph.obstructions, i, j)
+
     def test_bordism_verdict_ignores_inner_ranks(self):
         """With origin dims recorded, X(i, j) of a bordism counts as a bordism
         even where an inner component has nu_minus = 1; the same components

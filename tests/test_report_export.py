@@ -1,12 +1,15 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cstarflips.export import UnsupportedFormatError, export
 from cstarflips.report import ReportBundle, run_pipeline
 from cstarflips.specfiles import parse_spec, parse_spec_dict
 from cstarflips.cli import main
+from conftest import action_models
 
 GR24_SPEC = {
     "name": "gr24-k2",
@@ -108,6 +111,45 @@ class TestPipeline:
         for _ in range(20):
             bundle = run_pipeline(parse_spec_dict(random_spec(rng)))
             assert ReportBundle.from_json(bundle.to_json()).data == bundle.data
+
+
+# p/q with a denominator of 495 digits: with its numerator, about 990 of the
+# 1000 digits a spec's rational may have.
+_BIG = 10**495
+big_rationals = st.builds(
+    lambda p, q: (f"{p}/{q}", Fraction(p, q)),
+    st.integers(-_BIG, _BIG),
+    st.integers(_BIG // 10, _BIG - 1),
+)
+
+
+class TestLargeDenominators:
+    @given(model=action_models(max_r=3), data=st.data())
+    def test_round_trip(self, model, data):
+        """Weights near the digit bound come out of the report exactly."""
+        values = data.draw(st.lists(big_rationals, min_size=model.criticality + 1,
+                                    max_size=model.criticality + 1,
+                                    unique_by=lambda w: w[1]))
+        values.sort(key=lambda w: w[1])
+        level_of = {c.name: k for k, (_, comps) in enumerate(model.levels) for c in comps}
+        spec = {
+            "name": "large-denominators",
+            "dim_X": model.dim_x,
+            "declared_equalized": True,
+            "components": [
+                {"name": c.name, "weight": values[level_of[c.name]][0], "dim": c.dim,
+                 "nu_minus": c.nu_minus, "nu_plus": c.nu_plus}
+                for c in model.components
+            ],
+        }
+        low, high = values[0][1], values[-1][1]
+        bundle = run_pipeline(parse_spec_dict(spec))
+        assert {c["name"]: Fraction(c["weight"]) for c in bundle["model"]["components"]} == {
+            c.name: values[level_of[c.name]][1] - low for c in model.components
+        }
+        assert Fraction(bundle["bandwidth"]) == high - low
+        assert ReportBundle.from_json(bundle.to_json()).data == bundle.data
+        assert export(bundle, "svg").startswith(b"<svg")
 
 
 class TestExport:
