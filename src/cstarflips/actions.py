@@ -22,6 +22,10 @@ from typing import Iterable, Mapping, Sequence, Tuple
 
 Rational = Fraction
 
+# Default cap on the torus-fixed points of a Lie-derived action (|W/W_P|),
+# shared by the CLI, the pipeline and the Lie engine.
+DEFAULT_MAX_COSETS = 100_000
+
 # Violation codes emitted by validate_action / check_action.
 EMPTY_SPEC = "EmptySpec"
 DUPLICATE_NAME = "DuplicateName"

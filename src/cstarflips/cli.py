@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .actions import ActionError, InvalidActionError
+from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError
 from .export import export
 from .report import ReportBundle, run_pipeline
 from .specfiles import SchemaError, SpecSyntaxError, parse_spec
@@ -33,7 +33,7 @@ def _positive_int(text: str) -> int:
 
 def _add_spec_args(p: argparse.ArgumentParser, many: bool = True):
     p.add_argument("specs", nargs="+" if many else 1, help="action spec file(s)")
-    p.add_argument("--max-cosets", type=_positive_int, default=100_000)
+    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.add_argument("--strict-equalized", action="store_true")
 
 
@@ -305,13 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node", type=int, help="marked node of the variety")
     p.add_argument("--cochar", help="comma separated cocharacter coefficients")
     p.add_argument("--cochar-node", type=int, help="fundamental cocharacter at this node")
-    p.add_argument("--max-cosets", type=_positive_int, default=100_000)
+    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.set_defaults(func=_cmd_dynkin)
 
     p = sub.add_parser("catalog", help="list (and optionally verify) the catalog")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--max-rank", type=int, default=6)
-    p.add_argument("--max-cosets", type=_positive_int, default=100_000)
+    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.set_defaults(func=_cmd_catalog)
     return parser
 

@@ -2,17 +2,20 @@
 
 A variety is a Dynkin diagram with one marked node, embedded by the
 corresponding fundamental weight.  Its torus-fixed points are the Weyl orbit
-of that weight; at the base point the tangent directions are the positive
-roots supported on the marked node, and they travel along the orbit by
-reflection.  Pairing with an integral cocharacter gives, at every fixed
-point, the linearization weight (the weight on the hyperplane-bundle fiber,
-i.e. minus the pairing of the translated fundamental weight, normalized so
-the minimum is zero) and the multiset of tangent weights.
+of that weight; at a fixed point ``mu`` the tangent directions are the roots
+``beta`` with ``<mu, beta^vee> > 0``.  Pairing with an integral cocharacter
+gives, at every fixed point, the linearization weight (the weight on the
+hyperplane-bundle fiber, i.e. minus the pairing of the translated fundamental
+weight, normalized so the minimum is zero) and the multiset of tangent
+weights.
 
-Fixed points connected through zero-weight tangent directions belong to one
-fixed component of the circle action; per component the number of zero /
-positive / negative tangent weights gives its dimension and the normal ranks
-``nu_plus`` / ``nu_minus`` toward higher and lower critical values.
+The fixed components of the circle action are the orbits of the Weyl group
+W_L of the Levi subgroup L, whose roots are those of cocharacter weight zero
+(Bialynicki-Birula).  Each orbit holds exactly one L-dominant weight, so the
+derivation walks those weights only, one per component; the number of zero /
+positive / negative tangent weights there gives the component's dimension and
+the normal ranks ``nu_plus`` / ``nu_minus`` toward higher and lower critical
+values.
 
 Weights are kept as Dynkin labels and roots as indices into the root
 system's integer ``RootTable``, so the whole derivation is integer sums and
@@ -21,13 +24,20 @@ table lookups.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, Sequence, Tuple
 
-from ..actions import ActionModel, ActionError, unit_tangent_weights, validate_action
-from .roots import RootSystem, RootTable, build_root_system
-
-DEFAULT_MAX_COSETS = 100_000
+from ..actions import (
+    DEFAULT_MAX_COSETS,
+    ActionModel,
+    ActionError,
+    unit_tangent_weights,
+    validate_action,
+)
+from .roots import RootSystem, RootTable, build_root_system, weyl_order
 
 
 class IllegalRangeError(ActionError):
@@ -36,6 +46,14 @@ class IllegalRangeError(ActionError):
 
 class CosetLimitError(ActionError):
     pass
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_count(cartan: Tuple[Tuple[int, ...], ...], node: int) -> int:
+    rank = len(cartan)
+    return weyl_order(cartan, range(rank)) // weyl_order(
+        cartan, [k for k in range(rank) if k != node - 1]
+    )
 
 
 @dataclass(frozen=True)
@@ -62,6 +80,19 @@ class HomogeneousSpace:
     def dim(self) -> int:
         return len(self.base_tangent_roots)
 
+    @property
+    def fixed_point_count(self) -> int:
+        """|W / W_P|, the number of torus-fixed points."""
+        return _coset_count(self.datum.cartan_matrix, self.node)
+
+    def check_cap(self, max_cosets: int) -> None:
+        """Refuse a variety with more than ``max_cosets`` fixed points."""
+        if self.fixed_point_count > max_cosets:
+            raise CosetLimitError(
+                f"{self.label}: more than {max_cosets} fixed points; "
+                "raise max_cosets to enumerate"
+            )
+
 
 def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
     """Dimension of the flag variety marked at the given (1-based) nodes."""
@@ -71,6 +102,124 @@ def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
             raise IllegalRangeError(f"node {n} outside 1..{datum.rank}")
     table = datum.table
     return sum(1 for c in table.coords[: table.n_positive] if any(c[k] > 0 for k in idx))
+
+
+def _pair(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+def _levi_simple_roots(table: RootTable, root_pairings: Sequence[int]) -> list[int]:
+    """Simple roots of the positive roots of weight zero.
+
+    The roots are scanned by height.  A weight-zero positive root ``beta`` is
+    simple unless ``beta - alpha`` is a positive root for a simple root
+    ``alpha`` found before it, and for roots ``beta != alpha`` that holds
+    exactly when ``<beta, alpha^vee> > 0``.
+    """
+    simple: list[int] = []
+    for r in range(table.n_positive):
+        if root_pairings[r] == 0 and all(
+            _pair(table.labels[r], table.coroots[a]) <= 0 for a in simple
+        ):
+            simple.append(r)
+    return simple
+
+
+class _Levi:
+    """The Levi subgroup L of a cocharacter: the roots of weight zero, with
+    simple roots ``simple`` and Cartan matrix ``cartan``."""
+
+    def __init__(self, table: RootTable, root_pairings: Sequence[int]):
+        self.table = table
+        self.root_pairings = root_pairings
+        self.simple = _levi_simple_roots(table, root_pairings)
+        self.coroots = [table.coroots[a] for a in self.simple]
+        self.cartan = tuple(
+            tuple(_pair(table.labels[b], c) for b in self.simple) for c in self.coroots
+        )
+        # per simple root j, the (i, <alpha_j, alpha_i^vee>) with a nonzero entry
+        self._cartan_columns = [
+            [(i, row[j]) for i, row in enumerate(self.cartan) if row[j]]
+            for j in range(len(self.simple))
+        ]
+
+    def dominant(self, mu: Tuple[int, ...]) -> Tuple[Tuple[int, ...], list[int]]:
+        """The L-dominant weight in the W_L-orbit of ``mu``, reached by
+        reflecting in simple roots of L that pair negatively; also the
+        multiple ``t[j]`` of each simple root ``alpha_j`` added on the way."""
+        q = [_pair(mu, c) for c in self.coroots]
+        t = [0] * len(q)
+        stack = [j for j, x in enumerate(q) if x < 0]
+        while stack:
+            j = stack.pop()
+            x = q[j]
+            if x >= 0:
+                continue
+            t[j] -= x  # s_j(mu) = mu - <mu, alpha_j^vee> alpha_j
+            for i, c in self._cartan_columns[j]:
+                q[i] -= x * c
+                if q[i] < 0:
+                    stack.append(i)
+        labels = self.table.labels
+        for tj, a in zip(t, self.simple):
+            if tj:
+                mu = tuple(m + tj * b for m, b in zip(mu, labels[a]))
+        return mu, t
+
+    def points(self, mu: Tuple[int, ...]) -> int:
+        """Number of fixed points in the component of the L-dominant ``mu``:
+        |W_L| / |W_{L, mu}|, the stabilizer generated by the simple roots of L
+        orthogonal to ``mu`` (Chevalley)."""
+        fixed = [i for i, c in enumerate(self.coroots) if _pair(mu, c) == 0]
+        return weyl_order(self.cartan, range(len(self.simple))) // weyl_order(self.cartan, fixed)
+
+    def walk(self, node: int) -> list[tuple]:
+        """One weight per fixed component of the variety marked at ``node``.
+
+        Starting at the fundamental weight, each L-dominant weight ``mu`` is
+        reflected in every positive root ``gamma`` outside L with
+        ``<mu, gamma^vee> != 0`` and made L-dominant again.  If ``y = u x``
+        with ``u`` in W_L, then ``W_L s_i x = W_L s_{u(alpha_i)} y``, so these
+        steps reach every component.  Returns ``(mu, depth, scan)``
+        per component in breadth-first order: ``depth`` is the fundamental
+        weight minus ``mu`` in simple-root coordinates, ``scan`` the pairs
+        ``(r, <mu, beta_r^vee>)`` over the positive roots ``beta_r`` that
+        pair nonzero with ``mu``, so that ``beta_r`` (``p > 0``) or its
+        negative (``p < 0``) is a tangent root at ``mu``.
+        """
+        table = self.table
+        rank = len(table.reflections)
+        # coroot_columns[i][r]: i-th coordinate of the coroot of positive root r
+        coroot_columns = list(zip(*table.coroots[: table.n_positive]))
+
+        def scan(mu):
+            acc = [0] * table.n_positive
+            for m, col in zip(mu, coroot_columns):
+                if m:
+                    acc = [a + m * c for a, c in zip(acc, col)]
+            return [(r, p) for r, p in enumerate(acc) if p]
+
+        # the fundamental weight is dominant, so L-dominant
+        start = tuple(int(i == node - 1) for i in range(rank))
+        queue = [(start, (0,) * rank)]
+        seen = {start}
+        out = []
+        for mu, depth in queue:
+            pairs = scan(mu)
+            out.append((mu, depth, pairs))
+            for r, p in pairs:
+                if self.root_pairings[r] == 0:  # a root of L: same component
+                    continue
+                w, t = self.dominant(tuple(a - p * b for a, b in zip(mu, table.labels[r])))
+                if w in seen:
+                    continue
+                seen.add(w)
+                moved = tuple(d + p * c for d, c in zip(depth, table.coords[r]))
+                for tj, a in zip(t, self.simple):
+                    if tj:
+                        moved = tuple(d - tj * c for d, c in zip(moved, table.coords[a]))
+                queue.append((w, moved))
+        return out
 
 
 @dataclass(frozen=True)
@@ -83,77 +232,26 @@ class FixedPoint:
 def enumerate_fixed_points(
     space: HomogeneousSpace, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> Tuple[FixedPoint, ...]:
-    """Weyl orbit of the marked fundamental weight with translated tangents.
+    """Every torus-fixed point, with its tangent roots as table indices.
 
-    A simple reflection moves a weight by ``s_k(mu) = mu - mu_k * alpha_k``,
-    so it lowers the weight by ``mu_k`` in the ``k``-th simple-root
-    coordinate; tangent roots move along by the table's reflection rows.
-    The tangent roots at ``mu`` are the roots ``beta`` with
-    ``<mu, beta^vee> > 0``, so they do not depend on the path taken.
-    Points come in breadth-first order from the fundamental weight.
+    Off the pipeline path: ``build_action`` visits one weight per fixed
+    component.  This is the same walk for the regular cocharacter
+    (1, ..., 1), whose Levi subgroup is the torus, so that every component is
+    a single point.  Points come in breadth-first order from the
+    fundamental weight.
     """
-    datum = space.datum
-    table = datum.table
-    rank = datum.rank
-    base = FixedPoint(
-        weight=tuple(int(i == space.node - 1) for i in range(rank)),
-        depth=(0,) * rank,
-        tangent_roots=space.base_tangent_roots,
+    space.check_cap(max_cosets)
+    table = space.datum.table
+    n = table.n_positive
+    levi = _Levi(table, table.pairings((1,) * space.datum.rank))
+    return tuple(
+        FixedPoint(
+            weight=mu,
+            depth=depth,
+            tangent_roots=tuple(r if p > 0 else r + n for r, p in scan),
+        )
+        for mu, depth, scan in levi.walk(space.node)
     )
-    seen: Dict[Tuple[int, ...], FixedPoint] = {base.weight: base}
-    frontier = [base]
-    while frontier:
-        new: list[FixedPoint] = []
-        for point in frontier:
-            mu = point.weight
-            for k in range(rank):
-                m = mu[k]
-                if m == 0:
-                    continue
-                w = tuple(a - m * b for a, b in zip(mu, table.labels[k]))
-                if w in seen:
-                    continue
-                if len(seen) >= max_cosets:
-                    raise CosetLimitError(
-                        f"{space.label}: more than {max_cosets} fixed points; "
-                        "raise max_cosets to enumerate"
-                    )
-                row = table.reflections[k]
-                depth = point.depth
-                moved = FixedPoint(
-                    weight=w,
-                    depth=depth[:k] + (depth[k] + m,) + depth[k + 1:],
-                    tangent_roots=tuple(row[t] for t in point.tangent_roots),
-                )
-                seen[w] = moved
-                new.append(moved)
-        frontier = new
-    return tuple(seen.values())
-
-
-def _levi_simple_roots(table: RootTable, root_pairings: Sequence[int]) -> list[int]:
-    """Simple roots of the positive roots of weight zero: those that are not
-    the sum of two others."""
-    levi = [table.coords[r] for r in range(table.n_positive) if root_pairings[r] == 0]
-    sums = {tuple(a + b for a, b in zip(u, v)) for u in levi for v in levi}
-    return [r for r in range(table.n_positive)
-            if root_pairings[r] == 0 and table.coords[r] not in sums]
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
 
 
 @dataclass
@@ -182,46 +280,27 @@ def build_action(
     """
     from .roots import grading
 
-    table = space.datum.table
-    points = enumerate_fixed_points(space, max_cosets=max_cosets)
-    root_pairings = table.pairings(cocharacter)
-    # linearization level, up to a constant: l(s_k mu) = l(mu) + mu_k * n_k
-    levels = [sum(n * d for n, d in zip(cocharacter, p.depth)) for p in points]
-    pairings = [tuple(root_pairings[t] for t in p.tangent_roots) for p in points]
-
-    # fixed points joined by a zero-weight tangent direction lie in one
-    # component: the components are the orbits of the Levi subgroup's Weyl
-    # group, generated by the reflections in the simple roots of its roots
-    position = {p.weight: idx for idx, p in enumerate(points)}
-    uf = _UnionFind(range(len(points)))
-    for r in _levi_simple_roots(table, root_pairings):
-        for idx, p in enumerate(points):
-            uf.union(idx, position[table.reflect_weight(p.weight, r)])
-
-    groups: Dict[int, list[int]] = {}
-    for idx in range(len(points)):
-        groups.setdefault(uf.find(idx), []).append(idx)
-
+    space.check_cap(max_cosets)
+    root_pairings = space.datum.table.pairings(cocharacter)
+    levi = _Levi(space.datum.table, root_pairings)
+    walk = levi.walk(space.node)
+    # linearization level, up to a constant: the cocharacter paired with the depth
+    levels = [_pair(cocharacter, depth) for _, depth, _ in walk]
     offset = min(levels)
     records = []
-    for members in groups.values():
-        weights = {levels[idx] for idx in members}
-        sigs = {
-            (
-                sum(1 for m in pairings[idx] if m == 0),
-                sum(1 for m in pairings[idx] if m > 0),
-                sum(1 for m in pairings[idx] if m < 0),
-            )
-            for idx in members
-        }
-        if len(weights) != 1 or len(sigs) != 1:  # pragma: no cover
-            raise ActionError("inconsistent component grouping")
-        zeros, pos, neg = next(iter(sigs))
-        cert = tuple(sorted(pairings[members[0]]))
-        records.append((next(iter(weights)) - offset, zeros, pos, neg, cert, len(members)))
+    for level, (mu, _, scan) in zip(levels, walk):
+        # the Levi Weyl group fixes the cocharacter, so one point per
+        # component carries all of its tangent weights
+        cert = tuple(sorted(root_pairings[r] if p > 0 else -root_pairings[r] for r, p in scan))
+        zeros = sum(1 for m in cert if m == 0)
+        pos = sum(1 for m in cert if m > 0)
+        records.append((level - offset, zeros, pos, len(cert) - zeros - pos, cert, mu))
 
-    # deterministic names: level index, then a letter when a level is reducible
-    records.sort(key=lambda rec: (rec[0], rec[1:]))
+    # deterministic names: level index, then a letter when a level is
+    # reducible; the point count breaks ties, and is computed only for them
+    ties = Counter(rec[:5] for rec in records)
+    records = [rec[:5] + (levi.points(rec[5]) if ties[rec[:5]] > 1 else 0,) for rec in records]
+    records.sort()
     level_values = sorted({rec[0] for rec in records})
     components = []
     certificates: Dict[str, Tuple[int, ...]] = {}
@@ -235,8 +314,6 @@ def build_action(
             )
             certificates[name] = cert
 
-    # the Levi Weyl group fixes the cocharacter, so one point per component
-    # carries all of its tangent weights
     equalized = all(unit_tangent_weights(cert) for cert in certificates.values())
     short = grading(space.datum, cocharacter).is_short
     warnings = [] if short else ["GradingNotShort: grading support exceeds {-1, 0, 1}"]
@@ -250,7 +327,7 @@ def build_action(
         model=model,
         space_label=space.label,
         cocharacter=tuple(int(n) for n in cocharacter),
-        fixed_point_count=len(points),
+        fixed_point_count=space.fixed_point_count,
         tangent_certificates=certificates,
         is_short=short,
         equalized=equalized,

@@ -15,8 +15,10 @@ Everything downstream only needs two integer pairings:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Tuple
 
 from ..actions import ActionError
@@ -170,12 +172,8 @@ class RootTable:
             raise IllegalTypeError(
                 f"cocharacter has {len(cocharacter)} entries, rank is {rank}"
             )
-        return tuple(sum(c * n for c, n in zip(row, cocharacter)) for row in self.coords)
-
-    def reflect_weight(self, weight: Tuple[int, ...], r: int) -> Tuple[int, ...]:
-        """Reflection of a weight (Dynkin labels) in root ``r``."""
-        m = sum(a * b for a, b in zip(weight, self.coroots[r]))
-        return tuple(a - m * b for a, b in zip(weight, self.labels[r]))
+        positive = tuple(sum(map(mul, row, cocharacter)) for row in self.coords[: self.n_positive])
+        return positive + tuple(-m for m in positive)
 
 
 def _root_table(cartan: Sequence[Sequence[int]], half_norms: Sequence[int]) -> RootTable:
@@ -339,6 +337,56 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
         gram=tuple(tuple(row) for row in gram),
         table=table,
     )
+
+
+def weyl_order(cartan: Sequence[Sequence[int]], nodes) -> int:
+    """Order of the Weyl group of the subdiagram on ``nodes`` (0-based), from
+    the classification of its connected pieces.  ``cartan`` is any Cartan
+    matrix, ``cartan[i][j] = <alpha_j, alpha_i^vee>``."""
+    nodes = set(nodes)
+    order = 1
+    while nodes:
+        comp, stack = set(), [nodes.pop()]
+        while stack:
+            v = stack.pop()
+            comp.add(v)
+            for u in list(nodes):
+                if cartan[v][u]:
+                    nodes.discard(u)
+                    stack.append(u)
+        m = len(comp)
+        bonds = {cartan[i][j] * cartan[j][i] for i in comp for j in comp if i != j}
+        degree = {v: sum(1 for u in comp if u != v and cartan[v][u]) for v in comp}
+        if 3 in bonds:  # G_2
+            order *= 12
+        elif 2 in bonds:  # B_m or C_m, or F_4 with its double bond in the middle
+            ends = [v for v in comp if any(cartan[v][u] * cartan[u][v] == 2 for u in comp)]
+            middle = m == 4 and all(degree[v] == 2 for v in ends)
+            order *= 1152 if middle else 2 ** m * math.factorial(m)
+        elif max(degree.values(), default=0) < 3:  # A_m
+            order *= math.factorial(m + 1)
+        else:  # D_m or E_m, told apart by the arm lengths at the branch node
+            branch = next(v for v in comp if degree[v] == 3)
+            arms = sorted(
+                len(_arm(cartan, comp - {branch}, u))
+                for u in comp if u != branch and cartan[branch][u]
+            )
+            if arms[:2] == [1, 1]:
+                order *= 2 ** (m - 1) * math.factorial(m)
+            else:
+                order *= {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): 696729600}[tuple(arms)]
+    return order
+
+
+def _arm(cartan, nodes, start) -> set:
+    arm, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for u in nodes:
+            if u not in arm and cartan[v][u]:
+                arm.add(u)
+                stack.append(u)
+    return arm
 
 
 def fundamental_cocharacter(rank: int, node: int) -> Tuple[int, ...]:

@@ -17,6 +17,7 @@ from typing import Optional
 from . import chambers as ch
 from . import modifications as md
 from .actions import (
+    DEFAULT_MAX_COSETS,
     ActionModel,
     InvalidActionError,
     Violation,
@@ -106,7 +107,7 @@ def _compare_expected(model: ActionModel, expected: ActionModel) -> list[str]:
 def run_pipeline(
     spec: ActionSpecFile,
     *,
-    max_cosets: int = 100_000,
+    max_cosets: int = DEFAULT_MAX_COSETS,
     strict_equalized: bool = False,
 ) -> ReportBundle:
     """Validate or derive the model, then compute the full report.

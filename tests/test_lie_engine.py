@@ -10,19 +10,25 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cstarflips.actions import ActionError, validate_action
+from cstarflips.lie import homogeneous
 from cstarflips.lie.homogeneous import (
     CosetLimitError,
     HomogeneousSpace,
+    _Levi,
+    _levi_simple_roots,
     build_action,
     enumerate_fixed_points,
 )
-from cstarflips.lie.roots import build_root_system, fundamental_cocharacter, grading
+from cstarflips.report import run_pipeline
+from cstarflips.specfiles import parse_spec
+from cstarflips.lie.roots import build_root_system, fundamental_cocharacter, grading, weyl_order
 
 
 # --------------------------------------------------------------------------
@@ -91,15 +97,14 @@ class Oracle:
             self.reflected[p, r] = self.position[w]
         return self.reflected[p, r]
 
-    def action(self, cocharacter):
-        """Model, certificates, equalization, shortness and point count."""
-        datum = self.datum
+    def pairing(self, coords, cocharacter):
+        return sum((c * n for c, n in zip(coords, cocharacter) if n), Fraction(0))
 
-        def pairing(coords):
-            return sum((c * n for c, n in zip(coords, cocharacter) if n), Fraction(0))
-
-        l_raw = [-pairing(c) for c in self.weight_coords]
-        root_pairing = [pairing(c) for c in self.root_coords]
+    def records(self, cocharacter):
+        """Per component: (level, dim, nu_plus, nu_minus, certificate, points),
+        the components grouped by a union along zero-weight tangent roots."""
+        l_raw = [-self.pairing(c, cocharacter) for c in self.weight_coords]
+        root_pairing = [self.pairing(c, cocharacter) for c in self.root_coords]
         pairings = [tuple(root_pairing[r] for r in ts) for ts in self.tangents]
         parent = list(range(len(self.weights)))
 
@@ -129,6 +134,12 @@ class Oracle:
             zeros, pos, neg = next(iter(sigs))
             cert = tuple(sorted(int(m) for m in pairings[members[0]]))
             records.append((next(iter(weights)) - offset, zeros, pos, neg, cert, len(members)))
+        return records
+
+    def action(self, cocharacter):
+        """Model, certificates, equalization, shortness and point count."""
+        datum = self.datum
+        records = self.records(cocharacter)
         records.sort()
         values = sorted({rec[0] for rec in records})
         components, certificates = [], {}
@@ -141,8 +152,9 @@ class Oracle:
                     {"name": name, "weight": w, "dim": zeros, "nu_minus": neg, "nu_plus": pos}
                 )
                 certificates[name] = cert
-        equalized = all(m in (-1, 0, 1) for ms in pairings for m in ms)
-        short = all(abs(pairing(c)) <= 1 for c in self.positive_coords)
+        root_pairing = [self.pairing(c, cocharacter) for c in self.root_coords]
+        equalized = all(root_pairing[r] in (-1, 0, 1) for ts in self.tangents for r in ts)
+        short = all(abs(self.pairing(c, cocharacter)) <= 1 for c in self.positive_coords)
         model = validate_action(
             components,
             dim_x=len(self.tangents[self.position[datum.fundamental_weights[self.node - 1]]]),
@@ -247,55 +259,6 @@ def test_source_found_off_the_dominant_chamber():
 # --------------------------------------------------------------------------
 
 
-def weyl_order(cartan, nodes):
-    """Order of the Weyl group of the subdiagram on ``nodes``, from the
-    classification of its connected pieces."""
-    nodes = set(nodes)
-    order = 1
-    while nodes:
-        comp, stack = set(), [nodes.pop()]
-        while stack:
-            v = stack.pop()
-            comp.add(v)
-            for u in list(nodes):
-                if cartan[v][u]:
-                    nodes.discard(u)
-                    stack.append(u)
-        m = len(comp)
-        bonds = {cartan[i][j] * cartan[j][i] for i in comp for j in comp if i != j}
-        degree = {v: sum(1 for u in comp if u != v and cartan[v][u]) for v in comp}
-        if 3 in bonds:
-            order *= 12
-        elif 2 in bonds:
-            ends = [v for v in comp if any(cartan[v][u] * cartan[u][v] == 2 for u in comp)]
-            middle = m == 4 and all(degree[v] == 2 for v in ends)
-            order *= 1152 if middle else 2 ** m * math.factorial(m)
-        elif max(degree.values(), default=0) < 3:
-            order *= math.factorial(m + 1)
-        else:
-            branch = next(v for v in comp if degree[v] == 3)
-            arms = sorted(
-                len(weyl_arm(cartan, comp - {branch}, u))
-                for u in comp if u != branch and cartan[branch][u]
-            )
-            if arms[:2] == [1, 1]:
-                order *= 2 ** (m - 1) * math.factorial(m)
-            else:
-                order *= {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): 696729600}[tuple(arms)]
-    return order
-
-
-def weyl_arm(cartan, nodes, start):
-    arm, stack = {start}, [start]
-    while stack:
-        v = stack.pop()
-        for u in nodes:
-            if u not in arm and cartan[v][u]:
-                arm.add(u)
-                stack.append(u)
-    return arm
-
-
 SPACES = [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 6)] \
     + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(4, 7)] \
     + [("E", 6), ("F", 4), ("G", 2)]
@@ -394,3 +357,146 @@ def test_coset_cap_is_exact(dynkin_type, rank, node, count):
     assert str(exc.value) == (
         f"{space.label}: more than {count - 1} fixed points; raise max_cosets to enumerate"
     )
+
+
+# --------------------------------------------------------------------------
+# Weyl group orders and the Levi subgroup
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dynkin_type,rank,order", [
+    ("A", 1, 2), ("A", 2, 6), ("A", 5, 720), ("A", 8, math.factorial(9)),
+    ("B", 2, 8), ("B", 3, 48), ("B", 6, 2 ** 6 * math.factorial(6)),
+    ("C", 3, 48), ("C", 6, 2 ** 6 * math.factorial(6)),
+    ("D", 3, 24), ("D", 4, 192), ("D", 8, 2 ** 7 * math.factorial(8)),
+    ("E", 6, 51_840), ("E", 7, 2_903_040), ("E", 8, 696_729_600),
+    ("F", 4, 1152), ("G", 2, 12),
+])
+def test_weyl_order_textbook(dynkin_type, rank, order):
+    cartan = build_root_system(dynkin_type, rank).cartan_matrix
+    assert weyl_order(cartan, range(rank)) == order
+    assert weyl_order(cartan, []) == 1
+
+
+@st.composite
+def gradings(draw):
+    dynkin_type, rank = draw(st.sampled_from(
+        SPACES + [("B", 8), ("C", 7), ("D", 8), ("E", 7), ("E", 8)]
+    ))
+    return dynkin_type, rank, tuple(draw(st.lists(st.integers(-2, 2), min_size=rank,
+                                                  max_size=rank)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gradings())
+def test_levi_simple_roots_are_not_sums(case):
+    """The height-order scan finds exactly the weight-zero positive roots
+    that are not the sum of two weight-zero positive roots."""
+    dynkin_type, rank, cochar = case
+    table = build_root_system(dynkin_type, rank).table
+    pairings = table.pairings(cochar)
+    zero = [r for r in range(table.n_positive) if pairings[r] == 0]
+    sums = {tuple(a + b for a, b in zip(table.coords[u], table.coords[v]))
+            for u in zero for v in zero}
+    assert _levi_simple_roots(table, pairings) == [r for r in zero if table.coords[r] not in sums]
+
+
+# --------------------------------------------------------------------------
+# The component walk
+# --------------------------------------------------------------------------
+
+
+def walk_records(datum, node, cochar):
+    """(level, certificate, points) per component, from the walk."""
+    pairings = datum.table.pairings(cochar)
+    levi = _Levi(datum.table, pairings)
+    walk = levi.walk(node)
+    levels = [sum(n * d for n, d in zip(cochar, depth)) for _, depth, _ in walk]
+    return sorted(
+        (level - min(levels),
+         tuple(sorted(pairings[r] if p > 0 else -pairings[r] for r, p in scan)),
+         levi.points(mu))
+        for level, (mu, _, scan) in zip(levels, walk)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(actions())
+def test_component_points_match_oracle(case):
+    """Each component holds |W_L| / |W_{L,mu}| points: the size of the
+    oracle's group, and the sizes add up to |W/W_P|."""
+    dynkin_type, rank, node, cochar = case
+    datum = build_root_system(dynkin_type, rank)
+    got = walk_records(datum, node, cochar)
+    want = sorted((rec[0], rec[4], rec[5]) for rec in oracle(dynkin_type, rank, node).records(cochar))
+    assert got == want
+    assert sum(points for *_, points in got) == HomogeneousSpace(datum, node).fixed_point_count
+
+
+def test_point_count_breaks_a_naming_tie(monkeypatch):
+    """B_5(3) with cocharacter (0, 1, 0, 0, 0): level 2 holds two components
+    with the same dimension, normal ranks and certificate, of 8 and 12
+    points.  Only they get a point count, and they are named Y2a and Y2b
+    (their report entries agree, so the names cannot swap anything)."""
+    datum = build_root_system("B", 5)
+    space = HomogeneousSpace(datum, 3)
+    cochar = (0, 1, 0, 0, 0)
+    counted = []
+    points = _Levi.points
+
+    def recording(self, mu):
+        counted.append(points(self, mu))
+        return counted[-1]
+
+    monkeypatch.setattr(_Levi, "points", recording)
+    res = build_action(space, cochar)
+    assert sorted(counted) == [8, 12]
+    level2 = [(c.name, c.weight, c.dim, c.nu_minus, c.nu_plus, res.tangent_certificates[c.name])
+              for c in res.model.components if c.weight == 2]
+    cert = (-1,) * 6 + (0,) * 6 + (1,) * 6
+    assert level2 == [("Y2a", 2, 6, 6, 6, cert), ("Y2b", 2, 6, 6, 6, cert)]
+    ref = oracle("B", 5, 3)
+    assert sorted(rec[5] for rec in ref.records(cochar) if rec[0] == 2) == [8, 12]
+    assert engine_outcome(space, cochar) == oracle_outcome(datum, 3, cochar)
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
+def test_pipeline_never_walks_points(monkeypatch):
+    """The pipeline derives Lie specs from the component walk alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_fixed_points called")
+
+    monkeypatch.setattr(homogeneous, "enumerate_fixed_points", refuse)
+    lie_specs = [spec for spec in map(parse_spec, sorted(SPECS.glob("*.json"))) if spec.lie]
+    assert lie_specs
+    for spec in lie_specs:
+        datum = build_root_system(spec.lie.dynkin_type, spec.lie.rank)
+        build_action(HomogeneousSpace(datum, spec.lie.node), spec.lie.cocharacter)
+        run_pipeline(spec).to_json()
+
+
+@pytest.mark.parametrize("node,k,points,components", [
+    (4, 8, 483_840, 15),
+    (5, 1, 241_920, 35),
+])
+def test_e8_components(node, k, points, components):
+    """E_8 varieties far past the default cap: the walk visits one weight
+    per component."""
+    datum = build_root_system("E", 8)
+    space = HomogeneousSpace(datum, node)
+    cochar = fundamental_cocharacter(8, k)
+    plus = build_action(space, cochar, max_cosets=500_000)
+    minus = build_action(space, tuple(-n for n in cochar), max_cosets=500_000)
+    assert plus.fixed_point_count == minus.fixed_point_count == points
+    assert len(plus.model.components) == len(minus.model.components) == components
+    for res in (plus, minus):
+        for c in res.model.components:
+            assert c.dim + c.nu_minus + c.nu_plus == res.model.dim_x
+    delta = plus.model.bandwidth
+    assert signature(plus) == sorted(
+        (delta - w, dim, up, down, tuple(sorted(-m for m in cert)))
+        for w, dim, down, up, cert in signature(minus)
+    )
+    assert sum(count for *_, count in walk_records(datum, node, cochar)) == points
