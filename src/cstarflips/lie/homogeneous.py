@@ -70,15 +70,8 @@ class HomogeneousSpace:
         return f"{self.datum.name}({self.node})"
 
     @property
-    def base_tangent_roots(self) -> Tuple[int, ...]:
-        """Positive roots supported on the marked node, as root-table indices."""
-        k = self.node - 1
-        table = self.datum.table
-        return tuple(r for r in range(table.n_positive) if table.coords[r][k] > 0)
-
-    @property
     def dim(self) -> int:
-        return len(self.base_tangent_roots)
+        return homogeneous_dim(self.datum, (self.node,))
 
     @property
     def fixed_point_count(self) -> int:
@@ -95,13 +88,14 @@ class HomogeneousSpace:
 
 
 def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
-    """Dimension of the flag variety marked at the given (1-based) nodes."""
-    idx = [n - 1 for n in nodes]
+    """Dimension of the flag variety marked at the given (1-based) nodes: the
+    number of positive roots with a nonzero coordinate at a marked node."""
     for n in nodes:
         if not 1 <= n <= datum.rank:
             raise IllegalRangeError(f"node {n} outside 1..{datum.rank}")
-    table = datum.table
-    return sum(1 for c in table.coords[: table.n_positive] if any(c[k] > 0 for k in idx))
+    positive = datum.table.coords[: datum.table.n_positive]
+    # column by column, since this runs once per derived action
+    return sum(map(any, zip(*([c[n - 1] for c in positive] for n in nodes))))
 
 
 def _pair(u: Sequence[int], v: Sequence[int]) -> int:
@@ -254,6 +248,20 @@ def enumerate_fixed_points(
     )
 
 
+def _suffix(idx: int, count: int) -> str:
+    """Letters naming the ``idx``-th of ``count`` components of a level: none
+    for a lone one, one letter for up to 26, else a fixed width of letters
+    (``aa``, ``ab``, ...), so that names stay ASCII and sort in record order."""
+    width = 0 if count == 1 else 1
+    while 26 ** width < count:
+        width += 1
+    letters = ""
+    for _ in range(width):
+        idx, digit = divmod(idx, 26)
+        letters = chr(ord("a") + digit) + letters
+    return letters
+
+
 @dataclass
 class LieActionResult:
     """Validated model plus the tangent-weight certificates behind it."""
@@ -296,7 +304,7 @@ def build_action(
         pos = sum(1 for m in cert if m > 0)
         records.append((level - offset, zeros, pos, len(cert) - zeros - pos, cert, mu))
 
-    # deterministic names: level index, then a letter when a level is
+    # deterministic names: level index, then letters when a level is
     # reducible; the point count breaks ties, and is computed only for them
     ties = Counter(rec[:5] for rec in records)
     records = [rec[:5] + (levi.points(rec[5]) if ties[rec[:5]] > 1 else 0,) for rec in records]
@@ -307,8 +315,7 @@ def build_action(
     for value in level_values:
         at_level = [rec for rec in records if rec[0] == value]
         for idx, (w, zeros, pos, neg, cert, _count) in enumerate(at_level):
-            suffix = chr(ord("a") + idx) if len(at_level) > 1 else ""
-            name = f"Y{level_values.index(value)}{suffix}"
+            name = f"Y{level_values.index(value)}{_suffix(idx, len(at_level))}"
             components.append(
                 {"name": name, "weight": w, "dim": zeros, "nu_minus": neg, "nu_plus": pos}
             )

@@ -1,10 +1,11 @@
 """Root systems of the simple Lie types, in exact integer arithmetic.
 
-Simple roots are given in their standard Euclidean realizations (Bourbaki
-numbering), which fix the integer Cartan matrix.  The full root system is
-generated from the Cartan matrix alone, by closing the simple roots under the
-simple reflections in simple-root coordinates, and kept as a ``RootTable``.
-Everything downstream only needs two integer pairings:
+Each type's Cartan matrix is written from its Dynkin diagram (Bourbaki
+numbering), and the relative root lengths follow from it by symmetrizing.
+The full root system is generated from the matrix alone, by closing the
+simple roots under the simple reflections in simple-root coordinates, and
+kept as a ``RootTable``.  Everything downstream only needs two integer
+pairings:
 
 * the pairing of a weight, written in Dynkin labels, with a coroot, and
 * the pairing of a root with an integral cocharacter written in the basis
@@ -17,13 +18,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 from typing import Sequence, Tuple
 
 from ..actions import ActionError
-
-Vector = Tuple[Fraction, ...]
 
 POSITIVE_ROOT_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -54,91 +52,48 @@ class IllegalTypeError(ActionError):
     pass
 
 
-def _vec(entries) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
-def _unit(i: int, dim: int) -> Vector:
-    return _vec([1 if k == i else 0 for k in range(dim)])
-
-
-def _sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _scale(c: Fraction, v: Vector) -> Vector:
-    return tuple(c * a for a in v)
-
-
-def _dot(u: Vector, v: Vector) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def _invert(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _simple_roots(dynkin_type: str, rank: int) -> list[Vector]:
+def _cartan_matrix(dynkin_type: str, rank: int) -> Tuple[Tuple[int, ...], ...]:
+    """The Cartan matrix ``cartan[i][j] = <alpha_j, alpha_i^vee>`` of a legal
+    type, read off its Dynkin diagram in Bourbaki numbering."""
     t, n = dynkin_type, rank
-    if t == "A":
-        return [_sub(_unit(i, n + 1), _unit(i + 1, n + 1)) for i in range(n)]
+    # bonds (i, j, m), 1-based: cartan[i][j] = -m and cartan[j][i] = -1, so
+    # that m > 1 makes alpha_i the shorter root of a multiple bond
+    bonds = [(k, k + 1, 1) for k in range(1, n)]
     if t == "B":
-        roots = [_sub(_unit(i, n), _unit(i + 1, n)) for i in range(n - 1)]
-        roots.append(_unit(n - 1, n))
-        return roots
-    if t == "C":
-        roots = [_sub(_unit(i, n), _unit(i + 1, n)) for i in range(n - 1)]
-        roots.append(_scale(Fraction(2), _unit(n - 1, n)))
-        return roots
-    if t == "D":
-        roots = [_sub(_unit(i, n), _unit(i + 1, n)) for i in range(n - 1)]
-        roots.append(_add(_unit(n - 2, n), _unit(n - 1, n)))
-        return roots
-    if t == "E":
-        half = Fraction(1, 2)
-        alpha1 = tuple(
-            half if k in (0, 7) else -half for k in range(8)
-        )
-        full = [
-            alpha1,
-            _add(_unit(0, 8), _unit(1, 8)),
-            _sub(_unit(1, 8), _unit(0, 8)),
-            _sub(_unit(2, 8), _unit(1, 8)),
-            _sub(_unit(3, 8), _unit(2, 8)),
-            _sub(_unit(4, 8), _unit(3, 8)),
-            _sub(_unit(5, 8), _unit(4, 8)),
-            _sub(_unit(6, 8), _unit(5, 8)),
-        ]
-        return full[:n]
-    if t == "F":
-        half = Fraction(1, 2)
-        return [
-            _sub(_unit(1, 4), _unit(2, 4)),
-            _sub(_unit(2, 4), _unit(3, 4)),
-            _unit(3, 4),
-            (half, -half, -half, -half),
-        ]
-    if t == "G":
-        return [
-            _sub(_unit(0, 3), _unit(1, 3)),
-            (Fraction(-2), Fraction(1), Fraction(1)),
-        ]
-    raise IllegalTypeError(f"unknown Dynkin type {dynkin_type!r}")
+        bonds[-1] = (n, n - 1, 2)
+    elif t == "C":
+        bonds[-1] = (n - 1, n, 2)
+    elif t == "D":
+        bonds[-1] = (n - 2, n, 1)
+    elif t == "E":
+        bonds = [(1, 3, 1), (2, 4, 1)] + bonds[2:]
+    elif t == "F":
+        bonds = [(1, 2, 1), (3, 2, 2), (3, 4, 1)]
+    elif t == "G":
+        bonds = [(1, 2, 3)]
+    cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, m in bonds:
+        cartan[i - 1][j - 1], cartan[j - 1][i - 1] = -m, -1
+    return tuple(map(tuple, cartan))
+
+
+def _half_norms(cartan: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """``(alpha_i, alpha_i) / 2`` up to a common factor, the coprime integers
+    ``d`` with ``d_i * cartan[i][j] = d_j * cartan[j][i]``, walked along the
+    connected diagram from node 0."""
+    n = len(cartan)
+    d = [1] + [0] * (n - 1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if j != i and cartan[i][j] and not d[j]:
+                if d[i] * cartan[i][j] % cartan[j][i]:
+                    d = [x * -cartan[j][i] for x in d]
+                d[j] = d[i] * cartan[i][j] // cartan[j][i]
+                stack.append(j)
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 @dataclass(frozen=True)
@@ -176,17 +131,18 @@ class RootTable:
         return positive + tuple(-m for m in positive)
 
 
-def _root_table(cartan: Sequence[Sequence[int]], half_norms: Sequence[int]) -> RootTable:
+def _root_table(cartan: Sequence[Sequence[int]]) -> RootTable:
     """Close the simple roots under the simple reflections, in integers.
 
-    ``cartan[i][j] = <alpha_j, alpha_i^vee>``; ``half_norms[i]`` is
-    ``(alpha_i, alpha_i) / 2`` up to a common factor, so that
-    ``(alpha_i, alpha_j) = half_norms[i] * cartan[i][j]``.  A positive root
+    ``cartan[i][j] = <alpha_j, alpha_i^vee>``, and with the half norms
+    derived from it ``(alpha_i, alpha_j) = half_norms[i] * cartan[i][j]`` up
+    to a common factor, which fixes every coroot.  A positive root
     with a negative label at ``k`` reflects to the higher positive root
     ``beta - label_k * alpha_k``, and every positive root arises this way
     from a simple one.
     """
     n = len(cartan)
+    half_norms = _half_norms(cartan)
 
     def labels(c):
         return tuple(sum(c[j] * cartan[i][j] for j in range(n)) for i in range(n))
@@ -227,18 +183,13 @@ def _root_table(cartan: Sequence[Sequence[int]], half_norms: Sequence[int]) -> R
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A root system: its integer ``table`` and its Euclidean realization.
-
-    The derivation of actions reads only ``table``.  The Euclidean vectors
-    beyond the simple roots are kept for inspection and built on first use."""
+    """A root system: its type, its Cartan matrix and the integer ``table``
+    of its roots generated from that matrix."""
 
     dynkin_type: str
     rank: int
-    simple_roots: Tuple[Vector, ...]
     cartan_matrix: Tuple[Tuple[int, ...], ...]  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
-    gram: Tuple[Tuple[Fraction, ...], ...]  # bilinear form on the simple roots
     table: RootTable = field(compare=False, repr=False)
-    _coords_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def name(self) -> str:
@@ -247,63 +198,6 @@ class RootSystem:
     @property
     def dim_lie_algebra(self) -> int:
         return self.rank + 2 * self.table.n_positive
-
-    def _combine(self, coefficients) -> Vector:
-        """The vector sum_k coefficients[k] * (k-th simple root)."""
-        return tuple(
-            sum((c * a[axis] for c, a in zip(coefficients, self.simple_roots)), Fraction(0))
-            for axis in range(len(self.simple_roots[0]))
-        )
-
-    @functools.cached_property
-    def positive_roots(self) -> Tuple[Vector, ...]:
-        table = self.table
-        return tuple(
-            v for _, v in sorted(
-                (sum(c), self._combine(c)) for c in table.coords[: table.n_positive]
-            )
-        )
-
-    @functools.cached_property
-    def fundamental_weights(self) -> Tuple[Vector, ...]:
-        inverse = _invert([[Fraction(x) for x in row] for row in self.cartan_matrix])
-        return tuple(
-            self._combine([inverse[j][k] for j in range(self.rank)]) for k in range(self.rank)
-        )
-
-    @functools.cached_property
-    def gram_inverse(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return tuple(tuple(row) for row in _invert(self.gram))
-
-    def coords(self, v: Vector) -> Tuple[Fraction, ...]:
-        """Coordinates of v in the simple-root basis."""
-        cached = self._coords_cache.get(v)
-        if cached is not None:
-            return cached
-        rhs = [_dot(v, a) for a in self.simple_roots]
-        out = tuple(
-            sum((self.gram_inverse[i][j] * rhs[j] for j in range(self.rank)), Fraction(0))
-            for i in range(self.rank)
-        )
-        self._coords_cache[v] = out
-        return out
-
-    def coroot_pairing(self, v: Vector, j: int) -> Fraction:
-        """Pairing of v with the coroot of the j-th simple root (1-based)."""
-        alpha = self.simple_roots[j - 1]
-        return Fraction(2) * _dot(v, alpha) / _dot(alpha, alpha)
-
-    def pairing(self, v: Vector, cocharacter: Sequence[int]) -> Fraction:
-        """Pairing of v with sum_k cocharacter[k] * (k-th fundamental coweight)."""
-        if len(cocharacter) != self.rank:
-            raise IllegalTypeError(
-                f"cocharacter has {len(cocharacter)} entries, rank is {self.rank}"
-            )
-        c = self.coords(v)
-        return sum((Fraction(n) * c[k] for k, n in enumerate(cocharacter)), Fraction(0))
-
-    def root_norms(self) -> set[Fraction]:
-        return {_dot(a, a) for a in self.positive_roots}
 
 
 @functools.lru_cache(maxsize=None)
@@ -314,13 +208,8 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
         raise IllegalTypeError(f"illegal Dynkin datum {dynkin_type}_{rank}: rank above {MAX_RANK}")
     if t not in _LEGAL_RANKS or not _LEGAL_RANKS[t](rank):
         raise IllegalTypeError(f"illegal Dynkin datum {dynkin_type}_{rank}")
-    simples = _simple_roots(t, rank)
-    gram = [[_dot(a, b) for b in simples] for a in simples]
-    cartan = tuple(
-        tuple(int(2 * gram[i][j] / gram[i][i]) for j in range(rank)) for i in range(rank)
-    )
-    shortest = min(gram[i][i] for i in range(rank))
-    table = _root_table(cartan, [int(gram[i][i] / shortest) for i in range(rank)])
+    cartan = _cartan_matrix(t, rank)
+    table = _root_table(cartan)
 
     expected = POSITIVE_ROOT_COUNTS[t]
     expected_n = expected[rank] if isinstance(expected, dict) else expected(rank)
@@ -329,14 +218,7 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
             f"{t}_{rank}: generated {table.n_positive} positive roots, expected {expected_n}"
         )
 
-    return RootSystem(
-        dynkin_type=t,
-        rank=rank,
-        simple_roots=tuple(simples),
-        cartan_matrix=cartan,
-        gram=tuple(tuple(row) for row in gram),
-        table=table,
-    )
+    return RootSystem(dynkin_type=t, rank=rank, cartan_matrix=cartan, table=table)
 
 
 def weyl_order(cartan: Sequence[Sequence[int]], nodes) -> int:

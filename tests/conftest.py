@@ -1,3 +1,6 @@
+import functools
+from fractions import Fraction
+
 import pytest
 from hypothesis import settings, strategies as st
 
@@ -128,3 +131,139 @@ def synthetic_case_model(case: str, r: int = 3) -> ActionModel:
         rows.append((f"Y{level}", level, 2, 2 + (level % 2), dim_x - 4 - (level % 2)))
     rows.append((f"Y{r}", r, source_dim, dim_x - source_dim, 0))
     return model_from_rows(rows, dim_x)
+
+
+# --------------------------------------------------------------------------
+# Euclidean realization of the root systems
+# --------------------------------------------------------------------------
+
+
+def dot(u, v):
+    return sum((a * b for a, b in zip(u, v) if a and b), Fraction(0))
+
+
+def _invert(matrix):
+    n = len(matrix)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def euclidean_simple_roots(dynkin_type, rank):
+    """Simple roots in the standard realizations of Bourbaki's plates, as
+    ``Fraction`` vectors."""
+    t, n = dynkin_type, rank
+    half = Fraction(1, 2)
+
+    def e(dim, *terms):  # sum of c * e_k over the (k, c) in terms, 0-based
+        v = [Fraction(0)] * dim
+        for k, c in terms:
+            v[k] += c
+        return tuple(v)
+
+    if t == "A":
+        return [e(n + 1, (i, 1), (i + 1, -1)) for i in range(n)]
+    chain = [e(n, (i, 1), (i + 1, -1)) for i in range(n - 1)]
+    if t == "B":
+        return chain + [e(n, (n - 1, 1))]
+    if t == "C":
+        return chain + [e(n, (n - 1, 2))]
+    if t == "D":
+        return chain + [e(n, (n - 2, 1), (n - 1, 1))]
+    if t == "E":
+        alpha1 = tuple(half if k in (0, 7) else -half for k in range(8))
+        return [alpha1, e(8, (0, 1), (1, 1))] + [e(8, (i + 1, 1), (i, -1)) for i in range(n - 2)]
+    if t == "F":
+        return [e(4, (1, 1), (2, -1)), e(4, (2, 1), (3, -1)), e(4, (3, 1)), (half, -half, -half, -half)]
+    if t == "G":
+        return [e(3, (0, 1), (1, -1)), e(3, (0, -2), (1, 1), (2, 1))]
+    raise ValueError(f"unknown Dynkin type {dynkin_type!r}")
+
+
+class EuclideanRootSystem:
+    """A root system in its Euclidean realization, derived from the simple
+    roots alone: the Cartan matrix and root norms from their inner products,
+    every root as the closure of the simple roots under their reflections,
+    the fundamental weights, and coordinates in the simple roots.  It shares
+    no code with ``cstarflips.lie.roots``, whose hand-written Cartan matrices
+    and integer root tables it checks."""
+
+    def __init__(self, dynkin_type, rank):
+        self.dynkin_type, self.rank = dynkin_type, rank
+        self.simple_roots = euclidean_simple_roots(dynkin_type, rank)
+        self.gram = [[dot(a, b) for b in self.simple_roots] for a in self.simple_roots]
+        self.norms = tuple(self.gram[i][i] for i in range(rank))
+        self.cartan_matrix = tuple(
+            tuple(2 * self.gram[i][j] / self.gram[i][i] for j in range(rank)) for i in range(rank)
+        )
+        self._coords = {}
+
+    @functools.cached_property
+    def gram_inverse(self):
+        return _invert(self.gram)
+
+    def combine(self, coefficients):
+        """The vector sum_k coefficients[k] * (k-th simple root)."""
+        return tuple(
+            sum((c * a[axis] for c, a in zip(coefficients, self.simple_roots)), Fraction(0))
+            for axis in range(len(self.simple_roots[0]))
+        )
+
+    def coords(self, v):
+        """Coordinates of v, in the span of the roots, in the simple roots."""
+        if v not in self._coords:
+            rhs = [dot(v, a) for a in self.simple_roots]
+            self._coords[v] = tuple(dot(row, rhs) for row in self.gram_inverse)
+        return self._coords[v]
+
+    def coroot_pairing(self, v, j):
+        """Pairing of v with the coroot of the j-th simple root (1-based)."""
+        return 2 * dot(v, self.simple_roots[j - 1]) / self.norms[j - 1]
+
+    def pairing(self, v, cocharacter):
+        """Pairing of v with sum_k cocharacter[k] * (k-th fundamental coweight)."""
+        return dot(self.coords(v), cocharacter)
+
+    def coroot(self, beta):
+        """beta^vee = 2 beta / (beta, beta) in simple-coroot coordinates:
+        its pairings with the fundamental weights."""
+        return tuple(2 * dot(w, beta) / dot(beta, beta) for w in self.fundamental_weights)
+
+    @functools.cached_property
+    def roots(self):
+        """Every root, positive and negative."""
+        seen = set(self.simple_roots)
+        frontier = list(seen)
+        while frontier:
+            new = []
+            for v in frontier:
+                for j, alpha in enumerate(self.simple_roots, 1):
+                    c = self.coroot_pairing(v, j)
+                    w = tuple(x - c * y for x, y in zip(v, alpha))
+                    if w not in seen:
+                        seen.add(w)
+                        new.append(w)
+            frontier = new
+        return tuple(sorted(seen))
+
+    @functools.cached_property
+    def positive_roots(self):
+        """The roots with nonnegative coordinates, by height."""
+        coords = {a: self.coords(a) for a in self.roots}
+        positive = [a for a in self.roots if min(coords[a]) >= 0]
+        return tuple(sorted(positive, key=lambda a: (sum(coords[a]), a)))
+
+    @functools.cached_property
+    def fundamental_weights(self):
+        """omega_k with (omega_k, alpha_i) = delta_ik (alpha_k, alpha_k) / 2."""
+        return tuple(
+            self.combine([self.norms[k] / 2 * row[k] for row in self.gram_inverse])
+            for k in range(self.rank)
+        )

@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import pytest
 
 from cstarflips.lie.homogeneous import (
@@ -83,6 +86,21 @@ class TestBuildAction:
         assert {c.name for c in level1} == {"Y1a", "Y1b"}
         for c in res.model.components:
             assert c.dim + c.nu_minus + c.nu_plus == res.model.dim_x
+
+    def test_names_past_26_components(self):
+        """E6(4) with a regular cocharacter has levels of more than 26
+        components: names stay distinct ASCII letters, and sorting them by
+        level index and then by letters gives the model order."""
+        datum = build_root_system("E", 6)
+        res = build_action(HomogeneousSpace(datum, 4), (1,) * 6)
+        names = [c.name for c in res.model.components]
+        parsed = [re.fullmatch(r"Y([0-9]+)([a-z]*)", name) for name in names]
+        assert all(parsed)
+        assert len(set(names)) == len(names) == res.fixed_point_count == 720
+        assert max(Counter(m.group(1) for m in parsed).values()) > 26
+        assert {len(m.group(2)) for m in parsed} == {0, 1, 2}
+        keys = [(int(m.group(1)), m.group(2)) for m in parsed]
+        assert keys == sorted(keys)
 
     @pytest.mark.parametrize("dynkin_type,rank,node,cochar_node", [
         ("B", 3, 2, 1),

@@ -2,8 +2,9 @@
 properties of the derived actions over random cocharacters.
 
 The oracle below is the earlier engine: weights and roots as ``Fraction``
-vectors in the Bourbaki realization, reflected by the Euclidean formula.  It
-lives here only, as a reference for small ranks.
+vectors in the Bourbaki realization (``conftest.EuclideanRootSystem``, which
+shares no code with ``cstarflips.lie.roots``), reflected by the Euclidean
+formula.  It lives here only, as a reference for small ranks.
 """
 
 import functools
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EuclideanRootSystem, dot
 from cstarflips.actions import ActionError, validate_action
 from cstarflips.lie import homogeneous
 from cstarflips.lie.homogeneous import (
@@ -36,17 +38,13 @@ from cstarflips.lie.roots import build_root_system, fundamental_cocharacter, gra
 # --------------------------------------------------------------------------
 
 
-def _dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def _coroot(alpha):
-    norm = _dot(alpha, alpha)
+    norm = dot(alpha, alpha)
     return tuple(2 * a / norm for a in alpha)
 
 
 def _reflect(v, alpha, coroot):
-    coeff = _dot(v, coroot)
+    coeff = dot(v, coroot)
     return tuple(a - coeff * b for a, b in zip(v, alpha))
 
 
@@ -184,7 +182,7 @@ def engine_outcome(space, cochar):
 
 @functools.lru_cache(maxsize=None)
 def oracle(dynkin_type, rank, node):
-    return Oracle(build_root_system(dynkin_type, rank), node)
+    return Oracle(EuclideanRootSystem(dynkin_type, rank), node)
 
 
 def oracle_outcome(datum, node, cochar):
@@ -208,8 +206,8 @@ def test_fixed_points_match_oracle(dynkin_type, rank):
     for node in range(1, rank + 1):
         ref = oracle(dynkin_type, rank, node)
         expected = {
-            tuple(int(datum.coroot_pairing(w, j)) for j in range(1, rank + 1)):
-                frozenset(tuple(int(c) for c in datum.coords(ref.roots[r])) for r in ts)
+            tuple(int(ref.datum.coroot_pairing(w, j)) for j in range(1, rank + 1)):
+                frozenset(tuple(int(c) for c in ref.datum.coords(ref.roots[r])) for r in ts)
             for w, ts in zip(ref.weights, ref.tangents)
         }
         got = {
