@@ -194,12 +194,17 @@ def chamber_pairs(model: ActionModel) -> list[Tuple[int, int]]:
     return [(i, j) for i in range(r) for j in range(i + 1, r + 1) if (i, j) not in removed]
 
 
-def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, ...]:
+def chamber_corners(pair: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:
+    """The corners of chamber (i, j) as index pairs (k, l): the point (a_k, a_l)."""
     i, j = pair
-    a = model.critical_values
     if j == i + 1:
-        return ((a[i], a[i]), (a[i + 1], a[i + 1]), (a[i], a[i + 1]))
-    return ((a[i], a[j - 1]), (a[i + 1], a[j - 1]), (a[i + 1], a[j]), (a[i], a[j]))
+        return ((i, i), (i + 1, i + 1), (i, i + 1))
+    return ((i, j - 1), (i + 1, j - 1), (i + 1, j), (i, j))
+
+
+def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, ...]:
+    a = model.critical_values
+    return tuple((a[k], a[l]) for k, l in chamber_corners(pair))
 
 
 def chamber_decomposition(model: ActionModel) -> list[Chamber]:

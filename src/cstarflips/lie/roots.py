@@ -131,7 +131,7 @@ class RootTable:
         return positive + tuple(-m for m in positive)
 
 
-def _root_table(cartan: Sequence[Sequence[int]]) -> RootTable:
+def _root_table(cartan: Sequence[Sequence[int]], n_positive: int) -> RootTable:
     """Close the simple roots under the simple reflections, in integers.
 
     ``cartan[i][j] = <alpha_j, alpha_i^vee>``, and with the half norms
@@ -139,7 +139,9 @@ def _root_table(cartan: Sequence[Sequence[int]]) -> RootTable:
     to a common factor, which fixes every coroot.  A positive root
     with a negative label at ``k`` reflects to the higher positive root
     ``beta - label_k * alpha_k``, and every positive root arises this way
-    from a simple one.
+    from a simple one.  The closure of a matrix not of finite type never
+    ends, so it stops with ``IllegalTypeError`` as soon as it passes the
+    expected ``n_positive`` roots.
     """
     n = len(cartan)
     half_norms = _half_norms(cartan)
@@ -159,6 +161,11 @@ def _root_table(cartan: Sequence[Sequence[int]]) -> RootTable:
                     if up not in seen:
                         seen.add(up)
                         new.append(up)
+                        if len(seen) > n_positive:
+                            raise IllegalTypeError(
+                                f"more than {n_positive} positive roots: "
+                                "the Cartan matrix is not of finite type"
+                            )
         frontier = new
     positive = sorted(seen, key=lambda c: (sum(c), tuple(-x for x in c)))
     coords = positive + [tuple(-x for x in c) for c in positive]
@@ -209,10 +216,9 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
     if t not in _LEGAL_RANKS or not _LEGAL_RANKS[t](rank):
         raise IllegalTypeError(f"illegal Dynkin datum {dynkin_type}_{rank}")
     cartan = _cartan_matrix(t, rank)
-    table = _root_table(cartan)
-
     expected = POSITIVE_ROOT_COUNTS[t]
     expected_n = expected[rank] if isinstance(expected, dict) else expected(rank)
+    table = _root_table(cartan, expected_n)
     if table.n_positive != expected_n:  # pragma: no cover
         raise IllegalTypeError(
             f"{t}_{rank}: generated {table.n_positive} positive roots, expected {expected_n}"

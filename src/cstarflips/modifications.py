@@ -122,12 +122,6 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     )
 
 
-def _edge_candidates(pair):
-    i, j = pair
-    yield (PLUS, (i + 1, j), i + 1)
-    yield (MINUS, (i, j - 1), j - 1)
-
-
 def _flip_records(direction: str, comps) -> Tuple[Tuple[FlipCenter, ...], Tuple[str, ...]]:
     centers = []
     blocked = []
@@ -146,6 +140,25 @@ def _flip_records(direction: str, comps) -> Tuple[Tuple[FlipCenter, ...], Tuple[
     return tuple(centers), tuple(blocked)
 
 
+def flip_moves(model: ActionModel, pairs):
+    """Every candidate flip between the chambers ``pairs``, as
+    (from, to, direction, level, (centers, blocked)); legal when ``blocked``
+    is empty.  The record (centers, blocked) depends only on the direction
+    and the shifting level, so each is made once and shared.  The minus flip
+    of a pair comes first, so sorted pairs give moves in (from, to) order.
+    """
+    chambers = set(pairs)
+    records: dict = {}
+    for pair in pairs:
+        i, j = pair
+        for direction, target, level in ((MINUS, (i, j - 1), j - 1), (PLUS, (i + 1, j), i + 1)):
+            if target not in chambers:
+                continue
+            if (direction, level) not in records:
+                records[direction, level] = _flip_records(direction, model.level_components(level))
+            yield pair, target, direction, level, records[direction, level]
+
+
 def build_flip_graph(model: ActionModel) -> FlipGraph:
     """Graph of all small modifications X(i, j) with their connecting flips.
 
@@ -154,19 +167,15 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     flip inequality, otherwise the obstruction is recorded and the edge
     omitted.
     """
-    polygons = {pair: chamber_polygon(model, pair) for pair in chamber_pairs(model)}
-    nodes = tuple(GraphNode(pair, polygon) for pair, polygon in polygons.items())
+    pairs = chamber_pairs(model)
+    nodes = tuple(GraphNode(pair, chamber_polygon(model, pair)) for pair in pairs)
     edges: list[FlipEdge] = []
     obstructions: list[FlipObstruction] = []
-    for pair in polygons:
-        for direction, target, level in _edge_candidates(pair):
-            if target not in polygons:
-                continue
-            centers, blocked = _flip_records(direction, model.level_components(level))
-            if blocked:
-                obstructions.append(FlipObstruction(pair, target, direction, level, blocked))
-            else:
-                edges.append(FlipEdge(pair, target, direction, level, centers))
+    for pair, target, direction, level, (centers, blocked) in flip_moves(model, pairs):
+        if blocked:
+            obstructions.append(FlipObstruction(pair, target, direction, level, blocked))
+        else:
+            edges.append(FlipEdge(pair, target, direction, level, centers))
     return FlipGraph(nodes, tuple(edges), tuple(obstructions))
 
 

@@ -86,6 +86,46 @@ def _model_dict(model: ActionModel) -> dict:
     }
 
 
+def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict:
+    """The O(r^2) sections (chambers, flip graph, P1-bundles), written from
+    O(r) facts: each critical value is printed once, each chamber's corners
+    are indices into those strings, and each flip record is serialized once
+    per (direction, level) and shared by every move at that level."""
+    a = [_s(v) for v in flat.critical_values]
+    pairs = ch.chamber_pairs(flat)
+    node = {pair: list(pair) for pair in pairs}
+    polygon = {pair: [[a[k], a[l]] for k, l in ch.chamber_corners(pair)] for pair in pairs}
+    edges, obstructions, rows = [], [], {}
+    for pair, target, direction, level, (centers, blocked) in md.flip_moves(flat, pairs):
+        key = (direction, level)
+        if key not in rows:
+            rows[key] = list(blocked) or [
+                {"component": c.component, "dim": c.dim,
+                 "center_dim": c.center_dim, "flipped_dim": c.flipped_dim}
+                for c in centers
+            ]
+        move = {"from": node[pair], "to": node[target], "direction": direction, "level": level}
+        if blocked:
+            move["components"] = rows[key]
+            obstructions.append(move)
+        else:
+            move["centers"] = rows[key]
+            edges.append(move)
+    return {
+        "chambers": [{"pair": node[pair], "polygon": polygon[pair]} for pair in pairs],
+        "flip_graph": {"nodes": list(node.values()), "edges": edges, "obstructions": obstructions},
+        "p1_bundles": [
+            {
+                "index": i,
+                "base": f"GX({i},{i + 1})",
+                "node": node[i, i + 1],
+                "nef_polygon": polygon[i, i + 1],
+            }
+            for i in index_set
+        ],
+    }
+
+
 def _compare_expected(model: ActionModel, expected: ActionModel) -> list[str]:
     failures = []
     if model.dim_x != expected.dim_x:
@@ -177,7 +217,7 @@ def run_pipeline(
         notes.append("input already has divisorial extremes; treated as its own blowup")
     flat = blowup_extremal(model)
 
-    graph = md.build_flip_graph(flat)
+    index_set = sorted(index_set_i(flat))
     diagram = md.quotient_diagram(flat)
     summary = md.flip_chain_summary(flat)
 
@@ -201,44 +241,9 @@ def run_pipeline(
         "case": ch.extremal_case(flat),
         "bandwidth": _s(flat.bandwidth),
         "criticality": flat.criticality,
-        "index_set": sorted(index_set_i(flat)),
+        "index_set": index_set,
         "bordism": is_bordism(flat),
         "movable_cone": [_point(p) for p in ch.movable_polygon(flat)],
-        "chambers": [
-            {"pair": list(c.pair), "polygon": [_point(p) for p in c.polygon]}
-            for c in ch.chamber_decomposition(flat)
-        ],
-        "flip_graph": {
-            "nodes": [list(n.pair) for n in graph.nodes],
-            "edges": [
-                {
-                    "from": list(e.from_pair),
-                    "to": list(e.to_pair),
-                    "direction": e.direction,
-                    "level": e.level,
-                    "centers": [
-                        {
-                            "component": c.component,
-                            "dim": c.dim,
-                            "center_dim": c.center_dim,
-                            "flipped_dim": c.flipped_dim,
-                        }
-                        for c in e.centers
-                    ],
-                }
-                for e in sorted(graph.edges, key=lambda e: (e.from_pair, e.to_pair))
-            ],
-            "obstructions": [
-                {
-                    "from": list(o.from_pair),
-                    "to": list(o.to_pair),
-                    "direction": o.direction,
-                    "level": o.level,
-                    "components": list(o.components),
-                }
-                for o in sorted(graph.obstructions, key=lambda o: (o.from_pair, o.to_pair))
-            ],
-        },
         "quotients": {
             "geometric": [{"label": q.label, "dim": q.dim} for q in diagram.geometric],
             "semigeometric": [
@@ -249,15 +254,6 @@ def run_pipeline(
             "diagonal_arrows": [list(a) for a in diagram.diagonal_arrows],
             "fiber_note": diagram.fiber_note,
         },
-        "p1_bundles": [
-            {
-                "index": b.index,
-                "base": b.base_label,
-                "node": list(b.node_pair),
-                "nef_polygon": [_point(p) for p in b.nef_polygon],
-            }
-            for b in md.p1_bundle_models(flat)
-        ],
         "chain_summary": {
             "chain_arrows": summary.chain_arrows,
             "left": summary.left,
@@ -266,5 +262,6 @@ def run_pipeline(
             "blowdowns": summary.blowdowns,
             "flips": summary.flips,
         },
+        **_chain_sections(flat, index_set),
     }
     return ReportBundle(data)

@@ -1,0 +1,102 @@
+"""The report's chain sections against the library's object views.
+
+``run_pipeline`` writes the chambers, the flip graph and the P1-bundles from
+O(r) facts: the chamber pairs, each chamber's corners as critical-value
+indices, and one flip record per (direction, level).  ``chamber_decomposition``,
+``build_flip_graph`` and ``p1_bundle_models`` build the same data as objects
+from the same rules.  The two must agree, and the report must compute each
+fact once.
+"""
+
+import collections
+
+import pytest
+from hypothesis import given, strategies as st
+
+from conftest import action_models, synthetic_case_model
+from test_report_golden import CASES, _model_spec
+
+from cstarflips import chambers as ch
+from cstarflips import modifications as md
+from cstarflips.actions import blowup_extremal
+from cstarflips.report import run_pipeline
+from cstarflips.specfiles import parse_spec_dict
+
+
+def _polygon(points) -> list:
+    return [[str(x), str(y)] for x, y in points]
+
+
+def _moves(moves, rows) -> list:
+    return [
+        {"from": list(m.from_pair), "to": list(m.to_pair), "direction": m.direction,
+         "level": m.level, **rows(m)}
+        for m in sorted(moves, key=lambda m: (m.from_pair, m.to_pair))
+    ]
+
+
+def _view_sections(flat) -> dict:
+    """The report's chain sections, serialized from the object views."""
+    graph = md.build_flip_graph(flat)
+    return {
+        "chambers": [
+            {"pair": list(c.pair), "polygon": _polygon(c.polygon)}
+            for c in ch.chamber_decomposition(flat)
+        ],
+        "flip_graph": {
+            "nodes": [list(n.pair) for n in graph.nodes],
+            "edges": _moves(graph.edges, lambda e: {"centers": [
+                {"component": c.component, "dim": c.dim, "center_dim": c.center_dim,
+                 "flipped_dim": c.flipped_dim}
+                for c in e.centers
+            ]}),
+            "obstructions": _moves(graph.obstructions,
+                                   lambda o: {"components": list(o.components)}),
+        },
+        "p1_bundles": [
+            {"index": b.index, "base": b.base_label, "node": list(b.node_pair),
+             "nef_polygon": _polygon(b.nef_polygon)}
+            for b in md.p1_bundle_models(flat)
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", CASES)
+@given(data=st.data())
+def test_report_agrees_with_the_views(case, data):
+    model = data.draw(action_models(max_r=10, case=case))
+    bundle = run_pipeline(parse_spec_dict(_model_spec(case, model)))
+    views = _view_sections(blowup_extremal(model))
+    assert {key: bundle[key] for key in views} == views
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_each_fact_is_computed_once(monkeypatch, case):
+    """On an r=40 chain: at most 2r flip records, one evaluation of the
+    chamber pairs, and each chamber's corners built once."""
+    r = 40
+    calls = collections.Counter()
+    corners = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def counting_corners(pair, original=ch.chamber_corners):
+        corners[pair] += 1
+        return original(pair)
+
+    pairs = counting("chamber_pairs", ch.chamber_pairs)
+    monkeypatch.setattr(ch, "chamber_pairs", pairs)
+    monkeypatch.setattr(md, "chamber_pairs", pairs)
+    monkeypatch.setattr(md, "_flip_records", counting("_flip_records", md._flip_records))
+    monkeypatch.setattr(ch, "chamber_corners", counting_corners)
+
+    bundle = run_pipeline(parse_spec_dict(_model_spec(case, synthetic_case_model(case, r=r))))
+    assert bundle["criticality"] == r
+    assert calls["_flip_records"] <= 2 * r
+    assert calls["chamber_pairs"] == 1
+    assert sorted(corners) == sorted(tuple(c["pair"]) for c in bundle["chambers"])
+    assert set(corners.values()) == {1}

@@ -6,6 +6,7 @@ from cstarflips.lie.roots import (
     IllegalTypeError,
     _cartan_matrix,
     _half_norms,
+    _root_table,
     build_root_system,
     fundamental_cocharacter,
     grading,
@@ -46,6 +47,15 @@ class TestRootCounts:
             build_root_system("E", 5)
         with pytest.raises(IllegalTypeError):
             build_root_system("H", 3)
+
+    def test_closure_of_a_non_finite_matrix_stops(self):
+        """E8 with node 2 moved from node 4 to node 5 is the affine E7
+        diagram, whose closure never ends: it stops past E8's 120 roots."""
+        cartan = [list(row) for row in _cartan_matrix("E", 8)]
+        cartan[1][3] = cartan[3][1] = 0
+        cartan[1][4] = cartan[4][1] = -1
+        with pytest.raises(IllegalTypeError, match="more than 120 positive roots"):
+            _root_table(cartan, 120)
 
 
 class TestRealization:
