@@ -12,9 +12,7 @@ from .actions import (
     is_bordism,
     is_btype,
     is_equalized,
-    orbit_degree,
     validate_action,
-    weight_map_eval,
 )
 from .chambers import (
     BaseLocusDescription,
@@ -69,7 +67,6 @@ __all__ = [
     "is_equalized",
     "locate_chamber",
     "movable_cone",
-    "orbit_degree",
     "p1_bundle_models",
     "parse_spec",
     "quotient_diagram",
@@ -77,5 +74,4 @@ __all__ = [
     "stable_base_locus",
     "tau_indices",
     "validate_action",
-    "weight_map_eval",
 ]

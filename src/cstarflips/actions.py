@@ -20,8 +20,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple
 
-Rational = Fraction
-
 # Default cap on the torus-fixed points of a Lie-derived action (|W/W_P|),
 # shared by the CLI, the pipeline and the Lie engine.
 DEFAULT_MAX_COSETS = 100_000
@@ -35,7 +33,6 @@ EXTREMAL_NONZERO_NU = "ExtremalNonzeroNu"
 TRIVIAL_ACTION = "TrivialAction"
 REDUCIBLE_EXTREMAL_LEVEL = "ReducibleExtremalLevel"
 NEGATIVE_FIELD = "NegativeField"
-NOT_FLAT_SHAPE = "NotFlatShape"
 
 
 class ActionError(Exception):
@@ -56,10 +53,6 @@ class InvalidActionError(ActionError):
 
 
 class AlreadyFlatError(ActionError):
-    pass
-
-
-class NegativeDegreeError(ActionError):
     pass
 
 
@@ -101,15 +94,15 @@ class ActionModel:
     """A validated action, components sorted by weight and grouped in levels.
 
     ``flat`` marks models whose extremal components are divisors (the shape
-    produced by :func:`blowup_extremal`); such models remember the extremal
-    dimensions of the variety they came from in ``sink_origin_dim`` /
-    ``source_origin_dim``, which drive the chamber bookkeeping downstream.
+    :func:`flat_model` builds for :func:`blowup_extremal` and
+    ``induced_action``); such models remember the extremal dimensions of the
+    variety they came from in ``sink_origin_dim`` / ``source_origin_dim``,
+    which drive the chamber bookkeeping downstream.
     """
 
     dim_x: int
     components: Tuple[FixedComponent, ...]
     flat: bool = False
-    picard_rank_one: bool = True
     equalized: bool = True
     equalization_source: str = "declared"
     sink_origin_dim: int | None = None
@@ -150,10 +143,6 @@ class ActionModel:
     def inner_components(self) -> Tuple[FixedComponent, ...]:
         return tuple(c for c in self.components if c.inner)
 
-    @property
-    def weight_table(self) -> Mapping[str, Fraction]:
-        return {c.name: c.weight for c in self.components}
-
     def origin_dims(self) -> Tuple[int, int]:
         """Extremal dims of the variety underlying a flat model."""
         if not self.flat:
@@ -189,25 +178,13 @@ def unit_tangent_weights(weights: Iterable[int]) -> bool:
     return all(w in (-1, 0, 1) for w in weights)
 
 
-def _component(raw: FixedComponent | Mapping) -> FixedComponent:
-    if isinstance(raw, FixedComponent):
-        return raw
-    return FixedComponent(
-        name=str(raw["name"]),
-        weight=as_rational(raw["weight"]),
-        dim=int(raw["dim"]),
-        nu_minus=int(raw["nu_minus"]),
-        nu_plus=int(raw["nu_plus"]),
-    )
-
-
-def check_action(components: Iterable[FixedComponent | Mapping], dim_x: int) -> list[Violation]:
-    """Collect every invariant violated by raw component data.
-
-    Accepts either FixedComponent instances or mappings with the same field
-    names.  Returns an empty list when the data is a valid model.
+def check_action(components: Iterable[FixedComponent], dim_x: int) -> list[Violation]:
+    """Collect every invariant violated by the fixed components of an action
+    on a variety of dimension ``dim_x``, as parsed from a spec file or
+    derived from a root datum.  Returns an empty list when they form a valid
+    model.
     """
-    comps = [_component(c) for c in components]
+    comps = list(components)
     violations: list[Violation] = []
     if not comps:
         return [Violation(EMPTY_SPEC, "no fixed components given")]
@@ -265,23 +242,23 @@ def check_action(components: Iterable[FixedComponent | Mapping], dim_x: int) -> 
 
 
 def validate_action(
-    components: Iterable[FixedComponent | Mapping],
+    components: Iterable[FixedComponent],
     dim_x: int,
     *,
-    flat: bool = False,
-    picard_rank_one: bool = True,
     equalized: bool = True,
     equalization_source: str = "declared",
-    sink_origin_dim: int | None = None,
-    source_origin_dim: int | None = None,
 ) -> ActionModel:
-    """Validate raw fixed-point data and return the normalized model.
+    """Validate the fixed components of an action and return the normalized,
+    non-flat model; flat models come from :func:`blowup_extremal` and
+    :func:`~cstarflips.modifications.induced_action`.
 
-    Weights are shifted so the sink sits at zero; the original minimum is kept
-    as ``weight_offset`` metadata.  Raises :class:`InvalidActionError` carrying
-    the full list of violations otherwise.
+    Components are sorted by (weight, name), weights are shifted so the sink
+    sits at zero, the original minimum is kept as ``weight_offset`` metadata,
+    and ``inner`` is set on the components strictly between sink and source.
+    Raises :class:`InvalidActionError` carrying the full list of violations
+    otherwise.
     """
-    comps = [_component(c) for c in components]
+    comps = list(components)
     violations = check_action(comps, dim_x)
     if violations:
         raise InvalidActionError(violations)
@@ -292,21 +269,11 @@ def validate_action(
         replace(c, weight=c.weight - offset, inner=(c.weight != offset and c.weight != w_max))
         for c in sorted(comps, key=lambda c: (c.weight, c.name))
     )
-    if flat:
-        bad = [c for c in (normalized[0], normalized[-1]) if c.dim != dim_x - 1]
-        if bad:
-            raise InvalidActionError(
-                [Violation(NOT_FLAT_SHAPE, f"extremal component {c.name!r} is not a divisor") for c in bad]
-            )
     return ActionModel(
         dim_x=dim_x,
         components=normalized,
-        flat=flat,
-        picard_rank_one=picard_rank_one,
         equalized=equalized,
         equalization_source=equalization_source,
-        sink_origin_dim=sink_origin_dim,
-        source_origin_dim=source_origin_dim,
         weight_offset=offset,
     )
 
@@ -323,33 +290,6 @@ def model_warnings(model: ActionModel) -> list[str]:
     if model.equalization_source == "declared":
         notes.append("equalization is declared, not derived from tangent weights")
     return notes
-
-
-def orbit_degree(w_sink: Fraction, w_source: Fraction) -> Fraction:
-    """Degree of an orbit closure with the given extremal weights."""
-    w_sink, w_source = as_rational(w_sink), as_rational(w_source)
-    if w_source < w_sink:
-        raise NegativeDegreeError(f"source weight {w_source} below sink weight {w_sink}")
-    return w_source - w_sink
-
-
-WeightTable = Mapping[str, Fraction]
-
-
-def weight_map_eval(
-    combination: Iterable[Tuple[Fraction, WeightTable]], component: str
-) -> Fraction:
-    """Evaluate a rational combination of linearized bundles on a component.
-
-    ``combination`` is an iterable of (coefficient, weight table) pairs; the
-    result is Q-linear in the coefficients.
-    """
-    total = Fraction(0)
-    for coeff, table in combination:
-        if component not in table:
-            raise UnknownComponentError(f"component {component!r} missing from weight table")
-        total += as_rational(coeff) * as_rational(table[component])
-    return total
 
 
 def is_equalized(
@@ -389,6 +329,36 @@ def is_bordism(model: ActionModel) -> bool:
     return all(c.nu_minus >= 2 and c.nu_plus >= 2 for c in model.inner_components)
 
 
+def flat_model(
+    model: ActionModel,
+    names: Tuple[str, str],
+    inner: Tuple[FixedComponent, ...],
+    bandwidth: Fraction,
+    origin_dims: Tuple[int, int],
+    weight_offset: Fraction,
+) -> ActionModel:
+    """The flat model with components ``inner`` between a divisorial sink
+    (dim X - 1, nu_minus 0, nu_plus 1) at weight 0 and a divisorial source
+    (dim X - 1, nu_minus 1, nu_plus 0) at ``bandwidth``, named ``names``.
+
+    ``model`` gives dim X and the equalization fields; the components are
+    sorted by (weight, name), as :func:`validate_action` sorts them.
+    """
+    dim = model.dim_x - 1
+    sink = FixedComponent(names[0], Fraction(0), dim, nu_minus=0, nu_plus=1)
+    source = FixedComponent(names[1], bandwidth, dim, nu_minus=1, nu_plus=0)
+    return ActionModel(
+        dim_x=model.dim_x,
+        components=tuple(sorted((sink, *inner, source), key=lambda c: (c.weight, c.name))),
+        flat=True,
+        equalized=model.equalized,
+        equalization_source=model.equalization_source,
+        sink_origin_dim=origin_dims[0],
+        source_origin_dim=origin_dims[1],
+        weight_offset=weight_offset,
+    )
+
+
 def blowup_extremal(model: ActionModel) -> ActionModel:
     """Blow up sink and source, producing the flat (B-type) model.
 
@@ -403,24 +373,13 @@ def blowup_extremal(model: ActionModel) -> ActionModel:
     sink, source = model.sink, model.source
     if is_btype(model):
         return replace(model, flat=True, sink_origin_dim=sink.dim, source_origin_dim=source.dim)
-    delta = model.bandwidth
-    new_sink = FixedComponent(
-        name=f"{sink.name}_flat", weight=Fraction(0), dim=model.dim_x - 1, nu_minus=0, nu_plus=1
-    )
-    new_source = FixedComponent(
-        name=f"{source.name}_flat", weight=delta, dim=model.dim_x - 1, nu_minus=1, nu_plus=0
-    )
-    comps = (new_sink,) + model.inner_components + (new_source,)
-    return ActionModel(
-        dim_x=model.dim_x,
-        components=comps,
-        flat=True,
-        picard_rank_one=model.picard_rank_one,
-        equalized=model.equalized,
-        equalization_source=model.equalization_source,
-        sink_origin_dim=sink.dim,
-        source_origin_dim=source.dim,
-        weight_offset=model.weight_offset,
+    return flat_model(
+        model,
+        (f"{sink.name}_flat", f"{source.name}_flat"),
+        model.inner_components,
+        model.bandwidth,
+        (sink.dim, source.dim),
+        model.weight_offset,
     )
 
 

@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 2 validation failure, illegal Dynkin datum or an
 ``--out`` path that cannot be opened, 3 parse/schema error, 4 verification
-mismatch between Lie-derived and expected components.
+mismatch between Lie-derived and expected components, 141 stdout closed by
+its reader before the output was written (as a shell reports for a program
+that SIGPIPE ended, e.g. ``cstarflips analyze ... | head -1``); the rest of
+the output is dropped without a message.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError
@@ -19,6 +23,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PARSE = 3
 EXIT_VERIFICATION = 4
+EXIT_CLOSED_STDOUT = 141
 
 
 def _positive_int(text: str) -> int:
@@ -319,11 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ActionError as exc:
-        lines, code = _failure(exc)
-        print("\n".join(lines), file=sys.stderr)
-        return code
+        try:
+            code = args.func(args)
+        except ActionError as exc:
+            lines, code = _failure(exc)
+            print("\n".join(lines), file=sys.stderr)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at interpreter shutdown
+        # cannot raise again on what is still buffered.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from ..actions import (
     DEFAULT_MAX_COSETS,
     ActionModel,
     ActionError,
+    FixedComponent,
     unit_tangent_weights,
     validate_action,
 )
@@ -316,9 +317,7 @@ def build_action(
         at_level = [rec for rec in records if rec[0] == value]
         for idx, (w, zeros, pos, neg, cert, _count) in enumerate(at_level):
             name = f"Y{level_values.index(value)}{_suffix(idx, len(at_level))}"
-            components.append(
-                {"name": name, "weight": w, "dim": zeros, "nu_minus": neg, "nu_plus": pos}
-            )
+            components.append(FixedComponent(name, w, zeros, nu_minus=neg, nu_plus=pos))
             certificates[name] = cert
 
     equalized = all(unit_tangent_weights(cert) for cert in certificates.values())
@@ -385,16 +384,11 @@ def grassmannian_reference(n: int, i: int, k: int) -> list[GrassmannianLevel]:
 
 def grassmannian_model(n: int, i: int, k: int) -> ActionModel:
     """ActionModel assembled from the closed-form reference data."""
-    levels = grassmannian_reference(n, i, k)
     comps = [
-        {
-            "name": f"Y{lv.weight}",
-            "weight": lv.weight,
-            "dim": lv.dim,
-            "nu_minus": lv.nu_minus,
-            "nu_plus": lv.nu_plus,
-        }
-        for lv in levels
+        FixedComponent(
+            f"Y{lv.weight}", lv.weight, lv.dim, nu_minus=lv.nu_minus, nu_plus=lv.nu_plus
+        )
+        for lv in grassmannian_reference(n, i, k)
     ]
     return validate_action(
         comps, dim_x=i * (n + 1 - i), equalized=True, equalization_source="tangent-weights"

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Tuple
 
-from .actions import ActionError, ActionModel, FixedComponent
+from .actions import ActionError, ActionModel, flat_model, index_set_i
 from .chambers import Point, chamber_pairs, chamber_polygon
 
 PLUS = "plus"
@@ -35,10 +35,6 @@ MINUS = "minus"
 
 
 class NotAChamberError(ActionError):
-    pass
-
-
-class IndexNotAdmissibleError(ActionError):
     pass
 
 
@@ -103,22 +99,15 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
         for k in range(i + 1, j)
         for c in model.level_components(k)
     )
-    sink = FixedComponent(
-        name=f"GX({i},{i + 1})", weight=Fraction(0), dim=model.dim_x - 1, nu_minus=0, nu_plus=1
-    )
-    source = FixedComponent(
-        name=f"GX({j - 1},{j})", weight=a[j] - base, dim=model.dim_x - 1, nu_minus=1, nu_plus=0
-    )
-    comps = tuple(sorted((sink,) + inner + (source,), key=lambda c: (c.weight, c.name)))
-    return ActionModel(
-        dim_x=model.dim_x,
-        components=comps,
-        flat=True,
-        picard_rank_one=model.picard_rank_one,
-        equalized=model.equalized,
-        equalization_source=model.equalization_source,
-        sink_origin_dim=model.origin_dims()[0] if i == 0 else model.dim_x - 1,
-        source_origin_dim=model.origin_dims()[1] if j == model.criticality else model.dim_x - 1,
+    sink_dim, source_dim = model.origin_dims()
+    divisor = model.dim_x - 1
+    return flat_model(
+        model,
+        (f"GX({i},{i + 1})", f"GX({j - 1},{j})"),
+        inner,
+        a[j] - base,
+        (sink_dim if i == 0 else divisor, source_dim if j == model.criticality else divisor),
+        Fraction(0),
     )
 
 
@@ -240,27 +229,18 @@ class P1BundleModel:
     nef_polygon: Tuple[Point, ...]
 
 
-def p1_bundle_models(model: ActionModel, indices=None) -> list[P1BundleModel]:
+def p1_bundle_models(model: ActionModel) -> list[P1BundleModel]:
     """The small modifications that are P1-bundles over geometric quotients,
     one for every admissible index."""
-    from .actions import index_set_i
-
-    admissible = index_set_i(model)
-    if indices is None:
-        indices = sorted(admissible)
-    out = []
-    for i in indices:
-        if i not in admissible:
-            raise IndexNotAdmissibleError(f"index {i} not in {sorted(admissible)}")
-        out.append(
-            P1BundleModel(
-                index=i,
-                base_label=f"GX({i},{i + 1})",
-                node_pair=(i, i + 1),
-                nef_polygon=chamber_polygon(model, (i, i + 1)),
-            )
+    return [
+        P1BundleModel(
+            index=i,
+            base_label=f"GX({i},{i + 1})",
+            node_pair=(i, i + 1),
+            nef_polygon=chamber_polygon(model, (i, i + 1)),
         )
-    return out
+        for i in sorted(index_set_i(model))
+    ]
 
 
 def extremal_ray_type(model: ActionModel, end: str) -> str:

@@ -181,8 +181,7 @@ def run_pipeline(
         }
         if spec.components is not None:
             expected = validate_action(
-                [c.__dict__ for c in spec.components],
-                spec.dim_x if spec.dim_x is not None else model.dim_x,
+                spec.components, spec.dim_x if spec.dim_x is not None else model.dim_x
             )
             verification_failures = _compare_expected(model, expected)
         elif spec.dim_x is not None and spec.dim_x != model.dim_x:
@@ -192,7 +191,7 @@ def run_pipeline(
         if spec.declared_equalized is None:
             notes.append("equalization assumed (no declared_equalized field, no lie block)")
         model = validate_action(
-            [c.__dict__ for c in spec.components],
+            spec.components,
             spec.dim_x,
             equalized=declared,
             equalization_source="declared",

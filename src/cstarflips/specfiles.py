@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .actions import ActionError
+from .actions import ActionError, FixedComponent
 
 # Largest number of decimal digits in the numerator or denominator of a
 # rational field, well below Python's limit for int <-> str conversion
@@ -42,19 +42,10 @@ class LieInput:
 
 
 @dataclass(frozen=True)
-class ComponentInput:
-    name: str
-    weight: Fraction
-    dim: int
-    nu_minus: int
-    nu_plus: int
-
-
-@dataclass(frozen=True)
 class ActionSpecFile:
     name: str
     dim_x: Optional[int]
-    components: Optional[Tuple[ComponentInput, ...]]
+    components: Optional[Tuple[FixedComponent, ...]]
     lie: Optional[LieInput]
     declared_equalized: Optional[bool]
 
@@ -109,10 +100,10 @@ def _parse_rational(value, path: str) -> Fraction:
     raise SchemaError(path, f"expected an integer or 'p/q' string, got {value!r}")
 
 
-def _parse_component(obj, path: str) -> ComponentInput:
+def _parse_component(obj, path: str) -> FixedComponent:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    return ComponentInput(
+    return FixedComponent(
         name=_expect_str(_require(obj, "name", path), f"{path}.name"),
         weight=_parse_rational(_require(obj, "weight", path), f"{path}.weight"),
         dim=_expect_int(_require(obj, "dim", path), f"{path}.dim"),

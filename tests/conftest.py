@@ -4,18 +4,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings, strategies as st
 
-from cstarflips.actions import ActionModel, blowup_extremal, validate_action
+from cstarflips.actions import ActionModel, FixedComponent, blowup_extremal, validate_action
 
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
 
-def model_from_rows(rows, dim_x, **kw) -> ActionModel:
-    comps = [
-        dict(name=name, weight=w, dim=d, nu_minus=nm, nu_plus=np_)
-        for (name, w, d, nm, np_) in rows
+def components(rows) -> list[FixedComponent]:
+    return [
+        FixedComponent(name, w, d, nu_minus=nm, nu_plus=np_) for (name, w, d, nm, np_) in rows
     ]
-    return validate_action(comps, dim_x, **kw)
+
+
+def model_from_rows(rows, dim_x) -> ActionModel:
+    return validate_action(components(rows), dim_x)
 
 
 # Gr(2,4) with the balanced splitting: isolated sink and source, r = 2.

@@ -1,7 +1,5 @@
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from cstarflips.actions import (
     DIMENSION_MISMATCH,
@@ -11,18 +9,14 @@ from cstarflips.actions import (
     AlreadyFlatError,
     InvalidActionError,
     MissingOriginDimsError,
-    NegativeDegreeError,
-    UnknownComponentError,
     blowup_extremal,
     check_action,
     index_set_i,
     is_bordism,
     is_btype,
     is_equalized,
-    orbit_degree,
-    weight_map_eval,
 )
-from conftest import action_models, model_from_rows
+from conftest import action_models, components, model_from_rows
 
 
 class TestValidation:
@@ -49,16 +43,12 @@ class TestValidation:
 
     def test_duplicate_name(self):
         rows = [("Y0", 0, 0, 0, 4), ("Y0", 1, 2, 1, 1), ("Y2", 2, 0, 4, 0)]
-        codes = {v.code for v in check_action([
-            dict(name=n, weight=w, dim=d, nu_minus=a, nu_plus=b) for n, w, d, a, b in rows
-        ], 4)}
+        codes = {v.code for v in check_action(components(rows), 4)}
         assert DUPLICATE_NAME in codes
 
     def test_inner_zero_nu(self):
         rows = [("Y0", 0, 0, 0, 4), ("Y1", 1, 3, 0, 1), ("Y2", 2, 0, 4, 0)]
-        codes = {v.code for v in check_action([
-            dict(name=n, weight=w, dim=d, nu_minus=a, nu_plus=b) for n, w, d, a, b in rows
-        ], 4)}
+        codes = {v.code for v in check_action(components(rows), 4)}
         assert NON_EXTREMAL_ZERO_NU in codes
 
     def test_rational_weights(self):
@@ -106,58 +96,6 @@ class TestBandwidthCriticality:
         for n, i, k in [(4, 2, 2), (5, 3, 3), (6, 2, 3)]:
             m = grassmannian_model(n, i, k)
             assert (m.bandwidth, m.criticality) == (i, i)
-
-
-class TestOrbitDegree:
-    def test_full_orbit(self, gr24):
-        assert orbit_degree(0, gr24.bandwidth) == 2
-
-    def test_constant(self):
-        assert orbit_degree(Fraction(1, 2), Fraction(1, 2)) == 0
-
-    def test_negative(self):
-        with pytest.raises(NegativeDegreeError):
-            orbit_degree(2, 1)
-
-    @given(
-        st.fractions(min_value=0, max_value=10),
-        st.fractions(min_value=0, max_value=10),
-        st.fractions(min_value=0, max_value=10),
-    )
-    def test_concatenation_additive(self, a, b, c):
-        lo, mid, hi = sorted([a, b, c])
-        assert orbit_degree(lo, mid) + orbit_degree(mid, hi) == orbit_degree(lo, hi)
-
-
-class TestWeightMapEval:
-    def test_scaling(self, gr24):
-        table = gr24.weight_table
-        assert weight_map_eval([(2, table)], "Y1") == 2
-
-    def test_cancellation(self, gr24):
-        table = gr24.weight_table
-        assert weight_map_eval([(1, table), (-1, table)], "Y2") == 0
-
-    def test_half(self, gr24):
-        table = gr24.weight_table
-        assert weight_map_eval([(Fraction(1, 2), table)], "Y2") == Fraction(gr24.bandwidth, 2)
-
-    def test_unknown_component(self, gr24):
-        with pytest.raises(UnknownComponentError):
-            weight_map_eval([(1, gr24.weight_table)], "nope")
-
-    @given(
-        st.fractions(min_value=-5, max_value=5),
-        st.fractions(min_value=-5, max_value=5),
-        st.fractions(min_value=-3, max_value=3),
-        st.fractions(min_value=-3, max_value=3),
-    )
-    def test_q_linear(self, q1, q2, w1, w2):
-        t1, t2 = {"Y": w1}, {"Y": w2}
-        combined = weight_map_eval([(q1, t1), (q2, t2)], "Y")
-        assert combined == q1 * weight_map_eval([(1, t1)], "Y") + q2 * weight_map_eval(
-            [(1, t2)], "Y"
-        )
 
 
 class TestEqualization:

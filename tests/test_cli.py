@@ -1,5 +1,6 @@
-"""Command line: per-file independence, ``--out`` with several specs, and
-arguments that fail with a message instead of a traceback."""
+"""Command line: per-file independence, ``--out`` with several specs,
+arguments that fail with a message instead of a traceback, and a stdout
+that its reader closes early."""
 
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import cstarflips
 from cstarflips import specfiles
-from cstarflips.cli import main
+from cstarflips.cli import EXIT_CLOSED_STDOUT, main
 from cstarflips.lie import roots
 from cstarflips.specfiles import SchemaError
 
@@ -128,11 +129,15 @@ print(code, *sorted(m for m in sys.modules if m.startswith("cstarflips.lie")))
 """
 
 
-def _loaded_by(*argv) -> list[str]:
+def _child_env() -> dict:
     env = dict(os.environ)
     src = str(Path(cstarflips.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv], env=env,
+    return env
+
+
+def _loaded_by(*argv) -> list[str]:
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *argv], env=_child_env(),
                           capture_output=True, text=True, check=True, timeout=120)
     return proc.stdout.split()
 
@@ -152,6 +157,24 @@ class TestLazyLie:
     def test_catalog_still_runs(self):
         code, *loaded = _loaded_by("catalog")
         assert code == "0" and "cstarflips.lie.catalog" in loaded
+
+
+class TestClosedStdout:
+    def test_reader_closes_the_pipe_after_the_first_line(self):
+        """1,000 reports (about 400 kB) are more than a pipe holds, so the
+        run is still writing when the reader closes it; it stops with the
+        documented code and nothing on stderr."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cstarflips", "analyze", *[BORDISM] * 1000],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_CLOSED_STDOUT
+        assert first == b"== synthetic-bordism-r3 ==\n"
+        assert err == b""
 
 
 class TestRankCap:

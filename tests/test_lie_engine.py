@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EuclideanRootSystem, dot
-from cstarflips.actions import ActionError, validate_action
+from cstarflips.actions import ActionError, FixedComponent, validate_action
 from cstarflips.lie import homogeneous
 from cstarflips.lie.homogeneous import (
     CosetLimitError,
@@ -146,9 +146,7 @@ class Oracle:
             for idx, (w, zeros, pos, neg, cert, _) in enumerate(at_level):
                 suffix = chr(ord("a") + idx) if len(at_level) > 1 else ""
                 name = f"Y{values.index(value)}{suffix}"
-                components.append(
-                    {"name": name, "weight": w, "dim": zeros, "nu_minus": neg, "nu_plus": pos}
-                )
+                components.append(FixedComponent(name, w, zeros, nu_minus=neg, nu_plus=pos))
                 certificates[name] = cert
         root_pairing = [self.pairing(c, cocharacter) for c in self.root_coords]
         equalized = all(root_pairing[r] in (-1, 0, 1) for ts in self.tangents for r in ts)

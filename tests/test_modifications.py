@@ -9,7 +9,6 @@ from cstarflips.chambers import chamber_pairs, chamber_polygon, relevant_curves
 from cstarflips.modifications import (
     MINUS,
     PLUS,
-    IndexNotAdmissibleError,
     NotAChamberError,
     build_flip_graph,
     extremal_ray_type,
@@ -25,12 +24,32 @@ from test_report_golden import _model_spec
 
 
 class TestInducedAction:
-    def test_identity_pair(self, bordism_r3_flat):
-        m = induced_action(bordism_r3_flat, (0, 3))
-        assert m.critical_values == bordism_r3_flat.critical_values
-        assert m.inner_components == bordism_r3_flat.inner_components
-        assert m.sink.name == "GX(0,1)" and m.source.name == "GX(2,3)"
-        assert m.sink.dim == m.source.dim == bordism_r3_flat.dim_x - 1
+    @given(data=st.data())
+    def test_identity_pair(self, data):
+        """Wherever (0, r) is a chamber, X(0, r) is the flat model with its
+        extremes renamed and weight offset 0: components, origin dims and
+        equalization fields all agree, in every extremal case."""
+        for case in sorted(CASE_ISOLATED):
+            model = replace(
+                data.draw(action_models(min_r=1, case=case), label=case),
+                equalized=data.draw(st.booleans()),
+                equalization_source=data.draw(st.sampled_from(["declared", "tangent-weights"])),
+                weight_offset=data.draw(st.fractions(-3, 3)),
+            )
+            flat = blowup_extremal(model)
+            carried = ("equalized", "equalization_source", "weight_offset")
+            assert [getattr(flat, f) for f in carried] == [getattr(model, f) for f in carried]
+            r = flat.criticality
+            if (0, r) not in chamber_pairs(flat):
+                continue
+            renamed = (
+                replace(flat.sink, name="GX(0,1)"),
+                *flat.inner_components,
+                replace(flat.source, name=f"GX({r - 1},{r})"),
+            )
+            assert induced_action(flat, (0, r)) == replace(
+                flat, components=renamed, weight_offset=0
+            )
 
     def test_r2_bordism_corner(self, bordism_r2_flat):
         m = induced_action(bordism_r2_flat, (1, 2))
@@ -355,10 +374,6 @@ class TestP1Bundles:
 
     def test_gr24_empty(self, gr24_flat):
         assert p1_bundle_models(gr24_flat) == []
-
-    def test_inadmissible(self, gr24_flat):
-        with pytest.raises(IndexNotAdmissibleError):
-            p1_bundle_models(gr24_flat, indices=[0])
 
     @given(action_models())
     def test_indices_match_index_set(self, model):
