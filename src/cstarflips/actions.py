@@ -126,7 +126,10 @@ class ActionModel:
         by_weight: dict[Fraction, list[FixedComponent]] = {a: [] for a in self.critical_values}
         for c in self.components:
             by_weight[c.weight].append(c)
-        return tuple((a, tuple(comps)) for a, comps in by_weight.items())
+        # The per-item path builds tuples from lists, not generators: on
+        # CPython 3.11, tuple(<generator>) grows the interpreter's tuple free
+        # lists between full collections (tests/test_report_memory.py).
+        return tuple([(a, tuple(comps)) for a, comps in by_weight.items()])
 
     def level_components(self, k: int) -> Tuple[FixedComponent, ...]:
         return self.levels[k][1]
@@ -141,7 +144,7 @@ class ActionModel:
 
     @property
     def inner_components(self) -> Tuple[FixedComponent, ...]:
-        return tuple(c for c in self.components if c.inner)
+        return tuple([c for c in self.components if c.inner])
 
     def origin_dims(self) -> Tuple[int, int]:
         """Extremal dims of the variety underlying a flat model."""
@@ -167,10 +170,10 @@ class ActionModel:
 
 def level_signature(model: ActionModel) -> Tuple[Tuple[Fraction, tuple], ...]:
     """Per critical value, the sorted (dim, nu_minus, nu_plus) of its components."""
-    return tuple(
+    return tuple([
         (a, tuple(sorted((c.dim, c.nu_minus, c.nu_plus) for c in comps)))
         for a, comps in model.levels
-    )
+    ])
 
 
 def unit_tangent_weights(weights: Iterable[int]) -> bool:
@@ -265,10 +268,10 @@ def validate_action(
 
     offset = min(c.weight for c in comps)
     w_max = max(c.weight for c in comps)
-    normalized = tuple(
+    normalized = tuple([
         replace(c, weight=c.weight - offset, inner=(c.weight != offset and c.weight != w_max))
         for c in sorted(comps, key=lambda c: (c.weight, c.name))
-    )
+    ])
     return ActionModel(
         dim_x=dim_x,
         components=normalized,

@@ -204,7 +204,7 @@ def chamber_corners(pair: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:
 
 def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, ...]:
     a = model.critical_values
-    return tuple((a[k], a[l]) for k, l in chamber_corners(pair))
+    return tuple([(a[k], a[l]) for k, l in chamber_corners(pair)])
 
 
 def chamber_decomposition(model: ActionModel) -> list[Chamber]:

@@ -94,11 +94,11 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     i, j = pair
     a = model.critical_values
     base = a[i]
-    inner = tuple(
+    inner = tuple([
         replace(c, weight=c.weight - base)
         for k in range(i + 1, j)
         for c in model.level_components(k)
-    )
+    ])
     sink_dim, source_dim = model.origin_dims()
     divisor = model.dim_x - 1
     return flat_model(
@@ -157,7 +157,7 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     omitted.
     """
     pairs = chamber_pairs(model)
-    nodes = tuple(GraphNode(pair, chamber_polygon(model, pair)) for pair in pairs)
+    nodes = tuple([GraphNode(pair, chamber_polygon(model, pair)) for pair in pairs])
     edges: list[FlipEdge] = []
     obstructions: list[FlipObstruction] = []
     for pair, target, direction, level, (centers, blocked) in flip_moves(model, pairs):
@@ -196,10 +196,10 @@ def quotient_diagram(model: ActionModel) -> QuotientDiagram:
     """
     r = model.criticality
     sink_dim, source_dim = model.origin_dims()
-    geometric = tuple(
+    geometric = tuple([
         QuotientNode("geometric", (i, i + 1), model.dim_x - 1, f"GX({i},{i + 1})")
         for i in range(r)
-    )
+    ])
     semi: list[QuotientNode] = []
     for i in range(r + 1):
         if i == 0:
@@ -210,7 +210,7 @@ def quotient_diagram(model: ActionModel) -> QuotientDiagram:
             )
         else:
             semi.append(QuotientNode("semigeometric", (i, i), model.dim_x - 1, f"GX({i},{i})"))
-    dashed = tuple((geometric[i].label, geometric[i + 1].label) for i in range(r - 1))
+    dashed = tuple([(geometric[i].label, geometric[i + 1].label) for i in range(r - 1)])
     diagonal = []
     for i in range(r + 1):
         if i >= 1:

@@ -3,14 +3,16 @@
 ``run_pipeline`` takes a parsed spec, validates (or derives, for Lie input)
 the action model, passes to the divisorial-extremes model, and assembles the
 cone, chamber, flip-graph and quotient data into a :class:`ReportBundle`.
-The bundle holds plain JSON-ready values with every list in a canonical
-order, so identical input produces byte-identical JSON output.
+Every list is in a canonical order and the encoding is canonical (sorted
+keys, no spaces, ASCII), so identical input produces byte-identical JSON
+output.  The O(r) sections are kept as JSON values; the three O(r^2)
+sections are written once as canonical JSON text.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -37,22 +39,51 @@ EXTREMAL_LABEL_NOTE = (
 )
 
 
+# The canonical encoding: sorted keys, no spaces, ASCII only.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
+
+
 @dataclass(frozen=True)
 class ReportBundle:
-    data: dict
+    """A report: ``values`` holds sections as JSON values, ``texts`` holds
+    sections as their canonical JSON text.  ``run_pipeline`` keeps the O(r)
+    sections as values and writes the three O(r^2) sections (chambers, flip
+    graph, P1-bundles) once as text; ``to_json`` splices both in sorted key
+    order.  ``data`` and ``bundle[key]`` give every section as values; a
+    text section is parsed on first use."""
+
+    values: dict
+    texts: dict = field(default_factory=dict)
+    _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def to_json(self) -> bytes:
-        return (
-            json.dumps(self.data, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-            + "\n"
-        ).encode("utf-8")
+        parts, run = [], {}
+        for key in sorted(self.values.keys() | self.texts.keys()):
+            if key in self.texts:
+                if run:
+                    parts.append(_encode(run)[1:-1])
+                    run = {}
+                parts.append(_encode(key) + ":" + self.texts[key])
+            else:
+                run[key] = self.values[key]
+        if run:
+            parts.append(_encode(run)[1:-1])
+        return "".join(("{", ",".join(parts), "}\n")).encode("ascii")
 
     @classmethod
     def from_json(cls, payload: bytes) -> "ReportBundle":
         return cls(json.loads(payload.decode("utf-8")))
 
+    @property
+    def data(self) -> dict:
+        return {**self.values, **{key: self[key] for key in self.texts}}
+
     def __getitem__(self, key):
-        return self.data[key]
+        if key not in self.texts:
+            return self.values[key]
+        if key not in self._parsed:
+            self._parsed[key] = json.loads(self.texts[key])
+        return self._parsed[key]
 
 
 def _s(x: Fraction) -> str:
@@ -86,43 +117,50 @@ def _model_dict(model: ActionModel) -> dict:
     }
 
 
-def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict:
-    """The O(r^2) sections (chambers, flip graph, P1-bundles), written from
-    O(r) facts: each critical value is printed once, each chamber's corners
-    are indices into those strings, and each flip record is serialized once
-    per (direction, level) and shared by every move at that level."""
-    a = [_s(v) for v in flat.critical_values]
+def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict[str, str]:
+    """The canonical JSON text of the O(r^2) sections (chambers, flip graph,
+    P1-bundles), written once from O(r) facts: each critical value is encoded
+    once, each chamber's node and polygon text once (the P1-bundles reuse
+    them), and each flip record's rows once per (direction, level).  A move
+    is the record's text up to ``"from":``, then its two nodes around its
+    level; every object's keys are written in sorted order."""
+    a = [_encode(_s(v)) for v in flat.critical_values]
     pairs = ch.chamber_pairs(flat)
-    node = {pair: list(pair) for pair in pairs}
-    polygon = {pair: [[a[k], a[l]] for k, l in ch.chamber_corners(pair)] for pair in pairs}
-    edges, obstructions, rows = [], [], {}
+    node = {pair: "[%d,%d]" % pair for pair in pairs}
+    polygon = {
+        pair: "[" + ",".join(["[%s,%s]" % (a[k], a[l]) for k, l in ch.chamber_corners(pair)]) + "]"
+        for pair in pairs
+    }
+    edges, obstructions, records = [], [], {}
     for pair, target, direction, level, (centers, blocked) in md.flip_moves(flat, pairs):
         key = (direction, level)
-        if key not in rows:
-            rows[key] = list(blocked) or [
-                {"component": c.component, "dim": c.dim,
-                 "center_dim": c.center_dim, "flipped_dim": c.flipped_dim}
-                for c in centers
-            ]
-        move = {"from": node[pair], "to": node[target], "direction": direction, "level": level}
-        if blocked:
-            move["components"] = rows[key]
-            obstructions.append(move)
-        else:
-            move["centers"] = rows[key]
-            edges.append(move)
+        if key not in records:
+            if blocked:
+                rows = '{"components":%s' % _encode(blocked)
+            else:
+                rows = '{"centers":%s' % _encode([
+                    {"component": c.component, "dim": c.dim,
+                     "center_dim": c.center_dim, "flipped_dim": c.flipped_dim}
+                    for c in centers
+                ])
+            records[key] = (
+                rows + ',"direction":%s,"from":' % _encode(direction),
+                ',"level":%d,"to":' % level,
+            )
+        head, mid = records[key]
+        (obstructions if blocked else edges).append(head + node[pair] + mid + node[target] + "}")
     return {
-        "chambers": [{"pair": node[pair], "polygon": polygon[pair]} for pair in pairs],
-        "flip_graph": {"nodes": list(node.values()), "edges": edges, "obstructions": obstructions},
-        "p1_bundles": [
-            {
-                "index": i,
-                "base": f"GX({i},{i + 1})",
-                "node": node[i, i + 1],
-                "nef_polygon": polygon[i, i + 1],
-            }
+        "chambers": "[" + ",".join(
+            ['{"pair":%s,"polygon":%s}' % (node[pair], polygon[pair]) for pair in pairs]
+        ) + "]",
+        "flip_graph": '{"edges":[%s],"nodes":[%s],"obstructions":[%s]}' % (
+            ",".join(edges), ",".join(node.values()), ",".join(obstructions)
+        ),
+        "p1_bundles": "[" + ",".join([
+            '{"base":"GX(%d,%d)","index":%d,"nef_polygon":%s,"node":%s}'
+            % (i, i + 1, i, polygon[i, i + 1], node[i, i + 1])
             for i in index_set
-        ],
+        ]) + "]",
     }
 
 
@@ -261,6 +299,5 @@ def run_pipeline(
             "blowdowns": summary.blowdowns,
             "flips": summary.flips,
         },
-        **_chain_sections(flat, index_set),
     }
-    return ReportBundle(data)
+    return ReportBundle(data, _chain_sections(flat, index_set))

@@ -122,7 +122,7 @@ def _parse_lie(obj, path: str) -> LieInput:
     if not isinstance(raw, list):
         raise SchemaError(f"{path}.cocharacter", "expected a list of integers")
     cochar = tuple(
-        _expect_int(v, f"{path}.cocharacter[{k}]") for k, v in enumerate(raw)
+        [_expect_int(v, f"{path}.cocharacter[{k}]") for k, v in enumerate(raw)]
     )
     if len(cochar) != rank:
         raise SchemaError(f"{path}.cocharacter", f"expected {rank} entries, got {len(cochar)}")
@@ -140,7 +140,7 @@ def parse_spec_dict(obj, path: str = "") -> ActionSpecFile:
         if not isinstance(raw, list) or not raw:
             raise SchemaError(f"{path}.components", "expected a nonempty list")
         components = tuple(
-            _parse_component(c, f"{path}.components[{k}]") for k, c in enumerate(raw)
+            [_parse_component(c, f"{path}.components[{k}]") for k, c in enumerate(raw)]
         )
     if components is None and lie is None:
         raise SchemaError(f"{path}.components", "need components or a lie block")

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,6 +34,31 @@ BORDISM_SPEC = {
         {"name": "T", "weight": 3, "dim": 4, "nu_minus": 4, "nu_plus": 0},
     ],
 }
+
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+# A quote, a backslash, a non-ASCII letter, a line separator and a lone
+# surrogate: each must come out of the report escaped.
+ODD_NAME = 'q"b\\\u00e9\u2028\ud800'
+
+# (type, rank, marked node, node of the fundamental cocharacter), all equalized.
+LIE_ITEMS = (("A", 4, 2, 2), ("C", 4, 4, 4), ("D", 5, 5, 5), ("E", 6, 1, 6))
+
+
+def canonical(payload: bytes) -> bytes:
+    """The canonical encoding of the JSON values in ``payload``."""
+    values = json.loads(payload)
+    return (json.dumps(values, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+            + "\n").encode("ascii")
+
+
+def with_odd_names(spec: dict) -> dict:
+    spec = json.loads(json.dumps(spec))
+    spec["name"] += ODD_NAME
+    for c in spec.get("components", []):
+        c["name"] += ODD_NAME
+    return spec
 
 
 def random_spec(rng: random.Random) -> dict:
@@ -102,15 +128,31 @@ class TestPipeline:
         assert a == b
 
     def test_roundtrip(self):
-        bundle = run_pipeline(parse_spec_dict(BORDISM_SPEC))
-        again = ReportBundle.from_json(bundle.to_json())
-        assert again.data == bundle.data
+        """Canonical bytes that read back to the same values and bytes, also
+        for names the writer must escape, and for Lie specs."""
+        specs = [BORDISM_SPEC, with_odd_names(BORDISM_SPEC), with_odd_names(GR24_SPEC)]
+        specs += [json.loads(path.read_text()) for path in sorted(SPECS.glob("*.json"))]
+        specs += [
+            {"name": f"{t}{n}({node}){ODD_NAME}",
+             "lie": {"type": t, "rank": n, "node": node,
+                     "cocharacter": [int(k == cochar_node) for k in range(1, n + 1)]}}
+            for t, n, node, cochar_node in LIE_ITEMS
+        ]
+        for spec in specs:
+            bundle = run_pipeline(parse_spec_dict(spec))
+            payload = bundle.to_json()
+            assert payload == canonical(payload)
+            again = ReportBundle.from_json(payload)
+            assert again.data == bundle.data
+            assert again.to_json() == payload
 
     def test_roundtrip_randomized(self):
         rng = random.Random(20240911)
         for _ in range(20):
             bundle = run_pipeline(parse_spec_dict(random_spec(rng)))
-            assert ReportBundle.from_json(bundle.to_json()).data == bundle.data
+            payload = bundle.to_json()
+            assert payload == canonical(payload)
+            assert ReportBundle.from_json(payload).data == bundle.data
 
 
 # p/q with a denominator of 495 digits: with its numerator, about 990 of the

@@ -4,22 +4,25 @@
 O(r) facts: the chamber pairs, each chamber's corners as critical-value
 indices, and one flip record per (direction, level).  ``chamber_decomposition``,
 ``build_flip_graph`` and ``p1_bundle_models`` build the same data as objects
-from the same rules.  The two must agree, and the report must compute each
-fact once.
+from the same rules.  The two must agree, the report must be canonical JSON
+(the writer splices encoded names into text by hand), and the report must
+compute each fact once.
 """
 
 import collections
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import action_models, synthetic_case_model
+from test_report_export import ODD_NAME, canonical
 from test_report_golden import CASES, _model_spec
 
 from cstarflips import chambers as ch
 from cstarflips import modifications as md
 from cstarflips.actions import blowup_extremal
-from cstarflips.report import run_pipeline
+from cstarflips.report import ReportBundle, run_pipeline
 from cstarflips.specfiles import parse_spec_dict
 
 
@@ -64,10 +67,19 @@ def _view_sections(flat) -> dict:
 @pytest.mark.parametrize("case", CASES)
 @given(data=st.data())
 def test_report_agrees_with_the_views(case, data):
+    """Same sections as the views, in canonical bytes, with names that need
+    escaping drawn from the characters of ``ODD_NAME``."""
     model = data.draw(action_models(max_r=10, case=case))
-    bundle = run_pipeline(parse_spec_dict(_model_spec(case, model)))
+    odd = data.draw(st.text(st.sampled_from(ODD_NAME), max_size=4))
+    model = replace(model, components=tuple(
+        [replace(c, name=c.name + odd) for c in model.components]
+    ))
+    bundle = run_pipeline(parse_spec_dict(_model_spec(case + odd, model)))
     views = _view_sections(blowup_extremal(model))
     assert {key: bundle[key] for key in views} == views
+    payload = bundle.to_json()
+    assert payload == canonical(payload)
+    assert ReportBundle.from_json(payload).to_json() == payload
 
 
 @pytest.mark.parametrize("case", CASES)
