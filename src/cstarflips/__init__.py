@@ -1,77 +1,58 @@
 """Combinatorics of equalized C*-actions: movable cones, Mori chambers,
 flip graphs of small modifications, and GIT quotient diagrams, computed
-exactly from fixed-point data or from Lie-theoretic input."""
+exactly from fixed-point data or from Lie-theoretic input.
 
-from .actions import (
-    ActionModel,
-    FixedComponent,
-    InvalidActionError,
-    Violation,
-    blowup_extremal,
-    index_set_i,
-    is_bordism,
-    is_btype,
-    is_equalized,
-    validate_action,
-)
-from .chambers import (
-    BaseLocusDescription,
-    Chamber,
-    CurveClass,
-    DivisorClass,
-    chamber_decomposition,
-    intersection_number,
-    locate_chamber,
-    movable_cone,
-    stable_base_locus,
-    tau_indices,
-)
-from .modifications import (
-    FlipEdge,
-    FlipGraph,
-    build_flip_graph,
-    extremal_ray_type,
-    flip_chain_summary,
-    induced_action,
-    p1_bundle_models,
-    quotient_diagram,
-)
-from .report import ReportBundle, run_pipeline
-from .specfiles import ActionSpecFile, parse_spec
+The names below are imported from their modules on first use (PEP 562), so
+that importing one module, such as ``cstarflips.lie.catalog``, does not load
+the whole pipeline."""
+
+import importlib
+
+# public name -> the module that defines it
+_EXPORTS = {
+    "ActionModel": "actions",
+    "FixedComponent": "actions",
+    "InvalidActionError": "actions",
+    "Violation": "actions",
+    "blowup_extremal": "actions",
+    "index_set_i": "actions",
+    "is_bordism": "actions",
+    "is_btype": "actions",
+    "is_equalized": "actions",
+    "validate_action": "actions",
+    "BaseLocusDescription": "chambers",
+    "Chamber": "chambers",
+    "CurveClass": "chambers",
+    "DivisorClass": "chambers",
+    "chamber_decomposition": "chambers",
+    "intersection_number": "chambers",
+    "locate_chamber": "chambers",
+    "movable_cone": "chambers",
+    "stable_base_locus": "chambers",
+    "tau_indices": "chambers",
+    "FlipEdge": "modifications",
+    "FlipGraph": "modifications",
+    "build_flip_graph": "modifications",
+    "extremal_ray_type": "modifications",
+    "flip_chain_summary": "modifications",
+    "induced_action": "modifications",
+    "p1_bundle_models": "modifications",
+    "quotient_diagram": "modifications",
+    "ReportBundle": "report",
+    "run_pipeline": "report",
+    "ActionSpecFile": "specfiles",
+    "parse_spec": "specfiles",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionModel",
-    "ActionSpecFile",
-    "BaseLocusDescription",
-    "Chamber",
-    "CurveClass",
-    "DivisorClass",
-    "FixedComponent",
-    "FlipEdge",
-    "FlipGraph",
-    "InvalidActionError",
-    "ReportBundle",
-    "Violation",
-    "blowup_extremal",
-    "build_flip_graph",
-    "chamber_decomposition",
-    "extremal_ray_type",
-    "flip_chain_summary",
-    "index_set_i",
-    "induced_action",
-    "intersection_number",
-    "is_bordism",
-    "is_btype",
-    "is_equalized",
-    "locate_chamber",
-    "movable_cone",
-    "p1_bundle_models",
-    "parse_spec",
-    "quotient_diagram",
-    "run_pipeline",
-    "stable_base_locus",
-    "tau_indices",
-    "validate_action",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

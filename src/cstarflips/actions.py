@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Tuple
 
 # Default cap on the torus-fixed points of a Lie-derived action (|W/W_P|),
@@ -111,7 +113,7 @@ class ActionModel:
 
     @cached_property
     def critical_values(self) -> Tuple[Fraction, ...]:
-        return tuple(sorted({c.weight for c in self.components}))
+        return tuple([a for a, _ in self.levels])
 
     @property
     def criticality(self) -> int:
@@ -123,13 +125,15 @@ class ActionModel:
 
     @cached_property
     def levels(self) -> Tuple[Tuple[Fraction, Tuple[FixedComponent, ...]], ...]:
-        by_weight: dict[Fraction, list[FixedComponent]] = {a: [] for a in self.critical_values}
-        for c in self.components:
-            by_weight[c.weight].append(c)
-        # The per-item path builds tuples from lists, not generators: on
-        # CPython 3.11, tuple(<generator>) grows the interpreter's tuple free
-        # lists between full collections (tests/test_report_memory.py).
-        return tuple([(a, tuple(comps)) for a, comps in by_weight.items()])
+        # The components are sorted by weight, so a level is a run of equal
+        # weights.  The per-item path builds tuples from lists, not
+        # iterators: on CPython 3.11, tuple(<generator>) grows the
+        # interpreter's tuple free lists between full collections
+        # (tests/test_report_memory.py).
+        return tuple([
+            (a, tuple(list(comps)))
+            for a, comps in groupby(self.components, key=attrgetter("weight"))
+        ])
 
     def level_components(self, k: int) -> Tuple[FixedComponent, ...]:
         return self.levels[k][1]
@@ -176,9 +180,12 @@ def level_signature(model: ActionModel) -> Tuple[Tuple[Fraction, tuple], ...]:
     ])
 
 
+_UNIT_WEIGHTS = frozenset((-1, 0, 1))
+
+
 def unit_tangent_weights(weights: Iterable[int]) -> bool:
     """The equalization rule: every tangent weight is -1, 0 or 1."""
-    return all(w in (-1, 0, 1) for w in weights)
+    return _UNIT_WEIGHTS.issuperset(weights)
 
 
 def check_action(components: Iterable[FixedComponent], dim_x: int) -> list[Violation]:
@@ -216,13 +223,16 @@ def check_action(components: Iterable[FixedComponent], dim_x: int) -> list[Viola
         return violations
 
     w_min, w_max = weights[0], weights[-1]
+    extremal = {"sink": 0, "source": 0}  # components at each end
     for c in comps:
         if c.weight == w_min:
+            extremal["sink"] += 1
             if c.nu_minus != 0:
                 violations.append(
                     Violation(EXTREMAL_NONZERO_NU, f"sink component {c.name!r} has nu_minus != 0", c.name)
                 )
         elif c.weight == w_max:
+            extremal["source"] += 1
             if c.nu_plus != 0:
                 violations.append(
                     Violation(EXTREMAL_NONZERO_NU, f"source component {c.name!r} has nu_plus != 0", c.name)
@@ -236,8 +246,8 @@ def check_action(components: Iterable[FixedComponent], dim_x: int) -> list[Viola
                         c.name,
                     )
                 )
-    for w, label in ((w_min, "sink"), (w_max, "source")):
-        if sum(1 for c in comps if c.weight == w) != 1:
+    for label, count in extremal.items():
+        if count != 1:
             violations.append(
                 Violation(REDUCIBLE_EXTREMAL_LEVEL, f"{label} level has more than one component")
             )
@@ -266,11 +276,14 @@ def validate_action(
     if violations:
         raise InvalidActionError(violations)
 
-    offset = min(c.weight for c in comps)
-    w_max = max(c.weight for c in comps)
+    comps.sort(key=lambda c: (c.weight, c.name))
+    offset, w_max = comps[0].weight, comps[-1].weight
     normalized = tuple([
-        replace(c, weight=c.weight - offset, inner=(c.weight != offset and c.weight != w_max))
-        for c in sorted(comps, key=lambda c: (c.weight, c.name))
+        FixedComponent(
+            c.name, c.weight - offset, c.dim, c.nu_minus, c.nu_plus,
+            inner=c.weight != offset and c.weight != w_max,
+        )
+        for c in comps
     ])
     return ActionModel(
         dim_x=dim_x,

@@ -229,7 +229,7 @@ def verify_row(instance: RowInstance, max_cosets: int = DEFAULT_MAX_COSETS) -> R
         model = result.model
         signatures.append(level_signature(model))
         tag = f"{instance.family}, grading node {node}"
-        weights = tuple(int(a) for a in model.critical_values)
+        weights = tuple([int(a) for a in model.critical_values])
         if weights != instance.expected_weights:
             failures.append(f"{tag}: weights {weights} != {instance.expected_weights}")
             continue

@@ -15,7 +15,10 @@ W_L of the Levi subgroup L, whose roots are those of cocharacter weight zero
 derivation walks those weights only, one per component; the number of zero /
 positive / negative tangent weights there gives the component's dimension and
 the normal ranks ``nu_plus`` / ``nu_minus`` toward higher and lower critical
-values.
+values.  The walk is depth first and stops at the last component: the steps
+between components are symmetric under W_L, so they reach every component,
+and each component's point count |W_L| / |W_{L,mu}| is exact, so the counts
+add up to |W/W_P| just when every component is found.
 
 Weights are kept as Dynkin labels and roots as indices into the root
 system's integer ``RootTable``, so the whole derivation is integer sums and
@@ -25,9 +28,10 @@ table lookups.
 from __future__ import annotations
 
 import functools
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import mul
+from itertools import groupby
+from operator import itemgetter, mul
 from typing import Dict, Sequence, Tuple
 
 from ..actions import (
@@ -38,7 +42,7 @@ from ..actions import (
     unit_tangent_weights,
     validate_action,
 )
-from .roots import RootSystem, RootTable, build_root_system, weyl_order
+from .roots import RootSystem, RootTable, build_root_system, is_short_grading, weyl_order
 
 
 class IllegalRangeError(ActionError):
@@ -99,10 +103,6 @@ def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
     return sum(map(any, zip(*([c[n - 1] for c in positive] for n in nodes))))
 
 
-def _pair(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(map(mul, u, v))
-
-
 def _levi_simple_roots(table: RootTable, root_pairings: Sequence[int]) -> list[int]:
     """Simple roots of the positive roots of weight zero.
 
@@ -112,37 +112,46 @@ def _levi_simple_roots(table: RootTable, root_pairings: Sequence[int]) -> list[i
     exactly when ``<beta, alpha^vee> > 0``.
     """
     simple: list[int] = []
+    coroots: list[Tuple[int, ...]] = []
     for r in range(table.n_positive):
-        if root_pairings[r] == 0 and all(
-            _pair(table.labels[r], table.coroots[a]) <= 0 for a in simple
-        ):
-            simple.append(r)
+        if not root_pairings[r]:
+            labels = table.labels[r]
+            for c in coroots:
+                if sum(map(mul, labels, c)) > 0:
+                    break
+            else:
+                simple.append(r)
+                coroots.append(table.coroots[r])
     return simple
 
 
 class _Levi:
     """The Levi subgroup L of a cocharacter: the roots of weight zero, with
-    simple roots ``simple`` and Cartan matrix ``cartan``."""
+    simple roots ``simple``, Cartan matrix ``cartan`` and Weyl group order
+    ``order``."""
 
     def __init__(self, table: RootTable, root_pairings: Sequence[int]):
         self.table = table
         self.root_pairings = root_pairings
         self.simple = _levi_simple_roots(table, root_pairings)
         self.coroots = [table.coroots[a] for a in self.simple]
-        self.cartan = tuple(
-            tuple(_pair(table.labels[b], c) for b in self.simple) for c in self.coroots
-        )
+        labels = [table.labels[b] for b in self.simple]
+        self.cartan = tuple([
+            tuple([sum(map(mul, b, c)) for b in labels]) for c in self.coroots
+        ])
+        self.order = weyl_order(self.cartan, range(len(self.simple)))
         # per simple root j, the (i, <alpha_j, alpha_i^vee>) with a nonzero entry
         self._cartan_columns = [
             [(i, row[j]) for i, row in enumerate(self.cartan) if row[j]]
             for j in range(len(self.simple))
         ]
 
-    def dominant(self, mu: Tuple[int, ...]) -> Tuple[Tuple[int, ...], list[int]]:
-        """The L-dominant weight in the W_L-orbit of ``mu``, reached by
+    def dominant(self, mu: Tuple[int, ...]) -> Tuple[Tuple[int, ...], list[int], list[int]]:
+        """The L-dominant weight ``w`` in the W_L-orbit of ``mu``, reached by
         reflecting in simple roots of L that pair negatively; also the
-        multiple ``t[j]`` of each simple root ``alpha_j`` added on the way."""
-        q = [_pair(mu, c) for c in self.coroots]
+        multiple ``t[j]`` of each simple root ``alpha_j`` added on the way,
+        and the pairings ``q[j] = <w, alpha_j^vee>``."""
+        q = [sum(map(mul, mu, c)) for c in self.coroots]
         t = [0] * len(q)
         stack = [j for j, x in enumerate(q) if x < 0]
         while stack:
@@ -158,62 +167,82 @@ class _Levi:
         labels = self.table.labels
         for tj, a in zip(t, self.simple):
             if tj:
-                mu = tuple(m + tj * b for m, b in zip(mu, labels[a]))
-        return mu, t
+                mu = tuple([m + tj * b for m, b in zip(mu, labels[a])])
+        return mu, t, q
 
-    def points(self, mu: Tuple[int, ...]) -> int:
-        """Number of fixed points in the component of the L-dominant ``mu``:
-        |W_L| / |W_{L, mu}|, the stabilizer generated by the simple roots of L
-        orthogonal to ``mu`` (Chevalley)."""
-        fixed = [i for i, c in enumerate(self.coroots) if _pair(mu, c) == 0]
-        return weyl_order(self.cartan, range(len(self.simple))) // weyl_order(self.cartan, fixed)
+    def walk(self, node: int, total: int) -> list[tuple]:
+        """One weight per fixed component of the variety marked at ``node``,
+        whose ``total`` fixed points are |W/W_P|.
 
-    def walk(self, node: int) -> list[tuple]:
-        """One weight per fixed component of the variety marked at ``node``.
+        The walk is depth first from the fundamental weight.  It takes its
+        next step from the component found last: that component's
+        L-dominant weight ``mu`` is reflected in the next positive root
+        ``gamma`` outside L with ``<mu, gamma^vee> != 0`` and made
+        L-dominant again.  A component with no such root left is dropped.
+        The order of the steps only decides how soon the last component
+        turns up.
+        The steps are symmetric under W_L: if ``y = u x`` with ``u`` in
+        W_L, then ``W_L s_i x = W_L s_{u(alpha_i)} y``, so stepping from one
+        weight per component reaches every component.  Each component holds
+        |W_L| / |W_{L,mu}| points, the stabilizer generated by the simple
+        roots of L orthogonal to ``mu`` (Chevalley), and holds only one
+        L-dominant weight.  So the sum of these counts over the components
+        found is exact, and it reaches ``total`` just when every component
+        is found; the walk stops there.
 
-        Starting at the fundamental weight, each L-dominant weight ``mu`` is
-        reflected in every positive root ``gamma`` outside L with
-        ``<mu, gamma^vee> != 0`` and made L-dominant again.  If ``y = u x``
-        with ``u`` in W_L, then ``W_L s_i x = W_L s_{u(alpha_i)} y``, so these
-        steps reach every component.  Returns ``(mu, depth, scan)``
-        per component in breadth-first order: ``depth`` is the fundamental
-        weight minus ``mu`` in simple-root coordinates, ``scan`` the pairs
-        ``(r, <mu, beta_r^vee>)`` over the positive roots ``beta_r`` that
-        pair nonzero with ``mu``, so that ``beta_r`` (``p > 0``) or its
-        negative (``p < 0``) is a tangent root at ``mu``.
+        Returns ``(mu, depth, scan, points)`` per component, in the order
+        found: ``depth`` is the fundamental weight minus ``mu`` in
+        simple-root coordinates, ``scan`` the pairs ``(r, <mu, beta_r^vee>)``
+        over the positive roots ``beta_r`` that pair nonzero with ``mu``, so
+        that ``beta_r`` (``p > 0``) or its negative (``p < 0``) is a tangent
+        root at ``mu``, and ``points`` the component's number of points.
         """
         table = self.table
-        rank = len(table.reflections)
-        # coroot_columns[i][r]: i-th coordinate of the coroot of positive root r
-        coroot_columns = list(zip(*table.coroots[: table.n_positive]))
+        pairings = self.root_pairings
+        labels, coords, columns = table.labels, table.coords, table.coroot_columns
+        n = table.n_positive
 
-        def scan(mu):
-            acc = [0] * table.n_positive
-            for m, col in zip(mu, coroot_columns):
+        def component(mu, depth, q) -> tuple:
+            acc = [0] * n
+            for m, col in zip(mu, columns):
                 if m:
                     acc = [a + m * c for a, c in zip(acc, col)]
-            return [(r, p) for r, p in enumerate(acc) if p]
+            # steps away from the fundamental weight first, lowest root
+            # first, then steps back toward it, highest root first
+            scan = [(r, p) for r, p in enumerate(acc) if p > 0]
+            scan += [(r, acc[r]) for r in range(n - 1, -1, -1) if acc[r] < 0]
+            stabilizer = [j for j, x in enumerate(q) if not x]
+            return mu, depth, scan, self.order // weyl_order(self.cartan, stabilizer)
 
-        # the fundamental weight is dominant, so L-dominant
-        start = tuple(int(i == node - 1) for i in range(rank))
-        queue = [(start, (0,) * rank)]
+        # the fundamental weight is dominant, so L-dominant, and pairs with
+        # a coroot as the coroot's coordinate at the node
+        rank = len(table.reflections)
+        start = tuple([int(i == node - 1) for i in range(rank)])
+        out = [component(start, (0,) * rank, [c[node - 1] for c in self.coroots])]
         seen = {start}
-        out = []
-        for mu, depth in queue:
-            pairs = scan(mu)
-            out.append((mu, depth, pairs))
-            for r, p in pairs:
-                if self.root_pairings[r] == 0:  # a root of L: same component
-                    continue
-                w, t = self.dominant(tuple(a - p * b for a, b in zip(mu, table.labels[r])))
-                if w in seen:
-                    continue
-                seen.add(w)
-                moved = tuple(d + p * c for d, c in zip(depth, table.coords[r]))
-                for tj, a in zip(t, self.simple):
-                    if tj:
-                        moved = tuple(d - tj * c for d, c in zip(moved, table.coords[a]))
-                queue.append((w, moved))
+        count = out[0][3]
+        stack = [[out[0], 0]]  # a component and the next position in its scan
+        while count < total:
+            frame = stack[-1]
+            (mu, depth, scan, _), k = frame
+            while k < len(scan) and not pairings[scan[k][0]]:  # a root of L
+                k += 1
+            if k == len(scan):
+                stack.pop()
+                continue
+            frame[1] = k + 1
+            r, p = scan[k]
+            w, t, q = self.dominant(tuple([a - p * b for a, b in zip(mu, labels[r])]))
+            if w in seen:
+                continue
+            seen.add(w)
+            moved = [d + p * c for d, c in zip(depth, coords[r])]
+            for tj, a in zip(t, self.simple):
+                if tj:
+                    moved = [d - tj * c for d, c in zip(moved, coords[a])]
+            out.append(component(w, tuple(moved), q))
+            count += out[-1][3]
+            stack.append([out[-1], 0])
         return out
 
 
@@ -232,21 +261,21 @@ def enumerate_fixed_points(
     Off the pipeline path: ``build_action`` visits one weight per fixed
     component.  This is the same walk for the regular cocharacter
     (1, ..., 1), whose Levi subgroup is the torus, so that every component is
-    a single point.  Points come in breadth-first order from the
-    fundamental weight.
+    a single point: the walk goes depth first from the fundamental weight
+    and stops at the |W/W_P|-th point.
     """
     space.check_cap(max_cosets)
     table = space.datum.table
     n = table.n_positive
     levi = _Levi(table, table.pairings((1,) * space.datum.rank))
-    return tuple(
+    return tuple([
         FixedPoint(
             weight=mu,
             depth=depth,
-            tangent_roots=tuple(r if p > 0 else r + n for r, p in scan),
+            tangent_roots=tuple(sorted([r if p > 0 else r + n for r, p in scan])),
         )
-        for mu, depth, scan in levi.walk(space.node)
-    )
+        for mu, depth, scan, _ in levi.walk(space.node, space.fixed_point_count)
+    ])
 
 
 def _suffix(idx: int, count: int) -> str:
@@ -287,41 +316,35 @@ def build_action(
     A non-short grading only warns; the equalization verdict is then derived
     from the tangent pairings themselves.
     """
-    from .roots import grading
-
     space.check_cap(max_cosets)
     root_pairings = space.datum.table.pairings(cocharacter)
     levi = _Levi(space.datum.table, root_pairings)
-    walk = levi.walk(space.node)
+    walk = levi.walk(space.node, space.fixed_point_count)
     # linearization level, up to a constant: the cocharacter paired with the depth
-    levels = [_pair(cocharacter, depth) for _, depth, _ in walk]
+    levels = [sum(map(mul, cocharacter, depth)) for _, depth, _, _ in walk]
     offset = min(levels)
     records = []
-    for level, (mu, _, scan) in zip(levels, walk):
+    for level, (_, _, scan, points) in zip(levels, walk):
         # the Levi Weyl group fixes the cocharacter, so one point per
         # component carries all of its tangent weights
-        cert = tuple(sorted(root_pairings[r] if p > 0 else -root_pairings[r] for r, p in scan))
-        zeros = sum(1 for m in cert if m == 0)
-        pos = sum(1 for m in cert if m > 0)
-        records.append((level - offset, zeros, pos, len(cert) - zeros - pos, cert, mu))
+        cert = tuple(sorted([root_pairings[r] if p > 0 else -root_pairings[r] for r, p in scan]))
+        neg, pos = bisect_left(cert, 0), len(cert) - bisect_right(cert, 0)
+        records.append((level - offset, len(cert) - neg - pos, pos, neg, cert, points))
 
     # deterministic names: level index, then letters when a level is
-    # reducible; the point count breaks ties, and is computed only for them
-    ties = Counter(rec[:5] for rec in records)
-    records = [rec[:5] + (levi.points(rec[5]) if ties[rec[:5]] > 1 else 0,) for rec in records]
+    # reducible; the point count breaks ties
     records.sort()
-    level_values = sorted({rec[0] for rec in records})
     components = []
     certificates: Dict[str, Tuple[int, ...]] = {}
-    for value in level_values:
-        at_level = [rec for rec in records if rec[0] == value]
-        for idx, (w, zeros, pos, neg, cert, _count) in enumerate(at_level):
-            name = f"Y{level_values.index(value)}{_suffix(idx, len(at_level))}"
+    for k, (_, group) in enumerate(groupby(records, key=itemgetter(0))):
+        at_level = list(group)
+        for idx, (w, zeros, pos, neg, cert, _points) in enumerate(at_level):
+            name = f"Y{k}{_suffix(idx, len(at_level))}"
             components.append(FixedComponent(name, w, zeros, nu_minus=neg, nu_plus=pos))
             certificates[name] = cert
 
     equalized = all(unit_tangent_weights(cert) for cert in certificates.values())
-    short = grading(space.datum, cocharacter).is_short
+    short = is_short_grading(root_pairings)
     warnings = [] if short else ["GradingNotShort: grading support exceeds {-1, 0, 1}"]
     model = validate_action(
         components,
@@ -332,7 +355,7 @@ def build_action(
     return LieActionResult(
         model=model,
         space_label=space.label,
-        cocharacter=tuple(int(n) for n in cocharacter),
+        cocharacter=tuple([int(n) for n in cocharacter]),
         fixed_point_count=space.fixed_point_count,
         tangent_certificates=certificates,
         is_short=short,
@@ -398,5 +421,5 @@ def grassmannian_model(n: int, i: int, k: int) -> ActionModel:
 def grassmannian_action(n: int, i: int, k: int, max_cosets: int = DEFAULT_MAX_COSETS) -> LieActionResult:
     """The same action computed independently by coset enumeration."""
     datum = build_root_system("A", n)
-    cochar = tuple(1 if idx == k - 1 else 0 for idx in range(n))
+    cochar = tuple([1 if idx == k - 1 else 0 for idx in range(n)])
     return build_action(HomogeneousSpace(datum, i), cochar, max_cosets=max_cosets)

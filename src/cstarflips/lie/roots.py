@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from ..actions import ActionError
 
@@ -93,7 +93,7 @@ def _half_norms(cartan: Sequence[Sequence[int]]) -> Tuple[int, ...]:
                 d[j] = d[i] * cartan[i][j] // cartan[j][i]
                 stack.append(j)
     g = math.gcd(*d)
-    return tuple(x // g for x in d)
+    return tuple([x // g for x in d])
 
 
 @dataclass(frozen=True)
@@ -118,6 +118,12 @@ class RootTable:
     def n_positive(self) -> int:
         return len(self.coords) // 2
 
+    @functools.cached_property
+    def coroot_columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """``coroot_columns[i][r]``: the i-th coordinate of the coroot of
+        positive root ``r``."""
+        return tuple(zip(*self.coroots[: self.n_positive]))
+
     def pairings(self, cocharacter: Sequence[int]) -> Tuple[int, ...]:
         """Pairing of every root with sum_k cocharacter[k] * (k-th
         fundamental coweight): the cocharacter-weighted sum of its
@@ -127,8 +133,8 @@ class RootTable:
             raise IllegalTypeError(
                 f"cocharacter has {len(cocharacter)} entries, rank is {rank}"
             )
-        positive = tuple(sum(map(mul, row, cocharacter)) for row in self.coords[: self.n_positive])
-        return positive + tuple(-m for m in positive)
+        positive = [sum(map(mul, row, cocharacter)) for row in self.coords[: self.n_positive]]
+        return tuple(positive + [-m for m in positive])
 
 
 def _root_table(cartan: Sequence[Sequence[int]], n_positive: int) -> RootTable:
@@ -147,9 +153,9 @@ def _root_table(cartan: Sequence[Sequence[int]], n_positive: int) -> RootTable:
     half_norms = _half_norms(cartan)
 
     def labels(c):
-        return tuple(sum(c[j] * cartan[i][j] for j in range(n)) for i in range(n))
+        return tuple([sum(c[j] * cartan[i][j] for j in range(n)) for i in range(n)])
 
-    simple = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    simple = [tuple([int(i == k) for i in range(n)]) for k in range(n)]
     seen = set(simple)
     frontier = simple
     while frontier:
@@ -167,23 +173,23 @@ def _root_table(cartan: Sequence[Sequence[int]], n_positive: int) -> RootTable:
                                 "the Cartan matrix is not of finite type"
                             )
         frontier = new
-    positive = sorted(seen, key=lambda c: (sum(c), tuple(-x for x in c)))
-    coords = positive + [tuple(-x for x in c) for c in positive]
+    positive = sorted(seen, key=lambda c: (sum(c), tuple([-x for x in c])))
+    coords = positive + [tuple([-x for x in c]) for c in positive]
     all_labels = [labels(c) for c in coords]
 
     def coroot(c):
         norm = sum(c[i] * c[j] * half_norms[i] * cartan[i][j] for i in range(n) for j in range(n))
-        return tuple(2 * c[j] * half_norms[j] // norm for j in range(n))
+        return tuple([2 * c[j] * half_norms[j] // norm for j in range(n)])
 
     index = {c: r for r, c in enumerate(coords)}
-    reflections = tuple(
-        tuple(index[c[:k] + (c[k] - lab[k],) + c[k + 1:]] for c, lab in zip(coords, all_labels))
+    reflections = tuple([
+        tuple([index[c[:k] + (c[k] - lab[k],) + c[k + 1:]] for c, lab in zip(coords, all_labels)])
         for k in range(n)
-    )
+    ])
     return RootTable(
         coords=tuple(coords),
         labels=tuple(all_labels),
-        coroots=tuple(coroot(c) for c in coords),
+        coroots=tuple([coroot(c) for c in coords]),
         reflections=reflections,
     )
 
@@ -227,61 +233,63 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
     return RootSystem(dynkin_type=t, rank=rank, cartan_matrix=cartan, table=table)
 
 
+# |W(E_m)| by rank
+_E_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
+
+
 def weyl_order(cartan: Sequence[Sequence[int]], nodes) -> int:
     """Order of the Weyl group of the subdiagram on ``nodes`` (0-based), from
     the classification of its connected pieces.  ``cartan`` is any Cartan
-    matrix, ``cartan[i][j] = <alpha_j, alpha_i^vee>``."""
-    nodes = set(nodes)
+    matrix of finite type, ``cartan[i][j] = <alpha_j, alpha_i^vee>``.  Its
+    diagram is a forest, so one search per piece meets each bond once."""
+    rest = set(nodes)
     order = 1
-    while nodes:
-        comp, stack = set(), [nodes.pop()]
-        while stack:
-            v = stack.pop()
-            comp.add(v)
-            for u in list(nodes):
-                if cartan[v][u]:
-                    nodes.discard(u)
-                    stack.append(u)
-        m = len(comp)
-        bonds = {cartan[i][j] * cartan[j][i] for i in comp for j in comp if i != j}
-        degree = {v: sum(1 for u in comp if u != v and cartan[v][u]) for v in comp}
-        if 3 in bonds:  # G_2
-            order *= 12
-        elif 2 in bonds:  # B_m or C_m, or F_4 with its double bond in the middle
-            ends = [v for v in comp if any(cartan[v][u] * cartan[u][v] == 2 for u in comp)]
-            middle = m == 4 and all(degree[v] == 2 for v in ends)
-            order *= 1152 if middle else 2 ** m * math.factorial(m)
-        elif max(degree.values(), default=0) < 3:  # A_m
-            order *= math.factorial(m + 1)
-        else:  # D_m or E_m, told apart by the arm lengths at the branch node
-            branch = next(v for v in comp if degree[v] == 3)
-            arms = sorted(
-                len(_arm(cartan, comp - {branch}, u))
-                for u in comp if u != branch and cartan[branch][u]
-            )
-            if arms[:2] == [1, 1]:
-                order *= 2 ** (m - 1) * math.factorial(m)
-            else:
-                order *= {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): 696729600}[tuple(arms)]
+    while rest:
+        piece = [rest.pop()]
+        bonds = []  # (v, u, <alpha_u, alpha_v^vee> <alpha_v, alpha_u^vee>)
+        for v in piece:  # the piece grows while it is scanned
+            row = cartan[v]
+            near = [u for u in rest if row[u]]
+            if near:
+                rest.difference_update(near)
+                piece += near
+                bonds += [(v, u, row[u] * cartan[u][v]) for u in near]
+        order *= _irreducible_order(len(piece), bonds)
     return order
 
 
-def _arm(cartan, nodes, start) -> set:
-    arm, stack = {start}, [start]
-    while stack:
-        v = stack.pop()
-        for u in nodes:
-            if u not in arm and cartan[v][u]:
-                arm.add(u)
-                stack.append(u)
-    return arm
+def _irreducible_order(m: int, bonds: list) -> int:
+    """|W| of a connected Dynkin diagram on ``m`` nodes with these bonds."""
+    if m == 1:  # A_1
+        return 2
+    ends = [v for v, _, _ in bonds] + [u for _, u, _ in bonds]  # a node once per bond
+    products = [product for _, _, product in bonds]
+    if 3 in products:  # G_2
+        return 12
+    if 2 in products:  # B_m or C_m, or F_4 with its double bond in the middle
+        v, u, _ = bonds[products.index(2)]
+        middle = m == 4 and ends.count(v) == ends.count(u) == 2
+        return 1152 if middle else 2 ** m * math.factorial(m)
+    branch = [v for v in ends if ends.count(v) == 3]
+    if not branch:  # A_m
+        return math.factorial(m + 1)
+    # D_m has two arms of length one at its branch node, E_m only one
+    b = branch[0]
+    arms = [u if v == b else v for v, u, _ in bonds if b in (v, u)]
+    short_arms = sum(1 for x in arms if ends.count(x) == 1)
+    return 2 ** (m - 1) * math.factorial(m) if short_arms >= 2 else _E_ORDERS[m]
 
 
 def fundamental_cocharacter(rank: int, node: int) -> Tuple[int, ...]:
     """The cocharacter dual to the simple root at ``node`` (1-based)."""
     if not 1 <= node <= rank:
         raise IllegalTypeError(f"node {node} outside 1..{rank}")
-    return tuple(1 if k == node - 1 else 0 for k in range(rank))
+    return tuple([1 if k == node - 1 else 0 for k in range(rank)])
+
+
+def is_short_grading(degrees: Iterable[int]) -> bool:
+    """A grading is short when every degree it takes is -1, 0 or 1."""
+    return max(map(abs, degrees), default=0) <= 1
 
 
 @dataclass(frozen=True)
@@ -293,11 +301,7 @@ class GradingSpec:
 
     @property
     def is_short(self) -> bool:
-        return all(abs(m) <= 1 for m, _ in self.graded_dims)
-
-    @property
-    def support(self) -> Tuple[int, ...]:
-        return tuple(m for m, _ in self.graded_dims)
+        return is_short_grading([m for m, _ in self.graded_dims])
 
     def dim(self, m: int) -> int:
         for degree, d in self.graded_dims:
@@ -312,4 +316,4 @@ def grading(datum: RootSystem, cocharacter: Sequence[int]) -> GradingSpec:
     for m in datum.table.pairings(cocharacter):
         counts[m] = counts.get(m, 0) + 1
     dims = tuple(sorted(counts.items()))
-    return GradingSpec(cocharacter=tuple(int(n) for n in cocharacter), graded_dims=dims)
+    return GradingSpec(cocharacter=tuple([int(n) for n in cocharacter]), graded_dims=dims)

@@ -159,6 +159,18 @@ class TestLazyLie:
         assert code == "0" and "cstarflips.lie.catalog" in loaded
 
 
+def test_lie_import_loads_no_pipeline_module():
+    """The package resolves its exports on first use, so importing a Lie
+    module loads neither the chamber and flip code nor the report."""
+    probe = "import sys, cstarflips.lie.catalog; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True, check=True, timeout=120)
+    loaded = proc.stdout.split()
+    assert "cstarflips.lie.catalog" in loaded
+    for name in ("chambers", "modifications", "report", "specfiles"):
+        assert f"cstarflips.{name}" not in loaded
+
+
 class TestClosedStdout:
     def test_reader_closes_the_pipe_after_the_first_line(self):
         """1,000 reports (about 400 kB) are more than a pipe holds, so the

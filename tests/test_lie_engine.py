@@ -405,14 +405,13 @@ def test_levi_simple_roots_are_not_sums(case):
 def walk_records(datum, node, cochar):
     """(level, certificate, points) per component, from the walk."""
     pairings = datum.table.pairings(cochar)
-    levi = _Levi(datum.table, pairings)
-    walk = levi.walk(node)
-    levels = [sum(n * d for n, d in zip(cochar, depth)) for _, depth, _ in walk]
+    walk = _Levi(datum.table, pairings).walk(node, HomogeneousSpace(datum, node).fixed_point_count)
+    levels = [sum(n * d for n, d in zip(cochar, depth)) for _, depth, _, _ in walk]
     return sorted(
         (level - min(levels),
          tuple(sorted(pairings[r] if p > 0 else -pairings[r] for r, p in scan)),
-         levi.points(mu))
-        for level, (mu, _, scan) in zip(levels, walk)
+         points)
+        for level, (_, _, scan, points) in zip(levels, walk)
     )
 
 
@@ -429,24 +428,16 @@ def test_component_points_match_oracle(case):
     assert sum(points for *_, points in got) == HomogeneousSpace(datum, node).fixed_point_count
 
 
-def test_point_count_breaks_a_naming_tie(monkeypatch):
+def test_point_count_breaks_a_naming_tie():
     """B_5(3) with cocharacter (0, 1, 0, 0, 0): level 2 holds two components
     with the same dimension, normal ranks and certificate, of 8 and 12
-    points.  Only they get a point count, and they are named Y2a and Y2b
+    points.  The walk counts their points, and they are named Y2a and Y2b
     (their report entries agree, so the names cannot swap anything)."""
     datum = build_root_system("B", 5)
     space = HomogeneousSpace(datum, 3)
     cochar = (0, 1, 0, 0, 0)
-    counted = []
-    points = _Levi.points
-
-    def recording(self, mu):
-        counted.append(points(self, mu))
-        return counted[-1]
-
-    monkeypatch.setattr(_Levi, "points", recording)
     res = build_action(space, cochar)
-    assert sorted(counted) == [8, 12]
+    assert [points for level, _, points in walk_records(datum, 3, cochar) if level == 2] == [8, 12]
     level2 = [(c.name, c.weight, c.dim, c.nu_minus, c.nu_plus, res.tangent_certificates[c.name])
               for c in res.model.components if c.weight == 2]
     cert = (-1,) * 6 + (0,) * 6 + (1,) * 6
@@ -454,6 +445,21 @@ def test_point_count_breaks_a_naming_tie(monkeypatch):
     ref = oracle("B", 5, 3)
     assert sorted(rec[5] for rec in ref.records(cochar) if rec[0] == 2) == [8, 12]
     assert engine_outcome(space, cochar) == oracle_outcome(datum, 3, cochar)
+
+
+def dominant_calls(monkeypatch, space, cochar, **kwargs):
+    """The derived action and the number of ``_Levi.dominant`` calls made."""
+    calls = []
+    dominant = _Levi.dominant
+
+    def counting(self, mu):
+        calls.append(mu)
+        return dominant(self, mu)
+
+    monkeypatch.setattr(_Levi, "dominant", counting)
+    res = build_action(space, cochar, **kwargs)
+    monkeypatch.undo()
+    return res, len(calls)
 
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -496,3 +502,24 @@ def test_e8_components(node, k, points, components):
         for w, dim, down, up, cert in signature(minus)
     )
     assert sum(count for *_, count in walk_records(datum, node, cochar)) == points
+
+
+def test_walk_stops_at_the_last_component(monkeypatch):
+    """The walk stops once the point counts of the components found add up
+    to |W/W_P|: E_8(4) at cocharacter omega_4 has 1,437 components, and
+    walking every step from each of them makes 136,390 ``dominant`` calls."""
+    space = HomogeneousSpace(build_root_system("E", 8), 4)
+    res, calls = dominant_calls(monkeypatch, space, fundamental_cocharacter(8, 4),
+                                max_cosets=500_000)
+    assert len(res.model.components) == 1437
+    assert calls < 40_000
+
+
+def test_walk_steps_per_component_on_shipped_specs(monkeypatch):
+    lie_specs = [spec for spec in map(parse_spec, sorted(SPECS.glob("*.json"))) if spec.lie]
+    assert lie_specs
+    for spec in lie_specs:
+        space = HomogeneousSpace(build_root_system(spec.lie.dynkin_type, spec.lie.rank),
+                                 spec.lie.node)
+        res, calls = dominant_calls(monkeypatch, space, spec.lie.cocharacter)
+        assert calls <= 2 * len(res.model.components), spec.name

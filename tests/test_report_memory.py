@@ -11,18 +11,26 @@ lists, which does not drift.
 
 import random
 import sys
+from pathlib import Path
 
 from conftest import synthetic_case_model
 from test_report_export import random_spec
 from test_report_golden import CASES, _model_spec
 
 from cstarflips.report import run_pipeline
-from cstarflips.specfiles import parse_spec_dict
+from cstarflips.specfiles import parse_spec, parse_spec_dict
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+# One variety per type at a fundamental cocharacter with a short grading:
+# (type, rank, marked node, cocharacter node).
+LIE_ITEMS = (("A", 5, 3, 3), ("B", 4, 1, 1), ("C", 4, 4, 4), ("D", 5, 5, 5), ("E", 6, 1, 6))
 
 PASSES = 100
 # Over 100 passes the chains below drift by a few blocks when the per-item
 # path builds tuples from lists, and by 9,000 to 15,000 when it builds them
-# from generators.
+# from generators.  With the Lie specs the drift is about 1,000 blocks, and
+# 10,199 when the Lie path builds its tuples from generators.
 MAX_DRIFT_BLOCKS = 2000
 
 
@@ -33,7 +41,12 @@ def _chains() -> list:
     ]
     rng = random.Random(3)
     specs += [random_spec(rng) for _ in range(10)]
-    return [parse_spec_dict(spec) for spec in specs]
+    for t, n, node, k in LIE_ITEMS:
+        cochar = [int(i == k - 1) for i in range(n)]
+        specs.append({"name": f"{t}{n}({node})", "lie": {
+            "type": t, "rank": n, "node": node, "cocharacter": cochar}})
+    parsed = [parse_spec_dict(spec) for spec in specs]
+    return parsed + [spec for spec in map(parse_spec, sorted(SPECS.glob("*.json"))) if spec.lie]
 
 
 def test_reports_do_not_grow_the_heap():
