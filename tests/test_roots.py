@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import EuclideanRootSystem
@@ -14,6 +16,59 @@ from cstarflips.lie.roots import (
 
 LEGAL = [(t, n) for t, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(low, MAX_RANK + 1)] \
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+# sha256 of repr((coords, labels, coroots)) over the positive roots, in index
+# order: every legal type at rank <= 8, the exceptional types, and A-D at the
+# rank cap.
+TABLE_DIGESTS = {
+    ("A", 1): "6afbf83b8a4eb6821e252b4c2c17cb6dc4ed89c1608b02c29c1e660e7510655f",
+    ("A", 2): "eeca061e82f8dca804daf0a4486dce9e36074150a2c552e6499894727803b9e9",
+    ("A", 3): "8bd920b26dc311eb2cb75b9ff50acd83eb2485174aa69750ab105b7cdc775c52",
+    ("A", 4): "e7c1934f39f16416eac8a76c500fb06d1c7f7ed75758f9a1f89e52f9915a384a",
+    ("A", 5): "a256bc4003c0485d4e0ce8c469bb4dac7785a99a82708acb5fd88ccef03ad5c7",
+    ("A", 6): "dc78fa78e7c07bc139aba7575c54b0bffad346687c3f924fc77952f450c25554",
+    ("A", 7): "1af69fbfcc35f158e8fca86b509617932ac2b6522fbb52f26f394e204fece1aa",
+    ("A", 8): "eca8a131bc1d01c3c3882dcac6ddfa82627d60cc0b15b90c79e70725aa0de65a",
+    ("B", 2): "8bab0b76b43d3c5ca9d8c2f9fdf0422653f41ab7baaef4530e828b329caa3038",
+    ("B", 3): "ad2df2680a286c43e5e88d30856e8ac4e468502ef34ce9839aa662e8de929040",
+    ("B", 4): "d8e922f0aaa2c106ad9029611479c8d09a98de7524349147dec5d072fdf926fe",
+    ("B", 5): "2cb2732859701842cee233d2c21458c98a761174bc3068d217f148ff1d9b9f50",
+    ("B", 6): "f5e77e4acf782c2d0fe73e6b053f5ef6fb9f172da9764f8006616c6282d7be9c",
+    ("B", 7): "edd814e059d05517786e7fe7d8a714be88e2f2c42ab2463c0cc80033b5f12fa3",
+    ("B", 8): "0f4852fa6ba33b65c14ef49fab85fd7b68f225a5e594c5c4ad1295feb44b0002",
+    ("C", 2): "ccebbf60e92637dabb684a21829ecb7839f231ff20191cdc562e43da620e35bb",
+    ("C", 3): "a88ff2b5044e3742ebdfb2af455f794a90edf1f986ef000237a85a1225c494d9",
+    ("C", 4): "3a2a1f6dcf940bf727953fc9e19b79b0595bbb27a1d78f64f7679e5ca499223e",
+    ("C", 5): "d3b164929a9d9df3b356f9c9cb8ca32733a2faa2d440c8c0634c5e250dddbaa1",
+    ("C", 6): "30a4ffb76a57bdf3b75c0c578f77fd550deb80c3dc7d3e680b7021b2c76a7d9a",
+    ("C", 7): "878b73b6033e33cd8059f6a044d82d2c082dcca026bce6d6f2925f697dfdf5f1",
+    ("C", 8): "76a93f5d8125460eb9d62ab01ebdb1704a7bcce8c9fc50a05cecf359db5532ab",
+    ("D", 3): "4f689ad925b086400c9ba47ad92cd75b316662a9e4b5332d70668c87ca84f4fb",
+    ("D", 4): "1a036652d73ada53614e4bfbb64d24219c21dd0470b8bb5dcf43c65c784e3ffd",
+    ("D", 5): "ec5963db0cfdc5d9037295197d6c60bb32106e075967a0053eda5f2c7d4dccf0",
+    ("D", 6): "73a46dae46f5075938870eb14979ab04d852b5941ba032a7c002383f9bce4b7f",
+    ("D", 7): "a8de5265ae1d8c1076492db318f0e2736d48ff24dd93adb13532f7421b43a023",
+    ("D", 8): "245c2e13448c9370af945ae9607340315fa6e7cfaa284ad16f180e6f16983123",
+    ("E", 6): "59235a3d6c0ebd747b768c9a38be0e13a21ebbdf0d99d473f98dbaef6d33084b",
+    ("E", 7): "9798bc81d16390194b93db14b7e75437d9789cfdb092f397edd067ffb1dd81b6",
+    ("E", 8): "bd8693b5b895af7d239a303445b866a9f8b9691cc6e09ef2504274dea9517915",
+    ("F", 4): "9819e579f3bd4fe460e021be55e9ef3c843a70c3478e832604485ceb54308b0b",
+    ("G", 2): "af8a89c1998d1cddde854d4a2a9341ff36c346bf4707ffc9d42172e906f6ad5c",
+    ("A", 32): "de204ac5655f5eb489e639296cdf0e7fef576e54dca4f1ef89a8789b918d364e",
+    ("B", 32): "342d32369ba029fc1c4360a4726845abd2c6a2cb9de937d99a09b74e7310fbce",
+    ("C", 32): "d1fe15a1789e0c6010491e3da793b279b0d1d5caaf117d5cd398c20829f0b673",
+    ("D", 32): "6aa6542babd468171b4f5a3d07568f5e8447a678d951a980cde40c382ded6019",
+}
+
+
+@pytest.mark.parametrize("dynkin_type,rank", list(TABLE_DIGESTS))
+def test_positive_roots_pinned(dynkin_type, rank):
+    """The positive roots, their Dynkin labels and coroots, index for index."""
+    table = build_root_system(dynkin_type, rank).table
+    n = table.n_positive
+    part = (table.coords[:n], table.labels[:n], table.coroots[:n])
+    assert hashlib.sha256(repr(part).encode()).hexdigest() == TABLE_DIGESTS[dynkin_type, rank]
 
 
 class TestRootCounts:
