@@ -214,15 +214,15 @@ def _cmd_dynkin(args) -> int:
               file=sys.stderr)
         return EXIT_PARSE
     datum = build_root_system(args.type, args.rank)
-    print(f"{datum.name}: {datum.table.n_positive} positive roots, "
+    print(f"{datum.name}: {datum.n_positive} positive roots, "
           f"Lie algebra dimension {datum.dim_lie_algebra}")
-    if cochar is None and args.cochar_node:
+    if cochar is None and args.cochar_node is not None:
         cochar = fundamental_cocharacter(args.rank, args.cochar_node)
     if cochar is not None:
         g = grading(datum, cochar)
         dims = ", ".join(f"g_{m}: {d}" for m, d in g.graded_dims)
         print(f"grading by {list(cochar)}: {dims}  short: {g.is_short}")
-    if args.node:
+    if args.node is not None:
         if cochar is None:
             raise ActionError("--node needs --cochar or --cochar-node")
         result = build_action(
@@ -238,7 +238,10 @@ def _cmd_dynkin(args) -> int:
 
 def _cmd_catalog(args) -> int:
     from .lie.catalog import catalog, label_text, verify_row
+    from .lie.roots import MAX_RANK
 
+    if args.max_rank > MAX_RANK:
+        raise ActionError(f"--max-rank {args.max_rank}: rank above {MAX_RANK}")
     cat = catalog()
     print("table 1 (criticality one, horospherical pairs):")
     for row in cat.table1:
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list (and optionally verify) the catalog")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-rank", type=int, default=6)
+    p.add_argument("--max-rank", type=_positive_int, default=6)
     p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.set_defaults(func=_cmd_catalog)
     return parser

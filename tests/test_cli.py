@@ -117,6 +117,30 @@ class TestArguments:
         assert captured.out == "A_3: 6 positive roots, Lie algebra dimension 15\n"
         assert captured.err == "error: --node needs --cochar or --cochar-node\n"
 
+    @pytest.mark.parametrize("argv", [["--node", "0", "--cochar-node", "1"], ["--cochar-node", "0"]],
+                             ids=["node", "cochar-node"])
+    def test_dynkin_node_zero(self, argv, capsys):
+        """Node 0 is outside 1..rank like any other, not taken as no node."""
+        assert main(["dynkin", "A", "3", *argv]) == 2
+        assert capsys.readouterr().err == "error: node 0 outside 1..3\n"
+
+    def test_catalog_max_rank_above_the_cap(self, capsys):
+        """Refused before any row is verified, not at the first rank past
+        the cap."""
+        assert main(["catalog", "--verify", "--max-rank", str(roots.MAX_RANK + 8)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --max-rank {roots.MAX_RANK + 8}: rank above {roots.MAX_RANK}\n"
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_catalog_max_rank_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "--verify", "--max-rank", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"expected a positive integer, got '{value}'" in captured.err
+
 
 # Runs cli.main on argv in a fresh interpreter, then prints the exit code and
 # the cstarflips.lie modules the call left loaded.

@@ -200,7 +200,11 @@ FUNDAMENTAL_ONLY = [("A", 5), ("D", 5), ("F", 4), ("G", 2), ("E", 6)]
 def test_fixed_points_match_oracle(dynkin_type, rank):
     """Same orbit, same tangent roots at every point, in the other coordinates."""
     datum = build_root_system(dynkin_type, rank)
-    table = datum.table
+    n = datum.n_positive
+
+    def root(t):  # index t >= n names the negative of positive root t - n
+        return datum.coords[t] if t < n else tuple(-c for c in datum.coords[t - n])
+
     for node in range(1, rank + 1):
         ref = oracle(dynkin_type, rank, node)
         expected = {
@@ -209,7 +213,7 @@ def test_fixed_points_match_oracle(dynkin_type, rank):
             for w, ts in zip(ref.weights, ref.tangents)
         }
         got = {
-            p.weight: frozenset(table.coords[t] for t in p.tangent_roots)
+            p.weight: frozenset(root(t) for t in p.tangent_roots)
             for p in enumerate_fixed_points(HomogeneousSpace(datum, node))
         }
         assert got == expected
@@ -389,12 +393,12 @@ def test_levi_simple_roots_are_not_sums(case):
     """The height-order scan finds exactly the weight-zero positive roots
     that are not the sum of two weight-zero positive roots."""
     dynkin_type, rank, cochar = case
-    table = build_root_system(dynkin_type, rank).table
-    pairings = table.pairings(cochar)
-    zero = [r for r in range(table.n_positive) if pairings[r] == 0]
-    sums = {tuple(a + b for a, b in zip(table.coords[u], table.coords[v]))
+    datum = build_root_system(dynkin_type, rank)
+    pairings = datum.pairings(cochar)
+    zero = [r for r in range(datum.n_positive) if pairings[r] == 0]
+    sums = {tuple(a + b for a, b in zip(datum.coords[u], datum.coords[v]))
             for u in zero for v in zero}
-    assert _levi_simple_roots(table, pairings) == [r for r in zero if table.coords[r] not in sums]
+    assert _levi_simple_roots(datum, pairings) == [r for r in zero if datum.coords[r] not in sums]
 
 
 # --------------------------------------------------------------------------
@@ -404,8 +408,8 @@ def test_levi_simple_roots_are_not_sums(case):
 
 def walk_records(datum, node, cochar):
     """(level, certificate, points) per component, from the walk."""
-    pairings = datum.table.pairings(cochar)
-    walk = _Levi(datum.table, pairings).walk(node, HomogeneousSpace(datum, node).fixed_point_count)
+    pairings = datum.pairings(cochar)
+    walk = _Levi(datum, pairings).walk(node, HomogeneousSpace(datum, node).fixed_point_count)
     levels = [sum(n * d for n, d in zip(cochar, depth)) for _, depth, _, _ in walk]
     return sorted(
         (level - min(levels),

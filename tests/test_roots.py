@@ -14,6 +14,11 @@ from cstarflips.lie.roots import (
     grading,
 )
 
+
+def negate(vector):
+    return tuple(-x for x in vector)
+
+
 LEGAL = [(t, n) for t, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(low, MAX_RANK + 1)] \
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 
@@ -65,9 +70,8 @@ TABLE_DIGESTS = {
 @pytest.mark.parametrize("dynkin_type,rank", list(TABLE_DIGESTS))
 def test_positive_roots_pinned(dynkin_type, rank):
     """The positive roots, their Dynkin labels and coroots, index for index."""
-    table = build_root_system(dynkin_type, rank).table
-    n = table.n_positive
-    part = (table.coords[:n], table.labels[:n], table.coroots[:n])
+    datum = build_root_system(dynkin_type, rank)
+    part = (datum.coords, datum.labels, datum.coroots)
     assert hashlib.sha256(repr(part).encode()).hexdigest() == TABLE_DIGESTS[dynkin_type, rank]
 
 
@@ -88,7 +92,7 @@ class TestRootCounts:
         ],
     )
     def test_positive_root_count(self, dynkin_type, rank, count):
-        assert build_root_system(dynkin_type, rank).table.n_positive == count
+        assert build_root_system(dynkin_type, rank).n_positive == count
 
     def test_g2_two_lengths(self):
         assert len(set(_half_norms(build_root_system("G", 2).cartan_matrix))) == 2
@@ -130,54 +134,58 @@ class TestRealization:
     )
     def test_roots_match_realization(self, dynkin_type, rank):
         """Root for root: the realization's positive roots, in simple-root
-        coordinates, are the table's, and so is every root's coroot."""
+        coordinates, are the root system's, and so is every root's coroot,
+        a negative root's being the negation of its positive one's."""
         euclid = EuclideanRootSystem(dynkin_type, rank)
-        # before the table: a wrong matrix may not close to a finite system
+        # before the roots: a wrong matrix may not close to a finite system
         assert _cartan_matrix(dynkin_type, rank) == euclid.cartan_matrix
         datum = build_root_system(dynkin_type, rank)
-        table = datum.table
         assert datum.cartan_matrix == euclid.cartan_matrix
-        assert {euclid.coords(a) for a in euclid.positive_roots} == set(table.coords[: table.n_positive])
-        assert {euclid.coords(a): euclid.coroot(a) for a in euclid.roots} == dict(zip(table.coords, table.coroots))
+        assert {euclid.coords(a) for a in euclid.positive_roots} == set(datum.coords)
+        coroots = dict(zip(datum.coords, datum.coroots))
+        coroots.update({negate(c): negate(v) for c, v in coroots.items()})
+        assert {euclid.coords(a): euclid.coroot(a) for a in euclid.roots} == coroots
 
 
 class TestPairings:
     @pytest.mark.parametrize("dynkin_type,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)])
     def test_weight_coroot_pairing_identity(self, dynkin_type, rank):
         """Fundamental weights pair with simple coroots as the identity, so
-        Dynkin labels are coordinates in them; the table's labels of every
-        root are its pairings with the simple coroots."""
+        Dynkin labels are coordinates in them; the labels of every positive
+        root, and their negation for its negative, are its pairings with the
+        simple coroots."""
         euclid = EuclideanRootSystem(dynkin_type, rank)
         for i in range(rank):
             for j in range(rank):
                 value = euclid.coroot_pairing(euclid.fundamental_weights[i], j + 1)
                 assert value == (1 if i == j else 0)
-        table = build_root_system(dynkin_type, rank).table
-        for coords, labels in zip(table.coords, table.labels):
-            beta = euclid.combine(coords)
-            assert tuple(euclid.coroot_pairing(beta, j + 1) for j in range(rank)) == labels
+        datum = build_root_system(dynkin_type, rank)
+        for coords, labels in zip(datum.coords, datum.labels):
+            for sign in (1, -1):
+                beta = euclid.combine([sign * c for c in coords])
+                assert tuple(euclid.coroot_pairing(beta, j + 1) for j in range(rank)) == \
+                    tuple(sign * x for x in labels)
 
     @pytest.mark.parametrize("dynkin_type,rank", [("A", 4), ("B", 3), ("G", 2)])
     def test_simple_root_cocharacter_pairing(self, dynkin_type, rank):
         """Simple roots pair with fundamental cocharacters as the identity,
-        in the table and in the realization."""
+        in the root system and in the realization."""
         euclid = EuclideanRootSystem(dynkin_type, rank)
-        table = build_root_system(dynkin_type, rank).table
+        datum = build_root_system(dynkin_type, rank)
         for j in range(rank):
             cochar = fundamental_cocharacter(rank, j + 1)
-            pairings = table.pairings(cochar)
+            pairings = datum.pairings(cochar)
             for i in range(rank):
                 value = euclid.pairing(euclid.simple_roots[i], cochar)
                 assert pairings[i] == value == (1 if i == j else 0)
 
     def test_root_coords_integral(self):
         """The F4 realization, with half-integer vectors, has integral
-        simple-root coordinates, and they are the table's."""
+        simple-root coordinates, and they are the root system's."""
         euclid = EuclideanRootSystem("F", 4)
-        table = build_root_system("F", 4).table
         coords = [euclid.coords(a) for a in euclid.positive_roots]
         assert all(c.denominator == 1 for cs in coords for c in cs)
-        assert set(coords) == set(table.coords[: table.n_positive])
+        assert set(coords) == set(build_root_system("F", 4).coords)
 
 
 class TestGrading:
