@@ -15,12 +15,11 @@ that the sink sits at weight zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 # Default cap on the torus-fixed points of a Lie-derived action (|W/W_P|),
 # shared by the CLI, the pipeline and the Lie engine.
@@ -41,8 +40,7 @@ class ActionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     message: str
     component: str | None = None
@@ -76,10 +74,7 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-@dataclass(frozen=True)
-class FixedComponent:
-    """One irreducible fixed component with its local invariants."""
-
+class _FixedComponent(NamedTuple):
     name: str
     weight: Fraction
     dim: int
@@ -87,21 +82,24 @@ class FixedComponent:
     nu_plus: int
     inner: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "weight", as_rational(self.weight))
+
+class FixedComponent(_FixedComponent):
+    """One irreducible fixed component with its local invariants.  The
+    weight may be given as an int or a ``"p/q"`` string; it is kept as a
+    ``Fraction``."""
+
+    __slots__ = ()
+
+    def __new__(cls, name, weight, dim, nu_minus, nu_plus, inner=False):
+        return super().__new__(cls, name, as_rational(weight), dim, nu_minus, nu_plus, inner)
+
+    @classmethod
+    def _make(cls, fields):
+        # ``_replace`` builds through here: coerce the weight again
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ActionModel:
-    """A validated action, components sorted by weight and grouped in levels.
-
-    ``flat`` marks models whose extremal components are divisors (the shape
-    :func:`flat_model` builds for :func:`blowup_extremal` and
-    ``induced_action``); such models remember the extremal dimensions of the
-    variety they came from in ``sink_origin_dim`` / ``source_origin_dim``,
-    which drive the chamber bookkeeping downstream.
-    """
-
+class _ActionModel(NamedTuple):
     dim_x: int
     components: Tuple[FixedComponent, ...]
     flat: bool = False
@@ -110,6 +108,23 @@ class ActionModel:
     sink_origin_dim: int | None = None
     source_origin_dim: int | None = None
     weight_offset: Fraction = Fraction(0)
+
+
+class ActionModel(_ActionModel):
+    """A validated action, components sorted by weight and grouped in levels.
+
+    ``flat`` marks models whose extremal components are divisors (the shape
+    :func:`flat_model` builds for :func:`blowup_extremal` and
+    ``induced_action``); such models remember the extremal dimensions of the
+    variety they came from in ``sink_origin_dim`` / ``source_origin_dim``,
+    which drive the chamber bookkeeping downstream.
+
+    No ``__slots__``: the instance dict holds the cached ``levels`` and
+    ``critical_values``, and ``_replace`` starts a new, empty one.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: an ActionModel is immutable")
 
     @cached_property
     def critical_values(self) -> Tuple[Fraction, ...]:
@@ -388,7 +403,7 @@ def blowup_extremal(model: ActionModel) -> ActionModel:
         raise AlreadyFlatError("model already has divisorial sink and source")
     sink, source = model.sink, model.source
     if is_btype(model):
-        return replace(model, flat=True, sink_origin_dim=sink.dim, source_origin_dim=source.dim)
+        return model._replace(flat=True, sink_origin_dim=sink.dim, source_origin_dim=source.dim)
     return flat_model(
         model,
         (f"{sink.name}_flat", f"{source.name}_flat"),

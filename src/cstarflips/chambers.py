@@ -14,9 +14,8 @@ removes (0, 1), an isolated source removes (r-1, r).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .actions import ActionModel, ActionError, as_rational
 
@@ -31,8 +30,13 @@ class OutOfSliceError(ActionError):
     pass
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class _DivisorClass(NamedTuple):
+    tau_minus: Fraction
+    tau_plus: Fraction
+    m: Fraction = Fraction(1)
+
+
+class DivisorClass(_DivisorClass):
     """The class m * (pullback of L - tau_minus * sink divisor - (bandwidth - tau_plus) * source divisor).
 
     Equality is tested on (m, tau_minus, tau_plus) after canonicalizing the
@@ -40,16 +44,18 @@ class DivisorClass:
     slice coordinates.
     """
 
-    tau_minus: Fraction
-    tau_plus: Fraction
-    m: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "tau_minus", as_rational(self.tau_minus))
-        object.__setattr__(self, "tau_plus", as_rational(self.tau_plus))
-        object.__setattr__(self, "m", as_rational(self.m))
+    def __new__(cls, tau_minus, tau_plus, m=Fraction(1)):
+        self = super().__new__(cls, as_rational(tau_minus), as_rational(tau_plus), as_rational(m))
         if self.m < 0:
             raise OutOfSliceError("negative scale")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        # ``_replace`` builds through here: check the scale again
+        return cls(*fields)
 
     def _key(self):
         if self.m == 0:
@@ -60,6 +66,11 @@ class DivisorClass:
         if not isinstance(other, DivisorClass):
             return NotImplemented
         return self._key() == other._key()
+
+    def __ne__(self, other):
+        # the inherited tuple.__ne__ would compare the raw fields
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(self._key())
@@ -75,8 +86,7 @@ class CurveClass(enum.Enum):
     C0RM1 = "C_{0,r-1}"
 
 
-@dataclass(frozen=True)
-class BaseLocusDescription:
+class BaseLocusDescription(NamedTuple):
     """Stable base locus as level sets: downward cell closures of the
     ``plus_levels`` union upward cell closures of the ``minus_levels``."""
 
@@ -89,14 +99,12 @@ class BaseLocusDescription:
         return not self.plus_levels and not self.minus_levels
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     pair: Tuple[int, int]
     polygon: Tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class SliceLocation:
+class SliceLocation(NamedTuple):
     """Result of locating a divisor class in the chamber decomposition."""
 
     kind: str  # "interior" | "wall" | "vertex" | "outside-movable"

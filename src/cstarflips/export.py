@@ -64,6 +64,10 @@ def _xy(tau_minus: Fraction, tau_plus: Fraction, delta: Fraction):
     return x, y
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def export_svg(bundle: ReportBundle) -> bytes:
     """The movable region and its chambers in the (tau-, tau+) plane."""
     delta = Fraction(bundle["bandwidth"])
@@ -72,7 +76,7 @@ def export_svg(bundle: ReportBundle) -> bytes:
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side:.0f}" height="{side:.0f}" '
         f'viewBox="0 0 {side:.0f} {side:.0f}">',
-        f'<title>{bundle["name"]}: movable region and chambers</title>',
+        f'<title>{_xml_text(bundle["name"])}: movable region and chambers</title>',
         '<style>text{font-family:sans-serif;font-size:13px;}</style>',
     ]
     for c in bundle["chambers"]:

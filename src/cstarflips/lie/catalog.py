@@ -15,8 +15,7 @@ weights and component dimensions against the label dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from ..actions import level_signature
 from .homogeneous import (
@@ -28,8 +27,7 @@ from .homogeneous import (
 from .roots import build_root_system, fundamental_cocharacter
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(NamedTuple):
     """One factor of a fixed-component label: a flag variety of the given
     type, marked at ``nodes``, possibly re-embedded by a quadric Veronese."""
 
@@ -56,8 +54,7 @@ def label_dim(factors: Tuple[Factor, ...]) -> int:
     return sum(f.dim() for f in factors)
 
 
-@dataclass(frozen=True)
-class HorosphericalRow:
+class HorosphericalRow(NamedTuple):
     """Criticality-one pair and the variety it glues to (data only)."""
 
     sink_label: str
@@ -66,8 +63,7 @@ class HorosphericalRow:
     variety: str
 
 
-@dataclass(frozen=True)
-class RowInstance:
+class RowInstance(NamedTuple):
     table: int
     family: str
     dynkin_type: str
@@ -80,8 +76,7 @@ class RowInstance:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class GradedRow:
+class GradedRow(NamedTuple):
     """A table row; parametric families instantiate at a chosen rank."""
 
     table: int
@@ -194,8 +189,7 @@ def table3_rows() -> Tuple[GradedRow, ...]:
     )
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(NamedTuple):
     table1: Tuple[HorosphericalRow, ...]
     table2: Tuple[GradedRow, ...]
     table3: Tuple[GradedRow, ...]
@@ -205,8 +199,7 @@ def catalog() -> Catalog:
     return Catalog(table1_rows(), table2_rows(), table3_rows())
 
 
-@dataclass
-class RowVerification:
+class RowVerification(NamedTuple):
     instance: RowInstance
     ok: bool
     failures: list[str]

@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter, mul
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from ..actions import (
     DEFAULT_MAX_COSETS,
@@ -61,14 +60,25 @@ def _coset_count(cartan: Tuple[Tuple[int, ...], ...], node: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class HomogeneousSpace:
+class _HomogeneousSpace(NamedTuple):
     datum: RootSystem
     node: int  # 1-based marked node
 
-    def __post_init__(self):
-        if not 1 <= self.node <= self.datum.rank:
-            raise IllegalRangeError(f"node {self.node} outside 1..{self.datum.rank}")
+
+class HomogeneousSpace(_HomogeneousSpace):
+    """The flag variety G/P of a root system, P maximal at a marked node."""
+
+    __slots__ = ()
+
+    def __new__(cls, datum, node):
+        if not 1 <= node <= datum.rank:
+            raise IllegalRangeError(f"node {node} outside 1..{datum.rank}")
+        return super().__new__(cls, datum, node)
+
+    @classmethod
+    def _make(cls, fields):
+        # ``_replace`` builds through here: check the node again
+        return cls(*fields)
 
     @property
     def label(self) -> str:
@@ -245,8 +255,7 @@ class _Levi:
         return out
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """A torus-fixed point.  Its tangent roots are named by index: ``r`` for
     the positive root ``r`` of the root system and ``r + n_positive`` for
     the negative of that root."""
@@ -295,8 +304,7 @@ def _suffix(idx: int, count: int) -> str:
     return letters
 
 
-@dataclass
-class LieActionResult:
+class LieActionResult(NamedTuple):
     """Validated model plus the tangent-weight certificates behind it."""
 
     model: ActionModel
@@ -373,8 +381,7 @@ def _grass_part(rank: int, index: int) -> str:
     return f"A_{rank}({index})"
 
 
-@dataclass(frozen=True)
-class GrassmannianLevel:
+class GrassmannianLevel(NamedTuple):
     label: str
     weight: int
     dim: int

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from ..actions import ActionError
 
@@ -142,7 +141,6 @@ def _root_table(cartan: Sequence[Sequence[int]], n_positive: int) -> tuple:
     return tuple(coords), tuple(labels), tuple(coroots)
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """A root system: its type, its Cartan matrix and its positive roots,
     generated from that matrix.
@@ -154,14 +152,42 @@ class RootSystem:
     simple-coroot coordinates.  A negative root is the negation of a
     positive one in all three and has no entry of its own.  Weights are
     written as Dynkin labels too, so every pairing is an integer sum.
+
+    A root system is immutable.  Equality and hashing look at the type, the
+    rank and the Cartan matrix only: the root tables follow from them.
     """
 
-    dynkin_type: str
-    rank: int
-    cartan_matrix: Tuple[Tuple[int, ...], ...]  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
-    coords: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
-    labels: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
-    coroots: Tuple[Tuple[int, ...], ...] = field(compare=False, repr=False)
+    def __init__(
+        self,
+        dynkin_type: str,
+        rank: int,
+        cartan_matrix: Tuple[Tuple[int, ...], ...],  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
+        coords: Tuple[Tuple[int, ...], ...],
+        labels: Tuple[Tuple[int, ...], ...],
+        coroots: Tuple[Tuple[int, ...], ...],
+    ):
+        # written to the instance dict, which also holds the cached properties
+        vars(self).update(
+            dynkin_type=dynkin_type, rank=rank, cartan_matrix=cartan_matrix,
+            coords=coords, labels=labels, coroots=coroots,
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a RootSystem is immutable")
+
+    def _key(self):
+        return (self.dynkin_type, self.rank, self.cartan_matrix)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "RootSystem(dynkin_type=%r, rank=%r, cartan_matrix=%r)" % self._key()
 
     @property
     def name(self) -> str:
@@ -270,8 +296,7 @@ def is_short_grading(degrees: Iterable[int]) -> bool:
     return max(map(abs, degrees), default=0) <= 1
 
 
-@dataclass(frozen=True)
-class GradingSpec:
+class GradingSpec(NamedTuple):
     """Dimensions of the graded pieces induced by a cocharacter."""
 
     cocharacter: Tuple[int, ...]

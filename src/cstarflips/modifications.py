@@ -23,9 +23,8 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .actions import ActionError, ActionModel, flat_model, index_set_i
 from .chambers import Point, chamber_pairs, chamber_polygon
@@ -38,8 +37,7 @@ class NotAChamberError(ActionError):
     pass
 
 
-@dataclass(frozen=True)
-class FlipCenter:
+class FlipCenter(NamedTuple):
     """Per-component bookkeeping of one flip at the shifting level."""
 
     component: str
@@ -48,8 +46,7 @@ class FlipCenter:
     flipped_dim: int
 
 
-@dataclass(frozen=True)
-class FlipEdge:
+class FlipEdge(NamedTuple):
     from_pair: Tuple[int, int]
     to_pair: Tuple[int, int]
     direction: str  # PLUS or MINUS
@@ -57,8 +54,7 @@ class FlipEdge:
     centers: Tuple[FlipCenter, ...]
 
 
-@dataclass(frozen=True)
-class FlipObstruction:
+class FlipObstruction(NamedTuple):
     from_pair: Tuple[int, int]
     to_pair: Tuple[int, int]
     direction: str
@@ -66,14 +62,12 @@ class FlipObstruction:
     components: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     pair: Tuple[int, int]
     nef_polygon: Tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class FlipGraph:
+class FlipGraph(NamedTuple):
     nodes: Tuple[GraphNode, ...]
     edges: Tuple[FlipEdge, ...]
     obstructions: Tuple[FlipObstruction, ...]
@@ -95,7 +89,7 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     a = model.critical_values
     base = a[i]
     inner = tuple([
-        replace(c, weight=c.weight - base)
+        c._replace(weight=c.weight - base)
         for k in range(i + 1, j)
         for c in model.level_components(k)
     ])
@@ -168,8 +162,7 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     return FlipGraph(nodes, tuple(edges), tuple(obstructions))
 
 
-@dataclass(frozen=True)
-class QuotientNode:
+class QuotientNode(NamedTuple):
     kind: str  # "geometric" | "semigeometric"
     indices: Tuple[int, int]
     dim: int
@@ -177,8 +170,7 @@ class QuotientNode:
     identity: str | None = None  # extremal semigeometric nodes are the fixed components
 
 
-@dataclass(frozen=True)
-class QuotientDiagram:
+class QuotientDiagram(NamedTuple):
     geometric: Tuple[QuotientNode, ...]
     semigeometric: Tuple[QuotientNode, ...]
     dashed_arrows: Tuple[Tuple[str, str], ...]
@@ -221,8 +213,7 @@ def quotient_diagram(model: ActionModel) -> QuotientDiagram:
     return QuotientDiagram(geometric, tuple(semi), dashed, tuple(diagonal), fiber)
 
 
-@dataclass(frozen=True)
-class P1BundleModel:
+class P1BundleModel(NamedTuple):
     index: int
     base_label: str
     node_pair: Tuple[int, int]
@@ -253,8 +244,7 @@ def extremal_ray_type(model: ActionModel, end: str) -> str:
     return "divisorial" if ends[end] else "fibration"
 
 
-@dataclass(frozen=True)
-class ChainSummary:
+class ChainSummary(NamedTuple):
     chain_arrows: int
     left: str
     right: str

@@ -12,7 +12,6 @@ sections are written once as canonical JSON text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,18 +42,31 @@ EXTREMAL_LABEL_NOTE = (
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
 
 
-@dataclass(frozen=True)
 class ReportBundle:
     """A report: ``values`` holds sections as JSON values, ``texts`` holds
     sections as their canonical JSON text.  ``run_pipeline`` keeps the O(r)
     sections as values and writes the three O(r^2) sections (chambers, flip
     graph, P1-bundles) once as text; ``to_json`` splices both in sorted key
     order.  ``data`` and ``bundle[key]`` give every section as values; a
-    text section is parsed on first use."""
+    text section is parsed on first use.  A bundle is immutable and compares
+    by ``values`` and ``texts``."""
 
-    values: dict
-    texts: dict = field(default_factory=dict)
-    _parsed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("values", "texts", "_parsed")
+
+    def __init__(self, values: dict, texts: dict | None = None):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "texts", {} if texts is None else texts)
+        object.__setattr__(self, "_parsed", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a ReportBundle is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values and self.texts == other.texts
+
+    __hash__ = None  # the sections are dicts
 
     def to_json(self) -> bytes:
         parts, run = [], {}

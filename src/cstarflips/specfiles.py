@@ -11,9 +11,8 @@ against the Lie computation.  See docs/spec-format.md for the full schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .actions import ActionError, FixedComponent
 
@@ -33,16 +32,14 @@ class SchemaError(ActionError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(frozen=True)
-class LieInput:
+class LieInput(NamedTuple):
     dynkin_type: str
     rank: int
     node: int
     cocharacter: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ActionSpecFile:
+class ActionSpecFile(NamedTuple):
     name: str
     dim_x: Optional[int]
     components: Optional[Tuple[FixedComponent, ...]]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 
@@ -7,6 +9,7 @@ from cstarflips.actions import (
     EMPTY_SPEC,
     NON_EXTREMAL_ZERO_NU,
     AlreadyFlatError,
+    FixedComponent,
     InvalidActionError,
     MissingOriginDimsError,
     blowup_extremal,
@@ -62,16 +65,24 @@ class TestValidation:
             assert c.dim + c.nu_minus + c.nu_plus == model.dim_x
 
 
+class TestRecords:
+    def test_fields_are_read_only_and_weights_exact(self, gr24):
+        c = FixedComponent("a", "1/2", 0, 0, 1)
+        assert c.weight == Fraction(1, 2)
+        assert type(c.weight) is Fraction
+        for record, field in ((c, "weight"), (gr24, "dim_x"), (gr24, "components")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+
+
 class TestLevelIndex:
     def test_computed_once(self, gr24):
         assert gr24.levels is gr24.levels
         assert gr24.critical_values is gr24.critical_values
 
     def test_replace_starts_a_fresh_index(self, gr24):
-        from dataclasses import replace
-
         assert len(gr24.levels) == 3
-        shorter = replace(gr24, components=gr24.components[:2])
+        shorter = gr24._replace(components=gr24.components[:2])
         assert shorter.critical_values == gr24.critical_values[:2]
         assert len(shorter.levels) == 2
 
@@ -175,9 +186,7 @@ class TestIndexSet:
         assert index_set_i(bordism_r3_flat) == frozenset({0, 1, 2})
 
     def test_missing_origins(self, gr24_flat):
-        from dataclasses import replace
-
-        stripped = replace(gr24_flat, sink_origin_dim=None)
+        stripped = gr24_flat._replace(sink_origin_dim=None)
         with pytest.raises(MissingOriginDimsError):
             index_set_i(stripped)
 

@@ -80,10 +80,8 @@ class TestVerification:
         assert v.instance.expected_weights == (0, 1, 2, 3)
 
     def test_bad_expectation_reported(self):
-        from dataclasses import replace
-
         row = next(r for r in table2_rows() if r.family == "B_m(2)")
-        inst = replace(row.instantiate(3), inner_factors=(Factor("A", 4, (1,)),))
+        inst = row.instantiate(3)._replace(inner_factors=(Factor("A", 4, (1,)),))
         v = verify_row(inst)
         assert not v.ok
         assert any("inner level" in f for f in v.failures)

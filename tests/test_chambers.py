@@ -234,8 +234,13 @@ class TestQuotientNefSegment:
 
 class TestDivisorClass:
     def test_scale_canonicalization(self):
-        assert DivisorClass(0, 1, m=2) == DivisorClass(0, 1, m=1)
-        assert DivisorClass(0, 1, m=0) == DivisorClass(1, 2, m=0)
+        for a, b in (
+            (DivisorClass(0, 1, m=2), DivisorClass(0, 1, m=1)),
+            (DivisorClass(0, 1, m=0), DivisorClass(1, 2, m=0)),
+        ):
+            assert a == b
+            assert not a != b
+            assert hash(a) == hash(b)
         assert DivisorClass(0, 1) != DivisorClass(0, 2)
 
     def test_negative_scale(self):

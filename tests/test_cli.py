@@ -195,6 +195,25 @@ def test_lie_import_loads_no_pipeline_module():
         assert f"cstarflips.{name}" not in loaded
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", BORDISM],
+    ["analyze", A42],
+    ["export", "--format", "svg", BORDISM],
+    ["dynkin", "E", "6", "--node", "2", "--cochar-node", "2"],
+    ["catalog"],
+])
+def test_cold_start_loads_no_dataclasses_or_inspect(argv):
+    """The records are named tuples, so a CLI call does not import
+    ``dataclasses`` and, through it, ``inspect``."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cstarflips", *argv],
+                          env=_child_env(), capture_output=True, text=True, check=True,
+                          timeout=120)
+    loaded = {line.rsplit("|", 1)[1].strip()
+              for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "cstarflips.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 class TestClosedStdout:
     def test_reader_closes_the_pipe_after_the_first_line(self):
         """1,000 reports (about 400 kB) are more than a pipe holds, so the

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,8 +28,7 @@ class TestInducedAction:
         extremes renamed and weight offset 0: components, origin dims and
         equalization fields all agree, in every extremal case."""
         for case in sorted(CASE_ISOLATED):
-            model = replace(
-                data.draw(action_models(min_r=1, case=case), label=case),
+            model = data.draw(action_models(min_r=1, case=case), label=case)._replace(
                 equalized=data.draw(st.booleans()),
                 equalization_source=data.draw(st.sampled_from(["declared", "tangent-weights"])),
                 weight_offset=data.draw(st.fractions(-3, 3)),
@@ -43,12 +40,12 @@ class TestInducedAction:
             if (0, r) not in chamber_pairs(flat):
                 continue
             renamed = (
-                replace(flat.sink, name="GX(0,1)"),
+                flat.sink._replace(name="GX(0,1)"),
                 *flat.inner_components,
-                replace(flat.source, name=f"GX({r - 1},{r})"),
+                flat.source._replace(name=f"GX({r - 1},{r})"),
             )
-            assert induced_action(flat, (0, r)) == replace(
-                flat, components=renamed, weight_offset=0
+            assert induced_action(flat, (0, r)) == flat._replace(
+                components=renamed, weight_offset=0
             )
 
     def test_r2_bordism_corner(self, bordism_r2_flat):
@@ -114,8 +111,8 @@ class TestInducedAction:
                     and i <= m.to_pair[0] and m.to_pair[1] <= j]
 
         def shifted(moves, i):
-            return [replace(m, from_pair=(m.from_pair[0] + i, m.from_pair[1] + i),
-                            to_pair=(m.to_pair[0] + i, m.to_pair[1] + i), level=m.level + i)
+            return [m._replace(from_pair=(m.from_pair[0] + i, m.from_pair[1] + i),
+                               to_pair=(m.to_pair[0] + i, m.to_pair[1] + i), level=m.level + i)
                     for m in moves]
 
         for i, j in chamber_pairs(flat):
@@ -132,7 +129,7 @@ class TestInducedAction:
         for pair in ((0, 3), (1, 3)):
             sub = induced_action(flat, pair)
             assert is_bordism(sub)
-            assert not is_bordism(replace(sub, sink_origin_dim=None, source_origin_dim=None))
+            assert not is_bordism(sub._replace(sink_origin_dim=None, source_origin_dim=None))
 
 
 class TestFlipGraph:

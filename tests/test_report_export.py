@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, strategies as st
@@ -209,6 +210,12 @@ class TestExport:
         for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
             assert f"N_{{{i},{j}}}" in payload
         assert payload.count("<polygon") == 7  # 6 chambers + the movable outline
+
+    def test_svg_title_escaped(self):
+        spec = dict(BORDISM_SPEC, name="a<b & c")
+        root = ElementTree.fromstring(export(run_pipeline(parse_spec_dict(spec)), "svg"))
+        title = root.find("{http://www.w3.org/2000/svg}title")
+        assert title.text == "a<b & c: movable region and chambers"
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedFormatError):

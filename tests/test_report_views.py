@@ -10,7 +10,6 @@ compute each fact once.
 """
 
 import collections
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,8 +70,8 @@ def test_report_agrees_with_the_views(case, data):
     escaping drawn from the characters of ``ODD_NAME``."""
     model = data.draw(action_models(max_r=10, case=case))
     odd = data.draw(st.text(st.sampled_from(ODD_NAME), max_size=4))
-    model = replace(model, components=tuple(
-        [replace(c, name=c.name + odd) for c in model.components]
+    model = model._replace(components=tuple(
+        [c._replace(name=c.name + odd) for c in model.components]
     ))
     bundle = run_pipeline(parse_spec_dict(_model_spec(case + odd, model)))
     views = _view_sections(blowup_extremal(model))
