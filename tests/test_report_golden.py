@@ -5,19 +5,21 @@ against a sha256 recorded from the program before the isolated-extremes,
 flat-model and level-signature rules were each given a single home.  Any
 change to the canonical JSON on these inputs, however small, fails here:
 the shipped specs, the criterion-11 random corpus, the four extremal cases
-at two criticalities, an input whose extremes are already divisors, and Lie
-specs whose listed components disagree with the derived ones (which pins
-the wording of the verification failures).
+at two criticalities, rational chains at three more, an input whose
+extremes are already divisors, and Lie specs whose listed components
+disagree with the derived ones (which pins the wording of the verification
+failures).
 """
 
 import hashlib
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import synthetic_case_model
+from conftest import CASE_ISOLATED, synthetic_case_model
 from test_report_export import GR24_SPEC, random_spec
 
 from cstarflips.report import run_pipeline
@@ -66,6 +68,56 @@ def _model_spec(name: str, model) -> dict:
     }
 
 
+# Denominators of the steps between the critical values of a rational chain.
+STEP_DENOMINATORS = (1, 2, 3, 4, 6, 7, 12)
+RATIONAL_CHAIN_RS = (8, 16, 20)
+
+
+def _spell(w: Fraction, rng: random.Random):
+    """``w`` as a spec writes it: an integer, a reduced ``"p/q"`` or an
+    unreduced ``"2p/2q"``."""
+    if w.denominator == 1 and rng.random() < 0.5:
+        return w.numerator
+    if rng.random() < 0.3:
+        return f"{2 * w.numerator}/{2 * w.denominator}"
+    return str(w)
+
+
+def rational_chain_spec(case: str, r: int) -> dict:
+    """A chain of criticality ``r`` in the extremal ``case``: the critical
+    values start below zero and step by rationals of mixed denominators, a
+    third of the inner levels hold two components, the normal ranks are
+    drawn from 1 up (a rank of one blocks the flip out of its level in one
+    direction, and two middle levels hold one of each), and the components
+    are listed in shuffled order."""
+    rng = random.Random(1000 * r + CASES.index(case))
+    sink_isolated, source_isolated = CASE_ISOLATED[case]
+    dim_x = 9
+    a = Fraction(-rng.randint(1, 20), rng.choice(STEP_DENOMINATORS))
+    sink_dim = 0 if sink_isolated else rng.randint(1, dim_x - 2)
+    rows = [("S", a, sink_dim, 0, dim_x - sink_dim)]
+    for level in range(1, r):
+        a += Fraction(rng.randint(1, 9), rng.choice(STEP_DENOMINATORS))
+        for k, name in enumerate(rng.sample(("P", "Q"), rng.choice((1, 1, 2)))):
+            nu_minus = rng.randint(1, dim_x - 2)
+            nu_plus = rng.randint(1, dim_x - 1 - nu_minus)
+            if k == 0 and level in (r // 2, r // 2 + 1):  # one blocked flip each way
+                nu_minus, nu_plus = (1, nu_minus) if level > r // 2 else (nu_plus, 1)
+            rows.append((f"{name}{level}", a, dim_x - nu_minus - nu_plus, nu_minus, nu_plus))
+    a += Fraction(rng.randint(1, 9), rng.choice(STEP_DENOMINATORS))
+    source_dim = 0 if source_isolated else rng.randint(1, dim_x - 2)
+    rows.append(("T", a, source_dim, dim_x - source_dim, 0))
+    rng.shuffle(rows)
+    return {
+        "name": f"rational-{case}-r{r}",
+        "dim_X": dim_x,
+        "components": [
+            {"name": n, "weight": _spell(w, rng), "dim": d, "nu_minus": nm, "nu_plus": np_}
+            for n, w, d, nm, np_ in rows
+        ],
+    }
+
+
 def _report(spec) -> bytes:
     return run_pipeline(spec).to_json()
 
@@ -81,6 +133,9 @@ def _golden_inputs():
         for r in (3, 6):
             spec = _model_spec(f"{case}-r{r}", synthetic_case_model(case, r=r))
             yield f"synthetic:{case}:r{r}", _report(parse_spec_dict(spec))
+    for case in CASES:
+        for r in RATIONAL_CHAIN_RS:
+            yield f"rational:{case}:r{r}", _report(parse_spec_dict(rational_chain_spec(case, r)))
     yield "btype", _report(parse_spec_dict(BTYPE_SPEC))
     for kind in ("level", "weights", "dim"):
         yield f"lie-mismatch:{kind}", _report(parse_spec_dict(_lie_mismatch(kind)))
@@ -99,6 +154,18 @@ GOLDEN = {
     "synthetic:isolated-source:r6": "43d344e756d2ceb8d75e8fc78cf8698b5eeaf5356e1dbabfafb629c4a645cf63",
     "synthetic:isolated-both:r3": "bb778101162b3c2e9d500bb0fc21e8f61f6e3a5c9d48d1bb8de9b1d137fa4348",
     "synthetic:isolated-both:r6": "cf3da002db8bc0b14cc206a5836e8f6a1d04c0414e2385f33e55fe48e4ab9c53",
+    "rational:bordism:r8": "35dc6ba9073e77db2b686754312b4e689529e7ca077165034b6dc64f34a28067",
+    "rational:bordism:r16": "1adc13715483da7c1822222ed4a1f6c92e2acd5b1bdc70a455a10c8a171bbe84",
+    "rational:bordism:r20": "ad9d22825d2a7f97e29be9ca72b618a9364788085cbc2dd76625f607aaa6c0b2",
+    "rational:isolated-sink:r8": "2bac7f2d428fb0f276dcd14d45127e90f55a3202753c935cb928a13fbeee903c",
+    "rational:isolated-sink:r16": "40f29621368b7cde74037d8596e56eb2dfe2b264eae52cb694db31be30b8bae8",
+    "rational:isolated-sink:r20": "fb3f11bf2611f3dc59ae28971d446ae09ce73feddfac5587edbd2f142b4f3369",
+    "rational:isolated-source:r8": "7db0a3ddb4b5064c9588d98798df8f9ef2a04e5f1a206aa79f3df5fb1af12c23",
+    "rational:isolated-source:r16": "456d1a70a522164de8ddb629733c7ac0eb664954d9b0dcf96b1144dcefa06761",
+    "rational:isolated-source:r20": "b84eb24938a04e3572cf6a4d8b009eacfe9ec26c6ad0633f01540560790ee5df",
+    "rational:isolated-both:r8": "d2628d816fc845b28e37fee9826f0268720af62702176d7f55d3000f610d452d",
+    "rational:isolated-both:r16": "31fc5b68ac33525335e35ff0374be906ae260a0b53c1fba381c1de19171d7b75",
+    "rational:isolated-both:r20": "4919e6685f47122a8e1958b4d84c652028f8f11028ae4a861de12c0ffd1b2dc3",
     "btype": "93e61310aecad3d511896e7df22bda8f30a7276a5ecd098c28dfa64482ab355c",
     "lie-mismatch:level": "38435693ab37f15734307864afb9831f261aa27ae8394de3a4296af0c6b948b0",
     "lie-mismatch:weights": "1e0a7f4ff48218ecb77e2446d0a50e3e689df2e8a7df8cd89eebeee2b4eab829",
@@ -113,6 +180,24 @@ def reports():
 
 def test_every_pinned_input_is_checked(reports):
     assert sorted(reports) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("r", RATIONAL_CHAIN_RS)
+@pytest.mark.parametrize("case", CASES)
+def test_rational_chains_cover_what_they_pin(case, r):
+    """Each rational chain is in its case and has a level of two components,
+    steps of more than one denominator, a shuffled input order, and blocked
+    flips in both directions."""
+    spec = rational_chain_spec(case, r)
+    report = run_pipeline(parse_spec_dict(spec))
+    weights = [Fraction(c["weight"]) for c in spec["components"]]
+    levels = sorted(set(weights))
+    assert report["case"] == case and report["criticality"] == r
+    assert len(weights) > len(levels)
+    assert len({(b - a).denominator for a, b in zip(levels, levels[1:])}) > 1
+    assert weights != sorted(weights)
+    blocked = {o["direction"] for o in report["flip_graph"]["obstructions"]}
+    assert blocked == {"plus", "minus"}
 
 
 @pytest.mark.parametrize("case_id", sorted(GOLDEN))
