@@ -64,6 +64,12 @@ class MissingOriginDimsError(ActionError):
     """Flat model lacks the extremal dimensions of the underlying variety."""
 
 
+def _weight_key(c: "FixedComponent") -> Tuple[int, int]:
+    """The weight of ``c`` as an exact key: a normalized ``Fraction``'s
+    (numerator, denominator), which hashes and compares as plain ints."""
+    return c.weight.as_integer_ratio()
+
+
 def as_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -141,14 +147,12 @@ class ActionModel(_ActionModel):
     @cached_property
     def levels(self) -> Tuple[Tuple[Fraction, Tuple[FixedComponent, ...]], ...]:
         # The components are sorted by weight, so a level is a run of equal
-        # weights.  The per-item path builds tuples from lists, not
+        # exact weights.  The per-item path builds tuples from lists, not
         # iterators: on CPython 3.11, tuple(<generator>) grows the
         # interpreter's tuple free lists between full collections
         # (tests/test_report_memory.py).
-        return tuple([
-            (a, tuple(list(comps)))
-            for a, comps in groupby(self.components, key=attrgetter("weight"))
-        ])
+        runs = [tuple(list(run)) for _, run in groupby(self.components, key=_weight_key)]
+        return tuple([(run[0].weight, run) for run in runs])
 
     def level_components(self, k: int) -> Tuple[FixedComponent, ...]:
         return self.levels[k][1]
@@ -203,70 +207,63 @@ def unit_tangent_weights(weights: Iterable[int]) -> bool:
     return _UNIT_WEIGHTS.issuperset(weights)
 
 
+def _check(comps: list[FixedComponent], dim_x: int):
+    """The violations of :func:`check_action`, and the levels: the components
+    grouped by :func:`_weight_key`, in input order, the levels sorted by
+    weight, so that only the distinct critical values are compared."""
+    if not comps:
+        return [Violation(EMPTY_SPEC, "no fixed components given")], []
+    violations: list[Violation] = []
+    seen: set[str] = set()
+    groups: dict[tuple[int, int], list[FixedComponent]] = {}
+    level_of = []
+    for c in comps:
+        if c.name in seen:
+            violations.append(Violation(DUPLICATE_NAME, f"component name {c.name!r} repeated", c.name))
+        seen.add(c.name)
+        level = groups.setdefault(_weight_key(c), [])
+        level.append(c)
+        level_of.append(level)
+        if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0 or dim_x <= 0:
+            violations.append(Violation(NEGATIVE_FIELD, f"negative field on {c.name!r}", c.name))
+            continue
+        total = c.dim + c.nu_minus + c.nu_plus
+        if total != dim_x:
+            message = f"{c.name!r}: dim + nu_minus + nu_plus = {total} != dim_x = {dim_x}"
+            violations.append(Violation(DIMENSION_MISMATCH, message, c.name))
+
+    levels = sorted(groups.values(), key=lambda level: level[0].weight)
+    if len(levels) < 2:
+        violations.append(Violation(TRIVIAL_ACTION, "action has a single critical value"))
+        return violations, levels
+
+    sink, source = levels[0], levels[-1]
+    for c, level in zip(comps, level_of):
+        if level is sink:
+            if c.nu_minus != 0:
+                message = f"sink component {c.name!r} has nu_minus != 0"
+                violations.append(Violation(EXTREMAL_NONZERO_NU, message, c.name))
+        elif level is source:
+            if c.nu_plus != 0:
+                message = f"source component {c.name!r} has nu_plus != 0"
+                violations.append(Violation(EXTREMAL_NONZERO_NU, message, c.name))
+        elif c.nu_minus == 0 or c.nu_plus == 0:
+            message = f"inner component {c.name!r} has nu_minus or nu_plus equal to 0"
+            violations.append(Violation(NON_EXTREMAL_ZERO_NU, message, c.name))
+    for label, level in (("sink", sink), ("source", source)):
+        if len(level) != 1:
+            message = f"{label} level has more than one component"
+            violations.append(Violation(REDUCIBLE_EXTREMAL_LEVEL, message))
+    return violations, levels
+
+
 def check_action(components: Iterable[FixedComponent], dim_x: int) -> list[Violation]:
     """Collect every invariant violated by the fixed components of an action
     on a variety of dimension ``dim_x``, as parsed from a spec file or
     derived from a root datum.  Returns an empty list when they form a valid
     model.
     """
-    comps = list(components)
-    violations: list[Violation] = []
-    if not comps:
-        return [Violation(EMPTY_SPEC, "no fixed components given")]
-
-    seen: set[str] = set()
-    for c in comps:
-        if c.name in seen:
-            violations.append(Violation(DUPLICATE_NAME, f"component name {c.name!r} repeated", c.name))
-        seen.add(c.name)
-        if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0 or dim_x <= 0:
-            violations.append(Violation(NEGATIVE_FIELD, f"negative field on {c.name!r}", c.name))
-            continue
-        if c.dim + c.nu_minus + c.nu_plus != dim_x:
-            violations.append(
-                Violation(
-                    DIMENSION_MISMATCH,
-                    f"{c.name!r}: dim + nu_minus + nu_plus = "
-                    f"{c.dim + c.nu_minus + c.nu_plus} != dim_x = {dim_x}",
-                    c.name,
-                )
-            )
-
-    weights = sorted({c.weight for c in comps})
-    if len(weights) < 2:
-        violations.append(Violation(TRIVIAL_ACTION, "action has a single critical value"))
-        return violations
-
-    w_min, w_max = weights[0], weights[-1]
-    extremal = {"sink": 0, "source": 0}  # components at each end
-    for c in comps:
-        if c.weight == w_min:
-            extremal["sink"] += 1
-            if c.nu_minus != 0:
-                violations.append(
-                    Violation(EXTREMAL_NONZERO_NU, f"sink component {c.name!r} has nu_minus != 0", c.name)
-                )
-        elif c.weight == w_max:
-            extremal["source"] += 1
-            if c.nu_plus != 0:
-                violations.append(
-                    Violation(EXTREMAL_NONZERO_NU, f"source component {c.name!r} has nu_plus != 0", c.name)
-                )
-        else:
-            if c.nu_minus == 0 or c.nu_plus == 0:
-                violations.append(
-                    Violation(
-                        NON_EXTREMAL_ZERO_NU,
-                        f"inner component {c.name!r} has nu_minus or nu_plus equal to 0",
-                        c.name,
-                    )
-                )
-    for label, count in extremal.items():
-        if count != 1:
-            violations.append(
-                Violation(REDUCIBLE_EXTREMAL_LEVEL, f"{label} level has more than one component")
-            )
-    return violations
+    return _check(list(components), dim_x)[0]
 
 
 def validate_action(
@@ -286,23 +283,24 @@ def validate_action(
     Raises :class:`InvalidActionError` carrying the full list of violations
     otherwise.
     """
-    comps = list(components)
-    violations = check_action(comps, dim_x)
+    violations, levels = _check(list(components), dim_x)
     if violations:
         raise InvalidActionError(violations)
 
-    comps.sort(key=lambda c: (c.weight, c.name))
-    offset, w_max = comps[0].weight, comps[-1].weight
-    normalized = tuple([
-        FixedComponent(
-            c.name, c.weight - offset, c.dim, c.nu_minus, c.nu_plus,
-            inner=c.weight != offset and c.weight != w_max,
-        )
-        for c in comps
-    ])
+    offset = levels[0][0].weight
+    r = len(levels) - 1
+    normalized = []
+    for k, level in enumerate(levels):
+        weight = level[0].weight - offset
+        if len(level) > 1:
+            level.sort(key=attrgetter("name"))
+        normalized += [
+            FixedComponent(c.name, weight, c.dim, c.nu_minus, c.nu_plus, inner=0 < k < r)
+            for c in level
+        ]
     return ActionModel(
         dim_x=dim_x,
-        components=normalized,
+        components=tuple(normalized),
         equalized=equalized,
         equalization_source=equalization_source,
         weight_offset=offset,
@@ -372,15 +370,17 @@ def flat_model(
     (dim X - 1, nu_minus 0, nu_plus 1) at weight 0 and a divisorial source
     (dim X - 1, nu_minus 1, nu_plus 0) at ``bandwidth``, named ``names``.
 
-    ``model`` gives dim X and the equalization fields; the components are
-    sorted by (weight, name), as :func:`validate_action` sorts them.
+    ``model`` gives dim X and the equalization fields.  The callers,
+    :func:`blowup_extremal` and ``induced_action``, pass ``inner`` in
+    (weight, name) order, as :func:`validate_action` sorts it, strictly
+    inside (0, bandwidth), so the components are not sorted again.
     """
     dim = model.dim_x - 1
     sink = FixedComponent(names[0], Fraction(0), dim, nu_minus=0, nu_plus=1)
     source = FixedComponent(names[1], bandwidth, dim, nu_minus=1, nu_plus=0)
     return ActionModel(
         dim_x=model.dim_x,
-        components=tuple(sorted((sink, *inner, source), key=lambda c: (c.weight, c.name))),
+        components=(sink, *inner, source),
         flat=True,
         equalized=model.equalized,
         equalization_source=model.equalization_source,

@@ -326,6 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A name may hold characters that stdout cannot encode, such as a lone
+    # surrogate (valid in a JSON string): print those as backslash escapes.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     try:
         try:
             code = args.func(args)

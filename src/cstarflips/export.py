@@ -95,4 +95,5 @@ def export_svg(bundle: ReportBundle) -> bytes:
         out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1d2d50"/>')
         out.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}">L({p[0]},{p[1]})</text>')
     out.append("</svg>")
-    return ("\n".join(out) + "\n").encode("utf-8")
+    # a character UTF-8 cannot encode (a lone surrogate) is written escaped
+    return ("\n".join(out) + "\n").encode("utf-8", "backslashreplace")

@@ -106,20 +106,13 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
 
 
 def _flip_records(direction: str, comps) -> Tuple[Tuple[FlipCenter, ...], Tuple[str, ...]]:
-    centers = []
-    blocked = []
+    centers, blocked = [], []
     for c in comps:
-        if direction == PLUS:
-            legal = c.nu_plus > 1
-            center_dim = c.dim + c.nu_minus
-            flipped_dim = c.dim + c.nu_plus - 1
-        else:
-            legal = c.nu_minus > 1
-            center_dim = c.dim + c.nu_plus
-            flipped_dim = c.dim + c.nu_minus - 1
-        if not legal:
+        # the center has dim Y + center, the flipped locus dim Y + flipped - 1
+        center, flipped = (c.nu_minus, c.nu_plus) if direction == PLUS else (c.nu_plus, c.nu_minus)
+        if flipped <= 1:  # the flip inequality fails
             blocked.append(c.name)
-        centers.append(FlipCenter(c.name, c.dim, center_dim, flipped_dim))
+        centers.append(FlipCenter(c.name, c.dim, c.dim + center, c.dim + flipped - 1))
     return tuple(centers), tuple(blocked)
 
 

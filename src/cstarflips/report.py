@@ -12,7 +12,6 @@ sections are written once as canonical JSON text.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from . import chambers as ch
@@ -98,27 +97,19 @@ class ReportBundle:
         return self._parsed[key]
 
 
-def _s(x: Fraction) -> str:
-    return str(x)
-
-
-def _point(p) -> list:
-    return [_s(p[0]), _s(p[1])]
-
-
 def _model_dict(model: ActionModel) -> dict:
     return {
         "dim_X": model.dim_x,
         "flat": model.flat,
         "equalized": model.equalized,
         "equalization_source": model.equalization_source,
-        "weight_offset": _s(model.weight_offset),
+        "weight_offset": str(model.weight_offset),
         "sink_origin_dim": model.sink_origin_dim,
         "source_origin_dim": model.source_origin_dim,
         "components": [
             {
                 "name": c.name,
-                "weight": _s(c.weight),
+                "weight": str(c.weight),
                 "dim": c.dim,
                 "nu_minus": c.nu_minus,
                 "nu_plus": c.nu_plus,
@@ -129,38 +120,43 @@ def _model_dict(model: ActionModel) -> dict:
     }
 
 
+def _flip_template(direction: str, level: int, record) -> str:
+    """A flip record of ``modifications.flip_moves`` as text, with ``%s``
+    for the two nodes of a move; a ``%`` in an encoded name is doubled."""
+    centers, blocked = record
+    if blocked:
+        rows = '{"components":[%s]' % ",".join([_encode(name) for name in blocked])
+    else:
+        rows = '{"centers":[%s]' % ",".join([
+            '{"center_dim":%d,"component":%s,"dim":%d,"flipped_dim":%d}'
+            % (c.center_dim, _encode(c.component), c.dim, c.flipped_dim)
+            for c in centers
+        ])
+    return rows.replace("%", "%%") + (
+        ',"direction":"%s","from":%%s,"level":%d,"to":%%s}' % (direction, level)
+    )
+
+
 def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict[str, str]:
     """The canonical JSON text of the O(r^2) sections (chambers, flip graph,
-    P1-bundles), written once from O(r) facts: each critical value is encoded
-    once, each chamber's node and polygon text once (the P1-bundles reuse
-    them), and each flip record's rows once per (direction, level).  A move
-    is the record's text up to ``"from":``, then its two nodes around its
-    level; every object's keys are written in sorted order."""
-    a = [_encode(_s(v)) for v in flat.critical_values]
+    P1-bundles) from O(r) facts: each corner ``[a_k,a_l]``, chamber node and
+    polygon is written once, and each flip record once per (direction,
+    level), as a template its moves fill.  Keys are in sorted order."""
+    a = [_encode(str(v)) for v in flat.critical_values]
     pairs = ch.chamber_pairs(flat)
     node = {pair: "[%d,%d]" % pair for pair in pairs}
+    # corner[k][l - k] is the point (a_k, a_l); a chamber has k <= l
+    corner = [["[%s,%s]" % (ak, al) for al in a[k:]] for k, ak in enumerate(a)]
     polygon = {
-        pair: "[" + ",".join(["[%s,%s]" % (a[k], a[l]) for k, l in ch.chamber_corners(pair)]) + "]"
+        pair: "[" + ",".join([corner[k][l - k] for k, l in ch.chamber_corners(pair)]) + "]"
         for pair in pairs
     }
-    edges, obstructions, records = [], [], {}
-    for pair, target, direction, level, (centers, blocked) in md.flip_moves(flat, pairs):
-        key = (direction, level)
-        if key not in records:
-            if blocked:
-                rows = '{"components":%s' % _encode(blocked)
-            else:
-                rows = '{"centers":%s' % _encode([
-                    {"component": c.component, "dim": c.dim,
-                     "center_dim": c.center_dim, "flipped_dim": c.flipped_dim}
-                    for c in centers
-                ])
-            records[key] = (
-                rows + ',"direction":%s,"from":' % _encode(direction),
-                ',"level":%d,"to":' % level,
-            )
-        head, mid = records[key]
-        (obstructions if blocked else edges).append(head + node[pair] + mid + node[target] + "}")
+    edges, obstructions, templates = [], [], {}
+    for pair, target, direction, level, record in md.flip_moves(flat, pairs):
+        template = templates.get((direction, level))
+        if template is None:
+            template = templates[direction, level] = _flip_template(direction, level, record)
+        (obstructions if record[1] else edges).append(template % (node[pair], node[target]))
     return {
         "chambers": "[" + ",".join(
             ['{"pair":%s,"polygon":%s}' % (node[pair], polygon[pair]) for pair in pairs]
@@ -288,11 +284,11 @@ def run_pipeline(
         "model": _model_dict(model),
         "flat_model": _model_dict(flat),
         "case": ch.extremal_case(flat),
-        "bandwidth": _s(flat.bandwidth),
+        "bandwidth": str(flat.bandwidth),
         "criticality": flat.criticality,
         "index_set": index_set,
         "bordism": is_bordism(flat),
-        "movable_cone": [_point(p) for p in ch.movable_polygon(flat)],
+        "movable_cone": [[str(x), str(y)] for x, y in ch.movable_polygon(flat)],
         "quotients": {
             "geometric": [{"label": q.label, "dim": q.dim} for q in diagram.geometric],
             "semigeometric": [

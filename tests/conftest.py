@@ -94,13 +94,30 @@ CASE_ISOLATED = {
 }
 
 
+def critical_values(r: int):
+    """r + 1 increasing rationals: a start in [-3, 3] and steps in
+    [1/12, 4], each with a denominator of at most 12."""
+    start = st.fractions(-3, 3, max_denominator=12)
+    steps = st.lists(st.fractions(Fraction(1, 12), 4, max_denominator=12), min_size=r, max_size=r)
+
+    def chain(drawn):
+        values = [drawn[0]]
+        for step in drawn[1]:
+            values.append(values[-1] + step)
+        return values
+
+    return st.tuples(start, steps).map(chain)
+
+
 @st.composite
 def action_models(draw, min_r=2, max_r=5, case=None):
-    """Random valid non-flat models: integer critical values 0..r, one or two
-    components per inner level, extremes of any dimension, or points exactly
-    where the extremal ``case`` says."""
+    """Random valid non-flat models: rational critical values (see
+    :func:`critical_values`), one or two components per inner level,
+    extremes of any dimension, or points exactly where the extremal ``case``
+    says."""
     r = draw(st.integers(min_r, max_r))
     dim_x = draw(st.integers(4, 9))
+    a = draw(critical_values(r))
     rows = []
 
     def extreme_dim(isolated):
@@ -111,15 +128,15 @@ def action_models(draw, min_r=2, max_r=5, case=None):
     sink_isolated, source_isolated = CASE_ISOLATED[case] if case else (None, None)
     sink_dim = extreme_dim(sink_isolated)
     source_dim = extreme_dim(source_isolated)
-    rows.append(("Y0", 0, sink_dim, 0, dim_x - sink_dim))
-    rows.append((f"Y{r}", r, source_dim, dim_x - source_dim, 0))
+    rows.append(("Y0", a[0], sink_dim, 0, dim_x - sink_dim))
+    rows.append((f"Y{r}", a[r], source_dim, dim_x - source_dim, 0))
     for level in range(1, r):
         n_comps = draw(st.integers(1, 2))
         for idx in range(n_comps):
             nu_minus = draw(st.integers(1, dim_x - 2))
             nu_plus = draw(st.integers(1, dim_x - 1 - nu_minus))
             dim = dim_x - nu_minus - nu_plus
-            rows.append((f"Y{level}{'ab'[idx]}", level, dim, nu_minus, nu_plus))
+            rows.append((f"Y{level}{'ab'[idx]}", a[level], dim, nu_minus, nu_plus))
     return model_from_rows(rows, dim_x)
 
 

@@ -1,23 +1,30 @@
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from cstarflips.actions import (
     DIMENSION_MISMATCH,
     DUPLICATE_NAME,
     EMPTY_SPEC,
+    EXTREMAL_NONZERO_NU,
+    NEGATIVE_FIELD,
     NON_EXTREMAL_ZERO_NU,
+    REDUCIBLE_EXTREMAL_LEVEL,
+    TRIVIAL_ACTION,
     AlreadyFlatError,
     FixedComponent,
     InvalidActionError,
     MissingOriginDimsError,
+    Violation,
     blowup_extremal,
     check_action,
     index_set_i,
     is_bordism,
     is_btype,
     is_equalized,
+    validate_action,
 )
 from conftest import action_models, components, model_from_rows
 
@@ -73,6 +80,136 @@ class TestRecords:
         for record, field in ((c, "weight"), (gr24, "dim_x"), (gr24, "components")):
             with pytest.raises(AttributeError):
                 setattr(record, field, 0)
+
+
+def _oracle_violations(comps, dim_x):
+    """check_action as it was written before it grouped by exact weight: one
+    pass for the fields, then the sorted set of weights, then one pass
+    comparing each weight with the least and the greatest."""
+    if not comps:
+        return [Violation(EMPTY_SPEC, "no fixed components given")]
+    out, seen = [], set()
+    for c in comps:
+        if c.name in seen:
+            out.append(Violation(DUPLICATE_NAME, f"component name {c.name!r} repeated", c.name))
+        seen.add(c.name)
+        if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0 or dim_x <= 0:
+            out.append(Violation(NEGATIVE_FIELD, f"negative field on {c.name!r}", c.name))
+            continue
+        total = c.dim + c.nu_minus + c.nu_plus
+        if total != dim_x:
+            out.append(Violation(
+                DIMENSION_MISMATCH,
+                f"{c.name!r}: dim + nu_minus + nu_plus = {total} != dim_x = {dim_x}", c.name,
+            ))
+    weights = sorted({c.weight for c in comps})
+    if len(weights) < 2:
+        return out + [Violation(TRIVIAL_ACTION, "action has a single critical value")]
+    count = {"sink": 0, "source": 0}
+    for c in comps:
+        if c.weight == weights[0]:
+            count["sink"] += 1
+            if c.nu_minus != 0:
+                out.append(Violation(
+                    EXTREMAL_NONZERO_NU, f"sink component {c.name!r} has nu_minus != 0", c.name))
+        elif c.weight == weights[-1]:
+            count["source"] += 1
+            if c.nu_plus != 0:
+                out.append(Violation(
+                    EXTREMAL_NONZERO_NU, f"source component {c.name!r} has nu_plus != 0", c.name))
+        elif c.nu_minus == 0 or c.nu_plus == 0:
+            out.append(Violation(
+                NON_EXTREMAL_ZERO_NU,
+                f"inner component {c.name!r} has nu_minus or nu_plus equal to 0", c.name,
+            ))
+    for label, n in count.items():
+        if n != 1:
+            out.append(Violation(
+                REDUCIBLE_EXTREMAL_LEVEL, f"{label} level has more than one component"))
+    return out
+
+
+def _oracle_model(comps):
+    """validate_action's model as it was built before: a (weight, name) sort
+    of every component, then ``groupby`` on the weights."""
+    comps = sorted(comps, key=lambda c: (c.weight, c.name))
+    offset, top = comps[0].weight, comps[-1].weight
+    normalized = tuple([
+        FixedComponent(c.name, c.weight - offset, c.dim, c.nu_minus, c.nu_plus,
+                       inner=c.weight != offset and c.weight != top)
+        for c in comps
+    ])
+    levels = tuple([(a, tuple(run)) for a, run in groupby(normalized, key=lambda c: c.weight)])
+    return normalized, levels, offset
+
+
+# One digit more than the spec files admit in a rational field.
+HUGE = 10**999 + 7
+
+
+@st.composite
+def _spelled_weights(draw):
+    """A rational in one of its spellings: a Fraction, an int, ``"p/q"``, an
+    unreduced ``"2p/2q"`` or a decimal; denominators up to 1000 digits."""
+    num = draw(st.integers(-6, 6))
+    den = draw(st.sampled_from((1, 2, 4, 3, HUGE, 2 * HUGE)))
+    w = Fraction(num, den)
+    spellings = [w, str(w), f"{2 * w.numerator}/{2 * w.denominator}"]
+    if w.denominator == 1:
+        spellings.append(w.numerator)
+    if w.denominator in (2, 4):
+        spellings.append(repr(w.numerator / w.denominator))  # "0.5", "-0.75": exact
+    return draw(st.sampled_from(spellings))
+
+
+@st.composite
+def _component_lists(draw):
+    """Components that are often invalid: repeated names, a shared weight in
+    several spellings, negative or mismatched fields, crowded extremes."""
+    dim_x = draw(st.integers(-1, 5))
+    weights = draw(st.lists(_spelled_weights(), min_size=1, max_size=4))
+    n = draw(st.integers(0, 8))
+    small = st.integers(-1, 5)
+    return [
+        FixedComponent(draw(st.sampled_from("ABCDEFGH")), draw(st.sampled_from(weights)),
+                       draw(small), draw(small), draw(small))
+        for _ in range(n)
+    ], dim_x
+
+
+class TestAgainstTheSortingOracle:
+    """check_action and validate_action group the components by exact weight
+    and sort only the critical values; the oracle sorts every component by
+    (weight, name) and groups the runs.  They must agree on everything the
+    CLI and the report read."""
+
+    @given(_component_lists())
+    def test_violations_in_order(self, drawn):
+        comps, dim_x = drawn
+        want = _oracle_violations(comps, dim_x)
+        assert check_action(comps, dim_x) == want
+        if not want:
+            self._assert_model(comps, dim_x)
+
+    @given(action_models(), st.randoms(use_true_random=False), st.data())
+    def test_valid_models(self, model, rng, data):
+        """A valid model, respelled and shuffled, and shifted by a weight of
+        up to 1000 digits, comes back as the oracle builds it."""
+        shift = data.draw(st.sampled_from((Fraction(0), Fraction(-7, 2), Fraction(1, HUGE))))
+        comps = [c._replace(weight=str(c.weight + shift)) for c in model.components]
+        rng.shuffle(comps)
+        assert check_action(comps, model.dim_x) == []
+        self._assert_model(comps, model.dim_x)
+
+    @staticmethod
+    def _assert_model(comps, dim_x):
+        got = validate_action(comps, dim_x)
+        normalized, levels, offset = _oracle_model(comps)
+        assert got.components == normalized  # ``inner`` included
+        assert got.levels == levels
+        assert got.weight_offset == offset
+        flat = blowup_extremal(got)
+        assert flat.components == tuple(sorted(flat.components, key=lambda c: (c.weight, c.name)))
 
 
 class TestLevelIndex:

@@ -140,14 +140,12 @@ class TestChamberDecomposition:
             expected -= 1
         assert len(pairs) == expected
         a = flat.critical_values
-        delta = flat.bandwidth
         hit = set()
-        denom = 4
-        for p in range(int(delta) * denom + 1):
-            for q in range(p + 1, int(delta) * denom + 1):
-                x, y = Fraction(p, denom), Fraction(q, denom)
-                if x.denominator == 1 or y.denominator == 1:
-                    continue
+        # The quarter points inside each step [a_k, a_k+1]: with critical
+        # values 0..r, the quarter grid off the integers.
+        grid = [a[k] + (a[k + 1] - a[k]) * Fraction(t, 4) for k in range(r) for t in (1, 2, 3)]
+        for p, x in enumerate(grid):
+            for y in grid[p + 1:]:
                 loc = locate_chamber(flat, DivisorClass(x, y))
                 # the corners cut off by an isolated sink or source
                 if (model.sink.dim == 0 and y < a[1]) or (model.source.dim == 0 and x > a[-2]):

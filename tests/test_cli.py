@@ -15,6 +15,7 @@ from cstarflips import specfiles
 from cstarflips.cli import EXIT_CLOSED_STDOUT, main
 from cstarflips.lie import roots
 from cstarflips.specfiles import SchemaError
+from test_report_export import BORDISM_SPEC, with_odd_names
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 GR24, A42, BORDISM = (str(SPECS / f) for f in ("gr24_k2.json", "a4_2.json", "bordism_r3.json"))
@@ -230,6 +231,27 @@ class TestClosedStdout:
         assert proc.wait(timeout=120) == EXIT_CLOSED_STDOUT
         assert first == b"== synthetic-bordism-r3 ==\n"
         assert err == b""
+
+
+SPEC_COMMANDS = (
+    ["validate"], ["analyze"], ["analyze", "--format", "json"], ["chambers"], ["flips"],
+    ["quotients"], ["export", "--format", "json"], ["export", "--format", "dot"],
+    ["export", "--format", "svg"],
+)
+
+
+@pytest.mark.parametrize("command", SPEC_COMMANDS, ids=" ".join)
+def test_odd_names_in_every_spec_command(tmp_path, capsys, command):
+    """Spec and component names ending in ``ODD_NAME``, a lone surrogate
+    among its characters: the text and SVG output write what UTF-8 cannot
+    encode as a backslash escape, the JSON output as a JSON escape, and the
+    DOT output holds no name."""
+    spec = with_odd_names(BORDISM_SPEC)
+    path = write(tmp_path, "odd.json", json.dumps(spec))
+    assert main([*command, path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ("\\ud800" in captured.out) == (command[-1] != "dot")
 
 
 class TestRankCap:
