@@ -120,10 +120,9 @@ def _model_dict(model: ActionModel) -> dict:
     }
 
 
-def _flip_template(direction: str, level: int, record) -> str:
+def _flip_template(direction: str, level: int, centers, blocked) -> str:
     """A flip record of ``modifications.flip_moves`` as text, with ``%s``
     for the two nodes of a move; a ``%`` in an encoded name is doubled."""
-    centers, blocked = record
     if blocked:
         rows = '{"components":[%s]' % ",".join([_encode(name) for name in blocked])
     else:
@@ -152,11 +151,12 @@ def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict[str, str]:
         for pair in pairs
     }
     edges, obstructions, templates = [], [], {}
-    for pair, target, direction, level, record in md.flip_moves(flat, pairs):
+    for pair, target, direction, level, (centers, blocked) in md.flip_moves(flat, pairs):
         template = templates.get((direction, level))
         if template is None:
-            template = templates[direction, level] = _flip_template(direction, level, record)
-        (obstructions if record[1] else edges).append(template % (node[pair], node[target]))
+            template = _flip_template(direction, level, centers, blocked)
+            templates[direction, level] = template
+        (obstructions if blocked else edges).append(template % (node[pair], node[target]))
     return {
         "chambers": "[" + ",".join(
             ['{"pair":%s,"polygon":%s}' % (node[pair], polygon[pair]) for pair in pairs]

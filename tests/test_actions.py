@@ -83,9 +83,9 @@ class TestRecords:
 
 
 def _oracle_violations(comps, dim_x):
-    """check_action as it was written before it grouped by exact weight: one
-    pass for the fields, then the sorted set of weights, then one pass
-    comparing each weight with the least and the greatest."""
+    """check_action by Fraction comparisons: one pass for the fields, then
+    the sorted set of weights, then one pass comparing each weight with the
+    least and the greatest."""
     if not comps:
         return [Violation(EMPTY_SPEC, "no fixed components given")]
     out, seen = [], set()
@@ -130,8 +130,8 @@ def _oracle_violations(comps, dim_x):
 
 
 def _oracle_model(comps):
-    """validate_action's model as it was built before: a (weight, name) sort
-    of every component, then ``groupby`` on the weights."""
+    """validate_action's model by a (weight, name) sort of every component,
+    then ``groupby`` on the weights."""
     comps = sorted(comps, key=lambda c: (c.weight, c.name))
     offset, top = comps[0].weight, comps[-1].weight
     normalized = tuple([
@@ -143,7 +143,7 @@ def _oracle_model(comps):
     return normalized, levels, offset
 
 
-# One digit more than the spec files admit in a rational field.
+# A denominator of 1000 digits.
 HUGE = 10**999 + 7
 
 

@@ -1,6 +1,6 @@
 """Command line: per-file independence, ``--out`` with several specs,
-arguments that fail with a message instead of a traceback, and a stdout
-that its reader closes early."""
+arguments that fail with a message instead of a traceback, a stdout that
+its reader closes early, and names that UTF-8 cannot encode."""
 
 import json
 import os
