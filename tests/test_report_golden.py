@@ -20,10 +20,11 @@ from pathlib import Path
 import pytest
 
 from conftest import CASE_ISOLATED, synthetic_case_model
-from test_report_export import GR24_SPEC, random_spec
+from test_report_export import BORDISM_SPEC, GR24_SPEC, random_spec, with_odd_names
 
+from cstarflips.cli import main
 from cstarflips.report import run_pipeline
-from cstarflips.specfiles import parse_spec, parse_spec_dict
+from cstarflips.specfiles import parse_spec_dict
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 CASES = ("bordism", "isolated-sink", "isolated-source", "isolated-both")
@@ -118,27 +119,28 @@ def rational_chain_spec(case: str, r: int) -> dict:
     }
 
 
-def _report(spec) -> bytes:
-    return run_pipeline(spec).to_json()
+def _golden_specs():
+    """(case id, spec dicts) for every pinned input."""
+    for path in sorted(SPECS.glob("*.json")):
+        yield f"spec:{path.name}", [json.loads(path.read_text(encoding="utf-8"))]
+    rng = random.Random(424242)
+    yield "criterion-11-corpus", [random_spec(rng) for _ in range(50)]
+    for case in CASES:
+        for r in (3, 6):
+            spec = _model_spec(f"{case}-r{r}", synthetic_case_model(case, r=r))
+            yield f"synthetic:{case}:r{r}", [spec]
+    for case in CASES:
+        for r in RATIONAL_CHAIN_RS:
+            yield f"rational:{case}:r{r}", [rational_chain_spec(case, r)]
+    yield "btype", [BTYPE_SPEC]
+    for kind in ("level", "weights", "dim"):
+        yield f"lie-mismatch:{kind}", [_lie_mismatch(kind)]
 
 
 def _golden_inputs():
     """(case id, report bytes) for every pinned input."""
-    for path in sorted(SPECS.glob("*.json")):
-        yield f"spec:{path.name}", _report(parse_spec(path))
-    rng = random.Random(424242)
-    corpus = b"".join(_report(parse_spec_dict(random_spec(rng))) for _ in range(50))
-    yield "criterion-11-corpus", corpus
-    for case in CASES:
-        for r in (3, 6):
-            spec = _model_spec(f"{case}-r{r}", synthetic_case_model(case, r=r))
-            yield f"synthetic:{case}:r{r}", _report(parse_spec_dict(spec))
-    for case in CASES:
-        for r in RATIONAL_CHAIN_RS:
-            yield f"rational:{case}:r{r}", _report(parse_spec_dict(rational_chain_spec(case, r)))
-    yield "btype", _report(parse_spec_dict(BTYPE_SPEC))
-    for kind in ("level", "weights", "dim"):
-        yield f"lie-mismatch:{kind}", _report(parse_spec_dict(_lie_mismatch(kind)))
+    for case_id, specs in _golden_specs():
+        yield case_id, b"".join(run_pipeline(parse_spec_dict(spec)).to_json() for spec in specs)
 
 
 GOLDEN = {
@@ -203,3 +205,52 @@ def test_rational_chains_cover_what_they_pin(case, r):
 @pytest.mark.parametrize("case_id", sorted(GOLDEN))
 def test_report_bytes_are_pinned(reports, case_id):
     assert hashlib.sha256(reports[case_id]).hexdigest() == GOLDEN[case_id]
+
+
+# The stdout bytes of each spec command over every pinned input above plus
+# ``with_odd_names(BORDISM_SPEC)``, all in one call, with files named
+# ``<n>.json`` relative to the working directory.
+COMMANDS = {
+    "validate": ["validate"],
+    "analyze": ["analyze"],
+    "chambers": ["chambers"],
+    "flips": ["flips"],
+    "quotients": ["quotients"],
+    "export-dot": ["export", "--format", "dot"],
+    "export-svg": ["export", "--format", "svg"],
+}
+COMMAND_GOLDEN = {
+    "validate": "a52d003657b816fd77fdaa0d3b9d3c61328cad3b6c9a741bb38e535e76623294",
+    "analyze": "4ef6dc2f839fe9847dd457e45bd9321883b4e8c81d798f1a49e7e4f18e81b108",
+    "chambers": "f4ca46941d8dac70a82cb3a85473e2744f2c32ddb8e9edd742e386c3d0aa6e9c",
+    "flips": "db53177aad94e256b7c5327a27b212d83e7fce3af4ecaafee0e061ff955b99c3",
+    "quotients": "ee1f7feb4731b8e06e2cc1474e3d74d12da366921e95de3598d79bc9d65497e0",
+    "export-dot": "671c7d7901e6a9fb20312e24e577405f6908d9c52946d612a441481260c427ef",
+    "export-svg": "a8a49d06f2efe470616d8a70283e9d7cdf489ac1135b6b25da3e1a38129d5e67",
+}
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    """The specs as files ``<n>.json``, and their count."""
+    specs = [spec for _, group in _golden_specs() for spec in group]
+    specs.append(with_odd_names(BORDISM_SPEC))
+    root = tmp_path_factory.mktemp("golden-specs")
+    for n, spec in enumerate(specs):
+        (root / f"{n:03d}.json").write_text(json.dumps(spec), encoding="utf-8")
+    return root, len(specs)
+
+
+def test_every_command_is_pinned():
+    assert sorted(COMMAND_GOLDEN) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_output_is_pinned(spec_dir, monkeypatch, capsysbinary, command):
+    """Exit 4 (the Lie mismatches), nothing on stderr, pinned stdout."""
+    root, count = spec_dir
+    monkeypatch.chdir(root)
+    assert main([*COMMANDS[command], *[f"{n:03d}.json" for n in range(count)]]) == 4
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    assert hashlib.sha256(captured.out).hexdigest() == COMMAND_GOLDEN[command]
