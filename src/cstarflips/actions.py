@@ -34,6 +34,7 @@ EXTREMAL_NONZERO_NU = "ExtremalNonzeroNu"
 TRIVIAL_ACTION = "TrivialAction"
 REDUCIBLE_EXTREMAL_LEVEL = "ReducibleExtremalLevel"
 NEGATIVE_FIELD = "NegativeField"
+NON_POSITIVE_DIM = "NonPositiveDim"
 
 
 class ActionError(Exception):
@@ -214,6 +215,8 @@ def _check(comps: list[FixedComponent], dim_x: int):
     if not comps:
         return [Violation(EMPTY_SPEC, "no fixed components given")], []
     violations: list[Violation] = []
+    if dim_x <= 0:  # then no component's dimension sum is compared
+        violations.append(Violation(NON_POSITIVE_DIM, f"dim_X = {dim_x} is not positive"))
     seen: set[str] = set()
     groups: dict[tuple[int, int], list[FixedComponent]] = {}
     level_of = []
@@ -224,11 +227,11 @@ def _check(comps: list[FixedComponent], dim_x: int):
         level = groups.setdefault(_weight_key(c), [])
         level.append(c)
         level_of.append(level)
-        if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0 or dim_x <= 0:
+        if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0:
             violations.append(Violation(NEGATIVE_FIELD, f"negative field on {c.name!r}", c.name))
             continue
         total = c.dim + c.nu_minus + c.nu_plus
-        if total != dim_x:
+        if total != dim_x and dim_x > 0:
             message = f"{c.name!r}: dim + nu_minus + nu_plus = {total} != dim_x = {dim_x}"
             violations.append(Violation(DIMENSION_MISMATCH, message, c.name))
 

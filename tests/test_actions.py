@@ -10,6 +10,7 @@ from cstarflips.actions import (
     EMPTY_SPEC,
     EXTREMAL_NONZERO_NU,
     NEGATIVE_FIELD,
+    NON_POSITIVE_DIM,
     NON_EXTREMAL_ZERO_NU,
     REDUCIBLE_EXTREMAL_LEVEL,
     TRIVIAL_ACTION,
@@ -89,15 +90,17 @@ def _oracle_violations(comps, dim_x):
     if not comps:
         return [Violation(EMPTY_SPEC, "no fixed components given")]
     out, seen = [], set()
+    if dim_x <= 0:
+        out.append(Violation(NON_POSITIVE_DIM, f"dim_X = {dim_x} is not positive"))
     for c in comps:
         if c.name in seen:
             out.append(Violation(DUPLICATE_NAME, f"component name {c.name!r} repeated", c.name))
         seen.add(c.name)
-        if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0 or dim_x <= 0:
+        if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0:
             out.append(Violation(NEGATIVE_FIELD, f"negative field on {c.name!r}", c.name))
             continue
         total = c.dim + c.nu_minus + c.nu_plus
-        if total != dim_x:
+        if dim_x > 0 and total != dim_x:
             out.append(Violation(
                 DIMENSION_MISMATCH,
                 f"{c.name!r}: dim + nu_minus + nu_plus = {total} != dim_x = {dim_x}", c.name,

@@ -67,6 +67,18 @@ class TestPerFileIndependence:
         assert "== gr24-k2 ==" in captured.out
         assert captured.err.startswith(f"{bad}: invalid:\n  DimensionMismatch: ")
 
+    @pytest.mark.parametrize("dim_x", [0, -3])
+    def test_non_positive_dim_x_is_named_once(self, tmp_path, capsys, dim_x):
+        spec = json.loads(Path(BORDISM).read_text())
+        spec["dim_X"] = dim_x
+        bad = write(tmp_path, "bad.json", json.dumps(spec))
+        assert main(["validate", bad, GR24]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"{bad}: invalid:",
+            f"  NonPositiveDim: dim_X = {dim_x} is not positive",
+            f"{GR24}: ok (gr24-k2, criticality 2)",
+        ]
+
 
 class TestOut:
     def test_every_report_is_kept(self, tmp_path, capsys):
