@@ -14,6 +14,8 @@ import argparse
 import os
 import sys
 
+from . import chambers as ch
+from . import modifications as md
 from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError
 from .export import export
 from .report import ReportBundle, run_pipeline
@@ -120,16 +122,16 @@ def _cmd_analyze(args) -> int:
     def render(path: str, bundle: ReportBundle):
         if args.format == "json":
             return bundle.to_json()
-        d = bundle.data
+        d, flat = bundle.values, bundle.flat
+        pairs = ch.chamber_pairs(flat)
+        blocked = [bool(record[1]) for *_, record in md.flip_moves(flat, pairs)]
         print(f"== {d['name']} ==")
         print(f"case: {d['case']}  bandwidth: {d['bandwidth']}  criticality: {d['criticality']}")
         print(f"bordism: {d['bordism']}  index set: {d['index_set']}")
         gens = ", ".join(f"L({a},{b})" for a, b in d["movable_cone"])
         print(f"movable cone generators: {gens}")
-        print(f"chambers ({len(d['chambers'])}): "
-              + ", ".join(f"({c['pair'][0]},{c['pair'][1]})" for c in d["chambers"]))
-        print(f"flip edges: {len(d['flip_graph']['edges'])}  "
-              f"obstructions: {len(d['flip_graph']['obstructions'])}")
+        print(f"chambers ({len(pairs)}): " + ", ".join(f"({i},{j})" for i, j in pairs))
+        print(f"flip edges: {blocked.count(False)}  obstructions: {blocked.count(True)}")
         cs = d["chain_summary"]
         print(f"quotient chain: {cs['chain_arrows']} arrows, endpoints {cs['left']}/{cs['right']}, "
               f"{cs['blowups']} blowup(s) + {cs['flips']} flip(s) + {cs['blowdowns']} blowdown(s)")
@@ -145,33 +147,45 @@ def _cmd_analyze(args) -> int:
 def _cmd_chambers(args) -> int:
     def render(path: str, bundle: ReportBundle):
         print(f"== {bundle['name']} ==")
-        for c in bundle["chambers"]:
-            poly = " ".join(f"({a},{b})" for a, b in c["polygon"])
-            print(f"N_{{{c['pair'][0]},{c['pair'][1]}}}: {poly}")
+        a = [str(v) for v in bundle.flat.critical_values]
+        for i, j in ch.chamber_pairs(bundle.flat):
+            poly = " ".join([f"({a[k]},{a[l]})" for k, l in ch.chamber_corners((i, j))])
+            print(f"N_{{{i},{j}}}: {poly}")
 
     return _run_per_spec(args, render)
+
+
+def _flip_line(direction: str, level: int, centers, blocked) -> str:
+    """A flip record as an edge or obstruction line, with ``%d`` for the
+    indices of the two nodes; a ``%`` in a name is doubled."""
+    if blocked:
+        return "blocked [%d, %d] -> [%d, %d]" + (
+            f": level {level} components {', '.join(blocked)} fail the flip inequality"
+        ).replace("%", "%%")
+    tag = "psi+" if direction == md.PLUS else "psi-"
+    rows = "; ".join(
+        f"{c.component}: center dim {c.center_dim}, flipped dim {c.flipped_dim}" for c in centers
+    )
+    return "X(%d,%d) -> X(%d,%d)" + f" [{tag}, level {level}] {rows}".replace("%", "%%")
 
 
 def _cmd_flips(args) -> int:
     def render(path: str, bundle: ReportBundle):
         print(f"== {bundle['name']} ==")
-        fg = bundle["flip_graph"]
-        print("nodes: " + ", ".join(f"X({i},{j})" for i, j in fg["nodes"]))
-        for e in fg["edges"]:
-            tag = "psi+" if e["direction"] == "plus" else "psi-"
-            centers = "; ".join(
-                f"{c['component']}: center dim {c['center_dim']}, flipped dim {c['flipped_dim']}"
-                for c in e["centers"]
-            )
-            print(
-                f"X({e['from'][0]},{e['from'][1]}) -> X({e['to'][0]},{e['to'][1]}) "
-                f"[{tag}, level {e['level']}] {centers}"
-            )
-        for o in fg["obstructions"]:
-            print(
-                f"blocked {o['from']} -> {o['to']}: level {o['level']} components "
-                f"{', '.join(o['components'])} fail the flip inequality"
-            )
+        flat = bundle.flat
+        pairs = ch.chamber_pairs(flat)
+        print("nodes: " + ", ".join(f"X({i},{j})" for i, j in pairs))
+        lines, obstructions = {}, []
+        for pair, target, direction, level, record in md.flip_moves(flat, pairs):
+            line = lines.get((direction, level))
+            if line is None:
+                line = lines[direction, level] = _flip_line(direction, level, *record)
+            if record[1]:  # obstructions are printed after every edge
+                obstructions.append(line % (*pair, *target))
+            else:
+                print(line % (*pair, *target))
+        for line in obstructions:
+            print(line)
 
     return _run_per_spec(args, render)
 

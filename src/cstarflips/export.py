@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import chambers as ch
+from . import modifications as md
 from .actions import ActionError
 from .report import ReportBundle
 
@@ -22,22 +24,15 @@ def export(bundle: ReportBundle, fmt: str) -> bytes:
     raise UnsupportedFormatError(f"unsupported format {fmt!r} (json, dot, svg)")
 
 
-def _pair_name(pair) -> str:
-    return f"X({pair[0]},{pair[1]})"
-
-
 def export_dot(bundle: ReportBundle) -> bytes:
     """Two graphs: the flip graph and the quotient diagram."""
     lines = ["digraph flip_graph {", "  rankdir=LR;"]
-    fg = bundle["flip_graph"]
-    for pair in fg["nodes"]:
-        lines.append(f'  "{_pair_name(pair)}";')
-    for e in fg["edges"]:
-        tag = "psi+" if e["direction"] == "plus" else "psi-"
-        lines.append(
-            f'  "{_pair_name(e["from"])}" -> "{_pair_name(e["to"])}" '
-            f'[label="{tag} @ level {e["level"]}"];'
-        )
+    pairs = ch.chamber_pairs(bundle.flat)
+    lines.extend([f'  "X({i},{j})";' for i, j in pairs])
+    for (i, j), (k, l), direction, level, (_, blocked) in md.flip_moves(bundle.flat, pairs):
+        if not blocked:
+            tag = "psi+" if direction == md.PLUS else "psi-"
+            lines.append(f'  "X({i},{j})" -> "X({k},{l})" [label="{tag} @ level {level}"];')
     lines.append("}")
     lines.append("")
     lines.append("digraph quotient_diagram {")
@@ -57,11 +52,13 @@ _SCALE = 120
 _PAD = 70
 
 
-def _xy(tau_minus: Fraction, tau_plus: Fraction, delta: Fraction):
-    # tau_minus rightward, tau_plus upward (flipped into SVG's y-down frame)
-    x = _PAD + float(tau_minus) * _SCALE
-    y = _PAD + float(delta - tau_plus) * _SCALE
-    return x, y
+# tau_minus rightward, tau_plus upward (flipped into SVG's y-down frame)
+def _x(tau_minus: Fraction) -> float:
+    return _PAD + float(tau_minus) * _SCALE
+
+
+def _y(tau_plus: Fraction, delta: Fraction) -> float:
+    return _PAD + float(delta - tau_plus) * _SCALE
 
 
 def _xml_text(text: str) -> str:
@@ -69,9 +66,15 @@ def _xml_text(text: str) -> str:
 
 
 def export_svg(bundle: ReportBundle) -> bytes:
-    """The movable region and its chambers in the (tau-, tau+) plane."""
-    delta = Fraction(bundle["bandwidth"])
-    mov = [(Fraction(a), Fraction(b)) for a, b in bundle["movable_cone"]]
+    """The movable region and its chambers in the (tau-, tau+) plane.
+
+    A corner (a_k, a_l) is drawn at x_k, y_l; a chamber's label sits at its
+    centroid, which for a quad (i, j) is ((a_i + a_(i+1))/2, (a_(j-1) + a_j)/2)
+    and for a triangle (i, i+1) depends on i alone, so each coordinate is
+    written once per critical value."""
+    a = bundle.flat.critical_values
+    delta = bundle.flat.bandwidth
+    mov = ch.movable_polygon(bundle.flat)
     side = 2 * _PAD + float(delta) * _SCALE
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side:.0f}" height="{side:.0f}" '
@@ -79,19 +82,22 @@ def export_svg(bundle: ReportBundle) -> bytes:
         f'<title>{_xml_text(bundle["name"])}: movable region and chambers</title>',
         '<style>text{font-family:sans-serif;font-size:13px;}</style>',
     ]
-    for c in bundle["chambers"]:
-        pts = [(Fraction(a), Fraction(b)) for a, b in c["polygon"]]
-        path = " ".join("%.2f,%.2f" % _xy(p[0], p[1], delta) for p in pts)
+    xs = ["%.2f" % _x(v) for v in a]
+    ys = ["%.2f" % _y(v, delta) for v in a]
+    steps = list(zip(a, a[1:]))
+    quad_x = ["%.2f" % (_x((u + v) / 2) - 18) for u, v in steps]
+    quad_y = [None] + ["%.2f" % (_y((u + v) / 2, delta) + 4) for u, v in steps]
+    triangle = ['x="%.2f" y="%.2f"' % (_x((2 * u + v) / 3) - 18, _y((u + 2 * v) / 3, delta) + 4)
+                for u, v in steps]
+    for i, j in ch.chamber_pairs(bundle.flat):
+        path = " ".join([f"{xs[k]},{ys[l]}" for k, l in ch.chamber_corners((i, j))])
         out.append(f'<polygon points="{path}" fill="#dfe7f5" stroke="#4a6ea9" stroke-width="1"/>')
-        cx = sum(p[0] for p in pts) / len(pts)
-        cy = sum(p[1] for p in pts) / len(pts)
-        x, y = _xy(cx, cy, delta)
-        i, j = c["pair"]
-        out.append(f'<text x="{x - 18:.2f}" y="{y + 4:.2f}">N_{{{i},{j}}}</text>')
-    path = " ".join("%.2f,%.2f" % _xy(p[0], p[1], delta) for p in mov)
+        at = triangle[i] if j == i + 1 else f'x="{quad_x[i]}" y="{quad_y[j]}"'
+        out.append(f'<text {at}>N_{{{i},{j}}}</text>')
+    path = " ".join("%.2f,%.2f" % (_x(x), _y(y, delta)) for x, y in mov)
     out.append(f'<polygon points="{path}" fill="none" stroke="#1d2d50" stroke-width="2"/>')
     for p in mov:
-        x, y = _xy(p[0], p[1], delta)
+        x, y = _x(p[0]), _y(p[1], delta)
         out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1d2d50"/>')
         out.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}">L({p[0]},{p[1]})</text>')
     out.append("</svg>")

@@ -5,14 +5,14 @@ the action model, passes to the divisorial-extremes model, and assembles the
 cone, chamber, flip-graph and quotient data into a :class:`ReportBundle`.
 Every list is in a canonical order and the encoding is canonical (sorted
 keys, no spaces, ASCII), so identical input produces byte-identical JSON
-output.  The O(r) sections are kept as JSON values; the three O(r^2)
-sections are written once as canonical JSON text.
+output.  The three O(r^2) sections are written from the flat model's
+per-level facts only when the JSON is.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import chambers as ch
 from . import modifications as md
@@ -41,60 +41,24 @@ EXTREMAL_LABEL_NOTE = (
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
 
 
-class ReportBundle:
-    """A report: ``values`` holds sections as JSON values, ``texts`` holds
-    sections as their canonical JSON text.  ``run_pipeline`` keeps the O(r)
-    sections as values and writes the three O(r^2) sections (chambers, flip
-    graph, P1-bundles) once as text; ``to_json`` splices both in sorted key
-    order.  ``data`` and ``bundle[key]`` give every section as values; a
-    text section is parsed on first use.  A bundle is immutable and compares
-    by ``values`` and ``texts``."""
+class ReportBundle(NamedTuple):
+    """A report: ``values`` holds the O(r) sections as JSON values, ``flat``
+    the flat model they were computed from.  The three O(r^2) sections
+    (chambers, flip graph, P1-bundles) are not kept: ``to_json`` writes them
+    from ``flat``, and the text, DOT and SVG views read the same per-level
+    facts.  ``bundle[key]`` reads a section of ``values``."""
 
-    __slots__ = ("values", "texts", "_parsed")
-
-    def __init__(self, values: dict, texts: dict | None = None):
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "texts", {} if texts is None else texts)
-        object.__setattr__(self, "_parsed", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a ReportBundle is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values and self.texts == other.texts
-
-    __hash__ = None  # the sections are dicts
-
-    def to_json(self) -> bytes:
-        parts, run = [], {}
-        for key in sorted(self.values.keys() | self.texts.keys()):
-            if key in self.texts:
-                if run:
-                    parts.append(_encode(run)[1:-1])
-                    run = {}
-                parts.append(_encode(key) + ":" + self.texts[key])
-            else:
-                run[key] = self.values[key]
-        if run:
-            parts.append(_encode(run)[1:-1])
-        return "".join(("{", ",".join(parts), "}\n")).encode("ascii")
-
-    @classmethod
-    def from_json(cls, payload: bytes) -> "ReportBundle":
-        return cls(json.loads(payload.decode("utf-8")))
-
-    @property
-    def data(self) -> dict:
-        return {**self.values, **{key: self[key] for key in self.texts}}
+    values: dict
+    flat: ActionModel
 
     def __getitem__(self, key):
-        if key not in self.texts:
-            return self.values[key]
-        if key not in self._parsed:
-            self._parsed[key] = json.loads(self.texts[key])
-        return self._parsed[key]
+        return self.values[key]
+
+    def to_json(self) -> bytes:
+        sections = {key: _encode(value) for key, value in self.values.items()}
+        sections.update(_chain_sections(self.flat, self.values["index_set"]))
+        body = ",".join([_encode(key) + ":" + sections[key] for key in sorted(sections)])
+        return ("{" + body + "}\n").encode("ascii")
 
 
 def _model_dict(model: ActionModel) -> dict:
@@ -308,4 +272,4 @@ def run_pipeline(
             "flips": summary.flips,
         },
     }
-    return ReportBundle(data, _chain_sections(flat, index_set))
+    return ReportBundle(data, flat)

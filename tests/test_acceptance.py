@@ -24,7 +24,7 @@ from cstarflips.chambers import (
     stable_base_locus,
 )
 from cstarflips.modifications import MINUS, build_flip_graph, flip_chain_summary, induced_action
-from cstarflips.report import ReportBundle, run_pipeline
+from cstarflips.report import run_pipeline
 from cstarflips.specfiles import parse_spec_dict
 from conftest import (
     BORDISM_R2_ROWS,
@@ -338,7 +338,7 @@ def test_criterion_10_factorization_counts():
 
 @criterion(11, "byte-identical exports and export/parse round trips on 50 randomized bundles")
 def test_criterion_11_determinism_roundtrip():
-    from test_report_export import random_spec
+    from test_report_export import canonical, random_spec, reads_back
 
     rng = random.Random(424242)
     for _ in range(50):
@@ -346,4 +346,6 @@ def test_criterion_11_determinism_roundtrip():
         first = run_pipeline(parse_spec_dict(obj))
         second = run_pipeline(parse_spec_dict(json.loads(json.dumps(obj))))
         assert first.to_json() == second.to_json()
-        assert ReportBundle.from_json(first.to_json()).data == first.data
+        payload = first.to_json()
+        assert payload == canonical(payload)
+        assert reads_back(payload, first)

@@ -191,7 +191,7 @@ def test_rational_chains_cover_what_they_pin(case, r):
     steps of more than one denominator, a shuffled input order, and blocked
     flips in both directions."""
     spec = rational_chain_spec(case, r)
-    report = run_pipeline(parse_spec_dict(spec))
+    report = json.loads(run_pipeline(parse_spec_dict(spec)).to_json())
     weights = [Fraction(c["weight"]) for c in spec["components"]]
     levels = sorted(set(weights))
     assert report["case"] == case and report["criticality"] == r

@@ -10,18 +10,22 @@ compute each fact once.
 """
 
 import collections
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import action_models, synthetic_case_model
 from test_report_export import ODD_NAME, canonical
-from test_report_golden import CASES, _model_spec
+from test_report_golden import CASES, _model_spec, rational_chain_spec
 
 from cstarflips import chambers as ch
 from cstarflips import modifications as md
+from cstarflips import report
 from cstarflips.actions import blowup_extremal
-from cstarflips.report import ReportBundle, run_pipeline
+from cstarflips.cli import main
+from cstarflips.report import run_pipeline
 from cstarflips.specfiles import parse_spec_dict
 
 
@@ -75,17 +79,20 @@ def test_report_agrees_with_the_views(case, data):
     ))
     bundle = run_pipeline(parse_spec_dict(_model_spec(case + odd, model)))
     views = _view_sections(blowup_extremal(model))
-    assert {key: bundle[key] for key in views} == views
     payload = bundle.to_json()
+    report = json.loads(payload)
+    assert {key: report[key] for key in views} == views
     assert payload == canonical(payload)
-    assert ReportBundle.from_json(payload).to_json() == payload
+    assert {key: report[key] for key in bundle.values} == bundle.values
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_each_fact_is_computed_once(monkeypatch, case):
-    """On an r=40 chain: at most 2r flip records, one evaluation of the
-    chamber pairs, and each chamber's corners built once."""
+    """On an r=40 chain, within one ``to_json``: at most 2r flip records,
+    one evaluation of the chamber pairs, and each chamber's corners built
+    once."""
     r = 40
+    bundle = run_pipeline(parse_spec_dict(_model_spec(case, synthetic_case_model(case, r=r))))
     calls = collections.Counter()
     corners = collections.Counter()
 
@@ -105,9 +112,41 @@ def test_each_fact_is_computed_once(monkeypatch, case):
     monkeypatch.setattr(md, "_flip_records", counting("_flip_records", md._flip_records))
     monkeypatch.setattr(ch, "chamber_corners", counting_corners)
 
-    bundle = run_pipeline(parse_spec_dict(_model_spec(case, synthetic_case_model(case, r=r))))
-    assert bundle["criticality"] == r
+    report = json.loads(bundle.to_json())
+    assert report["criticality"] == r
     assert calls["_flip_records"] <= 2 * r
     assert calls["chamber_pairs"] == 1
-    assert sorted(corners) == sorted(tuple(c["pair"]) for c in bundle["chambers"])
+    assert sorted(corners) == sorted(tuple(c["pair"]) for c in report["chambers"])
     assert set(corners.values()) == {1}
+
+
+# The stdout of each view over the r=40 rational chains of the four cases,
+# in one call.
+VIEW_GOLDEN = {
+    ("analyze",): "7dfaecf16575cb27fc5976860b6138c6a134fa2bb20dcdc17d8ab05430825766",
+    ("chambers",): "15b6a62661ced5e52e3a3cb318c6902c659985a015150d513a4966875bdf56bb",
+    ("flips",): "5e01c03430eb37b0a020bf62e48c259201e1fba284e3e8e16d226fad7ff5271f",
+    ("export", "--format", "dot"):
+        "0ca83847d52936335e8898f181a49719928884eca0e4452bb7dc1b62de00c53f",
+    ("export", "--format", "svg"):
+        "89e3f64e07318b52d93844885427e687b0caa7d604a307d706d084eff6dee526",
+}
+
+
+@pytest.mark.parametrize("command", sorted(VIEW_GOLDEN), ids=" ".join)
+def test_views_write_no_chain_text(tmp_path, monkeypatch, capsysbinary, command):
+    """The text, DOT and SVG views render from the flat model: with the JSON
+    writer of the chain sections refused, each still exits 0 with its
+    pinned bytes."""
+
+    def refuse(*args):
+        raise AssertionError("the chain sections were written as JSON")
+
+    monkeypatch.setattr(report, "_chain_sections", refuse)
+    monkeypatch.chdir(tmp_path)
+    for case in CASES:
+        (tmp_path / f"{case}.json").write_text(json.dumps(rational_chain_spec(case, 40)))
+    assert main([*command, *[f"{case}.json" for case in CASES]]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    assert hashlib.sha256(captured.out).hexdigest() == VIEW_GOLDEN[command]
