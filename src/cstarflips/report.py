@@ -57,8 +57,11 @@ class ReportBundle(NamedTuple):
     def to_json(self) -> bytes:
         sections = {key: _encode(value) for key, value in self.values.items()}
         sections.update(_chain_sections(self.flat, self.values["index_set"]))
-        body = ",".join([_encode(key) + ":" + sections[key] for key in sorted(sections)])
-        return ("{" + body + "}\n").encode("ascii")
+        parts = ["{"]
+        for key in sorted(sections):
+            parts += (_encode(key), ":", sections[key], ",")
+        parts[-1] = "}\n"  # in place of the last comma
+        return "".join(parts).encode("ascii")
 
 
 def _model_dict(model: ActionModel) -> dict:
