@@ -166,6 +166,6 @@ def parse_spec(path) -> ActionSpecFile:
         raise SpecSyntaxError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal beyond Python's digit limit
+    except (ValueError, RecursionError) as exc:  # past the digit limit, or nested too deep
         raise SpecSyntaxError(f"{path}: {exc}") from exc
     return parse_spec_dict(obj)

@@ -80,6 +80,22 @@ class TestPerFileIndependence:
         ]
 
 
+    def test_analyze_goes_on_after_deep_nesting(self, tmp_path):
+        """100,000 nested arrays pass the decoder's recursion limit: in a cold
+        process, one parse-error line and exit 3, and the next file's report
+        is still written."""
+        deep = write(tmp_path, "deep.json", "[" * 100_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cstarflips", "analyze", "--format", "json", deep, BORDISM],
+            env=_child_env(), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        err = proc.stderr.decode()
+        assert err.startswith(f"{deep}: parse error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert json.loads(proc.stdout)["name"] == "synthetic-bordism-r3"
+
+
 class TestOut:
     def test_every_report_is_kept(self, tmp_path, capsys):
         out = tmp_path / "reports.json"
