@@ -6,9 +6,12 @@ that plane with exact rationals.  Chambers are indexed by pairs (i, j) with
 ``tau_minus`` between the i-th and (i+1)-st critical values and ``tau_plus``
 between the (j-1)-st and j-th, intersected with ``tau_minus <= tau_plus``.
 
-Which pairs actually occur depends only on whether the extremal fixed
-components of the original variety are isolated points: an isolated sink
-removes (0, 1), an isolated source removes (r-1, r).
+The chambers form a triangle: row i holds the chambers (i, j), i < j <= r
+(``chamber_rows``), and their corners lie on the corner rows i and i + 1
+(``row_corners``), so each view is written row by row.  Which pairs occur
+depends only on whether the extremal fixed components of the original
+variety are isolated points: an isolated sink removes (0, 1) from row 0, an
+isolated source removes (r-1, r) from row r - 1.
 """
 
 from __future__ import annotations
@@ -194,25 +197,37 @@ def movable_cone(model: ActionModel) -> list[DivisorClass]:
     return [DivisorClass(x, y) for (x, y) in movable_polygon(model)]
 
 
+def chamber_rows(model: ActionModel) -> list[range]:
+    """Row i of the chamber triangle: the columns j of the chambers (i, j),
+    from i + 1 to r, less (0, 1) when the original sink is a point and
+    (r - 1, r) when the original source is."""
+    r = model.criticality
+    sink_point, source_point = model.isolated_extremes()
+    rows = [range(i + 1, r + 1) for i in range(r)]
+    rows[0] = rows[0][sink_point:]  # a True drops the first column
+    rows[-1] = rows[-1][:len(rows[-1]) - source_point]
+    return rows
+
+
 def chamber_pairs(model: ActionModel) -> list[Tuple[int, int]]:
     """The index pairs whose chamber lies inside the movable cone."""
-    r = model.criticality
-    corners = zip(((0, 1), (r - 1, r)), model.isolated_extremes())
-    removed = {pair for pair, isolated in corners if isolated}
-    return [(i, j) for i in range(r) for j in range(i + 1, r + 1) if (i, j) not in removed]
+    return [(i, j) for i, columns in enumerate(chamber_rows(model)) for j in columns]
 
 
-def chamber_corners(pair: Tuple[int, int]) -> Tuple[Tuple[int, int], ...]:
-    """The corners of chamber (i, j) as index pairs (k, l): the point (a_k, a_l)."""
-    i, j = pair
-    if j == i + 1:
-        return ((i, i), (i + 1, i + 1), (i, i + 1))
-    return ((i, j - 1), (i + 1, j - 1), (i + 1, j), (i, j))
+def row_corners(points, i: int, columns: range) -> list[tuple]:
+    """The corners of the chambers (i, j), j in ``columns``, read from a
+    table of points, ``points[k][l]`` standing for (a_k, a_l).  Chamber
+    (i, j) is the box [a_i, a_(i+1)] x [a_(j-1), a_j] above the diagonal,
+    so (i, i + 1) is a triangle."""
+    low, high = points[i], points[i + 1]
+    return [(low[j - 1], high[j], low[j]) if j == i + 1  # (a_(i+1), a_i) is cut off
+            else (low[j - 1], high[j - 1], high[j], low[j]) for j in columns]
 
 
 def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, ...]:
     a = model.critical_values
-    return tuple([(a[k], a[l]) for k, l in chamber_corners(pair)])
+    i, j = pair
+    return row_corners({k: [(a[k], al) for al in a] for k in (i, i + 1)}, i, range(j, j + 1))[0]
 
 
 def chamber_decomposition(model: ActionModel) -> list[Chamber]:

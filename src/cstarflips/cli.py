@@ -124,7 +124,8 @@ def _cmd_analyze(args) -> int:
             return bundle.to_json()
         d, flat = bundle.values, bundle.flat
         pairs = ch.chamber_pairs(flat)
-        blocked = [bool(record[1]) for *_, record in md.flip_moves(flat, pairs)]
+        records, moves = md.flip_moves(flat, ch.chamber_rows(flat))
+        blocked = [bool(records[n][3]) for n, _, _ in moves]
         print(f"== {d['name']} ==")
         print(f"case: {d['case']}  bandwidth: {d['bandwidth']}  criticality: {d['criticality']}")
         print(f"bordism: {d['bordism']}  index set: {d['index_set']}")
@@ -148,9 +149,10 @@ def _cmd_chambers(args) -> int:
     def render(path: str, bundle: ReportBundle):
         print(f"== {bundle['name']} ==")
         a = [str(v) for v in bundle.flat.critical_values]
-        for i, j in ch.chamber_pairs(bundle.flat):
-            poly = " ".join([f"({a[k]},{a[l]})" for k, l in ch.chamber_corners((i, j))])
-            print(f"N_{{{i},{j}}}: {poly}")
+        points = [[None] * k + [f"({ak},{al})" for al in a[k:]] for k, ak in enumerate(a)]
+        for i, columns in enumerate(ch.chamber_rows(bundle.flat)):
+            for j, corners in zip(columns, ch.row_corners(points, i, columns)):
+                print(f"N_{{{i},{j}}}: {' '.join(corners)}")
 
     return _run_per_spec(args, render)
 
@@ -175,15 +177,15 @@ def _cmd_flips(args) -> int:
         flat = bundle.flat
         pairs = ch.chamber_pairs(flat)
         print("nodes: " + ", ".join(f"X({i},{j})" for i, j in pairs))
-        lines, obstructions = {}, []
-        for pair, target, direction, level, record in md.flip_moves(flat, pairs):
-            line = lines.get((direction, level))
-            if line is None:
-                line = lines[direction, level] = _flip_line(direction, level, *record)
-            if record[1]:  # obstructions are printed after every edge
-                obstructions.append(line % (*pair, *target))
+        records, moves = md.flip_moves(flat, ch.chamber_rows(flat))
+        lines = [_flip_line(*record) for record in records]
+        obstructions = []
+        for n, p, q in moves:
+            line = lines[n] % (*pairs[p], *pairs[q])
+            if records[n][3]:  # obstructions are printed after every edge
+                obstructions.append(line)
             else:
-                print(line % (*pair, *target))
+                print(line)
         for line in obstructions:
             print(line)
 

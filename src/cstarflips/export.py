@@ -29,8 +29,11 @@ def export_dot(bundle: ReportBundle) -> bytes:
     lines = ["digraph flip_graph {", "  rankdir=LR;"]
     pairs = ch.chamber_pairs(bundle.flat)
     lines.extend([f'  "X({i},{j})";' for i, j in pairs])
-    for (i, j), (k, l), direction, level, (_, blocked) in md.flip_moves(bundle.flat, pairs):
+    records, moves = md.flip_moves(bundle.flat, ch.chamber_rows(bundle.flat))
+    for n, p, q in moves:
+        direction, level, _, blocked = records[n]
         if not blocked:
+            (i, j), (k, l) = pairs[p], pairs[q]
             tag = "psi+" if direction == md.PLUS else "psi-"
             lines.append(f'  "X({i},{j})" -> "X({k},{l})" [label="{tag} @ level {level}"];')
     lines.append("}")
@@ -89,11 +92,13 @@ def export_svg(bundle: ReportBundle) -> bytes:
     quad_y = [None] + ["%.2f" % (_y((u + v) / 2, delta) + 4) for u, v in steps]
     triangle = ['x="%.2f" y="%.2f"' % (_x((2 * u + v) / 3) - 18, _y((u + 2 * v) / 3, delta) + 4)
                 for u, v in steps]
-    for i, j in ch.chamber_pairs(bundle.flat):
-        path = " ".join([f"{xs[k]},{ys[l]}" for k, l in ch.chamber_corners((i, j))])
-        out.append(f'<polygon points="{path}" fill="#dfe7f5" stroke="#4a6ea9" stroke-width="1"/>')
-        at = triangle[i] if j == i + 1 else f'x="{quad_x[i]}" y="{quad_y[j]}"'
-        out.append(f'<text {at}>N_{{{i},{j}}}</text>')
+    points = [[None] * k + [f"{xk},{yl}" for yl in ys[k:]] for k, xk in enumerate(xs)]
+    for i, columns in enumerate(ch.chamber_rows(bundle.flat)):
+        for j, corners in zip(columns, ch.row_corners(points, i, columns)):
+            out.append(f'<polygon points="{" ".join(corners)}" fill="#dfe7f5" stroke="#4a6ea9" '
+                       'stroke-width="1"/>')
+            at = triangle[i] if len(corners) == 3 else f'x="{quad_x[i]}" y="{quad_y[j]}"'
+            out.append(f'<text {at}>N_{{{i},{j}}}</text>')
     path = " ".join("%.2f,%.2f" % (_x(x), _y(y, delta)) for x, y in mov)
     out.append(f'<polygon points="{path}" fill="none" stroke="#1d2d50" stroke-width="2"/>')
     for p in mov:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 from .actions import ActionError, ActionModel, flat_model, index_set_i
-from .chambers import Point, chamber_pairs, chamber_polygon
+from .chambers import Point, chamber_pairs, chamber_polygon, chamber_rows
 
 PLUS = "plus"
 MINUS = "minus"
@@ -105,7 +105,7 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     )
 
 
-def _flip_records(direction: str, comps) -> Tuple[Tuple[FlipCenter, ...], Tuple[str, ...]]:
+def _flip_record(direction: str, level: int, comps):
     centers, blocked = [], []
     for c in comps:
         # the center has dim Y + center, the flipped locus dim Y + flipped - 1
@@ -113,26 +113,33 @@ def _flip_records(direction: str, comps) -> Tuple[Tuple[FlipCenter, ...], Tuple[
         if flipped <= 1:  # the flip inequality fails
             blocked.append(c.name)
         centers.append(FlipCenter(c.name, c.dim, c.dim + center, c.dim + flipped - 1))
-    return tuple(centers), tuple(blocked)
+    return direction, level, tuple(centers), tuple(blocked)
 
 
-def flip_moves(model: ActionModel, pairs):
-    """Every candidate flip between the chambers ``pairs``, as
-    (from, to, direction, level, (centers, blocked)); legal when ``blocked``
-    is empty.  The record (centers, blocked) depends only on the direction
-    and the shifting level, so each is made once and shared.  The minus flip
-    of a pair comes first, so sorted pairs give moves in (from, to) order.
+def flip_moves(model: ActionModel, rows: list[range]):
+    """The candidate flips between the chambers of ``chamber_rows``: from
+    (i, j) the minus flip to (i, j - 1) at level j - 1 and the plus flip to
+    (i + 1, j) at level i + 1, where the target is a chamber too.
+
+    Returns (records, moves).  A record (direction, level, centers, blocked),
+    legal when ``blocked`` is empty, is made once per direction and level.
+    A move (n, a, b) flips the a-th chamber of ``chamber_pairs`` to the b-th
+    with record n; the moves come in (from, to) order.
     """
-    chambers = set(pairs)
-    records: dict = {}
-    for pair in pairs:
-        i, j = pair
-        for direction, target, level in ((MINUS, (i, j - 1), j - 1), (PLUS, (i + 1, j), i + 1)):
-            if target not in chambers:
-                continue
-            if (direction, level) not in records:
-                records[direction, level] = _flip_records(direction, model.level_components(level))
-            yield pair, target, direction, level, records[direction, level]
+    r = len(rows)
+    # records[level - 1] is the minus flip at a level, records[r - 2 + level] the plus flip
+    records = [_flip_record(direction, level, model.level_components(level))
+               for direction in (MINUS, PLUS) for level in range(1, r)]
+    moves, a = [], 0
+    for i, (columns, below) in enumerate(zip(rows, rows[1:] + [range(0)])):
+        down = len(columns) + columns.start - below.start  # from (i, j) to (i + 1, j)
+        for j in columns:
+            if j - 1 in columns:
+                moves.append((j - 2, a, a - 1))
+            if j in below:
+                moves.append((r - 1 + i, a, a + down))
+            a += 1
+    return records, moves
 
 
 def build_flip_graph(model: ActionModel) -> FlipGraph:
@@ -147,11 +154,13 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     nodes = tuple([GraphNode(pair, chamber_polygon(model, pair)) for pair in pairs])
     edges: list[FlipEdge] = []
     obstructions: list[FlipObstruction] = []
-    for pair, target, direction, level, (centers, blocked) in flip_moves(model, pairs):
+    records, moves = flip_moves(model, chamber_rows(model))
+    for n, a, b in moves:
+        direction, level, centers, blocked = records[n]
         if blocked:
-            obstructions.append(FlipObstruction(pair, target, direction, level, blocked))
+            obstructions.append(FlipObstruction(pairs[a], pairs[b], direction, level, blocked))
         else:
-            edges.append(FlipEdge(pair, target, direction, level, centers))
+            edges.append(FlipEdge(pairs[a], pairs[b], direction, level, centers))
     return FlipGraph(nodes, tuple(edges), tuple(obstructions))
 
 
@@ -196,12 +205,9 @@ def quotient_diagram(model: ActionModel) -> QuotientDiagram:
         else:
             semi.append(QuotientNode("semigeometric", (i, i), model.dim_x - 1, f"GX({i},{i})"))
     dashed = tuple([(geometric[i].label, geometric[i + 1].label) for i in range(r - 1)])
-    diagonal = []
-    for i in range(r + 1):
-        if i >= 1:
-            diagonal.append((geometric[i - 1].label, semi[i].label))
-        if i <= r - 1:
-            diagonal.append((geometric[i].label, semi[i].label))
+    # GX(i,i) receives the contractions from GX(i-1,i) and GX(i,i+1)
+    diagonal = [(g.label, s.label)
+                for i, s in enumerate(semi) for g in geometric[max(i - 1, 0):i + 1]]
     fiber = "projective spaces" if model.equalized else "weighted projective spaces"
     return QuotientDiagram(geometric, tuple(semi), dashed, tuple(diagonal), fiber)
 
@@ -217,12 +223,7 @@ def p1_bundle_models(model: ActionModel) -> list[P1BundleModel]:
     """The small modifications that are P1-bundles over geometric quotients,
     one for every admissible index."""
     return [
-        P1BundleModel(
-            index=i,
-            base_label=f"GX({i},{i + 1})",
-            node_pair=(i, i + 1),
-            nef_polygon=chamber_polygon(model, (i, i + 1)),
-        )
+        P1BundleModel(i, f"GX({i},{i + 1})", (i, i + 1), chamber_polygon(model, (i, i + 1)))
         for i in sorted(index_set_i(model))
     ]
 
@@ -257,15 +258,5 @@ def flip_chain_summary(model: ActionModel) -> ChainSummary:
     right = extremal_ray_type(model, "right")
     blowups = 1 if left == "divisorial" else 0
     blowdowns = 1 if right == "divisorial" else 0
-    if blowups + blowdowns == 0:
-        flips = r - 1
-    else:
-        flips = max(r - 2, 0)
-    return ChainSummary(
-        chain_arrows=r - 1,
-        left=left,
-        right=right,
-        blowups=blowups,
-        blowdowns=blowdowns,
-        flips=flips,
-    )
+    flips = r - 1 if blowups + blowdowns == 0 else max(r - 2, 0)
+    return ChainSummary(r - 1, left, right, blowups, blowdowns, flips)

@@ -6,7 +6,7 @@ cone, chamber, flip-graph and quotient data into a :class:`ReportBundle`.
 Every list is in a canonical order and the encoding is canonical (sorted
 keys, no spaces, ASCII), so identical input produces byte-identical JSON
 output.  The three O(r^2) sections are written from the flat model's
-per-level facts only when the JSON is.
+per-level facts, row by row over the chamber triangle, only when the JSON is.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ EXTREMAL_LABEL_NOTE = (
 
 # The canonical encoding: sorted keys, no spaces, ASCII only.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
+_encode_str = json.encoder.encode_basestring_ascii  # what _encode does with a str
 
 
 class ReportBundle(NamedTuple):
@@ -73,17 +74,7 @@ def _model_dict(model: ActionModel) -> dict:
         "weight_offset": str(model.weight_offset),
         "sink_origin_dim": model.sink_origin_dim,
         "source_origin_dim": model.source_origin_dim,
-        "components": [
-            {
-                "name": c.name,
-                "weight": str(c.weight),
-                "dim": c.dim,
-                "nu_minus": c.nu_minus,
-                "nu_plus": c.nu_plus,
-                "inner": c.inner,
-            }
-            for c in model.components
-        ],
+        "components": [{**c._asdict(), "weight": str(c.weight)} for c in model.components],
     }
 
 
@@ -91,11 +82,11 @@ def _flip_template(direction: str, level: int, centers, blocked) -> str:
     """A flip record of ``modifications.flip_moves`` as text, with ``%s``
     for the two nodes of a move; a ``%`` in an encoded name is doubled."""
     if blocked:
-        rows = '{"components":[%s]' % ",".join([_encode(name) for name in blocked])
+        rows = '{"components":[%s]' % ",".join([_encode_str(name) for name in blocked])
     else:
         rows = '{"centers":[%s]' % ",".join([
             '{"center_dim":%d,"component":%s,"dim":%d,"flipped_dim":%d}'
-            % (c.center_dim, _encode(c.component), c.dim, c.flipped_dim)
+            % (c.center_dim, _encode_str(c.component), c.dim, c.flipped_dim)
             for c in centers
         ])
     return rows.replace("%", "%%") + (
@@ -105,35 +96,37 @@ def _flip_template(direction: str, level: int, centers, blocked) -> str:
 
 def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict[str, str]:
     """The canonical JSON text of the O(r^2) sections (chambers, flip graph,
-    P1-bundles) from O(r) facts: each corner ``[a_k,a_l]``, chamber node and
-    polygon is written once, and each flip record once per (direction,
-    level), as a template its moves fill.  Keys are in sorted order."""
-    a = [_encode(str(v)) for v in flat.critical_values]
-    pairs = ch.chamber_pairs(flat)
-    node = {pair: "[%d,%d]" % pair for pair in pairs}
-    # corner[k][l - k] is the point (a_k, a_l); a chamber has k <= l
-    corner = [["[%s,%s]" % (ak, al) for al in a[k:]] for k, ak in enumerate(a)]
-    polygon = {
-        pair: "[" + ",".join([corner[k][l - k] for k, l in ch.chamber_corners(pair)]) + "]"
-        for pair in pairs
-    }
-    edges, obstructions, templates = [], [], {}
-    for pair, target, direction, level, (centers, blocked) in md.flip_moves(flat, pairs):
-        template = templates.get((direction, level))
-        if template is None:
-            template = _flip_template(direction, level, centers, blocked)
-            templates[direction, level] = template
-        (obstructions if blocked else edges).append(template % (node[pair], node[target]))
+    P1-bundles), written row by row over the chamber triangle from O(r)
+    facts.  Each critical value, corner ``[a_k,a_l]`` and node ``[i,j]`` is
+    written once; a chamber joins its corners as ``row_corners`` reads them
+    from the table of corners, and each move fills its flip record's
+    template.  Keys are in sorted order."""
+    a = ['"%s"' % v for v in flat.critical_values]  # str(Fraction) is ASCII
+    # corner[k][l] is the point (a_k, a_l); a chamber has k <= l
+    corner = [[None] * k + ["[%s,%s]" % (ak, al) for al in a[k:]] for k, ak in enumerate(a)]
+    rows = ch.chamber_rows(flat)
+    nodes = ["[%d,%d]" % (i, j) for i, columns in enumerate(rows) for j in columns]
+    polygons = [p for i, columns in enumerate(rows) for p in ch.row_corners(corner, i, columns)]
+    records, moves = md.flip_moves(flat, rows)
+    edges, obstructions = [], []
+    # per flip record: its template, and the list its moves go to
+    fills = [(_flip_template(*rec), (obstructions if rec[3] else edges).append) for rec in records]
+    for n, p, q in moves:
+        template, add = fills[n]
+        add(template % (nodes[p], nodes[q]))
     return {
-        "chambers": "[" + ",".join(
-            ['{"pair":%s,"polygon":%s}' % (node[pair], polygon[pair]) for pair in pairs]
-        ) + "]",
+        "chambers": "[" + ",".join([
+            '{"pair":%s,"polygon":[%s]}' % (node, ",".join(polygon))
+            for node, polygon in zip(nodes, polygons)
+        ]) + "]",
         "flip_graph": '{"edges":[%s],"nodes":[%s],"obstructions":[%s]}' % (
-            ",".join(edges), ",".join(node.values()), ",".join(obstructions)
+            ",".join(edges), ",".join(nodes), ",".join(obstructions)
         ),
         "p1_bundles": "[" + ",".join([
-            '{"base":"GX(%d,%d)","index":%d,"nef_polygon":%s,"node":%s}'
-            % (i, i + 1, i, polygon[i, i + 1], node[i, i + 1])
+            '{"base":"GX(%d,%d)","index":%d,"nef_polygon":[%s],"node":[%d,%d]}' % (
+                i, i + 1, i, ",".join(ch.row_corners(corner, i, range(i + 1, i + 2))[0]),
+                i, i + 1,
+            )
             for i in index_set
         ]) + "]",
     }
@@ -266,13 +259,6 @@ def run_pipeline(
             "diagonal_arrows": [list(a) for a in diagram.diagonal_arrows],
             "fiber_note": diagram.fiber_note,
         },
-        "chain_summary": {
-            "chain_arrows": summary.chain_arrows,
-            "left": summary.left,
-            "right": summary.right,
-            "blowups": summary.blowups,
-            "blowdowns": summary.blowdowns,
-            "flips": summary.flips,
-        },
+        "chain_summary": summary._asdict(),
     }
     return ReportBundle(data, flat)

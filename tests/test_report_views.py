@@ -1,8 +1,9 @@
 """The report's chain sections against the library's object views.
 
-``run_pipeline`` writes the chambers, the flip graph and the P1-bundles from
-O(r) facts: the chamber pairs, each chamber's corners as critical-value
-indices, and one flip record per (direction, level).  ``chamber_decomposition``,
+``ReportBundle.to_json`` writes the chambers, the flip graph and the
+P1-bundles row by row over the chamber triangle, from O(r) facts: the rows of
+chambers, each chamber's corners read from one table of corner texts, and one
+flip record per (direction, level).  ``chamber_decomposition``,
 ``build_flip_graph`` and ``p1_bundle_models`` build the same data as objects
 from the same rules.  The two must agree, the report must be canonical JSON
 (the writer splices encoded names into text by hand), and the report must
@@ -12,6 +13,7 @@ compute each fact once.
 import collections
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,8 +73,12 @@ def _view_sections(flat) -> dict:
 @given(data=st.data())
 def test_report_agrees_with_the_views(case, data):
     """Same sections as the views, in canonical bytes, with names that need
-    escaping drawn from the characters of ``ODD_NAME``."""
-    model = data.draw(action_models(max_r=10, case=case))
+    escaping drawn from the characters of ``ODD_NAME``.  Criticality runs
+    from 1 (2 with both extremes isolated, which has no movable region) to
+    24, so the rows and columns next to the removed corners are drawn at
+    every length."""
+    model = data.draw(action_models(min_r=2 if case == "isolated-both" else 1, max_r=24,
+                                    case=case))
     odd = data.draw(st.text(st.sampled_from(ODD_NAME), max_size=4))
     model = model._replace(components=tuple(
         [c._replace(name=c.name + odd) for c in model.components]
@@ -88,13 +94,15 @@ def test_report_agrees_with_the_views(case, data):
 
 @pytest.mark.parametrize("case", CASES)
 def test_each_fact_is_computed_once(monkeypatch, case):
-    """On an r=40 chain, within one ``to_json``: at most 2r flip records,
-    one evaluation of the chamber pairs, and each chamber's corners built
-    once."""
+    """On an r=40 chain, within one ``to_json``: at most 2r flip records, one
+    evaluation of the chamber rows, each critical value written once, and
+    every chamber's corners read once from one table of corner texts (the
+    P1-bundles read their triangles once more)."""
     r = 40
     bundle = run_pipeline(parse_spec_dict(_model_spec(case, synthetic_case_model(case, r=r))))
     calls = collections.Counter()
-    corners = collections.Counter()
+    reads = collections.Counter()
+    tables = set()
 
     def counting(name, fn):
         def wrapper(*args):
@@ -102,22 +110,25 @@ def test_each_fact_is_computed_once(monkeypatch, case):
             return fn(*args)
         return wrapper
 
-    def counting_corners(pair, original=ch.chamber_corners):
-        corners[pair] += 1
-        return original(pair)
+    def reading(points, i, columns, original=ch.row_corners):
+        tables.add(id(points))
+        reads.update((i, j) for j in columns)
+        return original(points, i, columns)
 
-    pairs = counting("chamber_pairs", ch.chamber_pairs)
-    monkeypatch.setattr(ch, "chamber_pairs", pairs)
-    monkeypatch.setattr(md, "chamber_pairs", pairs)
-    monkeypatch.setattr(md, "_flip_records", counting("_flip_records", md._flip_records))
-    monkeypatch.setattr(ch, "chamber_corners", counting_corners)
+    monkeypatch.setattr(ch, "chamber_rows", counting("chamber_rows", ch.chamber_rows))
+    monkeypatch.setattr(md, "_flip_record", counting("_flip_record", md._flip_record))
+    monkeypatch.setattr(Fraction, "__str__", counting("str", Fraction.__str__))
+    monkeypatch.setattr(ch, "row_corners", reading)
 
     report = json.loads(bundle.to_json())
     assert report["criticality"] == r
-    assert calls["_flip_records"] <= 2 * r
-    assert calls["chamber_pairs"] == 1
-    assert sorted(corners) == sorted(tuple(c["pair"]) for c in report["chambers"])
-    assert set(corners.values()) == {1}
+    assert calls["_flip_record"] <= 2 * r
+    assert calls["chamber_rows"] == 1
+    assert calls["str"] == r + 1
+    assert len(tables) == 1
+    pairs = [tuple(c["pair"]) for c in report["chambers"]]
+    triangles = [tuple(b["node"]) for b in report["p1_bundles"]]
+    assert reads == collections.Counter(pairs + triangles)
 
 
 # The stdout of each view over the r=40 rational chains of the four cases,
