@@ -227,7 +227,9 @@ def row_corners(points, i: int, columns: range) -> list[tuple]:
 def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, ...]:
     a = model.critical_values
     i, j = pair
-    return row_corners({k: [(a[k], al) for al in a] for k in (i, i + 1)}, i, range(j, j + 1))[0]
+    # the box's points: corner rows i and i + 1, columns j - 1 and j
+    box = {k: {l: (a[k], a[l]) for l in (j - 1, j)} for k in (i, i + 1)}
+    return row_corners(box, i, range(j, j + 1))[0]
 
 
 def chamber_decomposition(model: ActionModel) -> list[Chamber]:

@@ -119,12 +119,11 @@ def _flip_record(direction: str, level: int, comps):
 def flip_moves(model: ActionModel, rows: list[range]):
     """The candidate flips between the chambers of ``chamber_rows``: from
     (i, j) the minus flip to (i, j - 1) at level j - 1 and the plus flip to
-    (i + 1, j) at level i + 1, where the target is a chamber too.
-
-    Returns (records, moves).  A record (direction, level, centers, blocked),
+    (i + 1, j) at level i + 1, where the target is a chamber too.  Returns
+    (records, moves).  A record (direction, level, centers, blocked),
     legal when ``blocked`` is empty, is made once per direction and level.
-    A move (n, a, b) flips the a-th chamber of ``chamber_pairs`` to the b-th
-    with record n; the moves come in (from, to) order.
+    A move (n, a, b) flips the chamber at position a of ``chamber_pairs`` to
+    the one at b, with record n; the moves come in (from, to) order.
     """
     r = len(rows)
     # records[level - 1] is the minus flip at a level, records[r - 2 + level] the plus flip
@@ -132,7 +131,7 @@ def flip_moves(model: ActionModel, rows: list[range]):
                for direction in (MINUS, PLUS) for level in range(1, r)]
     moves, a = [], 0
     for i, (columns, below) in enumerate(zip(rows, rows[1:] + [range(0)])):
-        down = len(columns) + columns.start - below.start  # from (i, j) to (i + 1, j)
+        down = len(columns) + columns.start - below.start  # position of (i + 1, j) less (i, j)
         for j in columns:
             if j - 1 in columns:
                 moves.append((j - 2, a, a - 1))
