@@ -198,9 +198,8 @@ def movable_cone(model: ActionModel) -> list[DivisorClass]:
 
 
 def chamber_rows(model: ActionModel) -> list[range]:
-    """Row i of the chamber triangle: the columns j of the chambers (i, j),
-    from i + 1 to r, less (0, 1) when the original sink is a point and
-    (r - 1, r) when the original source is."""
+    """Row i of the chamber triangle: the columns j of the chambers (i, j), i < j <= r,
+    less (0, 1) when the original sink is a point and (r - 1, r) when the source is."""
     r = model.criticality
     sink_point, source_point = model.isolated_extremes()
     rows = [range(i + 1, r + 1) for i in range(r)]
@@ -215,10 +214,9 @@ def chamber_pairs(model: ActionModel) -> list[Tuple[int, int]]:
 
 
 def row_corners(points, i: int, columns: range) -> list[tuple]:
-    """The corners of the chambers (i, j), j in ``columns``, read from a
-    table of points, ``points[k][l]`` standing for (a_k, a_l).  Chamber
-    (i, j) is the box [a_i, a_(i+1)] x [a_(j-1), a_j] above the diagonal,
-    so (i, i + 1) is a triangle."""
+    """The corners of the chambers (i, j), j in ``columns``, read from a table
+    with ``points[k][l]`` for (a_k, a_l): chamber (i, j) is the box
+    [a_i, a_(i+1)] x [a_(j-1), a_j] above the diagonal, so (i, i + 1) is a triangle."""
     low, high = points[i], points[i + 1]
     return [(low[j - 1], high[j], low[j]) if j == i + 1  # (a_(i+1), a_i) is cut off
             else (low[j - 1], high[j - 1], high[j], low[j]) for j in columns]

@@ -197,13 +197,9 @@ def _cmd_quotients(args) -> int:
         print(f"== {bundle['name']} ==")
         q = bundle["quotients"]
         print("geometric: " + ", ".join(f"{n['label']} (dim {n['dim']})" for n in q["geometric"]))
-        print(
-            "semigeometric: "
-            + ", ".join(
-                f"{n['label']} (dim {n['dim']}" + (f" = {n['identity']})" if n["identity"] else ")")
-                for n in q["semigeometric"]
-            )
-        )
+        semi = [f"{n['label']} (dim {n['dim']}" + (f" = {n['identity']})" if n["identity"] else ")")
+                for n in q["semigeometric"]]
+        print("semigeometric: " + ", ".join(semi))
         for a, b in q["dashed_arrows"]:
             print(f"{a} --> {b} (flip)")
         for a, b in q["diagonal_arrows"]:

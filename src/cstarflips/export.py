@@ -36,10 +36,7 @@ def export_dot(bundle: ReportBundle) -> bytes:
             (i, j), (k, l) = pairs[p], pairs[q]
             tag = "psi+" if direction == md.PLUS else "psi-"
             lines.append(f'  "X({i},{j})" -> "X({k},{l})" [label="{tag} @ level {level}"];')
-    lines.append("}")
-    lines.append("")
-    lines.append("digraph quotient_diagram {")
-    lines.append("  rankdir=LR;")
+    lines += ["}", "", "digraph quotient_diagram {", "  rankdir=LR;"]
     q = bundle["quotients"]
     for node in q["geometric"] + q["semigeometric"]:
         lines.append(f'  "{node["label"]}" [label="{node["label"]} (dim {node["dim"]})"];')

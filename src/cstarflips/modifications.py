@@ -193,22 +193,21 @@ def quotient_diagram(model: ActionModel) -> QuotientDiagram:
         QuotientNode("geometric", (i, i + 1), model.dim_x - 1, f"GX({i},{i + 1})")
         for i in range(r)
     ])
-    semi: list[QuotientNode] = []
-    for i in range(r + 1):
-        if i == 0:
-            semi.append(QuotientNode("semigeometric", (0, 0), sink_dim, "GX(0,0)", identity="Y_0"))
-        elif i == r:
-            semi.append(
-                QuotientNode("semigeometric", (r, r), source_dim, f"GX({r},{r})", identity=f"Y_{r}")
-            )
-        else:
-            semi.append(QuotientNode("semigeometric", (i, i), model.dim_x - 1, f"GX({i},{i})"))
+    semi = (
+        QuotientNode("semigeometric", (0, 0), sink_dim, "GX(0,0)", identity="Y_0"),
+        *[QuotientNode("semigeometric", (i, i), model.dim_x - 1, f"GX({i},{i})")
+          for i in range(1, r)],
+        QuotientNode("semigeometric", (r, r), source_dim, f"GX({r},{r})", identity=f"Y_{r}"),
+    )
     dashed = tuple([(geometric[i].label, geometric[i + 1].label) for i in range(r - 1)])
-    # GX(i,i) receives the contractions from GX(i-1,i) and GX(i,i+1)
-    diagonal = [(g.label, s.label)
-                for i, s in enumerate(semi) for g in geometric[max(i - 1, 0):i + 1]]
+    diagonal = []
+    for i in range(r + 1):
+        if i >= 1:
+            diagonal.append((geometric[i - 1].label, semi[i].label))
+        if i <= r - 1:
+            diagonal.append((geometric[i].label, semi[i].label))
     fiber = "projective spaces" if model.equalized else "weighted projective spaces"
-    return QuotientDiagram(geometric, tuple(semi), dashed, tuple(diagonal), fiber)
+    return QuotientDiagram(geometric, semi, dashed, tuple(diagonal), fiber)
 
 
 class P1BundleModel(NamedTuple):

@@ -74,7 +74,17 @@ def _model_dict(model: ActionModel) -> dict:
         "weight_offset": str(model.weight_offset),
         "sink_origin_dim": model.sink_origin_dim,
         "source_origin_dim": model.source_origin_dim,
-        "components": [{**c._asdict(), "weight": str(c.weight)} for c in model.components],
+        "components": [
+            {
+                "name": c.name,
+                "weight": str(c.weight),
+                "dim": c.dim,
+                "nu_minus": c.nu_minus,
+                "nu_plus": c.nu_plus,
+                "inner": c.inner,
+            }
+            for c in model.components
+        ],
     }
 
 
