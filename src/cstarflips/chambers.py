@@ -6,12 +6,10 @@ that plane with exact rationals.  Chambers are indexed by pairs (i, j) with
 ``tau_minus`` between the i-th and (i+1)-st critical values and ``tau_plus``
 between the (j-1)-st and j-th, intersected with ``tau_minus <= tau_plus``.
 
-The chambers form a triangle: row i holds the chambers (i, j), i < j <= r
-(``chamber_rows``), and their corners lie on the corner rows i and i + 1
-(``row_corners``), so each view is written row by row.  Which pairs occur
-depends only on whether the extremal fixed components of the original
-variety are isolated points: an isolated sink removes (0, 1) from row 0, an
-isolated source removes (r-1, r) from row r - 1.
+Chamber (i, j) sits in row i of a triangle, i < j <= r (``chamber_rows``),
+with its corners on the corner rows i and i + 1 (``row_corners``).  An
+isolated original sink removes (0, 1) from row 0 and an isolated source
+(r-1, r) from row r - 1; no other pair depends on the extremal components.
 """
 
 from __future__ import annotations
@@ -264,10 +262,8 @@ def locate_chamber(model: ActionModel, d: DivisorClass) -> SliceLocation:
     if x == y:
         tight.append("tau_minus=tau_plus")
 
-    incident = []
-    for (i, j) in chamber_pairs(model):
-        if a[i] <= x <= a[i + 1] and a[j - 1] <= y <= a[j]:
-            incident.append((i, j))
+    incident = [(i, j) for i, j in chamber_pairs(model)
+                if a[i] <= x <= a[i + 1] and a[j - 1] <= y <= a[j]]
     if not incident:
         # boundary of a removed corner with no chamber on the movable side
         return SliceLocation(kind="outside-movable", tight=tuple(tight))

@@ -24,6 +24,7 @@ one.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Tuple
 
 from .actions import ActionError, ActionModel, flat_model, index_set_i
@@ -122,23 +123,29 @@ def flip_moves(model: ActionModel, rows: list[range]):
     (i + 1, j) at level i + 1, where the target is a chamber too.  Returns
     (records, moves).  A record (direction, level, centers, blocked),
     legal when ``blocked`` is empty, is made once per direction and level.
-    A move (n, a, b) flips the chamber at position a of ``chamber_pairs`` to
-    the one at b, with record n; the moves come in (from, to) order.
+    ``moves`` yields the flips row by row, in (from, to) order: a move (n, a, b)
+    flips the chamber at position a of ``chamber_pairs`` to the one at b,
+    with record n.
     """
     r = len(rows)
     # records[level - 1] is the minus flip at a level, records[r - 2 + level] the plus flip
     records = [_flip_record(direction, level, model.level_components(level))
                for direction in (MINUS, PLUS) for level in range(1, r)]
-    moves, a = [], 0
+    return records, chain.from_iterable(_moves_by_row(rows))
+
+
+def _moves_by_row(rows: list[range]):
+    r, a = len(rows), 0
     for i, (columns, below) in enumerate(zip(rows, rows[1:] + [range(0)])):
         down = len(columns) + columns.start - below.start  # position of (i + 1, j) less (i, j)
+        moves = []
         for j in columns:
             if j - 1 in columns:
                 moves.append((j - 2, a, a - 1))
             if j in below:
                 moves.append((r - 1 + i, a, a + down))
             a += 1
-    return records, moves
+        yield moves
 
 
 def build_flip_graph(model: ActionModel) -> FlipGraph:
@@ -151,8 +158,7 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     """
     pairs = chamber_pairs(model)
     nodes = tuple([GraphNode(pair, chamber_polygon(model, pair)) for pair in pairs])
-    edges: list[FlipEdge] = []
-    obstructions: list[FlipObstruction] = []
+    edges, obstructions = [], []
     records, moves = flip_moves(model, chamber_rows(model))
     for n, a, b in moves:
         direction, level, centers, blocked = records[n]

@@ -133,10 +133,8 @@ def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict[str, str]:
             ",".join(edges), ",".join(nodes), ",".join(obstructions)
         ),
         "p1_bundles": "[" + ",".join([
-            '{"base":"GX(%d,%d)","index":%d,"nef_polygon":[%s],"node":[%d,%d]}' % (
-                i, i + 1, i, ",".join(ch.row_corners(corner, i, range(i + 1, i + 2))[0]),
-                i, i + 1,
-            )
+            '{"base":"GX(%d,%d)","index":%d,"nef_polygon":[%s],"node":[%d,%d]}'
+            % (i, i + 1, i, ",".join(ch.row_corners(corner, i, range(i + 1, i + 2))[0]), i, i + 1)
             for i in index_set
         ]) + "]",
     }
