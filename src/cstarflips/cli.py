@@ -19,7 +19,7 @@ from . import modifications as md
 from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError
 from .export import export
 from .report import ReportBundle, run_pipeline
-from .specfiles import SchemaError, SpecSyntaxError, parse_spec
+from .specfiles import SchemaError, SpecSyntaxError, expect_int, parse_spec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -38,8 +38,8 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
-def _add_spec_args(p: argparse.ArgumentParser, many: bool = True):
-    p.add_argument("specs", nargs="+" if many else 1, help="action spec file(s)")
+def _add_spec_args(p: argparse.ArgumentParser):
+    p.add_argument("specs", nargs="+", help="action spec file(s)")
     p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.add_argument("--strict-equalized", action="store_true")
 
@@ -225,6 +225,8 @@ def _cmd_dynkin(args) -> int:
         print(f"error: --cochar takes comma separated integers, got {args.cochar!r}",
               file=sys.stderr)
         return EXIT_PARSE
+    for k, n in enumerate(cochar or ()):
+        expect_int(n, f"--cochar[{k}]")
     datum = build_root_system(args.type, args.rank)
     print(f"{datum.name}: {datum.n_positive} positive roots, "
           f"Lie algebra dimension {datum.dim_lie_algebra}")

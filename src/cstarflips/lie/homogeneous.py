@@ -11,14 +11,18 @@ weights.
 
 The fixed components of the circle action are the orbits of the Weyl group
 W_L of the Levi subgroup L, whose roots are those of cocharacter weight zero
-(Bialynicki-Birula).  Each orbit holds exactly one L-dominant weight, so the
-derivation walks those weights only, one per component; the number of zero /
-positive / negative tangent weights there gives the component's dimension and
-the normal ranks ``nu_plus`` / ``nu_minus`` toward higher and lower critical
-values.  The walk is depth first and stops at the last component: the steps
-between components are symmetric under W_L, so they reach every component,
-and each component's point count |W_L| / |W_{L,mu}| is exact, so the counts
-add up to |W/W_P| just when every component is found.
+(Bialynicki-Birula).  A Weyl-conjugate cocharacter gives an isomorphic
+action, so the derivation first moves the cocharacter into the dominant
+chamber, where L is a standard Levi subgroup: its simple roots are those at
+the nodes where the cocharacter is zero.  Each orbit holds exactly one
+L-dominant weight, so the derivation walks those weights only, one per
+component; the number of zero / positive / negative tangent weights there
+gives the component's dimension and the normal ranks ``nu_plus`` /
+``nu_minus`` toward higher and lower critical values.  The walk is depth
+first and stops at the last component: the steps between components are
+symmetric under W_L, so they reach every component, and each component's
+point count |W_L| / |W_{L,mu}| is exact, so the counts add up to |W/W_P| just
+when every component is found.
 
 Weights are kept as Dynkin labels and roots as indices into the root
 system's positive roots, a negative root as its positive one and a sign, so
@@ -41,7 +45,7 @@ from ..actions import (
     unit_tangent_weights,
     validate_action,
 )
-from .roots import RootSystem, build_root_system, is_short_grading, weyl_order
+from .roots import RootSystem, build_root_system, dominant_cocharacter, is_short_grading, weyl_order
 
 
 class IllegalRangeError(ActionError):
@@ -112,72 +116,44 @@ def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
     return sum(map(any, zip(*([c[n - 1] for c in datum.coords] for n in nodes))))
 
 
-def _levi_simple_roots(datum: RootSystem, root_pairings: Sequence[int]) -> list[int]:
-    """Simple roots of the positive roots of weight zero.
-
-    The roots are scanned by height.  A weight-zero positive root ``beta`` is
-    simple unless ``beta - alpha`` is a positive root for a simple root
-    ``alpha`` found before it, and for roots ``beta != alpha`` that holds
-    exactly when ``<beta, alpha^vee> > 0``.
-    """
-    simple: list[int] = []
-    coroots: list[Tuple[int, ...]] = []
-    for r in range(datum.n_positive):
-        if not root_pairings[r]:
-            labels = datum.labels[r]
-            for c in coroots:
-                if sum(map(mul, labels, c)) > 0:
-                    break
-            else:
-                simple.append(r)
-                coroots.append(datum.coroots[r])
-    return simple
-
-
 class _Levi:
-    """The Levi subgroup L of a cocharacter: the roots of weight zero, with
-    simple roots ``simple``, Cartan matrix ``cartan`` and Weyl group order
-    ``order``."""
+    """The Levi subgroup L of a dominant cocharacter: the roots of weight
+    zero.  Its simple roots are the simple roots ``alpha_j`` at the nodes
+    ``j`` in ``simple``, where the cocharacter is zero, so its Cartan matrix
+    is that of the root system on those nodes, and a weight pairs with the
+    coroot of ``alpha_j`` as its Dynkin label ``mu_j``."""
 
-    def __init__(self, datum: RootSystem, root_pairings: Sequence[int]):
+    def __init__(self, datum: RootSystem, cocharacter: Sequence[int]):
         self.datum = datum
-        self.root_pairings = root_pairings
-        self.simple = _levi_simple_roots(datum, root_pairings)
-        self.coroots = [datum.coroots[a] for a in self.simple]
-        labels = [datum.labels[b] for b in self.simple]
-        self.cartan = tuple([
-            tuple([sum(map(mul, b, c)) for b in labels]) for c in self.coroots
-        ])
-        self.order = weyl_order(self.cartan, range(len(self.simple)))
-        # per simple root j, the (i, <alpha_j, alpha_i^vee>) with a nonzero entry
-        self._cartan_columns = [
-            [(i, row[j]) for i, row in enumerate(self.cartan) if row[j]]
-            for j in range(len(self.simple))
-        ]
+        self.root_pairings = datum.pairings(cocharacter)
+        self.simple = [j for j, n in enumerate(cocharacter) if not n]
+        self.order = weyl_order(datum.cartan_matrix, self.simple)
+        # per simple root j of L, the (i, <alpha_j, alpha_i^vee>, i a node of L)
+        # with a nonzero entry: column j of the Cartan matrix
+        in_levi = [not n for n in cocharacter]
+        self._cartan_columns = {
+            j: [(i, row[j], in_levi[i]) for i, row in enumerate(datum.cartan_matrix) if row[j]]
+            for j in self.simple
+        }
 
-    def dominant(self, mu: Tuple[int, ...]) -> Tuple[Tuple[int, ...], list[int], list[int]]:
-        """The L-dominant weight ``w`` in the W_L-orbit of ``mu``, reached by
-        reflecting in simple roots of L that pair negatively; also the
-        multiple ``t[j]`` of each simple root ``alpha_j`` added on the way,
-        and the pairings ``q[j] = <w, alpha_j^vee>``."""
-        q = [sum(map(mul, mu, c)) for c in self.coroots]
-        t = [0] * len(q)
-        stack = [j for j, x in enumerate(q) if x < 0]
+    def dominant(self, mu: Sequence[int]) -> Tuple[Tuple[int, ...], list[int]]:
+        """The L-dominant weight in the W_L-orbit of ``mu``, reached by
+        reflecting in simple roots ``alpha_j`` of L with ``mu_j < 0``; also
+        the multiple ``t[j]`` of each ``alpha_j`` added on the way."""
+        mu = list(mu)
+        t = [0] * len(mu)
+        stack = [j for j in self.simple if mu[j] < 0]
         while stack:
             j = stack.pop()
-            x = q[j]
+            x = mu[j]
             if x >= 0:
                 continue
-            t[j] -= x  # s_j(mu) = mu - <mu, alpha_j^vee> alpha_j
-            for i, c in self._cartan_columns[j]:
-                q[i] -= x * c
-                if q[i] < 0:
+            t[j] -= x  # s_j(mu) = mu - mu_j alpha_j
+            for i, c, of_levi in self._cartan_columns[j]:
+                mu[i] -= x * c
+                if of_levi and mu[i] < 0:
                     stack.append(i)
-        labels = self.datum.labels
-        for tj, a in zip(t, self.simple):
-            if tj:
-                mu = tuple([m + tj * b for m, b in zip(mu, labels[a])])
-        return mu, t, q
+        return tuple(mu), t
 
     def walk(self, node: int, total: int) -> list[tuple]:
         """One weight per fixed component of the variety marked at ``node``,
@@ -211,7 +187,7 @@ class _Levi:
         labels, coords, columns = datum.labels, datum.coords, datum.coroot_columns
         n = datum.n_positive
 
-        def component(mu, depth, q) -> tuple:
+        def component(mu, depth) -> tuple:
             acc = [0] * n
             for m, col in zip(mu, columns):
                 if m:
@@ -220,14 +196,13 @@ class _Levi:
             # first, then steps back toward it, highest root first
             scan = [(r, p) for r, p in enumerate(acc) if p > 0]
             scan += [(r, acc[r]) for r in range(n - 1, -1, -1) if acc[r] < 0]
-            stabilizer = [j for j, x in enumerate(q) if not x]
-            return mu, depth, scan, self.order // weyl_order(self.cartan, stabilizer)
+            stabilizer = [j for j in self.simple if not mu[j]]
+            return mu, depth, scan, self.order // weyl_order(datum.cartan_matrix, stabilizer)
 
-        # the fundamental weight is dominant, so L-dominant, and pairs with
-        # a coroot as the coroot's coordinate at the node
+        # the fundamental weight is dominant, so L-dominant
         rank = datum.rank
         start = tuple([int(i == node - 1) for i in range(rank)])
-        out = [component(start, (0,) * rank, [c[node - 1] for c in self.coroots])]
+        out = [component(start, (0,) * rank)]
         seen = {start}
         count = out[0][3]
         stack = [[out[0], 0]]  # a component and the next position in its scan
@@ -241,15 +216,12 @@ class _Levi:
                 continue
             frame[1] = k + 1
             r, p = scan[k]
-            w, t, q = self.dominant(tuple([a - p * b for a, b in zip(mu, labels[r])]))
+            w, t = self.dominant([a - p * b for a, b in zip(mu, labels[r])])
             if w in seen:
                 continue
             seen.add(w)
-            moved = [d + p * c for d, c in zip(depth, coords[r])]
-            for tj, a in zip(t, self.simple):
-                if tj:
-                    moved = [d - tj * c for d, c in zip(moved, coords[a])]
-            out.append(component(w, tuple(moved), q))
+            moved = [d + p * c - tj for d, c, tj in zip(depth, coords[r], t)]
+            out.append(component(w, tuple(moved)))
             count += out[-1][3]
             stack.append([out[-1], 0])
         return out
@@ -279,7 +251,7 @@ def enumerate_fixed_points(
     space.check_cap(max_cosets)
     datum = space.datum
     n = datum.n_positive
-    levi = _Levi(datum, datum.pairings((1,) * datum.rank))
+    levi = _Levi(datum, (1,) * datum.rank)
     return tuple([
         FixedPoint(
             weight=mu,
@@ -324,15 +296,19 @@ def build_action(
 ) -> LieActionResult:
     """Compute the circle action induced by a cocharacter on the variety.
 
-    A non-short grading only warns; the equalization verdict is then derived
-    from the tangent pairings themselves.
+    The components are derived at the dominant cocharacter in the Weyl orbit
+    of ``cocharacter``, which gives the same action up to isomorphism; the
+    result names ``cocharacter`` itself.  A non-short grading only warns;
+    the equalization verdict is then derived from the tangent pairings
+    themselves.
     """
     space.check_cap(max_cosets)
-    root_pairings = space.datum.pairings(cocharacter)
-    levi = _Levi(space.datum, root_pairings)
+    dominant = dominant_cocharacter(space.datum, cocharacter)
+    levi = _Levi(space.datum, dominant)
+    root_pairings = levi.root_pairings
     walk = levi.walk(space.node, space.fixed_point_count)
     # linearization level, up to a constant: the cocharacter paired with the depth
-    levels = [sum(map(mul, cocharacter, depth)) for _, depth, _, _ in walk]
+    levels = [sum(map(mul, dominant, depth)) for _, depth, _, _ in walk]
     offset = min(levels)
     records = []
     for level, (_, _, scan, points) in zip(levels, walk):

@@ -207,14 +207,17 @@ class RootSystem:
         positive root ``r``."""
         return tuple(zip(*self.coroots))
 
-    def pairings(self, cocharacter: Sequence[int]) -> list[int]:
-        """Pairing of every positive root with sum_k cocharacter[k] * (k-th
-        fundamental coweight): the cocharacter-weighted sum of its
-        coordinates.  A negative root pairs to the negation."""
+    def _check_cocharacter(self, cocharacter: Sequence[int]) -> None:
         if len(cocharacter) != self.rank:
             raise IllegalTypeError(
                 f"cocharacter has {len(cocharacter)} entries, rank is {self.rank}"
             )
+
+    def pairings(self, cocharacter: Sequence[int]) -> list[int]:
+        """Pairing of every positive root with sum_k cocharacter[k] * (k-th
+        fundamental coweight): the cocharacter-weighted sum of its
+        coordinates.  A negative root pairs to the negation."""
+        self._check_cocharacter(cocharacter)
         return [sum(map(mul, row, cocharacter)) for row in self.coords]
 
 
@@ -289,6 +292,20 @@ def fundamental_cocharacter(rank: int, node: int) -> Tuple[int, ...]:
     if not 1 <= node <= rank:
         raise IllegalTypeError(f"node {node} outside 1..{rank}")
     return tuple([1 if k == node - 1 else 0 for k in range(rank)])
+
+
+def dominant_cocharacter(datum: RootSystem, cocharacter: Sequence[int]) -> Tuple[int, ...]:
+    """The dominant cocharacter, with no coefficient negative, in the Weyl
+    orbit of ``cocharacter``.  While a coefficient ``n_k`` is negative it
+    reflects in ``alpha_k``: ``s_k(n)_i = n_i - n_k <alpha_i, alpha_k^vee>``.
+    Each reflection leaves one positive root fewer of negative weight, so
+    there are at most ``n_positive``."""
+    datum._check_cocharacter(cocharacter)
+    n = list(cocharacter)
+    while min(n) < 0:
+        k = n.index(min(n))
+        n = [a - n[k] * c for a, c in zip(n, datum.cartan_matrix[k])]
+    return tuple(n)
 
 
 def is_short_grading(degrees: Iterable[int]) -> bool:

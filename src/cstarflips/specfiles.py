@@ -16,10 +16,12 @@ from typing import NamedTuple, Optional, Tuple
 
 from .actions import ActionError, FixedComponent
 
-# Largest number of decimal digits in the numerator or denominator of a
-# rational field, well below Python's limit for int <-> str conversion
-# (4300 digits), so that every number derived from a spec can be written out.
+# Largest number of decimal digits in an integer field or in the numerator or
+# denominator of a rational one, well below Python's limit for int <-> str
+# conversion (4300 digits), so that every number derived from a spec can be written out.
 MAX_RATIONAL_DIGITS = 1000
+_INT_BOUND = 10**MAX_RATIONAL_DIGITS
+_TOO_BIG = f"more than {MAX_RATIONAL_DIGITS} digits"
 
 
 class SpecSyntaxError(ActionError):
@@ -53,9 +55,12 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _expect_int(value, path: str) -> int:
+def expect_int(value, path: str) -> int:
+    """``value`` if it is an integer of at most ``MAX_RATIONAL_DIGITS`` digits."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {value!r}")
+    if abs(value) >= _INT_BOUND:
+        raise SchemaError(path, _TOO_BIG)
     return value
 
 
@@ -80,14 +85,11 @@ def _implied_digits(text: str) -> int:
 def _parse_rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(path, f"expected a rational, got {value!r}")
-    too_big = f"more than {MAX_RATIONAL_DIGITS} digits"
     if isinstance(value, int):
-        if abs(value) >= 10**MAX_RATIONAL_DIGITS:
-            raise SchemaError(path, too_big)
-        return Fraction(value)
+        return Fraction(expect_int(value, path))
     if isinstance(value, str):
         if _implied_digits(value) > MAX_RATIONAL_DIGITS:
-            raise SchemaError(path, too_big)
+            raise SchemaError(path, _TOO_BIG)
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -103,9 +105,9 @@ def _parse_component(obj, path: str) -> FixedComponent:
     return FixedComponent(
         name=_expect_str(_require(obj, "name", path), f"{path}.name"),
         weight=_parse_rational(_require(obj, "weight", path), f"{path}.weight"),
-        dim=_expect_int(_require(obj, "dim", path), f"{path}.dim"),
-        nu_minus=_expect_int(_require(obj, "nu_minus", path), f"{path}.nu_minus"),
-        nu_plus=_expect_int(_require(obj, "nu_plus", path), f"{path}.nu_plus"),
+        dim=expect_int(_require(obj, "dim", path), f"{path}.dim"),
+        nu_minus=expect_int(_require(obj, "nu_minus", path), f"{path}.nu_minus"),
+        nu_plus=expect_int(_require(obj, "nu_plus", path), f"{path}.nu_plus"),
     )
 
 
@@ -113,13 +115,13 @@ def _parse_lie(obj, path: str) -> LieInput:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     dynkin_type = _expect_str(_require(obj, "type", path), f"{path}.type").upper()
-    rank = _expect_int(_require(obj, "rank", path), f"{path}.rank")
-    node = _expect_int(_require(obj, "node", path), f"{path}.node")
+    rank = expect_int(_require(obj, "rank", path), f"{path}.rank")
+    node = expect_int(_require(obj, "node", path), f"{path}.node")
     raw = _require(obj, "cocharacter", path)
     if not isinstance(raw, list):
         raise SchemaError(f"{path}.cocharacter", "expected a list of integers")
     cochar = tuple(
-        [_expect_int(v, f"{path}.cocharacter[{k}]") for k, v in enumerate(raw)]
+        [expect_int(v, f"{path}.cocharacter[{k}]") for k, v in enumerate(raw)]
     )
     if len(cochar) != rank:
         raise SchemaError(f"{path}.cocharacter", f"expected {rank} entries, got {len(cochar)}")
@@ -143,7 +145,7 @@ def parse_spec_dict(obj, path: str = "") -> ActionSpecFile:
         raise SchemaError(f"{path}.components", "need components or a lie block")
     dim_x = None
     if "dim_X" in obj:
-        dim_x = _expect_int(obj["dim_X"], f"{path}.dim_X")
+        dim_x = expect_int(obj["dim_X"], f"{path}.dim_X")
     elif lie is None:
         raise SchemaError(f"{path}.dim_X", "missing required field")
     declared = None
@@ -158,14 +160,15 @@ def parse_spec_dict(obj, path: str = "") -> ActionSpecFile:
 
 
 def parse_spec(path) -> ActionSpecFile:
-    """Parse a spec file; raises SpecSyntaxError / SchemaError with positions."""
+    """Parse a spec file; raises SpecSyntaxError / SchemaError with positions
+    but not the file's path, which the caller names."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise SpecSyntaxError(f"{path}: {exc}") from exc
+        raise SpecSyntaxError(exc.strerror) from exc
     except json.JSONDecodeError as exc:
-        raise SpecSyntaxError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # past the digit limit, or nested too deep
-        raise SpecSyntaxError(f"{path}: {exc}") from exc
+        raise SpecSyntaxError(f"{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, too many digits, too deep
+        raise SpecSyntaxError(str(exc)) from exc
     return parse_spec_dict(obj)

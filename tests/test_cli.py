@@ -79,6 +79,19 @@ class TestPerFileIndependence:
             f"{GR24}: ok (gr24-k2, criticality 2)",
         ]
 
+    @pytest.mark.parametrize("case", ["truncated", "missing", "directory", "bad-utf-8"])
+    def test_parse_error_names_the_file_once(self, tmp_path, capsys, case):
+        path = tmp_path / f"{case}.json"
+        if case == "truncated":
+            path.write_text('{"name": "x", ', encoding="utf-8")
+        elif case == "directory":
+            path.mkdir()
+        elif case == "bad-utf-8":
+            path.write_bytes(b'{"name": "\xff"}')
+        assert main(["analyze", str(path), GR24]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}: parse error: ") and err.count("\n") == 1
+        assert err.count(str(path)) == 1
 
     def test_analyze_goes_on_after_deep_nesting(self, tmp_path):
         """100,000 nested arrays pass the decoder's recursion limit: in a cold
@@ -92,6 +105,7 @@ class TestPerFileIndependence:
         assert proc.returncode == 3
         err = proc.stderr.decode()
         assert err.startswith(f"{deep}: parse error: ") and err.count("\n") == 1
+        assert err.count(deep) == 1
         assert "Traceback" not in err
         assert json.loads(proc.stdout)["name"] == "synthetic-bordism-r3"
 
@@ -308,6 +322,71 @@ class TestRankCap:
             f"{path}: error: illegal Dynkin datum A_{rank}: rank above {roots.MAX_RANK}",
             f"{GR24}: ok (gr24-k2, criticality 2)",
         ]
+
+
+# 4,300 digits, the most that Python converts to a string by default; a sum
+# of such numbers has more
+HUGE = int("9" * 4300)
+
+
+class TestIntegerBound:
+    """Every integer field has at most 1,000 digits, like a weight, so that
+    sums and pairings of the fields can still be written out."""
+
+    @pytest.mark.parametrize("field", ["dim_X", "dim", "nu_minus", "nu_plus"])
+    def test_component_fields(self, field):
+        spec = json.loads(Path(BORDISM).read_text())
+        where = spec if field == "dim_X" else spec["components"][0]
+        path = ".dim_X" if field == "dim_X" else f".components[0].{field}"
+        where[field] = 10**1000
+        with pytest.raises(SchemaError) as exc:
+            specfiles.parse_spec_dict(spec)
+        assert str(exc.value) == f"{path}: more than 1000 digits"
+        where[field] = -(10**1000)
+        with pytest.raises(SchemaError):
+            specfiles.parse_spec_dict(spec)
+
+    @pytest.mark.parametrize("field", ["rank", "node", "cocharacter"])
+    def test_lie_fields(self, field):
+        lie = {"type": "A", "rank": 3, "node": 2, "cocharacter": [0, 1, 0]}
+        if field == "cocharacter":
+            lie["cocharacter"][2] = 10**1000
+        else:
+            lie[field] = 10**1000
+        path = ".lie.cocharacter[2]" if field == "cocharacter" else f".lie.{field}"
+        with pytest.raises(SchemaError) as exc:
+            specfiles.parse_spec_dict({"name": "a3", "lie": lie})
+        assert str(exc.value) == f"{path}: more than 1000 digits"
+
+    def test_within_the_bound(self):
+        lie = {"type": "A", "rank": 3, "node": 2, "cocharacter": [10**1000 - 1, 0, 0]}
+        spec = specfiles.parse_spec_dict({"name": "a3", "lie": lie})
+        assert spec.lie.cocharacter[0] == 10**1000 - 1
+
+    def test_validate_huge_dimensions(self, tmp_path, capsys):
+        spec = json.loads(Path(BORDISM).read_text())
+        spec["components"][0].update(dim=HUGE, nu_minus=HUGE, nu_plus=HUGE)
+        path = write(tmp_path, "huge.json", json.dumps(spec))
+        assert main(["validate", path, GR24]) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: parse error: .components[0].dim: more than 1000 digits",
+            f"{GR24}: ok (gr24-k2, criticality 2)",
+        ]
+
+    def test_analyze_huge_cocharacter(self, tmp_path, capsys):
+        spec = json.loads(Path(GR24).read_text())
+        spec["lie"]["cocharacter"] = [HUGE, HUGE, 0]
+        path = write(tmp_path, "huge.json", json.dumps(spec))
+        assert main(["analyze", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: parse error: .lie.cocharacter[0]: more than 1000 digits\n"
+
+    def test_dynkin_huge_cocharacter(self, capsys):
+        assert main(["dynkin", "A", "3", "--node", "2", "--cochar", f"{HUGE},{HUGE},0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: --cochar[0]: more than 1000 digits\n"
 
 
 class TestRationalBound:
