@@ -16,10 +16,10 @@ import sys
 
 from . import chambers as ch
 from . import modifications as md
-from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError
+from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError, index_set_i, is_bordism
 from .export import export
 from .report import ReportBundle, run_pipeline
-from .specfiles import SchemaError, SpecSyntaxError, expect_int, parse_spec
+from .specfiles import MAX_RATIONAL_DIGITS, TOO_BIG, SchemaError, SpecSyntaxError, parse_spec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -97,7 +97,7 @@ def _run_per_spec(args, render, errors=None) -> int:
                         print("\n".join(lines), file=sys.stderr)
                         return code
                     fh.write(payload)
-            if bundle["verification"]["failures"]:
+            if bundle.failures:
                 worst = max(worst, EXIT_VERIFICATION)
     finally:
         if fh is not None:
@@ -107,13 +107,12 @@ def _run_per_spec(args, render, errors=None) -> int:
 
 def _cmd_validate(args) -> int:
     def render(path: str, bundle: ReportBundle):
-        failures = bundle["verification"]["failures"]
-        if failures:
+        if bundle.failures:
             print(f"{path}: valid model, verification mismatches:")
-            for f in failures:
+            for f in bundle.failures:
                 print(f"  {f}")
         else:
-            print(f"{path}: ok ({bundle['name']}, criticality {bundle['criticality']})")
+            print(f"{path}: ok ({bundle.name}, criticality {bundle.flat.criticality})")
 
     return _run_per_spec(args, render, errors=sys.stdout)
 
@@ -122,32 +121,32 @@ def _cmd_analyze(args) -> int:
     def render(path: str, bundle: ReportBundle):
         if args.format == "json":
             return bundle.to_json()
-        d, flat = bundle.values, bundle.flat
+        flat = bundle.flat
         pairs = ch.chamber_pairs(flat)
         records, moves = md.flip_moves(flat, ch.chamber_rows(flat))
         blocked = [bool(records[n][3]) for n, _, _ in moves]
-        print(f"== {d['name']} ==")
-        print(f"case: {d['case']}  bandwidth: {d['bandwidth']}  criticality: {d['criticality']}")
-        print(f"bordism: {d['bordism']}  index set: {d['index_set']}")
-        gens = ", ".join(f"L({a},{b})" for a, b in d["movable_cone"])
+        print(f"== {bundle.name} ==")
+        print(f"case: {ch.extremal_case(flat)}  bandwidth: {flat.bandwidth!s}  "
+              f"criticality: {flat.criticality}")
+        print(f"bordism: {is_bordism(flat)}  index set: {sorted(index_set_i(flat))}")
+        gens = ", ".join(f"L({a!s},{b!s})" for a, b in ch.movable_polygon(flat))
         print(f"movable cone generators: {gens}")
         print(f"chambers ({len(pairs)}): " + ", ".join(f"({i},{j})" for i, j in pairs))
         print(f"flip edges: {blocked.count(False)}  obstructions: {blocked.count(True)}")
-        cs = d["chain_summary"]
-        print(f"quotient chain: {cs['chain_arrows']} arrows, endpoints {cs['left']}/{cs['right']}, "
-              f"{cs['blowups']} blowup(s) + {cs['flips']} flip(s) + {cs['blowdowns']} blowdown(s)")
-        for note in d["provenance"]["notes"]:
+        cs = md.flip_chain_summary(flat)
+        print(f"quotient chain: {cs.chain_arrows} arrows, endpoints {cs.left}/{cs.right}, "
+              f"{cs.blowups} blowup(s) + {cs.flips} flip(s) + {cs.blowdowns} blowdown(s)")
+        for note in bundle.notes:
             print(f"note: {note}")
-        if d["verification"]["checked"]:
-            fails = d["verification"]["failures"]
-            print("verification: " + ("ok" if not fails else "; ".join(fails)))
+        if bundle.checked:
+            print("verification: " + ("; ".join(bundle.failures) or "ok"))
 
     return _run_per_spec(args, render)
 
 
 def _cmd_chambers(args) -> int:
     def render(path: str, bundle: ReportBundle):
-        print(f"== {bundle['name']} ==")
+        print(f"== {bundle.name} ==")
         a = [str(v) for v in bundle.flat.critical_values]
         points = [[None] * k + [f"({ak},{al})" for al in a[k:]] for k, ak in enumerate(a)]
         for i, columns in enumerate(ch.chamber_rows(bundle.flat)):
@@ -173,12 +172,12 @@ def _flip_line(direction: str, level: int, centers, blocked) -> str:
 
 def _cmd_flips(args) -> int:
     def render(path: str, bundle: ReportBundle):
-        print(f"== {bundle['name']} ==")
+        print(f"== {bundle.name} ==")
         flat = bundle.flat
         pairs = ch.chamber_pairs(flat)
         print("nodes: " + ", ".join(f"X({i},{j})" for i, j in pairs))
         records, moves = md.flip_moves(flat, ch.chamber_rows(flat))
-        lines = [_flip_line(*record) for record in records]
+        lines = [record and _flip_line(*record) for record in records]
         obstructions = []
         for n, p, q in moves:
             line = lines[n] % (*pairs[p], *pairs[q])
@@ -194,16 +193,16 @@ def _cmd_flips(args) -> int:
 
 def _cmd_quotients(args) -> int:
     def render(path: str, bundle: ReportBundle):
-        print(f"== {bundle['name']} ==")
-        q = bundle["quotients"]
-        print("geometric: " + ", ".join(f"{n['label']} (dim {n['dim']})" for n in q["geometric"]))
-        semi = [f"{n['label']} (dim {n['dim']}" + (f" = {n['identity']})" if n["identity"] else ")")
-                for n in q["semigeometric"]]
+        print(f"== {bundle.name} ==")
+        q = md.quotient_diagram(bundle.flat)
+        print("geometric: " + ", ".join(f"{n.label} (dim {n.dim})" for n in q.geometric))
+        semi = [f"{n.label} (dim {n.dim}" + (f" = {n.identity})" if n.identity else ")")
+                for n in q.semigeometric]
         print("semigeometric: " + ", ".join(semi))
-        for a, b in q["dashed_arrows"]:
+        for a, b in q.dashed_arrows:
             print(f"{a} --> {b} (flip)")
-        for a, b in q["diagonal_arrows"]:
-            print(f"{a} -> {b} (contraction, fibers {q['fiber_note']})")
+        for a, b in q.diagonal_arrows:
+            print(f"{a} -> {b} (contraction, fibers {q.fiber_note})")
 
     return _run_per_spec(args, render)
 
@@ -219,14 +218,16 @@ def _cmd_dynkin(args) -> int:
     from .lie.homogeneous import HomogeneousSpace, build_action
     from .lie.roots import build_root_system, fundamental_cocharacter, grading
 
+    texts = args.cochar.split(",") if args.cochar else []
+    for k, text in enumerate(texts):  # int() refuses more than 4,300 digits
+        if sum(map(str.isdigit, text)) > MAX_RATIONAL_DIGITS:
+            raise SchemaError(f"--cochar[{k}]", TOO_BIG)
     try:
-        cochar = tuple(int(x) for x in args.cochar.split(",")) if args.cochar else None
+        cochar = tuple([int(x) for x in texts]) or None
     except ValueError:
-        print(f"error: --cochar takes comma separated integers, got {args.cochar!r}",
-              file=sys.stderr)
+        shown = args.cochar[:40] + ("..." if len(args.cochar) > 40 else "")  # no unbounded echo
+        print(f"error: --cochar takes comma separated integers, got {shown!r}", file=sys.stderr)
         return EXIT_PARSE
-    for k, n in enumerate(cochar or ()):
-        expect_int(n, f"--cochar[{k}]")
     datum = build_root_system(args.type, args.rank)
     print(f"{datum.name}: {datum.n_positive} positive roots, "
           f"Lie algebra dimension {datum.dim_lie_algebra}")

@@ -37,12 +37,12 @@ def export_dot(bundle: ReportBundle) -> bytes:
             tag = "psi+" if direction == md.PLUS else "psi-"
             lines.append(f'  "X({i},{j})" -> "X({k},{l})" [label="{tag} @ level {level}"];')
     lines += ["}", "", "digraph quotient_diagram {", "  rankdir=LR;"]
-    q = bundle["quotients"]
-    for node in q["geometric"] + q["semigeometric"]:
-        lines.append(f'  "{node["label"]}" [label="{node["label"]} (dim {node["dim"]})"];')
-    for a, b in q["dashed_arrows"]:
+    q = md.quotient_diagram(bundle.flat)
+    for node in q.geometric + q.semigeometric:
+        lines.append(f'  "{node.label}" [label="{node.label} (dim {node.dim})"];')
+    for a, b in q.dashed_arrows:
         lines.append(f'  "{a}" -> "{b}" [style=dashed];')
-    for a, b in q["diagonal_arrows"]:
+    for a, b in q.diagonal_arrows:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -79,7 +79,7 @@ def export_svg(bundle: ReportBundle) -> bytes:
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side:.0f}" height="{side:.0f}" '
         f'viewBox="0 0 {side:.0f} {side:.0f}">',
-        f'<title>{_xml_text(bundle["name"])}: movable region and chambers</title>',
+        f'<title>{_xml_text(bundle.name)}: movable region and chambers</title>',
         '<style>text{font-family:sans-serif;font-size:13px;}</style>',
     ]
     xs = ["%.2f" % _x(v) for v in a]

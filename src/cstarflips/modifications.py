@@ -122,14 +122,19 @@ def flip_moves(model: ActionModel, rows: list[range]):
     (i, j) the minus flip to (i, j - 1) at level j - 1 and the plus flip to
     (i + 1, j) at level i + 1, where the target is a chamber too.  Returns
     (records, moves).  A record (direction, level, centers, blocked),
-    legal when ``blocked`` is empty, is made once per direction and level.
+    legal when ``blocked`` is empty, is made once per direction and level
+    that a move uses: every one but the minus flip at level 1 when the
+    original sink is a point, as (0, 1) is gone, and the plus flip at level
+    r - 1 when the source is, as (r - 1, r) is; those two are ``None``.
     ``moves`` yields the flips row by row, in (from, to) order: a move (n, a, b)
     flips the chamber at position a of ``chamber_pairs`` to the one at b,
     with record n.
     """
     r = len(rows)
+    unused = dict(zip(((MINUS, 1), (PLUS, r - 1)), model.isolated_extremes()))
     # records[level - 1] is the minus flip at a level, records[r - 2 + level] the plus flip
-    records = [_flip_record(direction, level, model.level_components(level))
+    records = [None if unused.get((direction, level)) else
+               _flip_record(direction, level, model.level_components(level))
                for direction in (MINUS, PLUS) for level in range(1, r)]
     return records, chain.from_iterable(_moves_by_row(rows))
 

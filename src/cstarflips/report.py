@@ -1,18 +1,19 @@
 """Pipeline orchestration and the canonical report bundle.
 
 ``run_pipeline`` takes a parsed spec, validates (or derives, for Lie input)
-the action model, passes to the divisorial-extremes model, and assembles the
-cone, chamber, flip-graph and quotient data into a :class:`ReportBundle`.
-Every list is in a canonical order and the encoding is canonical (sorted
-keys, no spaces, ASCII), so identical input produces byte-identical JSON
-output.  The three O(r^2) sections are written from the flat model's
-per-level facts, row by row over the chamber triangle, only when the JSON is.
+the action model and passes to the divisorial-extremes model; the
+:class:`ReportBundle` it returns holds these facts, and ``to_json`` writes
+the cone, chamber, flip-graph and quotient data from them into one fixed
+skeleton.  Every list is in a canonical order and the encoding is canonical
+(sorted keys, no spaces, ASCII), so identical input produces byte-identical
+JSON output.  The three O(r^2) sections are written from the flat model's
+per-level facts, row by row over the chamber triangle.
 """
 
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 from . import chambers as ch
 from . import modifications as md
@@ -36,56 +37,93 @@ EXTREMAL_LABEL_NOTE = (
     "offset conventions GX(i,i)/GX(j,j) and GX(i,i+1)/GX(j,j+1) appear elsewhere"
 )
 
+# Every free string of the report is written as json.dumps(..., ensure_ascii=True) writes it.
+_encode_str = json.encoder.encode_basestring_ascii
+_BOOL = ("false", "true")  # indexed by a bool
 
-# The canonical encoding: sorted keys, no spaces, ASCII only.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode
-_encode_str = json.encoder.encode_basestring_ascii  # what _encode does with a str
+# The report: its 19 sections in sorted key order, no spaces.
+_SKELETON = (
+    '{"bandwidth":"%s","bordism":%s,"case":"%s","chain_summary":{"blowdowns":%d,"blowups":%d,'
+    '"chain_arrows":%d,"flips":%d,"left":"%s","right":"%s"},"chambers":%s,"criticality":%d,'
+    '"flat_model":%s,"flip_graph":%s,"index_set":[%s],"lie":%s,"model":%s,"movable_cone":[%s],'
+    '"name":%s,"p1_bundles":%s,"provenance":{"equalization_source":%s,"equalized":%s,'
+    '"label_convention":' + _encode_str(EXTREMAL_LABEL_NOTE).replace("%", "%%") + ','
+    '"notes":[%s]},"quotients":{"dashed_arrows":[%s],"diagonal_arrows":[%s],"fiber_note":"%s",'
+    '"geometric":[%s],"semigeometric":[%s]},"schema":"cstarflips.report/1",'
+    '"validation":{"ok":true,"violations":[]},"verification":{"checked":%s,"failures":[%s]}}\n'
+)
 
 
 class ReportBundle(NamedTuple):
-    """A report: ``values`` holds the O(r) sections as JSON values, ``flat``
-    the flat model they were computed from.  The three O(r^2) sections
-    (chambers, flip graph, P1-bundles) are not kept: ``to_json`` writes them
-    from ``flat``, and the text, DOT and SVG views read the same per-level
-    facts.  ``bundle[key]`` reads a section of ``values``."""
+    """A report as the facts it is written from: the spec's name, the model
+    and the flat model, the sorted notes, the verification result and the
+    Lie derivation (``None`` without a lie block).  ``to_json`` writes every
+    section from these; the text, DOT and SVG views read the same facts."""
 
-    values: dict
+    name: str
+    model: ActionModel
     flat: ActionModel
-
-    def __getitem__(self, key):
-        return self.values[key]
+    notes: Tuple[str, ...]
+    checked: bool  # a lie block with listed components was cross-checked
+    failures: Tuple[str, ...]
+    lie: Optional[tuple]  # lie.homogeneous.LieActionResult
 
     def to_json(self) -> bytes:
-        sections = {key: _encode(value) for key, value in self.values.items()}
-        sections.update(_chain_sections(self.flat, self.values["index_set"]))
-        parts = ["{"]
-        for key in sorted(sections):
-            parts += (_encode(key), ":", sections[key], ",")
-        parts[-1] = "}\n"  # in place of the last comma
-        return "".join(parts).encode("ascii")
+        model, flat = self.model, self.flat
+        index_set = sorted(index_set_i(flat))
+        chain = _chain_sections(flat, index_set)
+        s, q = md.flip_chain_summary(flat), md.quotient_diagram(flat)
+        return (_SKELETON % (
+            flat.bandwidth, _BOOL[is_bordism(flat)], ch.extremal_case(flat),
+            s.blowdowns, s.blowups, s.chain_arrows, s.flips, s.left, s.right,
+            chain["chambers"], flat.criticality, _model_json(flat), chain["flip_graph"],
+            ",".join(["%d" % i for i in index_set]), _lie_json(self.lie), _model_json(model),
+            ",".join(['["%s","%s"]' % point for point in ch.movable_polygon(flat)]),
+            _encode_str(self.name), chain["p1_bundles"], _encode_str(model.equalization_source),
+            _BOOL[model.equalized], ",".join(map(_encode_str, self.notes)),
+            _arrows(q.dashed_arrows), _arrows(q.diagonal_arrows), q.fiber_note,
+            ",".join(['{"dim":%d,"label":%s}' % (n.dim, _encode_str(n.label))
+                      for n in q.geometric]),
+            ",".join(['{"dim":%d,"identity":%s,"label":%s}' % (
+                n.dim, "null" if n.identity is None else _encode_str(n.identity),
+                _encode_str(n.label)) for n in q.semigeometric]),
+            _BOOL[self.checked], ",".join(map(_encode_str, self.failures)),
+        )).encode("ascii")
 
 
-def _model_dict(model: ActionModel) -> dict:
-    return {
-        "dim_X": model.dim_x,
-        "flat": model.flat,
-        "equalized": model.equalized,
-        "equalization_source": model.equalization_source,
-        "weight_offset": str(model.weight_offset),
-        "sink_origin_dim": model.sink_origin_dim,
-        "source_origin_dim": model.source_origin_dim,
-        "components": [
-            {
-                "name": c.name,
-                "weight": str(c.weight),
-                "dim": c.dim,
-                "nu_minus": c.nu_minus,
-                "nu_plus": c.nu_plus,
-                "inner": c.inner,
-            }
-            for c in model.components
-        ],
-    }
+def _arrows(pairs) -> str:
+    return ",".join(["[%s,%s]" % (_encode_str(a), _encode_str(b)) for a, b in pairs])
+
+
+def _model_json(model: ActionModel) -> str:
+    """``model`` or ``flat_model``: each critical value is written once, for
+    the components of its level."""
+    components = ",".join([
+        '{"dim":%d,"inner":%s,"name":%s,"nu_minus":%d,"nu_plus":%d,"weight":"%s"}'
+        % (c.dim, _BOOL[c.inner], _encode_str(c.name), c.nu_minus, c.nu_plus, weight)
+        for weight, level in [(str(a), level) for a, level in model.levels] for c in level
+    ])
+    return (
+        '{"components":[%s],"dim_X":%d,"equalization_source":%s,"equalized":%s,"flat":%s,'
+        '"sink_origin_dim":%s,"source_origin_dim":%s,"weight_offset":"%s"}'
+    ) % (components, model.dim_x, _encode_str(model.equalization_source),
+         _BOOL[model.equalized], _BOOL[model.flat],
+         *["null" if d is None else d for d in (model.sink_origin_dim, model.source_origin_dim)],
+         model.weight_offset)
+
+
+def _lie_json(lie) -> str:
+    if lie is None:
+        return "null"
+    certificates = ",".join([
+        "%s:[%s]" % (_encode_str(name), ",".join(["%d" % w for w in cert]))
+        for name, cert in sorted(lie.tangent_certificates.items())
+    ])
+    return (
+        '{"cocharacter":[%s],"fixed_points":%d,"is_short":%s,"space":%s,'
+        '"tangent_certificates":{%s}}'
+    ) % (",".join(["%d" % n for n in lie.cocharacter]), lie.fixed_point_count,
+         _BOOL[lie.is_short], _encode_str(lie.space_label), certificates)
 
 
 def _flip_template(direction: str, level: int, centers, blocked) -> str:
@@ -120,7 +158,8 @@ def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict[str, str]:
     records, moves = md.flip_moves(flat, rows)
     edges, obstructions = [], []
     # per flip record: its template, and the list its moves go to
-    fills = [(_flip_template(*rec), (obstructions if rec[3] else edges).append) for rec in records]
+    fills = [rec and (_flip_template(*rec), (obstructions if rec[3] else edges).append)
+             for rec in records]
     for n, p, q in moves:
         template, add = fills[n]
         add(template % (nodes[p], nodes[q]))
@@ -164,109 +203,50 @@ def run_pipeline(
     max_cosets: int = DEFAULT_MAX_COSETS,
     strict_equalized: bool = False,
 ) -> ReportBundle:
-    """Validate or derive the model, then compute the full report.
+    """Validate or derive the model and pass to the flat model: the facts of the report.
 
     With a lie block, the model is recomputed from the root datum and any
     listed components are cross-checked; mismatches are collected in the
     bundle's verification section rather than raised.
     """
     notes: list[str] = []
-    lie_section: Optional[dict] = None
-    verification_failures: list[str] = []
-
+    lie, failures = None, []
     if spec.lie is not None:
         from .lie.homogeneous import HomogeneousSpace, build_action
         from .lie.roots import build_root_system
 
         datum = build_root_system(spec.lie.dynkin_type, spec.lie.rank)
-        result = build_action(
+        lie = build_action(
             HomogeneousSpace(datum, spec.lie.node), spec.lie.cocharacter, max_cosets=max_cosets
         )
-        model = result.model
-        notes.extend(result.warnings)
-        lie_section = {
-            "space": result.space_label,
-            "cocharacter": list(result.cocharacter),
-            "fixed_points": result.fixed_point_count,
-            "is_short": result.is_short,
-            "tangent_certificates": {
-                name: list(cert) for name, cert in sorted(result.tangent_certificates.items())
-            },
-        }
+        model = lie.model
+        notes.extend(lie.warnings)
         if spec.components is not None:
             expected = validate_action(
                 spec.components, spec.dim_x if spec.dim_x is not None else model.dim_x
             )
-            verification_failures = _compare_expected(model, expected)
+            failures = _compare_expected(model, expected)
         elif spec.dim_x is not None and spec.dim_x != model.dim_x:
-            verification_failures = [f"dim_X: derived {model.dim_x}, expected {spec.dim_x}"]
+            failures = [f"dim_X: derived {model.dim_x}, expected {spec.dim_x}"]
     else:
         declared = True if spec.declared_equalized is None else spec.declared_equalized
         if spec.declared_equalized is None:
             notes.append("equalization assumed (no declared_equalized field, no lie block)")
-        model = validate_action(
-            spec.components,
-            spec.dim_x,
-            equalized=declared,
-            equalization_source="declared",
-        )
+        model = validate_action(spec.components, spec.dim_x, equalized=declared)
 
     if not model.equalized:
         raise InvalidActionError(
             [Violation("NotEqualized", "action is not equalized; the construction needs it")]
         )
     if strict_equalized and model.equalization_source == "declared":
-        raise InvalidActionError(
-            [
-                Violation(
-                    "DeclaredEqualization",
-                    "--strict-equalized: equalization is only declared, not derived",
-                )
-            ]
-        )
+        raise InvalidActionError([Violation(
+            "DeclaredEqualization", "--strict-equalized: equalization is only declared, not derived"
+        )])
 
     notes.extend(model_warnings(model))
     if is_btype(model):
         notes.append("input already has divisorial extremes; treated as its own blowup")
     flat = blowup_extremal(model)
 
-    index_set = sorted(index_set_i(flat))
-    diagram = md.quotient_diagram(flat)
-    summary = md.flip_chain_summary(flat)
-
-    data = {
-        "schema": "cstarflips.report/1",
-        "name": spec.name,
-        "validation": {"ok": True, "violations": []},
-        "verification": {
-            "checked": spec.lie is not None and spec.components is not None,
-            "failures": verification_failures,
-        },
-        "provenance": {
-            "equalized": model.equalized,
-            "equalization_source": model.equalization_source,
-            "notes": sorted(notes),
-            "label_convention": EXTREMAL_LABEL_NOTE,
-        },
-        "lie": lie_section,
-        "model": _model_dict(model),
-        "flat_model": _model_dict(flat),
-        "case": ch.extremal_case(flat),
-        "bandwidth": str(flat.bandwidth),
-        "criticality": flat.criticality,
-        "index_set": index_set,
-        "bordism": is_bordism(flat),
-        "movable_cone": [[str(x), str(y)] for x, y in ch.movable_polygon(flat)],
-        "quotients": {
-            "geometric": [{"label": q.label, "dim": q.dim} for q in diagram.geometric],
-            "semigeometric": [
-                {"label": q.label, "dim": q.dim, "identity": q.identity}
-                for q in diagram.semigeometric
-            ],
-            "dashed_arrows": [list(a) for a in diagram.dashed_arrows],
-            "diagonal_arrows": [list(a) for a in diagram.diagonal_arrows],
-            "fiber_note": diagram.fiber_note,
-        },
-        "chain_summary": summary._asdict(),
-    }
-    return ReportBundle(data, flat)
+    checked = spec.lie is not None and spec.components is not None
+    return ReportBundle(spec.name, model, flat, tuple(sorted(notes)), checked, tuple(failures), lie)

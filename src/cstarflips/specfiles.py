@@ -10,6 +10,7 @@ against the Lie computation.  See docs/spec-format.md for the full schema.
 
 from __future__ import annotations
 
+import io
 import json
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
@@ -21,7 +22,9 @@ from .actions import ActionError, FixedComponent
 # conversion (4300 digits), so that every number derived from a spec can be written out.
 MAX_RATIONAL_DIGITS = 1000
 _INT_BOUND = 10**MAX_RATIONAL_DIGITS
-_TOO_BIG = f"more than {MAX_RATIONAL_DIGITS} digits"
+TOO_BIG = f"more than {MAX_RATIONAL_DIGITS} digits"
+# Largest spec file read, in bytes: ten times a chain of criticality 1,280.
+MAX_SPEC_BYTES = 1 << 20
 
 
 class SpecSyntaxError(ActionError):
@@ -60,7 +63,7 @@ def expect_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(path, f"expected an integer, got {value!r}")
     if abs(value) >= _INT_BOUND:
-        raise SchemaError(path, _TOO_BIG)
+        raise SchemaError(path, TOO_BIG)
     return value
 
 
@@ -89,7 +92,7 @@ def _parse_rational(value, path: str) -> Fraction:
         return Fraction(expect_int(value, path))
     if isinstance(value, str):
         if _implied_digits(value) > MAX_RATIONAL_DIGITS:
-            raise SchemaError(path, _TOO_BIG)
+            raise SchemaError(path, TOO_BIG)
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -160,11 +163,15 @@ def parse_spec_dict(obj, path: str = "") -> ActionSpecFile:
 
 
 def parse_spec(path) -> ActionSpecFile:
-    """Parse a spec file; raises SpecSyntaxError / SchemaError with positions
-    but not the file's path, which the caller names."""
+    """Parse a spec file of at most ``MAX_SPEC_BYTES`` bytes; raises
+    SpecSyntaxError / SchemaError with positions but not the file's path,
+    which the caller names."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_SPEC_BYTES + 1)  # one byte more tells a longer file
+        if len(data) > MAX_SPEC_BYTES:
+            raise SpecSyntaxError(f"more than {MAX_SPEC_BYTES} bytes")
+        obj = json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except OSError as exc:
         raise SpecSyntaxError(exc.strerror) from exc
     except json.JSONDecodeError as exc:

@@ -388,6 +388,67 @@ class TestIntegerBound:
         assert captured.out == ""
         assert captured.err == "parse error: --cochar[0]: more than 1000 digits\n"
 
+    @pytest.mark.parametrize("digits", [4301, 5000, 100_000])
+    def test_dynkin_cochar_past_the_int_limit(self, digits, capsys):
+        """Past Python's 4,300-digit limit for int(), an entry still gets the
+        digit bound's message, not the one for text that is no integer."""
+        cochar = f"0,{'9' * digits},0"
+        assert main(["dynkin", "A", "3", "--node", "2", "--cochar", cochar]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: --cochar[1]: more than 1000 digits\n"
+
+    def test_dynkin_cochar_is_not_echoed_whole(self, capsys):
+        assert main(["dynkin", "A", "3", "--node", "2", "--cochar", "1," + "x" * 100_000]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --cochar takes comma separated integers, got ")
+        assert captured.err.count("\n") == 1 and len(captured.err) < 120
+
+
+class TestSizeCap:
+    """A spec file is read up to ``MAX_SPEC_BYTES``; a longer one, or an
+    endless one, is one parse error, and the run goes on with the next file."""
+
+    def _padded(self, tmp_path, size):
+        text = json.dumps(json.loads(Path(BORDISM).read_text()))
+        return write(tmp_path, f"{size}.json", text + " " * (size - len(text)))
+
+    def test_a_file_at_the_cap_is_read(self, tmp_path, capsys):
+        path = self._padded(tmp_path, specfiles.MAX_SPEC_BYTES)
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out == f"{path}: ok (synthetic-bordism-r3, criticality 3)\n"
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_one_byte_more_is_refused(self, tmp_path, capsys, command):
+        path = self._padded(tmp_path, specfiles.MAX_SPEC_BYTES + 1)
+        assert main([command, path, GR24]) == 3
+        captured = capsys.readouterr()
+        lines = (captured.out if command == "validate" else captured.err).splitlines()
+        assert lines[0] == f"{path}: parse error: more than {specfiles.MAX_SPEC_BYTES} bytes"
+        assert (captured.out + captured.err).count(f"{path}:") == 1
+        assert "gr24-k2" in captured.out
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+    def test_endless_file(self, capsys):
+        assert main(["analyze", "/dev/zero", GR24]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"/dev/zero: parse error: more than {specfiles.MAX_SPEC_BYTES} bytes\n"
+        )
+        assert captured.out.startswith("== gr24-k2 ==")
+
+    def test_a_chain_of_criticality_1280_fits(self, tmp_path):
+        r = 1280
+        comps = [{"name": "S", "weight": 0, "dim": 1, "nu_minus": 0, "nu_plus": 3}]
+        comps += [{"name": f"P{k}", "weight": k, "dim": 0, "nu_minus": 2, "nu_plus": 2}
+                  for k in range(1, r)]
+        comps.append({"name": "T", "weight": r, "dim": 1, "nu_minus": 3, "nu_plus": 0})
+        spec = {"name": f"bordism-r{r}", "dim_X": 4, "components": comps}
+        path = write(tmp_path, "r1280.json", json.dumps(spec, indent=1))
+        assert os.path.getsize(path) <= specfiles.MAX_SPEC_BYTES
+        assert len(specfiles.parse_spec(path).components) == r + 1
+
 
 class TestRationalBound:
     def test_huge_exponent_rejected_before_it_is_built(self, monkeypatch):

@@ -7,11 +7,14 @@ from xml.etree import ElementTree
 import pytest
 from hypothesis import given, strategies as st
 
+from cstarflips import chambers as ch
+from cstarflips import modifications as md
+from cstarflips.actions import index_set_i, is_bordism
 from cstarflips.export import UnsupportedFormatError, export
-from cstarflips.report import run_pipeline
+from cstarflips.report import EXTREMAL_LABEL_NOTE, run_pipeline
 from cstarflips.specfiles import parse_spec, parse_spec_dict
 from cstarflips.cli import main
-from conftest import action_models
+from conftest import CASE_ISOLATED, action_models
 
 GR24_SPEC = {
     "name": "gr24-k2",
@@ -54,11 +57,76 @@ def canonical(payload: bytes) -> bytes:
             + "\n").encode("ascii")
 
 
+def _model_values(model) -> dict:
+    return {
+        "dim_X": model.dim_x,
+        "flat": model.flat,
+        "equalized": model.equalized,
+        "equalization_source": model.equalization_source,
+        "weight_offset": str(model.weight_offset),
+        "sink_origin_dim": model.sink_origin_dim,
+        "source_origin_dim": model.source_origin_dim,
+        "components": [
+            {"name": c.name, "weight": str(c.weight), "dim": c.dim,
+             "nu_minus": c.nu_minus, "nu_plus": c.nu_plus, "inner": c.inner}
+            for c in model.components
+        ],
+    }
+
+
+def report_values(bundle) -> dict:
+    """The O(r) sections of the report as JSON values, built from the
+    bundle's facts by the library's functions: an oracle for the text that
+    ``to_json`` writes."""
+    flat, lie = bundle.flat, bundle.lie
+    diagram = md.quotient_diagram(flat)
+    return {
+        "schema": "cstarflips.report/1",
+        "name": bundle.name,
+        "validation": {"ok": True, "violations": []},
+        "verification": {"checked": bundle.checked, "failures": list(bundle.failures)},
+        "provenance": {
+            "equalized": bundle.model.equalized,
+            "equalization_source": bundle.model.equalization_source,
+            "notes": sorted(bundle.notes),
+            "label_convention": EXTREMAL_LABEL_NOTE,
+        },
+        "lie": None if lie is None else {
+            "space": lie.space_label,
+            "cocharacter": list(lie.cocharacter),
+            "fixed_points": lie.fixed_point_count,
+            "is_short": lie.is_short,
+            "tangent_certificates": {
+                name: list(cert) for name, cert in lie.tangent_certificates.items()
+            },
+        },
+        "model": _model_values(bundle.model),
+        "flat_model": _model_values(flat),
+        "case": ch.extremal_case(flat),
+        "bandwidth": str(flat.bandwidth),
+        "criticality": flat.criticality,
+        "index_set": sorted(index_set_i(flat)),
+        "bordism": is_bordism(flat),
+        "movable_cone": [[str(x), str(y)] for x, y in ch.movable_polygon(flat)],
+        "quotients": {
+            "geometric": [{"label": q.label, "dim": q.dim} for q in diagram.geometric],
+            "semigeometric": [
+                {"label": q.label, "dim": q.dim, "identity": q.identity}
+                for q in diagram.semigeometric
+            ],
+            "dashed_arrows": [list(a) for a in diagram.dashed_arrows],
+            "diagonal_arrows": [list(a) for a in diagram.diagonal_arrows],
+            "fiber_note": diagram.fiber_note,
+        },
+        "chain_summary": md.flip_chain_summary(flat)._asdict(),
+    }
+
+
 def reads_back(payload: bytes, bundle) -> bool:
-    """Whether each section the bundle keeps as a value reads back equal
-    from its JSON."""
+    """Whether each O(r) section reads back from its JSON equal to the
+    values of :func:`report_values`."""
     report = json.loads(payload)
-    return all(report[key] == value for key, value in bundle.values.items())
+    return all(report[key] == value for key, value in report_values(bundle).items())
 
 
 def with_odd_names(spec: dict) -> dict:
@@ -127,8 +195,8 @@ class TestPipeline:
         bad["components"][1]["nu_plus"] = 2
         bad["components"][1]["dim"] = 1
         bundle = run_pipeline(parse_spec_dict(bad))
-        assert bundle["verification"]["checked"]
-        assert bundle["verification"]["failures"]
+        assert bundle.checked
+        assert bundle.failures
 
     def test_determinism(self):
         a = run_pipeline(parse_spec_dict(BORDISM_SPEC)).to_json()
@@ -159,6 +227,60 @@ class TestPipeline:
             payload = bundle.to_json()
             assert payload == canonical(payload)
             assert reads_back(payload, bundle)
+
+
+# Characters of the names the writer escapes or keeps: a quote, a backslash,
+# a percent sign (the escape of its own templates), control characters,
+# non-ASCII text, a line separator, a lone surrogate and an astral character.
+ESCAPED = '"\\%\x00\x08\t\n\x1f\x7f a\u00e9\u2028\ud800\U0001f600'
+escaped_names = st.text(st.sampled_from(ESCAPED), max_size=5)
+
+
+@pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+@given(data=st.data())
+def test_to_json_is_its_canonical_reencoding(case, data):
+    """``to_json`` writes each string by hand into its templates: its bytes
+    equal the ``json.dumps`` re-encoding of what they decode to, with names
+    that need escaping in the spec and every component, and a sink that is
+    already a divisor, whose note holds ``repr`` of its name."""
+    model = data.draw(action_models(min_r=2 if case == "isolated-both" else 1, max_r=8,
+                                    case=case))
+    suffix = data.draw(escaped_names)
+    components = [c._replace(name=c.name + suffix) for c in model.components]
+    if not CASE_ISOLATED[case][0] and data.draw(st.booleans()):
+        components[0] = components[0]._replace(dim=model.dim_x - 1, nu_plus=1)
+    spec = {
+        "name": data.draw(escaped_names),
+        "dim_X": model.dim_x,
+        "components": [
+            {"name": c.name, "weight": str(c.weight), "dim": c.dim,
+             "nu_minus": c.nu_minus, "nu_plus": c.nu_plus}
+            for c in components
+        ],
+    }
+    bundle = run_pipeline(parse_spec_dict(spec))
+    payload = bundle.to_json()
+    assert payload == canonical(payload)
+    assert reads_back(payload, bundle)
+    assert json.loads(payload)["name"] == spec["name"]
+
+
+@given(item=st.sampled_from(LIE_ITEMS), name=escaped_names, mismatch=st.booleans())
+def test_lie_to_json_is_its_canonical_reencoding(item, name, mismatch):
+    """The same on Lie input, with an expected model whose mismatch writes
+    verification failures."""
+    t, n, node, cochar_node = item
+    spec = {"name": name, "lie": {"type": t, "rank": n, "node": node,
+                                  "cocharacter": [int(k == cochar_node) for k in range(1, n + 1)]}}
+    if mismatch:
+        spec = json.loads(json.dumps(GR24_SPEC))
+        spec["name"] = name
+        spec["components"][1].update(dim=1, nu_plus=2)
+    bundle = run_pipeline(parse_spec_dict(spec))
+    payload = bundle.to_json()
+    assert payload == canonical(payload)
+    assert reads_back(payload, bundle)
+    assert bool(bundle.failures) == mismatch
 
 
 # p/q with a denominator of 495 digits: with its numerator, about 990 of the
@@ -192,10 +314,11 @@ class TestLargeDenominators:
         }
         low, high = values[0][1], values[-1][1]
         bundle = run_pipeline(parse_spec_dict(spec))
-        assert {c["name"]: Fraction(c["weight"]) for c in bundle["model"]["components"]} == {
+        report = json.loads(bundle.to_json())
+        assert {c["name"]: Fraction(c["weight"]) for c in report["model"]["components"]} == {
             c.name: values[level_of[c.name]][1] - low for c in model.components
         }
-        assert Fraction(bundle["bandwidth"]) == high - low
+        assert Fraction(report["bandwidth"]) == high - low
         assert reads_back(bundle.to_json(), bundle)
         assert export(bundle, "svg").startswith(b"<svg")
 

@@ -18,8 +18,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import action_models, synthetic_case_model
-from test_report_export import ODD_NAME, canonical
+from conftest import CASE_ISOLATED, action_models, synthetic_case_model
+from test_report_export import ODD_NAME, canonical, report_values
 from test_report_golden import CASES, _model_spec, rational_chain_spec
 
 from cstarflips import chambers as ch
@@ -89,15 +89,18 @@ def test_report_agrees_with_the_views(case, data):
     report = json.loads(payload)
     assert {key: report[key] for key in views} == views
     assert payload == canonical(payload)
-    assert {key: report[key] for key in bundle.values} == bundle.values
+    values = report_values(bundle)
+    assert {key: report[key] for key in values} == values
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_each_fact_is_computed_once(monkeypatch, case):
-    """On an r=40 chain, within one ``to_json``: at most 2r flip records, one
-    evaluation of the chamber rows, each critical value written once, and
-    every chamber's corners read once from one table of corner texts (the
-    P1-bundles read their triangles once more)."""
+    """On an r=40 chain, within one ``to_json``: one flip record for each
+    (direction, level) that a move uses, one evaluation of the chamber rows,
+    each critical value written once in the chain sections and once per
+    level in each of the two models, and every chamber's corners read once
+    from one table of corner texts (the P1-bundles read their triangles once
+    more)."""
     r = 40
     bundle = run_pipeline(parse_spec_dict(_model_spec(case, synthetic_case_model(case, r=r))))
     calls = collections.Counter()
@@ -115,19 +118,31 @@ def test_each_fact_is_computed_once(monkeypatch, case):
         reads.update((i, j) for j in columns)
         return original(points, i, columns)
 
+    def chain_sections(*args, original=report._chain_sections):
+        before = calls["str"]
+        sections = original(*args)
+        calls["str in chain sections"] = calls["str"] - before
+        return sections
+
     monkeypatch.setattr(ch, "chamber_rows", counting("chamber_rows", ch.chamber_rows))
     monkeypatch.setattr(md, "_flip_record", counting("_flip_record", md._flip_record))
     monkeypatch.setattr(Fraction, "__str__", counting("str", Fraction.__str__))
     monkeypatch.setattr(ch, "row_corners", reading)
+    monkeypatch.setattr(report, "_chain_sections", chain_sections)
 
-    report = json.loads(bundle.to_json())
-    assert report["criticality"] == r
-    assert calls["_flip_record"] <= 2 * r
+    written = json.loads(bundle.to_json())
+    assert written["criticality"] == r
+    graph = written["flip_graph"]
+    used = {(m["direction"], m["level"]) for m in graph["edges"] + graph["obstructions"]}
+    assert calls["_flip_record"] == len(used) == 2 * (r - 1) - sum(CASE_ISOLATED[case])
     assert calls["chamber_rows"] == 1
-    assert calls["str"] == r + 1
+    assert calls["str in chain sections"] == r + 1
+    # the two models write each level's value once; the bandwidth, the two
+    # weight offsets and the movable cone's coordinates are written once each
+    assert calls["str"] == 3 * (r + 1) + 3 + 2 * len(written["movable_cone"])
     assert len(tables) == 1
-    pairs = [tuple(c["pair"]) for c in report["chambers"]]
-    triangles = [tuple(b["node"]) for b in report["p1_bundles"]]
+    pairs = [tuple(c["pair"]) for c in written["chambers"]]
+    triangles = [tuple(b["node"]) for b in written["p1_bundles"]]
     assert reads == collections.Counter(pairs + triangles)
 
 
