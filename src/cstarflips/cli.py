@@ -19,7 +19,7 @@ from . import modifications as md
 from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError, index_set_i, is_bordism
 from .export import export
 from .report import ReportBundle, run_pipeline
-from .specfiles import MAX_RATIONAL_DIGITS, TOO_BIG, SchemaError, SpecSyntaxError, parse_spec
+from .specfiles import TOO_BIG, SchemaError, SpecSyntaxError, expect_int, parse_spec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -219,8 +219,8 @@ def _cmd_dynkin(args) -> int:
     from .lie.roots import build_root_system, fundamental_cocharacter, grading
 
     texts = args.cochar.split(",") if args.cochar else []
-    for k, text in enumerate(texts):  # int() refuses more than 4,300 digits
-        if sum(map(str.isdigit, text)) > MAX_RATIONAL_DIGITS:
+    for k, text in enumerate(texts):  # int() refuses these; they are past the bound too
+        if sum(map(str.isdecimal, text)) > sys.int_info.default_max_str_digits:
             raise SchemaError(f"--cochar[{k}]", TOO_BIG)
     try:
         cochar = tuple([int(x) for x in texts]) or None
@@ -228,6 +228,8 @@ def _cmd_dynkin(args) -> int:
         shown = args.cochar[:40] + ("..." if len(args.cochar) > 40 else "")  # no unbounded echo
         print(f"error: --cochar takes comma separated integers, got {shown!r}", file=sys.stderr)
         return EXIT_PARSE
+    for k, n in enumerate(cochar or ()):
+        expect_int(n, f"--cochar[{k}]")
     datum = build_root_system(args.type, args.rank)
     print(f"{datum.name}: {datum.n_positive} positive roots, "
           f"Lie algebra dimension {datum.dim_lie_algebra}")

@@ -232,21 +232,32 @@ def run_pipeline(
         declared = True if spec.declared_equalized is None else spec.declared_equalized
         if spec.declared_equalized is None:
             notes.append("equalization assumed (no declared_equalized field, no lie block)")
-        model = validate_action(spec.components, spec.dim_x, equalized=declared)
+        model = validate_action(
+            spec.components,
+            spec.dim_x,
+            equalized=declared,
+            equalization_source="declared",
+        )
 
     if not model.equalized:
         raise InvalidActionError(
             [Violation("NotEqualized", "action is not equalized; the construction needs it")]
         )
     if strict_equalized and model.equalization_source == "declared":
-        raise InvalidActionError([Violation(
-            "DeclaredEqualization", "--strict-equalized: equalization is only declared, not derived"
-        )])
+        raise InvalidActionError(
+            [
+                Violation(
+                    "DeclaredEqualization",
+                    "--strict-equalized: equalization is only declared, not derived",
+                )
+            ]
+        )
 
     notes.extend(model_warnings(model))
     if is_btype(model):
         notes.append("input already has divisorial extremes; treated as its own blowup")
     flat = blowup_extremal(model)
+    ch.movable_polygon(flat)  # refuses a model with no movable region, before any view is written
 
     checked = spec.lie is not None and spec.components is not None
     return ReportBundle(spec.name, model, flat, tuple(sorted(notes)), checked, tuple(failures), lie)

@@ -67,6 +67,26 @@ class TestPerFileIndependence:
         assert "== gr24-k2 ==" in captured.out
         assert captured.err.startswith(f"{bad}: invalid:\n  DimensionMismatch: ")
 
+    @pytest.mark.parametrize("command", [["validate"], ["analyze"], ["export", "--format", "svg"]])
+    def test_no_movable_region_is_named_and_skipped(self, tmp_path, capsys, command):
+        """P^1 has a point for sink and source and criticality one: no movable
+        region.  That file is refused with its path, and GR24 is still written."""
+        p1 = write(tmp_path, "p1.json", json.dumps({"name": "P1", "dim_X": 1, "components": [
+            {"name": "P", "weight": 0, "dim": 0, "nu_minus": 0, "nu_plus": 1},
+            {"name": "Q", "weight": 1, "dim": 0, "nu_minus": 1, "nu_plus": 0},
+        ]}))
+        assert main(command + [p1, GR24]) == 2
+        captured = capsys.readouterr()
+        message = (f"{p1}: error: criticality-one action with isolated sink and source "
+                   "has no movable region")
+        if command == ["validate"]:
+            assert captured.out.splitlines() == [message, f"{GR24}: ok (gr24-k2, criticality 2)"]
+            assert captured.err == ""
+        else:
+            assert captured.err.splitlines() == [message]
+            assert captured.out.startswith("== gr24-k2 ==\n" if command == ["analyze"] else "<svg ")
+            assert "P1" not in captured.out
+
     @pytest.mark.parametrize("dim_x", [0, -3])
     def test_non_positive_dim_x_is_named_once(self, tmp_path, capsys, dim_x):
         spec = json.loads(Path(BORDISM).read_text())
@@ -397,6 +417,11 @@ class TestIntegerBound:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "parse error: --cochar[1]: more than 1000 digits\n"
+
+    def test_dynkin_cochar_leading_zeros(self, capsys):
+        """Leading zeros count toward neither bound, as long as int() reads the entry."""
+        assert main(["dynkin", "A", "3", "--cochar", f"0,{'0' * 4000}1,0"]) == 0
+        assert "grading by [0, 1, 0]: " in capsys.readouterr().out
 
     def test_dynkin_cochar_is_not_echoed_whole(self, capsys):
         assert main(["dynkin", "A", "3", "--node", "2", "--cochar", "1," + "x" * 100_000]) == 3
