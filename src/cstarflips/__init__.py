@@ -20,16 +20,16 @@ _EXPORTS = {
     "is_btype": "actions",
     "is_equalized": "actions",
     "validate_action": "actions",
-    "BaseLocusDescription": "chambers",
     "Chamber": "chambers",
-    "CurveClass": "chambers",
-    "DivisorClass": "chambers",
     "chamber_decomposition": "chambers",
-    "intersection_number": "chambers",
-    "locate_chamber": "chambers",
-    "movable_cone": "chambers",
-    "stable_base_locus": "chambers",
-    "tau_indices": "chambers",
+    "BaseLocusDescription": "locate",
+    "CurveClass": "locate",
+    "DivisorClass": "locate",
+    "intersection_number": "locate",
+    "locate_chamber": "locate",
+    "movable_cone": "locate",
+    "stable_base_locus": "locate",
+    "tau_indices": "locate",
     "FlipEdge": "modifications",
     "FlipGraph": "modifications",
     "build_flip_graph": "modifications",

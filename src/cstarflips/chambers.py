@@ -1,10 +1,13 @@
-"""Exact geometry in the two-parameter divisor slice of a flat model.
+"""Exact geometry in the two-parameter divisor slice of a flat model: the
+movable region and its chambers, as the pipeline uses them.
 
 Divisor classes are written ``m * L(tau_minus, tau_plus)`` and identified with
 points of the (tau_minus, tau_plus) plane; all chamber bookkeeping happens in
 that plane with exact rationals.  Chambers are indexed by pairs (i, j) with
 ``tau_minus`` between the i-th and (i+1)-st critical values and ``tau_plus``
 between the (j-1)-st and j-th, intersected with ``tau_minus <= tau_plus``.
+Divisor classes themselves, and where one sits in the slice, are in
+``locate``.
 
 Chamber (i, j) sits in row i of a triangle, i < j <= r (``chamber_rows``),
 with its corners on the corner rows i and i + 1 (``row_corners``).  An
@@ -14,11 +17,10 @@ isolated original sink removes (0, 1) from row 0 and an isolated source
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
-from .actions import ActionModel, ActionError, as_rational
+from .actions import ActionModel, ActionError
 
 Point = Tuple[Fraction, Fraction]
 
@@ -27,124 +29,9 @@ class OutOfRangeError(ActionError):
     pass
 
 
-class OutOfSliceError(ActionError):
-    pass
-
-
-class _DivisorClass(NamedTuple):
-    tau_minus: Fraction
-    tau_plus: Fraction
-    m: Fraction = Fraction(1)
-
-
-class DivisorClass(_DivisorClass):
-    """The class m * (pullback of L - tau_minus * sink divisor - (bandwidth - tau_plus) * source divisor).
-
-    Equality is tested on (m, tau_minus, tau_plus) after canonicalizing the
-    scale to 1 whenever it is positive; the zero class compares equal for any
-    slice coordinates.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, tau_minus, tau_plus, m=Fraction(1)):
-        self = super().__new__(cls, as_rational(tau_minus), as_rational(tau_plus), as_rational(m))
-        if self.m < 0:
-            raise OutOfSliceError("negative scale")
-        return self
-
-    @classmethod
-    def _make(cls, fields):
-        # ``_replace`` builds through here: check the scale again
-        return cls(*fields)
-
-    def _key(self):
-        if self.m == 0:
-            return (Fraction(0), Fraction(0), Fraction(0))
-        return (Fraction(1), self.tau_minus, self.tau_plus)
-
-    def __eq__(self, other):
-        if not isinstance(other, DivisorClass):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __ne__(self, other):
-        # the inherited tuple.__ne__ would compare the raw fields
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-class CurveClass(enum.Enum):
-    """Numerical curve classes spanning the dual side of the movable cone."""
-
-    GEN = "C_gen"
-    C0 = "C_0"
-    CR = "C_r"
-    C1R = "C_{1,r}"
-    C0RM1 = "C_{0,r-1}"
-
-
-class BaseLocusDescription(NamedTuple):
-    """Stable base locus as level sets: downward cell closures of the
-    ``plus_levels`` union upward cell closures of the ``minus_levels``."""
-
-    plus_levels: frozenset[int]
-    minus_levels: frozenset[int]
-    flat: bool = True
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.plus_levels and not self.minus_levels
-
-
 class Chamber(NamedTuple):
     pair: Tuple[int, int]
     polygon: Tuple[Point, ...]
-
-
-class SliceLocation(NamedTuple):
-    """Result of locating a divisor class in the chamber decomposition."""
-
-    kind: str  # "interior" | "wall" | "vertex" | "outside-movable"
-    chambers: Tuple[Tuple[int, int], ...] = ()
-    tight: Tuple[str, ...] = ()
-    fixed_divisor: str | None = None
-
-
-def tau_indices(model: ActionModel, tau: Fraction) -> Tuple[int, int]:
-    """Indices (min{i : a_i >= tau} - 1, max{j : a_j <= tau} + 1)."""
-    tau = as_rational(tau)
-    a = model.critical_values
-    if tau < 0 or tau > a[-1]:
-        raise OutOfRangeError(f"tau = {tau} outside [0, {a[-1]}]")
-    i = min(k for k, v in enumerate(a) if v >= tau) - 1
-    j = max(k for k, v in enumerate(a) if v <= tau) + 1
-    return (i, j)
-
-
-def stable_base_locus(
-    model: ActionModel, tau_minus: Fraction, tau_plus: Fraction, flat: bool = True
-) -> BaseLocusDescription:
-    """Level sets of the stable base locus of m * L(tau_minus, tau_plus).
-
-    ``plus_levels`` collects the levels with critical value <= tau_minus,
-    ``minus_levels`` those with critical value >= tau_plus.  In the flat
-    version the purely extremal contributions (the sink at level 0, the source
-    at level r) disappear under the blowup and are stripped.
-    """
-    tm, tp = as_rational(tau_minus), as_rational(tau_plus)
-    a = model.critical_values
-    if not (0 <= tm <= tp <= a[-1]):
-        raise OutOfRangeError(f"need 0 <= {tm} <= {tp} <= {a[-1]}")
-    plus = {k for k, v in enumerate(a) if v <= tm}
-    minus = {k for k, v in enumerate(a) if v >= tp}
-    if flat:
-        plus.discard(0)
-        minus.discard(len(a) - 1)
-    return BaseLocusDescription(frozenset(plus), frozenset(minus), flat=flat)
 
 
 def extremal_case(model: ActionModel) -> str:
@@ -190,11 +77,6 @@ def movable_polygon(model: ActionModel) -> Tuple[Point, ...]:
     return _dedup(low + high + [(zero, delta)])
 
 
-def movable_cone(model: ActionModel) -> list[DivisorClass]:
-    """Generators of the movable cone, one per polygon vertex."""
-    return [DivisorClass(x, y) for (x, y) in movable_polygon(model)]
-
-
 def chamber_rows(model: ActionModel) -> list[range]:
     """Row i of the chamber triangle: the columns j of the chambers (i, j), i < j <= r,
     less (0, 1) when the original sink is a point and (r - 1, r) when the source is."""
@@ -230,69 +112,3 @@ def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, .
 
 def chamber_decomposition(model: ActionModel) -> list[Chamber]:
     return [Chamber(pair, chamber_polygon(model, pair)) for pair in chamber_pairs(model)]
-
-
-def locate_chamber(model: ActionModel, d: DivisorClass) -> SliceLocation:
-    """Place a divisor class: chamber interior, wall or vertex, or outside.
-
-    Classes in the two corner triangles cut off the movable cone (present
-    exactly when the corresponding extremal component of the original variety
-    is a point) are reported as outside-movable together with the divisor
-    supporting the fixed part of their linear systems.
-    """
-    x, y = d.tau_minus, d.tau_plus
-    a = model.critical_values
-    r = model.criticality
-    if not (0 <= x <= y <= a[-1]):
-        raise OutOfSliceError(f"({x}, {y}) outside the slice region 0 <= tau- <= tau+ <= {a[-1]}")
-    sink_point, source_point = model.isolated_extremes()
-    if sink_point and y < a[1]:
-        return SliceLocation(kind="outside-movable", fixed_divisor="closure of X^-(Y_1)")
-    if source_point and x > a[-2]:
-        return SliceLocation(
-            kind="outside-movable", fixed_divisor=f"closure of X^+(Y_{{{r - 1}}})"
-        )
-
-    tight: list[str] = []
-    for k, v in enumerate(a):
-        if x == v:
-            tight.append(f"tau_minus=a_{k}")
-        if y == v:
-            tight.append(f"tau_plus=a_{k}")
-    if x == y:
-        tight.append("tau_minus=tau_plus")
-
-    incident = [(i, j) for i, j in chamber_pairs(model)
-                if a[i] <= x <= a[i + 1] and a[j - 1] <= y <= a[j]]
-    if not incident:
-        # boundary of a removed corner with no chamber on the movable side
-        return SliceLocation(kind="outside-movable", tight=tuple(tight))
-    kinds = {0: "interior", 1: "wall"}
-    kind = kinds.get(len(tight), "vertex")
-    return SliceLocation(kind=kind, chambers=tuple(incident), tight=tuple(tight))
-
-
-def intersection_number(d: DivisorClass, curve: CurveClass, model: ActionModel) -> Fraction:
-    """Intersection of m * L(tau_minus, tau_plus) with the given curve class."""
-    a = model.critical_values
-    delta = a[-1]
-    x, y = d.tau_minus, d.tau_plus
-    if curve is CurveClass.GEN:
-        val = y - x
-    elif curve is CurveClass.C0:
-        val = x
-    elif curve is CurveClass.CR:
-        val = delta - y
-    elif curve is CurveClass.C1R:
-        val = y - a[1]
-    elif curve is CurveClass.C0RM1:
-        val = a[-2] - x
-    else:  # pragma: no cover
-        raise ValueError(curve)
-    return d.m * val
-
-
-def relevant_curves(model: ActionModel) -> list[CurveClass]:
-    """Curve classes generating the dual of the movable cone in this case."""
-    extra = zip((CurveClass.C1R, CurveClass.C0RM1), model.isolated_extremes())
-    return [CurveClass.GEN, CurveClass.C0, CurveClass.CR] + [c for c, isolated in extra if isolated]

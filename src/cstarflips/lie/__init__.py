@@ -10,9 +10,6 @@ from .homogeneous import (
     LieActionResult,
     build_action,
     enumerate_fixed_points,
-    grassmannian_action,
-    grassmannian_model,
-    grassmannian_reference,
     homogeneous_dim,
 )
 
@@ -26,8 +23,5 @@ __all__ = [
     "enumerate_fixed_points",
     "fundamental_cocharacter",
     "grading",
-    "grassmannian_action",
-    "grassmannian_model",
-    "grassmannian_reference",
     "homogeneous_dim",
 ]

@@ -45,7 +45,7 @@ from ..actions import (
     unit_tangent_weights,
     validate_action,
 )
-from .roots import RootSystem, build_root_system, dominant_cocharacter, is_short_grading, weyl_order
+from .roots import RootSystem, dominant_cocharacter, is_short_grading, weyl_order
 
 
 class IllegalRangeError(ActionError):
@@ -350,62 +350,3 @@ def build_action(
         warnings=tuple(warnings),
     )
 
-
-def _grass_part(rank: int, index: int) -> str:
-    if index == 0 or index == rank + 1:
-        return "pt"
-    return f"A_{rank}({index})"
-
-
-class GrassmannianLevel(NamedTuple):
-    label: str
-    weight: int
-    dim: int
-    nu_minus: int
-    nu_plus: int
-
-
-def grassmannian_reference(n: int, i: int, k: int) -> list[GrassmannianLevel]:
-    """Closed-form fixed-point data for the Grassmannian of i-planes in n+1
-    space, split by a k-dimensional coordinate subspace.
-
-    Level j (weight j) is the product of the i-j planes in the first factor
-    with the j planes in the second: dimension (i-j)(k-i+j) + j(n+1-k-j),
-    downward rank j(k-i+j), upward rank (i-j)(n+1-k-j).
-    """
-    if not (1 <= i <= k <= n + 1 - k):
-        raise IllegalRangeError(f"need 1 <= i <= k <= n+1-k, got (n, i, k) = ({n}, {i}, {k})")
-    out = []
-    for j in range(i + 1):
-        parts = [p for p in (_grass_part(k - 1, i - j), _grass_part(n - k, j)) if p != "pt"]
-        label = " x ".join(parts) if parts else "pt"
-        out.append(
-            GrassmannianLevel(
-                label=label,
-                weight=j,
-                dim=(i - j) * (k - i + j) + j * (n + 1 - k - j),
-                nu_minus=j * (k - i + j),
-                nu_plus=(i - j) * (n + 1 - k - j),
-            )
-        )
-    return out
-
-
-def grassmannian_model(n: int, i: int, k: int) -> ActionModel:
-    """ActionModel assembled from the closed-form reference data."""
-    comps = [
-        FixedComponent(
-            f"Y{lv.weight}", lv.weight, lv.dim, nu_minus=lv.nu_minus, nu_plus=lv.nu_plus
-        )
-        for lv in grassmannian_reference(n, i, k)
-    ]
-    return validate_action(
-        comps, dim_x=i * (n + 1 - i), equalized=True, equalization_source="tangent-weights"
-    )
-
-
-def grassmannian_action(n: int, i: int, k: int, max_cosets: int = DEFAULT_MAX_COSETS) -> LieActionResult:
-    """The same action computed independently by coset enumeration."""
-    datum = build_root_system("A", n)
-    cochar = tuple([1 if idx == k - 1 else 0 for idx in range(n)])
-    return build_action(HomogeneousSpace(datum, i), cochar, max_cosets=max_cosets)

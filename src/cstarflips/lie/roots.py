@@ -225,10 +225,11 @@ class RootSystem:
 def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
     """Construct the exact root datum, checking the classical root count."""
     t = dynkin_type.upper()
+    shown = dynkin_type if dynkin_type.isprintable() else repr(dynkin_type)  # one line
     if rank > MAX_RANK:
-        raise IllegalTypeError(f"illegal Dynkin datum {dynkin_type}_{rank}: rank above {MAX_RANK}")
+        raise IllegalTypeError(f"illegal Dynkin datum {shown}_{rank}: rank above {MAX_RANK}")
     if t not in _LEGAL_RANKS or not _LEGAL_RANKS[t](rank):
-        raise IllegalTypeError(f"illegal Dynkin datum {dynkin_type}_{rank}")
+        raise IllegalTypeError(f"illegal Dynkin datum {shown}_{rank}")
     cartan = _cartan_matrix(t, rank)
     expected = POSITIVE_ROOT_COUNTS[t]
     expected_n = expected[rank] if isinstance(expected, dict) else expected(rank)

@@ -158,7 +158,8 @@ def parse_spec_dict(obj, path: str = "") -> ActionSpecFile:
         declared = obj["declared_equalized"]
     extra = set(obj) - {"name", "dim_X", "components", "lie", "declared_equalized"}
     if extra:
-        raise SchemaError(f"{path}.{sorted(extra)[0]}", "unknown field")
+        key = min(extra)  # written as a Python literal unless it prints as one line
+        raise SchemaError(f"{path}.{key if key.isprintable() else repr(key)}", "unknown field")
     return ActionSpecFile(name, dim_x, components, lie, declared)
 
 

@@ -15,14 +15,12 @@ from hypothesis import given, settings
 
 from cstarflips.actions import blowup_extremal
 from cstarflips.chambers import (
-    DivisorClass,
     chamber_decomposition,
     chamber_pairs,
     chamber_polygon,
-    movable_cone,
     movable_polygon,
-    stable_base_locus,
 )
+from cstarflips.locate import DivisorClass, movable_cone, stable_base_locus
 from cstarflips.modifications import MINUS, build_flip_graph, flip_chain_summary, induced_action
 from cstarflips.report import run_pipeline
 from cstarflips.specfiles import parse_spec_dict
@@ -244,7 +242,7 @@ def test_criterion_6_catalog_rows():
 
 @criterion(7, "closed-form Grassmannian data equals coset enumeration for all n <= 7")
 def test_criterion_7_grassmannian_closed_form():
-    from cstarflips.lie.homogeneous import grassmannian_action, grassmannian_model
+    from conftest import grassmannian_action, grassmannian_model
 
     checked = 0
     for n in range(1, 8):
@@ -287,12 +285,9 @@ def test_criterion_8_short_implies_equalized():
 @criterion(9, "negating the cocharacter reverses levels and swaps the nu ranks")
 def test_criterion_9_inversion_symmetry():
     from cstarflips.lie.catalog import table2_rows, table3_rows
-    from cstarflips.lie.homogeneous import (
-        HomogeneousSpace,
-        build_action,
-        grassmannian_action,
-    )
+    from cstarflips.lie.homogeneous import HomogeneousSpace, build_action
     from cstarflips.lie.roots import build_root_system, fundamental_cocharacter
+    from conftest import grassmannian_action
 
     corpus = []
     for n in range(2, 6):
@@ -322,7 +317,7 @@ def test_criterion_9_inversion_symmetry():
 
 @criterion(10, "balanced Grassmannian chain: blowup + (n+1)/2 - 2 flips + blowdown")
 def test_criterion_10_factorization_counts():
-    from cstarflips.lie.homogeneous import grassmannian_action
+    from conftest import grassmannian_action
 
     for n in (3, 5, 7):
         k = (n + 1) // 2

@@ -242,7 +242,7 @@ class TestBandwidthCriticality:
             model_from_rows([("Y0", 0, 4, 0, 0)], 4)
 
     def test_grassmannian_family(self):
-        from cstarflips.lie.homogeneous import grassmannian_model
+        from conftest import grassmannian_model
 
         for n, i, k in [(4, 2, 2), (5, 3, 3), (6, 2, 3)]:
             m = grassmannian_model(n, i, k)

@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given
 
 from cstarflips.actions import blowup_extremal
-from cstarflips.chambers import (
+from cstarflips.chambers import OutOfRangeError, chamber_pairs, chamber_polygon, movable_polygon
+from cstarflips.locate import (
     CurveClass,
     DivisorClass,
-    OutOfRangeError,
     OutOfSliceError,
-    chamber_pairs,
-    chamber_polygon,
     intersection_number,
     locate_chamber,
     movable_cone,
-    movable_polygon,
     relevant_curves,
     stable_base_locus,
     tau_indices,

@@ -1,7 +1,10 @@
 """Command line: per-file independence, ``--out`` with several specs,
 arguments that fail with a message instead of a traceback, a stdout that
-its reader closes early, and names that UTF-8 cannot encode."""
+its reader closes early, names that UTF-8 cannot encode, the modules a cold
+call imports, and generated hostile spec files."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cstarflips
 from cstarflips import specfiles
@@ -44,10 +48,13 @@ class TestPerFileIndependence:
     def test_validate_goes_on_after_the_coset_cap(self, tmp_path, capsys):
         e8 = write(tmp_path, "e8.json", json.dumps(E8_SPEC))
         assert main(["validate", GR24, e8, A42, "--max-cosets", "50"]) == 2
-        assert capsys.readouterr().out.splitlines() == [
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [
             f"{GR24}: ok (gr24-k2, criticality 2)",
-            f"{e8}: error: E_8(1): more than 50 fixed points; raise max_cosets to enumerate",
             f"{A42}: ok (a4-2-k2, criticality 2)",
+        ]
+        assert captured.err.splitlines() == [
+            f"{e8}: error: E_8(1): more than 50 fixed points; raise max_cosets to enumerate",
         ]
 
     def test_worst_exit_code_wins(self, tmp_path, capsys):
@@ -79,11 +86,10 @@ class TestPerFileIndependence:
         captured = capsys.readouterr()
         message = (f"{p1}: error: criticality-one action with isolated sink and source "
                    "has no movable region")
+        assert captured.err.splitlines() == [message]
         if command == ["validate"]:
-            assert captured.out.splitlines() == [message, f"{GR24}: ok (gr24-k2, criticality 2)"]
-            assert captured.err == ""
+            assert captured.out.splitlines() == [f"{GR24}: ok (gr24-k2, criticality 2)"]
         else:
-            assert captured.err.splitlines() == [message]
             assert captured.out.startswith("== gr24-k2 ==\n" if command == ["analyze"] else "<svg ")
             assert "P1" not in captured.out
 
@@ -93,11 +99,12 @@ class TestPerFileIndependence:
         spec["dim_X"] = dim_x
         bad = write(tmp_path, "bad.json", json.dumps(spec))
         assert main(["validate", bad, GR24]) == 2
-        assert capsys.readouterr().out.splitlines() == [
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
             f"{bad}: invalid:",
             f"  NonPositiveDim: dim_X = {dim_x} is not positive",
-            f"{GR24}: ok (gr24-k2, criticality 2)",
         ]
+        assert captured.out.splitlines() == [f"{GR24}: ok (gr24-k2, criticality 2)"]
 
     @pytest.mark.parametrize("case", ["truncated", "missing", "directory", "bad-utf-8"])
     def test_parse_error_names_the_file_once(self, tmp_path, capsys, case):
@@ -151,6 +158,19 @@ class TestOut:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+    def test_text_has_the_bytes_of_stdout(self, tmp_path, capsysbinary):
+        """Text ``analyze`` writes every report of the run to ``--out``, a
+        name that UTF-8 cannot encode escaped as on stdout."""
+        odd = write(tmp_path, "odd.json", json.dumps(with_odd_names(BORDISM_SPEC)))
+        specs = [GR24, A42, BORDISM, odd]
+        out = tmp_path / "reports.txt"
+        assert main(["analyze", *specs, "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert main(["analyze", *specs]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert out.read_bytes() == stdout
+        assert stdout.count(b"== ") == len(specs) and b"\\ud800" in stdout
 
     def test_single_spec_bytes_unchanged(self, tmp_path, capsys):
         out = tmp_path / "one.svg"
@@ -258,6 +278,16 @@ def test_lie_import_loads_no_pipeline_module():
         assert f"cstarflips.{name}" not in loaded
 
 
+def _imported(*argv) -> set[str]:
+    """The modules that a cold ``python -m cstarflips`` call imports, with no
+    bytecode written or read: every one of them is compiled."""
+    env = {**_child_env(), "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cstarflips", *argv],
+                          env=env, capture_output=True, text=True, check=True, timeout=120)
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", BORDISM],
     ["analyze", A42],
@@ -268,13 +298,27 @@ def test_lie_import_loads_no_pipeline_module():
 def test_cold_start_loads_no_dataclasses_or_inspect(argv):
     """The records are named tuples, so a CLI call does not import
     ``dataclasses`` and, through it, ``inspect``."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cstarflips", *argv],
-                          env=_child_env(), capture_output=True, text=True, check=True,
-                          timeout=120)
-    loaded = {line.rsplit("|", 1)[1].strip()
-              for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    loaded = _imported(*argv)
     assert "cstarflips.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["analyze", "--format", "json", BORDISM], ("export", "lie", "views", "locate")),
+    (["analyze", BORDISM], ("export", "views", "locate")),
+    (["analyze", A42], ("export", "views", "locate")),
+    (["export", "--format", "svg", BORDISM], ("views", "locate")),
+    (["export", "--format", "dot", A42], ("views", "locate")),
+], ids=["analyze-json", "analyze-text", "analyze-text-lie", "export-svg", "export-dot-lie"])
+def test_cold_call_compiles_only_what_its_command_runs(argv, unused):
+    """``analyze`` and ``export``, the commands of the CLI benchmark, import
+    neither the other commands' views nor the slice geometry, JSON
+    ``analyze`` not the exporters, and a spec without a ``lie`` block not the
+    Lie engine."""
+    loaded = _imported(*argv)
+    assert "cstarflips.cli" in loaded
+    assert ("cstarflips.export" in loaded) == (argv[0] == "export")
+    assert not {m for m in loaded if m.startswith("cstarflips.") and m.split(".")[1] in unused}
 
 
 class TestClosedStdout:
@@ -338,10 +382,11 @@ class TestRankCap:
                                        "cocharacter": [1] + [0] * (rank - 1)}}
         path = write(tmp_path, "a33.json", json.dumps(spec))
         assert main(["validate", path, GR24]) == 2
-        assert capsys.readouterr().out.splitlines() == [
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
             f"{path}: error: illegal Dynkin datum A_{rank}: rank above {roots.MAX_RANK}",
-            f"{GR24}: ok (gr24-k2, criticality 2)",
         ]
+        assert captured.out.splitlines() == [f"{GR24}: ok (gr24-k2, criticality 2)"]
 
 
 # 4,300 digits, the most that Python converts to a string by default; a sum
@@ -388,10 +433,11 @@ class TestIntegerBound:
         spec["components"][0].update(dim=HUGE, nu_minus=HUGE, nu_plus=HUGE)
         path = write(tmp_path, "huge.json", json.dumps(spec))
         assert main(["validate", path, GR24]) == 3
-        assert capsys.readouterr().out.splitlines() == [
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
             f"{path}: parse error: .components[0].dim: more than 1000 digits",
-            f"{GR24}: ok (gr24-k2, criticality 2)",
         ]
+        assert captured.out.splitlines() == [f"{GR24}: ok (gr24-k2, criticality 2)"]
 
     def test_analyze_huge_cocharacter(self, tmp_path, capsys):
         spec = json.loads(Path(GR24).read_text())
@@ -449,7 +495,7 @@ class TestSizeCap:
         path = self._padded(tmp_path, specfiles.MAX_SPEC_BYTES + 1)
         assert main([command, path, GR24]) == 3
         captured = capsys.readouterr()
-        lines = (captured.out if command == "validate" else captured.err).splitlines()
+        lines = captured.err.splitlines()
         assert lines[0] == f"{path}: parse error: more than {specfiles.MAX_SPEC_BYTES} bytes"
         assert (captured.out + captured.err).count(f"{path}:") == 1
         assert "gr24-k2" in captured.out
@@ -501,9 +547,11 @@ class TestRationalBound:
         spec["components"][1]["weight"] = "1e2000000"
         path = write(tmp_path, "huge.json", json.dumps(spec))
         assert main(["validate", path, GR24]) == 3
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == f"{path}: parse error: .components[1].weight: more than 1000 digits"
-        assert lines[1].endswith("ok (gr24-k2, criticality 2)")
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"{path}: parse error: .components[1].weight: more than 1000 digits",
+        ]
+        assert captured.out.splitlines() == [f"{GR24}: ok (gr24-k2, criticality 2)"]
 
     def test_integer_literal_past_the_digit_limit(self, tmp_path, capsys):
         spec = json.loads(Path(BORDISM).read_text())
@@ -511,3 +559,107 @@ class TestRationalBound:
         path = write(tmp_path, "long.json", text)
         assert main(["analyze", path]) == 3
         assert "parse error" in capsys.readouterr().err
+
+
+# A field of a spec, as keys from the top: every field of the schema.
+SPEC_FIELDS = (
+    ("name",), ("dim_X",), ("components",), ("declared_equalized",), ("lie",),
+    *[("components", 1, key) for key in ("name", "weight", "dim", "nu_minus", "nu_plus")],
+    ("components", 1), *[("lie", key) for key in ("type", "rank", "node", "cocharacter")],
+    ("lie", "cocharacter", 0),
+)
+# text that may break a line, as str.splitlines() reads it
+TEXT = st.text(st.characters() | st.sampled_from("\n\r\x85\u2028"), max_size=8)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6,
+)
+_PLACEHOLDER = "@@value@@"
+
+
+def _with_field(spec: dict, field: tuple, value) -> dict:
+    """``spec`` with ``field`` set to ``value``, or unchanged where the
+    field's parent is missing."""
+    spec = json.loads(json.dumps(spec))
+    where = spec
+    for key in field[:-1]:
+        if not isinstance(where, dict) or key not in where:
+            return spec
+        where = where[key]
+    if isinstance(where, list) and field[-1] >= len(where):
+        return spec
+    where[field[-1]] = value
+    return spec
+
+
+def _raw_value(spec: dict, field: tuple, text: str) -> bytes:
+    """The spec's JSON text with ``field`` written as the raw ``text``."""
+    return json.dumps(_with_field(spec, field, _PLACEHOLDER)).replace(
+        json.dumps(_PLACEHOLDER), text).encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def hostile_specs(draw) -> bytes:
+    """The bytes of a spec file that is wrong in one way, or of none at all."""
+    base = json.loads(Path(draw(st.sampled_from([BORDISM, GR24, A42]))).read_text())
+    field = draw(st.sampled_from(SPEC_FIELDS))
+    kind = draw(st.sampled_from(
+        ["wrong type", "line break", "deep nesting", "huge integer", "huge string",
+         "unknown field", "invalid utf-8", "empty"]))
+    if kind == "wrong type":
+        return json.dumps(_with_field(base, field, draw(JSON_VALUES))).encode()
+    if kind == "line break":
+        field = draw(st.sampled_from([("name",), ("components", 1, "name"), ("lie", "type")]))
+        text = draw(TEXT) + draw(st.sampled_from("\n\r\x85\u2028")) + draw(TEXT)
+        return json.dumps(_with_field(base, field, text)).encode()
+    if kind == "deep nesting":
+        depth = draw(st.integers(1, 2_000) | st.just(100_000))
+        brackets = draw(st.sampled_from(["[]", "{}"]))
+        inner = '"a": ' if brackets == "{}" else ""
+        return _raw_value(base, field, (brackets[0] + inner) * depth + "1" + brackets[1] * depth)
+    if kind == "huge integer":
+        digits = draw(st.integers(990, 1_010) | st.sampled_from([4_301, 20_000]))
+        return _raw_value(base, field, draw(st.sampled_from(["", "-"])) + "7" * digits)
+    if kind == "huge string":
+        text = "x" * draw(st.integers(1 << 16, 1 << 19))
+        return json.dumps(_with_field(base, field, text)).encode()
+    if kind == "unknown field":
+        where = draw(st.sampled_from([(), ("components", 0), ("lie",)]))
+        key = draw(TEXT.filter(bool))
+        return json.dumps(_with_field(base, where + (key,), draw(JSON_VALUES))).encode()
+    if kind == "invalid utf-8":
+        text = _raw_value(base, field, '"@"')
+        cut = draw(st.integers(0, len(text)))
+        bad = draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80"]))
+        return text[:cut] + bad + text[cut:]
+    return draw(st.sampled_from([b"", b" ", b"\n\t"]))
+
+
+class TestHostileSpecs:
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=hostile_specs(), command=st.sampled_from([["validate"], ["analyze"]]))
+    @example(data=b'{"name": "x", "dim_X": 1, "components": [{"name": "P", "weight": 0, "dim": 0, '
+                  b'"nu_minus": 0, "nu_plus": 1}], "\\r": 0}', command=["validate"])
+    @example(data=b'{"name": "x", "lie": {"type": "A\\nB", "rank": 1, "node": 1, '
+                  b'"cocharacter": [1]}}', command=["analyze"])
+    def test_each_ends_with_a_documented_code(self, data, command, tmp_path_factory):
+        """A hostile file ends with exit 0, 2, 3 or 4 and raises nothing; a
+        failed one gets one message on stderr that names it once, and the
+        run goes on with the next file."""
+        path = tmp_path_factory.mktemp("hostile") / "spec.json"
+        path.write_bytes(data)
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(path), GR24, "--max-cosets", "200"])
+        out.seek(0)
+        assert code in (0, 2, 3, 4)
+        messages = [line for line in err.getvalue().splitlines() if not line.startswith("  ")]
+        if code in (2, 3):
+            assert len(messages) == 1 and messages[0].startswith(f"{path}: ")
+            assert err.getvalue().count(str(path)) == 1
+        else:
+            assert err.getvalue() == ""
+        ok = f"{GR24}: ok (gr24-k2, criticality 2)" if command == ["validate"] else "== gr24-k2 =="
+        assert ok in out.read().splitlines()

@@ -9,12 +9,10 @@ from cstarflips.lie.homogeneous import (
     IllegalRangeError,
     build_action,
     enumerate_fixed_points,
-    grassmannian_action,
-    grassmannian_model,
-    grassmannian_reference,
     homogeneous_dim,
 )
 from cstarflips.lie.roots import build_root_system, fundamental_cocharacter, grading
+from conftest import grassmannian_action, grassmannian_model, grassmannian_reference
 
 
 def level_data(model):

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from cstarflips import modifications
 from cstarflips.actions import blowup_extremal, index_set_i, is_bordism, level_signature
-from cstarflips.chambers import chamber_pairs, chamber_polygon, relevant_curves
+from cstarflips.chambers import chamber_pairs, chamber_polygon
+from cstarflips.locate import relevant_curves
 from cstarflips.modifications import (
     MINUS,
     PLUS,
@@ -399,7 +400,7 @@ class TestLieGeneratedGraphs:
         assert {(e.from_pair, e.to_pair) for e in g.edges} == expected
 
     def test_grassmannian_family(self):
-        from cstarflips.lie.homogeneous import grassmannian_action
+        from conftest import grassmannian_action
 
         for n in range(2, 8):
             for k in range(1, (n + 1) // 2 + 1):
