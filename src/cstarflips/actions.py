@@ -41,6 +41,16 @@ class ActionError(Exception):
     pass
 
 
+def shown(text: str) -> str:
+    """``text`` for a one-line message: as it is if it prints as one line,
+    else as a Python literal, and cut to 40 characters, with ``...`` after
+    a cut, so that no input makes a message long.  A value is quoted by
+    passing its ``repr``."""
+    if not text.isprintable():
+        text = repr(text)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 class Violation(NamedTuple):
     code: str
     message: str

@@ -19,7 +19,9 @@ import sys
 
 from . import chambers as ch
 from . import modifications as md
-from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError, index_set_i, is_bordism
+from .actions import (
+    DEFAULT_MAX_COSETS, ActionError, InvalidActionError, index_set_i, is_bordism, shown,
+)
 from .report import ReportBundle, run_pipeline
 from .specfiles import SchemaError, SpecSyntaxError, parse_spec
 
@@ -37,7 +39,7 @@ def _positive_int(text: str) -> int:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {shown(repr(text))}")
 
 
 def _add_spec_args(p: argparse.ArgumentParser):

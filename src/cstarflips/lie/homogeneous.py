@@ -22,7 +22,10 @@ gives the component's dimension and the normal ranks ``nu_plus`` /
 first and stops at the last component: the steps between components are
 symmetric under W_L, so they reach every component, and each component's
 point count |W_L| / |W_{L,mu}| is exact, so the counts add up to |W/W_P| just
-when every component is found.
+when every component is found.  Every Weyl group order here is a product
+over root heights (``weyl_order``).  Each step moves the level by an
+integer read off the root stepped in, so the walk carries each component's
+level as one integer.
 
 Weights are kept as Dynkin labels and roots as indices into the root
 system's positive roots, a negative root as its positive one and a sign, so
@@ -31,10 +34,9 @@ the whole derivation is integer sums and lookups.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from itertools import groupby
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Dict, NamedTuple, Sequence, Tuple
 
 from ..actions import (
@@ -42,6 +44,7 @@ from ..actions import (
     ActionModel,
     ActionError,
     FixedComponent,
+    shown,
     unit_tangent_weights,
     validate_action,
 )
@@ -56,14 +59,6 @@ class CosetLimitError(ActionError):
     pass
 
 
-@functools.lru_cache(maxsize=None)
-def _coset_count(cartan: Tuple[Tuple[int, ...], ...], node: int) -> int:
-    rank = len(cartan)
-    return weyl_order(cartan, range(rank)) // weyl_order(
-        cartan, [k for k in range(rank) if k != node - 1]
-    )
-
-
 class _HomogeneousSpace(NamedTuple):
     datum: RootSystem
     node: int  # 1-based marked node
@@ -76,7 +71,7 @@ class HomogeneousSpace(_HomogeneousSpace):
 
     def __new__(cls, datum, node):
         if not 1 <= node <= datum.rank:
-            raise IllegalRangeError(f"node {node} outside 1..{datum.rank}")
+            raise IllegalRangeError(f"node {shown(str(node))} outside 1..{datum.rank}")
         return super().__new__(cls, datum, node)
 
     @classmethod
@@ -95,7 +90,9 @@ class HomogeneousSpace(_HomogeneousSpace):
     @property
     def fixed_point_count(self) -> int:
         """|W / W_P|, the number of torus-fixed points."""
-        return _coset_count(self.datum.cartan_matrix, self.node)
+        nodes = tuple(range(self.datum.rank))
+        others = nodes[:self.node - 1] + nodes[self.node:]
+        return weyl_order(self.datum, nodes) // weyl_order(self.datum, others)
 
     def check_cap(self, max_cosets: int) -> None:
         """Refuse a variety with more than ``max_cosets`` fixed points."""
@@ -111,7 +108,7 @@ def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
     number of positive roots with a nonzero coordinate at a marked node."""
     for n in nodes:
         if not 1 <= n <= datum.rank:
-            raise IllegalRangeError(f"node {n} outside 1..{datum.rank}")
+            raise IllegalRangeError(f"node {shown(str(n))} outside 1..{datum.rank}")
     # column by column, since this runs once per derived action
     return sum(map(any, zip(*([c[n - 1] for c in datum.coords] for n in nodes))))
 
@@ -127,7 +124,7 @@ class _Levi:
         self.datum = datum
         self.root_pairings = datum.pairings(cocharacter)
         self.simple = [j for j, n in enumerate(cocharacter) if not n]
-        self.order = weyl_order(datum.cartan_matrix, self.simple)
+        self.order = weyl_order(datum, tuple(self.simple))
         # per simple root j of L, the (i, <alpha_j, alpha_i^vee>, i a node of L)
         # with a nonzero entry: column j of the Cartan matrix
         in_levi = [not n for n in cocharacter]
@@ -136,24 +133,22 @@ class _Levi:
             for j in self.simple
         }
 
-    def dominant(self, mu: Sequence[int]) -> Tuple[Tuple[int, ...], list[int]]:
+    def dominant(self, mu: Sequence[int]) -> Tuple[int, ...]:
         """The L-dominant weight in the W_L-orbit of ``mu``, reached by
-        reflecting in simple roots ``alpha_j`` of L with ``mu_j < 0``; also
-        the multiple ``t[j]`` of each ``alpha_j`` added on the way."""
+        reflecting in simple roots ``alpha_j`` of L with ``mu_j < 0``."""
         mu = list(mu)
-        t = [0] * len(mu)
         stack = [j for j in self.simple if mu[j] < 0]
         while stack:
             j = stack.pop()
             x = mu[j]
             if x >= 0:
                 continue
-            t[j] -= x  # s_j(mu) = mu - mu_j alpha_j
+            # s_j(mu) = mu - mu_j alpha_j
             for i, c, of_levi in self._cartan_columns[j]:
                 mu[i] -= x * c
                 if of_levi and mu[i] < 0:
                     stack.append(i)
-        return tuple(mu), t
+        return tuple(mu)
 
     def walk(self, node: int, total: int) -> list[tuple]:
         """One weight per fixed component of the variety marked at ``node``,
@@ -174,20 +169,24 @@ class _Levi:
         L-dominant weight.  So the sum of these counts over the components
         found is exact, and it reaches ``total`` just when every component
         is found; the walk stops there.
+        A step in ``gamma`` moves the level by ``<mu, gamma^vee> <gamma, n>``
+        for the cocharacter ``n``.  The L-dominance reflections that follow
+        are in roots of L, which pair to zero with ``n``, so they leave the
+        level as it is.
 
-        Returns ``(mu, depth, scan, points)`` per component, in the order
-        found: ``depth`` is the fundamental weight minus ``mu`` in
-        simple-root coordinates, ``scan`` the pairs ``(r, <mu, beta_r^vee>)``
+        Returns ``(mu, level, scan, points)`` per component, in the order
+        found: ``level`` is the linearization weight at ``mu`` less that at
+        the fundamental weight, ``scan`` the pairs ``(r, <mu, beta_r^vee>)``
         over the positive roots ``beta_r`` that pair nonzero with ``mu``, so
         that ``beta_r`` (``p > 0``) or its negative (``p < 0``) is a tangent
         root at ``mu``, and ``points`` the component's number of points.
         """
         datum = self.datum
         pairings = self.root_pairings
-        labels, coords, columns = datum.labels, datum.coords, datum.coroot_columns
+        labels, columns = datum.labels, datum.coroot_columns
         n = datum.n_positive
 
-        def component(mu, depth) -> tuple:
+        def component(mu, level) -> tuple:
             acc = [0] * n
             for m, col in zip(mu, columns):
                 if m:
@@ -196,19 +195,19 @@ class _Levi:
             # first, then steps back toward it, highest root first
             scan = [(r, p) for r, p in enumerate(acc) if p > 0]
             scan += [(r, acc[r]) for r in range(n - 1, -1, -1) if acc[r] < 0]
-            stabilizer = [j for j in self.simple if not mu[j]]
-            return mu, depth, scan, self.order // weyl_order(datum.cartan_matrix, stabilizer)
+            stabilizer = tuple([j for j in self.simple if not mu[j]])
+            return mu, level, scan, self.order // weyl_order(datum, stabilizer)
 
         # the fundamental weight is dominant, so L-dominant
         rank = datum.rank
         start = tuple([int(i == node - 1) for i in range(rank)])
-        out = [component(start, (0,) * rank)]
+        out = [component(start, 0)]
         seen = {start}
         count = out[0][3]
         stack = [[out[0], 0]]  # a component and the next position in its scan
         while count < total:
             frame = stack[-1]
-            (mu, depth, scan, _), k = frame
+            (mu, level, scan, _), k = frame
             while k < len(scan) and not pairings[scan[k][0]]:  # a root of L
                 k += 1
             if k == len(scan):
@@ -216,12 +215,11 @@ class _Levi:
                 continue
             frame[1] = k + 1
             r, p = scan[k]
-            w, t = self.dominant([a - p * b for a, b in zip(mu, labels[r])])
+            w = self.dominant([a - p * b for a, b in zip(mu, labels[r])])
             if w in seen:
                 continue
             seen.add(w)
-            moved = [d + p * c - tj for d, c, tj in zip(depth, coords[r], t)]
-            out.append(component(w, tuple(moved)))
+            out.append(component(w, level + p * pairings[r]))
             count += out[-1][3]
             stack.append([out[-1], 0])
         return out
@@ -233,7 +231,6 @@ class FixedPoint(NamedTuple):
     the negative of that root."""
 
     weight: Tuple[int, ...]  # Dynkin labels of the translated fundamental weight
-    depth: Tuple[int, ...]  # fundamental weight minus this weight, in simple-root coordinates
     tangent_roots: Tuple[int, ...]
 
 
@@ -253,12 +250,8 @@ def enumerate_fixed_points(
     n = datum.n_positive
     levi = _Levi(datum, (1,) * datum.rank)
     return tuple([
-        FixedPoint(
-            weight=mu,
-            depth=depth,
-            tangent_roots=tuple(sorted([r if p > 0 else r + n for r, p in scan])),
-        )
-        for mu, depth, scan, _ in levi.walk(space.node, space.fixed_point_count)
+        FixedPoint(weight=mu, tangent_roots=tuple(sorted([r if p > 0 else r + n for r, p in scan])))
+        for mu, _, scan, _ in levi.walk(space.node, space.fixed_point_count)
     ])
 
 
@@ -303,15 +296,12 @@ def build_action(
     themselves.
     """
     space.check_cap(max_cosets)
-    dominant = dominant_cocharacter(space.datum, cocharacter)
-    levi = _Levi(space.datum, dominant)
+    levi = _Levi(space.datum, dominant_cocharacter(space.datum, cocharacter))
     root_pairings = levi.root_pairings
     walk = levi.walk(space.node, space.fixed_point_count)
-    # linearization level, up to a constant: the cocharacter paired with the depth
-    levels = [sum(map(mul, dominant, depth)) for _, depth, _, _ in walk]
-    offset = min(levels)
+    offset = min([level for _, level, _, _ in walk])
     records = []
-    for level, (_, _, scan, points) in zip(levels, walk):
+    for _, level, scan, points in walk:
         # the Levi Weyl group fixes the cocharacter, so one point per
         # component carries all of its tangent weights
         cert = tuple(sorted([root_pairings[r] if p > 0 else -root_pairings[r] for r, p in scan]))

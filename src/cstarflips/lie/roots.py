@@ -12,6 +12,9 @@ pairings:
 * the pairing of a root with an integral cocharacter written in the basis
   of fundamental coweights, which is just the cocharacter-weighted sum of
   its simple-root coordinates.
+
+The order of the Weyl group of any subdiagram follows from the same table,
+as a product over the heights of the positive roots supported on it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
-from ..actions import ActionError
+from ..actions import ActionError, shown
 
 POSITIVE_ROOT_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -207,6 +210,12 @@ class RootSystem:
         positive root ``r``."""
         return tuple(zip(*self.coroots))
 
+    @functools.cached_property
+    def supports(self) -> Tuple[Tuple[int, int], ...]:
+        """Per positive root, its height and its support: the bitmask of
+        the nodes where its simple-root coordinates are nonzero."""
+        return tuple([(sum(c), sum([1 << k for k, x in enumerate(c) if x])) for c in self.coords])
+
     def _check_cocharacter(self, cocharacter: Sequence[int]) -> None:
         if len(cocharacter) != self.rank:
             raise IllegalTypeError(
@@ -225,11 +234,11 @@ class RootSystem:
 def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
     """Construct the exact root datum, checking the classical root count."""
     t = dynkin_type.upper()
-    shown = dynkin_type if dynkin_type.isprintable() else repr(dynkin_type)  # one line
+    datum = f"{shown(dynkin_type)}_{shown(str(rank))}"
     if rank > MAX_RANK:
-        raise IllegalTypeError(f"illegal Dynkin datum {shown}_{rank}: rank above {MAX_RANK}")
+        raise IllegalTypeError(f"illegal Dynkin datum {datum}: rank above {MAX_RANK}")
     if t not in _LEGAL_RANKS or not _LEGAL_RANKS[t](rank):
-        raise IllegalTypeError(f"illegal Dynkin datum {shown}_{rank}")
+        raise IllegalTypeError(f"illegal Dynkin datum {datum}")
     cartan = _cartan_matrix(t, rank)
     expected = POSITIVE_ROOT_COUNTS[t]
     expected_n = expected[rank] if isinstance(expected, dict) else expected(rank)
@@ -241,57 +250,24 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
     return RootSystem(t, rank, cartan, coords=coords, labels=labels, coroots=coroots)
 
 
-# |W(E_m)| by rank
-_E_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
-
-
-def weyl_order(cartan: Sequence[Sequence[int]], nodes) -> int:
-    """Order of the Weyl group of the subdiagram on ``nodes`` (0-based), from
-    the classification of its connected pieces.  ``cartan`` is any Cartan
-    matrix of finite type, ``cartan[i][j] = <alpha_j, alpha_i^vee>``.  Its
-    diagram is a forest, so one search per piece meets each bond once."""
-    rest = set(nodes)
-    order = 1
-    while rest:
-        piece = [rest.pop()]
-        bonds = []  # (v, u, <alpha_u, alpha_v^vee> <alpha_v, alpha_u^vee>)
-        for v in piece:  # the piece grows while it is scanned
-            row = cartan[v]
-            near = [u for u in rest if row[u]]
-            if near:
-                rest.difference_update(near)
-                piece += near
-                bonds += [(v, u, row[u] * cartan[u][v]) for u in near]
-        order *= _irreducible_order(len(piece), bonds)
-    return order
-
-
-def _irreducible_order(m: int, bonds: list) -> int:
-    """|W| of a connected Dynkin diagram on ``m`` nodes with these bonds."""
-    if m == 1:  # A_1
-        return 2
-    ends = [v for v, _, _ in bonds] + [u for _, u, _ in bonds]  # a node once per bond
-    products = [product for _, _, product in bonds]
-    if 3 in products:  # G_2
-        return 12
-    if 2 in products:  # B_m or C_m, or F_4 with its double bond in the middle
-        v, u, _ = bonds[products.index(2)]
-        middle = m == 4 and ends.count(v) == ends.count(u) == 2
-        return 1152 if middle else 2 ** m * math.factorial(m)
-    branch = [v for v in ends if ends.count(v) == 3]
-    if not branch:  # A_m
-        return math.factorial(m + 1)
-    # D_m has two arms of length one at its branch node, E_m only one
-    b = branch[0]
-    arms = [u if v == b else v for v, u, _ in bonds if b in (v, u)]
-    short_arms = sum(1 for x in arms if ends.count(x) == 1)
-    return 2 ** (m - 1) * math.factorial(m) if short_arms >= 2 else _E_ORDERS[m]
+@functools.lru_cache(maxsize=None)
+def weyl_order(datum: RootSystem, nodes: Tuple[int, ...]) -> int:
+    """Order of the Weyl group of the subdiagram on ``nodes``, a tuple of
+    0-based nodes: the product of ``(ht + 1) / ht`` over the positive roots
+    supported on those nodes (Kostant, Macdonald 1972).  Memoized per root
+    system and node subset, which repeat across components and actions."""
+    inside = sum([1 << k for k in nodes])
+    num = den = 1
+    for height, support in datum.supports:
+        if support | inside == inside:
+            num, den = num * (height + 1), den * height
+    return num // den
 
 
 def fundamental_cocharacter(rank: int, node: int) -> Tuple[int, ...]:
     """The cocharacter dual to the simple root at ``node`` (1-based)."""
     if not 1 <= node <= rank:
-        raise IllegalTypeError(f"node {node} outside 1..{rank}")
+        raise IllegalTypeError(f"node {shown(str(node))} outside 1..{rank}")
     return tuple([1 if k == node - 1 else 0 for k in range(rank)])
 
 

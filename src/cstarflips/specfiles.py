@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-from .actions import ActionError, FixedComponent
+from .actions import ActionError, FixedComponent, shown
 
 # Largest number of decimal digits in an integer field or in the numerator or
 # denominator of a rational one, well below Python's limit for int <-> str
@@ -61,7 +61,7 @@ def _require(obj: dict, key: str, path: str):
 def expect_int(value, path: str) -> int:
     """``value`` if it is an integer of at most ``MAX_RATIONAL_DIGITS`` digits."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
+        raise SchemaError(path, f"expected an integer, got {shown(repr(value))}")
     if abs(value) >= _INT_BOUND:
         raise SchemaError(path, TOO_BIG)
     return value
@@ -69,7 +69,7 @@ def expect_int(value, path: str) -> int:
 
 def _expect_str(value, path: str) -> str:
     if not isinstance(value, str):
-        raise SchemaError(path, f"expected a string, got {value!r}")
+        raise SchemaError(path, f"expected a string, got {shown(repr(value))}")
     return value
 
 
@@ -87,7 +87,7 @@ def _implied_digits(text: str) -> int:
 
 def _parse_rational(value, path: str) -> Fraction:
     if isinstance(value, bool):
-        raise SchemaError(path, f"expected a rational, got {value!r}")
+        raise SchemaError(path, f"expected a rational, got {shown(repr(value))}")
     if isinstance(value, int):
         return Fraction(expect_int(value, path))
     if isinstance(value, str):
@@ -98,20 +98,34 @@ def _parse_rational(value, path: str) -> Fraction:
         except ZeroDivisionError:
             raise SchemaError(path, "zero denominator") from None
         except ValueError:
-            raise SchemaError(path, f"not a rational: {value!r}") from None
-    raise SchemaError(path, f"expected an integer or 'p/q' string, got {value!r}")
+            raise SchemaError(path, f"not a rational: {shown(repr(value))}") from None
+    raise SchemaError(path, f"expected an integer or 'p/q' string, got {shown(repr(value))}")
+
+
+_COMPONENT_FIELDS = ("name", "weight", "dim", "nu_minus", "nu_plus")
+_LIE_FIELDS = ("type", "rank", "node", "cocharacter")
+_SPEC_FIELDS = ("name", "dim_X", "components", "lie", "declared_equalized")
+
+
+def _unknown_field(obj: dict, fields, path: str) -> SchemaError:
+    """The error naming the first key of ``obj`` outside ``fields``."""
+    return SchemaError(f"{path}.{shown(min(set(obj) - set(fields)))}", "unknown field")
 
 
 def _parse_component(obj, path: str) -> FixedComponent:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
-    return FixedComponent(
+    component = FixedComponent(
         name=_expect_str(_require(obj, "name", path), f"{path}.name"),
         weight=_parse_rational(_require(obj, "weight", path), f"{path}.weight"),
         dim=expect_int(_require(obj, "dim", path), f"{path}.dim"),
         nu_minus=expect_int(_require(obj, "nu_minus", path), f"{path}.nu_minus"),
         nu_plus=expect_int(_require(obj, "nu_plus", path), f"{path}.nu_plus"),
     )
+    # every field is present, so one more key is an unknown one
+    if len(obj) > len(_COMPONENT_FIELDS):
+        raise _unknown_field(obj, _COMPONENT_FIELDS, path)
+    return component
 
 
 def _parse_lie(obj, path: str) -> LieInput:
@@ -128,6 +142,8 @@ def _parse_lie(obj, path: str) -> LieInput:
     )
     if len(cochar) != rank:
         raise SchemaError(f"{path}.cocharacter", f"expected {rank} entries, got {len(cochar)}")
+    if len(obj) > len(_LIE_FIELDS):
+        raise _unknown_field(obj, _LIE_FIELDS, path)
     return LieInput(dynkin_type, rank, node, cochar)
 
 
@@ -156,10 +172,8 @@ def parse_spec_dict(obj, path: str = "") -> ActionSpecFile:
         if not isinstance(obj["declared_equalized"], bool):
             raise SchemaError(f"{path}.declared_equalized", "expected a boolean")
         declared = obj["declared_equalized"]
-    extra = set(obj) - {"name", "dim_X", "components", "lie", "declared_equalized"}
-    if extra:
-        key = min(extra)  # written as a Python literal unless it prints as one line
-        raise SchemaError(f"{path}.{key if key.isprintable() else repr(key)}", "unknown field")
+    if not set(obj).issubset(_SPEC_FIELDS):
+        raise _unknown_field(obj, _SPEC_FIELDS, path)
     return ActionSpecFile(name, dim_x, components, lie, declared)
 
 

@@ -11,7 +11,7 @@ import sys
 
 from . import chambers as ch
 from . import modifications as md
-from .actions import ActionError
+from .actions import ActionError, shown
 from .cli import EXIT_OK, EXIT_PARSE, EXIT_VERIFICATION
 from .specfiles import TOO_BIG, SchemaError, expect_int
 
@@ -89,8 +89,8 @@ def dynkin(args) -> int:
     try:
         cochar = tuple([int(x) for x in texts]) or None
     except ValueError:
-        shown = args.cochar[:40] + ("..." if len(args.cochar) > 40 else "")  # no unbounded echo
-        print(f"error: --cochar takes comma separated integers, got {shown!r}", file=sys.stderr)
+        print(f"error: --cochar takes comma separated integers, got {shown(repr(args.cochar))}",
+              file=sys.stderr)
         return EXIT_PARSE
     for k, n in enumerate(cochar or ()):
         expect_int(n, f"--cochar[{k}]")

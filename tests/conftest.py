@@ -1,4 +1,5 @@
 import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -289,6 +290,51 @@ class EuclideanRootSystem:
             self.combine([self.norms[k] / 2 * row[k] for row in self.gram_inverse])
             for k in range(self.rank)
         )
+
+# Weyl group orders from the classification of connected Dynkin diagrams,
+# an oracle for the engine's product over root heights.
+_E_ORDERS = {6: 51_840, 7: 2_903_040, 8: 696_729_600}
+
+
+def classified_weyl_order(cartan, nodes) -> int:
+    """Order of the Weyl group of the subdiagram on ``nodes`` (0-based): the
+    product of the textbook orders of its connected pieces, each told apart
+    by its bonds.  ``cartan[i][j] = <alpha_j, alpha_i^vee>``."""
+    rest = set(nodes)
+    order = 1
+    while rest:
+        piece = [rest.pop()]
+        bonds = []  # (v, u, <alpha_u, alpha_v^vee> <alpha_v, alpha_u^vee>)
+        for v in piece:  # the piece grows while it is scanned
+            near = [u for u in rest if cartan[v][u]]
+            rest.difference_update(near)
+            piece += near
+            bonds += [(v, u, cartan[v][u] * cartan[u][v]) for u in near]
+        order *= _irreducible_order(len(piece), bonds)
+    return order
+
+
+def _irreducible_order(m: int, bonds: list) -> int:
+    """|W| of a connected Dynkin diagram on ``m`` nodes with these bonds."""
+    if m == 1:  # A_1
+        return 2
+    ends = [v for v, _, _ in bonds] + [u for _, u, _ in bonds]  # a node once per bond
+    products = [product for _, _, product in bonds]
+    if 3 in products:  # G_2
+        return 12
+    if 2 in products:  # B_m or C_m, or F_4 with its double bond in the middle
+        v, u, _ = bonds[products.index(2)]
+        middle = m == 4 and ends.count(v) == ends.count(u) == 2
+        return 1152 if middle else 2 ** m * math.factorial(m)
+    branch = [v for v in ends if ends.count(v) == 3]
+    if not branch:  # A_m
+        return math.factorial(m + 1)
+    # D_m has two arms of length one at its branch node, E_m only one
+    b = branch[0]
+    arms = [u if v == b else v for v, u, _ in bonds if b in (v, u)]
+    short_arms = sum(1 for x in arms if ends.count(x) == 1)
+    return 2 ** (m - 1) * math.factorial(m) if short_arms >= 2 else _E_ORDERS[m]
+
 
 # The Grassmannian closed form, an oracle that shares no code with the Lie
 # engine it checks.

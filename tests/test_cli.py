@@ -360,6 +360,54 @@ def test_odd_names_in_every_spec_command(tmp_path, capsys, command):
     assert ("\\ud800" in captured.out) == (command[-1] != "dot")
 
 
+class TestUnknownFields:
+    @pytest.mark.parametrize("where,path", [
+        (("components", 0, "colour"), ".components[0].colour"),
+        (("lie", "extra"), ".lie.extra"),
+    ], ids=["component", "lie"])
+    def test_nested_unknown_field(self, tmp_path, capsys, where, path):
+        spec = json.loads(Path(GR24).read_text())
+        block = spec
+        for step in where[:-1]:
+            block = block[step]
+        block[where[-1]] = "red"
+        bad = write(tmp_path, "colour.json", json.dumps(spec))
+        assert main(["validate", bad, A42]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"{bad}: parse error: {path}: unknown field"]
+        assert captured.out.splitlines() == [f"{A42}: ok (a4-2-k2, criticality 2)"]
+
+
+class TestBoundedEchoes:
+    """A Dynkin type, a rank or an argument is echoed cut to 40 characters."""
+
+    def test_dynkin_type(self, capsys):
+        assert main(["dynkin", "Q" * 100_000, "3"]) == 2
+        assert capsys.readouterr().err == f"error: illegal Dynkin datum {'Q' * 40}..._3\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["9" * 4_000], f"illegal Dynkin datum A_{'9' * 40}...: rank above {roots.MAX_RANK}"),
+        (["3", "--node", "9" * 4_000, "--cochar-node", "1"], f"node {'9' * 40}... outside 1..3"),
+        (["3", "--cochar-node", "9" * 4_000], f"node {'9' * 40}... outside 1..3"),
+    ], ids=["rank", "node", "cochar-node"])
+    def test_dynkin_numbers(self, capsys, argv, message):
+        assert main(["dynkin", "A", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_lie_type(self, tmp_path, capsys):
+        spec = {"name": "q", "lie": {"type": "Q\n" * 50_000, "rank": 3, "node": 1,
+                                     "cocharacter": [1, 0, 0]}}
+        path = write(tmp_path, "q.json", json.dumps(spec))
+        assert main(["analyze", path]) == 2
+        cut = "'" + "Q\\n" * 13 + "..."  # a Python literal, since it breaks lines
+        assert capsys.readouterr().err == f"{path}: error: illegal Dynkin datum {cut}_3\n"
+
+    def test_max_cosets(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["validate", GR24, "--max-cosets", "x" * 100_000])
+        assert f"expected a positive integer, got '{'x' * 39}...\n" in capsys.readouterr().err
+
+
 class TestRankCap:
     def test_refused_before_any_root_is_built(self, monkeypatch):
         def refuse(*args):
@@ -644,10 +692,15 @@ class TestHostileSpecs:
                   b'"nu_minus": 0, "nu_plus": 1}], "\\r": 0}', command=["validate"])
     @example(data=b'{"name": "x", "lie": {"type": "A\\nB", "rank": 1, "node": 1, '
                   b'"cocharacter": [1]}}', command=["analyze"])
+    @example(data=b'{"name": "x", "dim_X": 1, "components": [{"name": "P", "weight": 0, "dim": 0, '
+                  b'"nu_minus": 0, "nu_plus": 1, "colour": 0}]}', command=["validate"])
+    @example(data=b'{"name": "x", "lie": {"type": "A", "rank": 1, "node": 1, '
+                  b'"cocharacter": [1], "": 0}}', command=["analyze"])
     def test_each_ends_with_a_documented_code(self, data, command, tmp_path_factory):
         """A hostile file ends with exit 0, 2, 3 or 4 and raises nothing; a
-        failed one gets one message on stderr that names it once, and the
-        run goes on with the next file."""
+        failed one gets one message on stderr that names it once, in at most
+        a few hundred bytes, and the run goes on with the next file.  A file
+        that parses has no unknown field at any level."""
         path = tmp_path_factory.mktemp("hostile") / "spec.json"
         path.write_bytes(data)
         out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
@@ -659,7 +712,14 @@ class TestHostileSpecs:
         if code in (2, 3):
             assert len(messages) == 1 and messages[0].startswith(f"{path}: ")
             assert err.getvalue().count(str(path)) == 1
+            assert len(messages[0]) < len(f"{path}: ") + 200
         else:
             assert err.getvalue() == ""
+        if code != 3:
+            spec = json.loads(data)
+            assert set(spec) <= set(specfiles._SPEC_FIELDS)
+            assert all(set(c) <= set(specfiles._COMPONENT_FIELDS)
+                       for c in spec.get("components", []))
+            assert set(spec.get("lie", {})) <= set(specfiles._LIE_FIELDS)
         ok = f"{GR24}: ok (gr24-k2, criticality 2)" if command == ["validate"] else "== gr24-k2 =="
         assert ok in out.read().splitlines()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EuclideanRootSystem, dot
+from conftest import EuclideanRootSystem, classified_weyl_order, dot
 from cstarflips.actions import ActionError, FixedComponent, validate_action
 from cstarflips.lie import homogeneous
 from cstarflips.lie.homogeneous import (
@@ -299,7 +299,8 @@ def test_fixed_point_count_is_weyl_index(case):
     dynkin_type, rank, node, _ = case
     datum = build_root_system(dynkin_type, rank)
     others = [k for k in range(rank) if k != node - 1]
-    expected = weyl_order(datum.cartan_matrix, range(rank)) // weyl_order(datum.cartan_matrix, others)
+    cartan = EuclideanRootSystem(dynkin_type, rank).cartan_matrix
+    expected = classified_weyl_order(cartan, range(rank)) // classified_weyl_order(cartan, others)
     assert len(enumerate_fixed_points(HomogeneousSpace(datum, node))) == expected
 
 
@@ -379,9 +380,21 @@ def test_coset_cap_is_exact(dynkin_type, rank, node, count):
     ("F", 4, 1152), ("G", 2, 12),
 ])
 def test_weyl_order_textbook(dynkin_type, rank, order):
-    cartan = build_root_system(dynkin_type, rank).cartan_matrix
-    assert weyl_order(cartan, range(rank)) == order
-    assert weyl_order(cartan, []) == 1
+    datum = build_root_system(dynkin_type, rank)
+    assert weyl_order(datum, tuple(range(rank))) == order
+    assert weyl_order(datum, ()) == 1
+
+
+@pytest.mark.parametrize("dynkin_type,rank", SPACES + [("E", 7), ("E", 8)])
+def test_weyl_order_of_every_node_subset(dynkin_type, rank):
+    """The product over root heights equals the order that the
+    classification of the subdiagram's connected pieces gives, read off the
+    Euclidean realization's Cartan matrix, on every subset of nodes."""
+    datum = build_root_system(dynkin_type, rank)
+    cartan = EuclideanRootSystem(dynkin_type, rank).cartan_matrix
+    for size in range(rank + 1):
+        for nodes in itertools.combinations(range(rank), size):
+            assert weyl_order(datum, nodes) == classified_weyl_order(cartan, nodes), nodes
 
 
 @st.composite
@@ -434,12 +447,12 @@ def walk_records(datum, node, cochar):
     levi = _Levi(datum, dominant)
     pairings = levi.root_pairings
     walk = levi.walk(node, HomogeneousSpace(datum, node).fixed_point_count)
-    levels = [sum(n * d for n, d in zip(dominant, depth)) for _, depth, _, _ in walk]
+    lowest = min(level for _, level, _, _ in walk)
     return sorted(
-        (level - min(levels),
+        (level - lowest,
          tuple(sorted(pairings[r] if p > 0 else -pairings[r] for r, p in scan)),
          points)
-        for level, (_, _, scan, points) in zip(levels, walk)
+        for _, level, scan, points in walk
     )
 
 

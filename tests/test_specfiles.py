@@ -78,6 +78,55 @@ def test_unknown_field():
     assert exc.value.path == ".bogus"
 
 
+LIE_ONLY = {"name": "lie-only", "lie": {"type": "A", "rank": 3, "node": 2, "cocharacter": [0, 1, 0]}}
+
+
+@pytest.mark.parametrize("spec,where,key,path", [
+    (GOOD, ("components", 0), "colour", ".components[0].colour"),
+    (GOOD, ("components", 2), "\r", ".components[2].'\\r'"),
+    (LIE_ONLY, ("lie",), "extra", ".lie.extra"),
+    (LIE_ONLY, ("lie",), "k" * 100_000, ".lie." + "k" * 40 + "..."),
+    (GOOD, (), "\u2028" * 100, ".'" + "\\u2028" * 6 + "\\u2..."),
+], ids=["component", "component-line-break", "lie", "lie-long-key", "top-long-key"])
+def test_unknown_field_at_every_level(spec, where, key, path):
+    """Every block refuses a key outside its fields, and names it in at most
+    40 characters."""
+    obj = json.loads(json.dumps(spec))
+    block = obj
+    for step in where:
+        block = block[step]
+    block[key] = 1
+    with pytest.raises(SchemaError) as exc:
+        parse_spec_dict(obj)
+    assert exc.value.path == path
+    assert str(exc.value) == f"{path}: unknown field"
+
+
+def test_missing_field_before_unknown_field():
+    """A component with a field missing and an unknown one has the same
+    number of keys as a whole one; the missing field is named."""
+    obj = json.loads(json.dumps(GOOD))
+    del obj["components"][1]["nu_plus"]
+    obj["components"][1]["colour"] = "red"
+    with pytest.raises(SchemaError) as exc:
+        parse_spec_dict(obj)
+    assert exc.value.path == ".components[1].nu_plus"
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("dim", "7" * 100_000, "expected an integer, got '" + "7" * 39 + "..."),
+    ("dim", [1] * 100_000, "expected an integer, got [" + "1, " * 13 + "..."),
+    ("weight", "x" * 1_000, "not a rational: '" + "x" * 39 + "..."),
+    ("name", {"k": "v" * 100_000}, "expected a string, got {'k': '" + "v" * 33 + "..."),
+])
+def test_a_quoted_value_is_cut_to_40_characters(field, value, message):
+    obj = json.loads(json.dumps(GOOD))
+    obj["components"][0][field] = value
+    with pytest.raises(SchemaError) as exc:
+        parse_spec_dict(obj)
+    assert str(exc.value) == f".components[0].{field}: {message}"
+
+
 def test_neither_components_nor_lie():
     with pytest.raises(SchemaError):
         parse_spec_dict({"name": "empty", "dim_X": 4})
