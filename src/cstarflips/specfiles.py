@@ -141,7 +141,8 @@ def _parse_lie(obj, path: str) -> LieInput:
         [expect_int(v, f"{path}.cocharacter[{k}]") for k, v in enumerate(raw)]
     )
     if len(cochar) != rank:
-        raise SchemaError(f"{path}.cocharacter", f"expected {rank} entries, got {len(cochar)}")
+        raise SchemaError(f"{path}.cocharacter",
+                          f"expected {shown(str(rank))} entries, got {len(cochar)}")
     if len(obj) > len(_LIE_FIELDS):
         raise _unknown_field(obj, _LIE_FIELDS, path)
     return LieInput(dynkin_type, rank, node, cochar)

@@ -696,6 +696,8 @@ class TestHostileSpecs:
                   b'"nu_minus": 0, "nu_plus": 1, "colour": 0}]}', command=["validate"])
     @example(data=b'{"name": "x", "lie": {"type": "A", "rank": 1, "node": 1, '
                   b'"cocharacter": [1], "": 0}}', command=["analyze"])
+    @example(data=b'{"name": "x", "lie": {"type": "A", "rank": ' + b"7" * 999
+                  + b', "node": 1, "cocharacter": [1]}}', command=["validate"])
     def test_each_ends_with_a_documented_code(self, data, command, tmp_path_factory):
         """A hostile file ends with exit 0, 2, 3 or 4 and raises nothing; a
         failed one gets one message on stderr that names it once, in at most
