@@ -15,7 +15,7 @@ that the sink sits at weight zero.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
@@ -116,6 +116,12 @@ class FixedComponent(_FixedComponent):
         return cls(*fields)
 
 
+# A component from its six fields, the weight already a ``Fraction``, without
+# the constructor's coercion: the parser and the model builders make every
+# component through here.
+exact_component = partial(tuple.__new__, FixedComponent)
+
+
 class _ActionModel(NamedTuple):
     dim_x: int
     components: Tuple[FixedComponent, ...]
@@ -138,10 +144,24 @@ class ActionModel(_ActionModel):
 
     No ``__slots__``: the instance dict holds the cached ``levels`` and
     ``critical_values``, and ``_replace`` starts a new, empty one.
+    :func:`validate_action` and :func:`flat_model` fill ``levels`` with the
+    levels they built (``_from_levels``), so those models never regroup.
     """
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: an ActionModel is immutable")
+
+    @classmethod
+    def _from_levels(cls, levels, **fields) -> "ActionModel":
+        """The model whose components are those of ``levels``, (weight,
+        components) pairs in weight order, with ``levels`` as its cached
+        grouping, so that a builder that grouped them does not regroup."""
+        components = []
+        for _, level in levels:
+            components += level
+        model = cls(components=tuple(components), **fields)
+        vars(model)["levels"] = levels
+        return model
 
     @cached_property
     def critical_values(self) -> Tuple[Fraction, ...]:
@@ -211,6 +231,7 @@ def level_signature(model: ActionModel) -> Tuple[Tuple[Fraction, tuple], ...]:
 
 
 _UNIT_WEIGHTS = frozenset((-1, 0, 1))
+_ZERO = Fraction(0)
 
 
 def unit_tangent_weights(weights: Iterable[int]) -> bool:
@@ -232,17 +253,20 @@ def _check(comps: list[FixedComponent], dim_x: int):
     level_of = []
     for c in comps:
         if c.name in seen:
-            violations.append(Violation(DUPLICATE_NAME, f"component name {c.name!r} repeated", c.name))
+            message = f"component name {shown(repr(c.name))} repeated"
+            violations.append(Violation(DUPLICATE_NAME, message, c.name))
         seen.add(c.name)
         level = groups.setdefault(_weight_key(c), [])
         level.append(c)
         level_of.append(level)
         if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0:
-            violations.append(Violation(NEGATIVE_FIELD, f"negative field on {c.name!r}", c.name))
+            message = f"negative field on {shown(repr(c.name))}"
+            violations.append(Violation(NEGATIVE_FIELD, message, c.name))
             continue
         total = c.dim + c.nu_minus + c.nu_plus
         if total != dim_x and dim_x > 0:
-            message = f"{c.name!r}: dim + nu_minus + nu_plus = {total} != dim_x = {dim_x}"
+            message = (f"{shown(repr(c.name))}: dim + nu_minus + nu_plus = {total} "
+                       f"!= dim_x = {dim_x}")
             violations.append(Violation(DIMENSION_MISMATCH, message, c.name))
 
     levels = sorted(groups.values(), key=lambda level: level[0].weight)
@@ -254,14 +278,14 @@ def _check(comps: list[FixedComponent], dim_x: int):
     for c, level in zip(comps, level_of):
         if level is sink:
             if c.nu_minus != 0:
-                message = f"sink component {c.name!r} has nu_minus != 0"
+                message = f"sink component {shown(repr(c.name))} has nu_minus != 0"
                 violations.append(Violation(EXTREMAL_NONZERO_NU, message, c.name))
         elif level is source:
             if c.nu_plus != 0:
-                message = f"source component {c.name!r} has nu_plus != 0"
+                message = f"source component {shown(repr(c.name))} has nu_plus != 0"
                 violations.append(Violation(EXTREMAL_NONZERO_NU, message, c.name))
         elif c.nu_minus == 0 or c.nu_plus == 0:
-            message = f"inner component {c.name!r} has nu_minus or nu_plus equal to 0"
+            message = f"inner component {shown(repr(c.name))} has nu_minus or nu_plus equal to 0"
             violations.append(Violation(NON_EXTREMAL_ZERO_NU, message, c.name))
     for label, level in (("sink", sink), ("source", source)):
         if len(level) != 1:
@@ -293,27 +317,28 @@ def validate_action(
     Components are sorted by (weight, name), weights are shifted so the sink
     sits at zero, the original minimum is kept as ``weight_offset`` metadata,
     and ``inner`` is set on the components strictly between sink and source.
-    Raises :class:`InvalidActionError` carrying the full list of violations
-    otherwise.
+    Each normalized component is built once, with its level's shifted weight
+    and inner flag, and the model keeps the levels that :func:`_check`
+    grouped as its ``levels``.  Raises :class:`InvalidActionError` carrying
+    the full list of violations otherwise.
     """
-    violations, levels = _check(list(components), dim_x)
+    violations, groups = _check(list(components), dim_x)
     if violations:
         raise InvalidActionError(violations)
 
-    offset = levels[0][0].weight
-    r = len(levels) - 1
-    normalized = []
-    for k, level in enumerate(levels):
-        weight = level[0].weight - offset
-        if len(level) > 1:
-            level.sort(key=attrgetter("name"))
-        normalized += [
-            FixedComponent(c.name, weight, c.dim, c.nu_minus, c.nu_plus, inner=0 < k < r)
-            for c in level
-        ]
-    return ActionModel(
+    offset = groups[0][0].weight
+    r = len(groups) - 1
+    levels = []
+    for k, group in enumerate(groups):
+        weight, inner = group[0].weight - offset, 0 < k < r
+        if len(group) > 1:
+            group.sort(key=attrgetter("name"))
+        levels.append((weight, tuple([
+            exact_component((c.name, weight, c.dim, c.nu_minus, c.nu_plus, inner)) for c in group
+        ])))
+    return ActionModel._from_levels(
+        tuple(levels),
         dim_x=dim_x,
-        components=tuple(normalized),
         equalized=equalized,
         equalization_source=equalization_source,
         weight_offset=offset,
@@ -374,26 +399,28 @@ def is_bordism(model: ActionModel) -> bool:
 def flat_model(
     model: ActionModel,
     names: Tuple[str, str],
-    inner: Tuple[FixedComponent, ...],
+    inner: Tuple[Tuple[Fraction, Tuple[FixedComponent, ...]], ...],
     bandwidth: Fraction,
     origin_dims: Tuple[int, int],
     weight_offset: Fraction,
 ) -> ActionModel:
-    """The flat model with components ``inner`` between a divisorial sink
+    """The flat model with the levels ``inner`` between a divisorial sink
     (dim X - 1, nu_minus 0, nu_plus 1) at weight 0 and a divisorial source
     (dim X - 1, nu_minus 1, nu_plus 0) at ``bandwidth``, named ``names``.
 
     ``model`` gives dim X and the equalization fields.  The callers,
-    :func:`blowup_extremal` and ``induced_action``, pass ``inner`` in
-    (weight, name) order, as :func:`validate_action` sorts it, strictly
-    inside (0, bandwidth), so the components are not sorted again.
+    :func:`blowup_extremal` and ``induced_action``, pass ``inner`` as
+    (weight, components) levels in the order of ``ActionModel.levels``,
+    strictly inside (0, bandwidth), so the components are neither sorted nor
+    grouped again: the flat model's levels are ``inner`` with the two
+    divisors around them.
     """
     dim = model.dim_x - 1
-    sink = FixedComponent(names[0], Fraction(0), dim, nu_minus=0, nu_plus=1)
-    source = FixedComponent(names[1], bandwidth, dim, nu_minus=1, nu_plus=0)
-    return ActionModel(
+    sink = exact_component((names[0], _ZERO, dim, 0, 1, False))
+    source = exact_component((names[1], bandwidth, dim, 1, 0, False))
+    return ActionModel._from_levels(
+        ((_ZERO, (sink,)), *inner, (bandwidth, (source,))),
         dim_x=model.dim_x,
-        components=(sink, *inner, source),
         flat=True,
         equalized=model.equalized,
         equalization_source=model.equalization_source,
@@ -407,10 +434,10 @@ def blowup_extremal(model: ActionModel) -> ActionModel:
     """Blow up sink and source, producing the flat (B-type) model.
 
     The extremal components are replaced by divisors carrying one normal
-    direction toward the interior; inner components are copied bit-exactly and
-    the original extremal dims are recorded.  Blowing up a divisor changes
-    nothing, so a B-type input comes back with the same components, marked
-    flat, its own extremal dims recorded as the origin dims.
+    direction toward the interior; the inner levels are reused as they are
+    and the original extremal dims are recorded.  Blowing up a divisor
+    changes nothing, so a B-type input comes back with the same components,
+    marked flat, its own extremal dims recorded as the origin dims.
     """
     if model.flat:
         raise AlreadyFlatError("model already has divisorial sink and source")
@@ -420,7 +447,7 @@ def blowup_extremal(model: ActionModel) -> ActionModel:
     return flat_model(
         model,
         (f"{sink.name}_flat", f"{source.name}_flat"),
-        model.inner_components,
+        model.levels[1:-1],
         model.bandwidth,
         (sink.dim, source.dim),
         model.weight_offset,

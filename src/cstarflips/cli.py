@@ -32,6 +32,14 @@ EXIT_VERIFICATION = 4
 EXIT_CLOSED_STDOUT = 141
 
 
+def _integer(text: str) -> int:
+    """``int(text)``, echoing at most 40 characters of a text it refuses."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {shown(repr(text))}") from None
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -190,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dynkin", help="root systems, gradings, induced actions")
     p.add_argument("type")
-    p.add_argument("rank", type=int)
-    p.add_argument("--node", type=int, help="marked node of the variety")
+    p.add_argument("rank", type=_integer)
+    p.add_argument("--node", type=_integer, help="marked node of the variety")
     p.add_argument("--cochar", help="comma separated cocharacter coefficients")
-    p.add_argument("--cochar-node", type=int, help="fundamental cocharacter at this node")
+    p.add_argument("--cochar-node", type=_integer, help="fundamental cocharacter at this node")
     p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.set_defaults(func=_cmd_view)
 

@@ -89,17 +89,16 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     i, j = pair
     a = model.critical_values
     base = a[i]
-    inner = tuple([
-        c._replace(weight=c.weight - base)
-        for k in range(i + 1, j)
-        for c in model.level_components(k)
-    ])
+    inner = []
+    for a_k, comps in model.levels[i + 1:j]:
+        weight = a_k - base
+        inner.append((weight, tuple([c._replace(weight=weight) for c in comps])))
     sink_dim, source_dim = model.origin_dims()
     divisor = model.dim_x - 1
     return flat_model(
         model,
         (f"GX({i},{i + 1})", f"GX({j - 1},{j})"),
-        inner,
+        tuple(inner),
         a[j] - base,
         (sink_dim if i == 0 else divisor, source_dim if j == model.criticality else divisor),
         Fraction(0),

@@ -40,6 +40,7 @@ EXTREMAL_LABEL_NOTE = (
 # Every free string of the report is written as json.dumps(..., ensure_ascii=True) writes it.
 _encode_str = json.encoder.encode_basestring_ascii
 _BOOL = ("false", "true")  # indexed by a bool
+_LABEL_NOTE = _encode_str(EXTREMAL_LABEL_NOTE)
 
 # The report: its 19 sections in sorted key order, no spaces.
 _SKELETON = (
@@ -47,8 +48,8 @@ _SKELETON = (
     '"chain_arrows":%d,"flips":%d,"left":"%s","right":"%s"},"chambers":%s,"criticality":%d,'
     '"flat_model":%s,"flip_graph":%s,"index_set":[%s],"lie":%s,"model":%s,"movable_cone":[%s],'
     '"name":%s,"p1_bundles":%s,"provenance":{"equalization_source":%s,"equalized":%s,'
-    '"label_convention":' + _encode_str(EXTREMAL_LABEL_NOTE).replace("%", "%%") + ','
-    '"notes":[%s]},"quotients":{"dashed_arrows":[%s],"diagonal_arrows":[%s],"fiber_note":"%s",'
+    '"label_convention":%s,"notes":[%s]},"quotients":{"dashed_arrows":[%s],'
+    '"diagonal_arrows":[%s],"fiber_note":"%s",'
     '"geometric":[%s],"semigeometric":[%s]},"schema":"cstarflips.report/1",'
     '"validation":{"ok":true,"violations":[]},"verification":{"checked":%s,"failures":[%s]}}\n'
 )
@@ -80,7 +81,7 @@ class ReportBundle(NamedTuple):
             ",".join(["%d" % i for i in index_set]), _lie_json(self.lie), _model_json(model),
             ",".join(['["%s","%s"]' % point for point in ch.movable_polygon(flat)]),
             _encode_str(self.name), chain["p1_bundles"], _encode_str(model.equalization_source),
-            _BOOL[model.equalized], ",".join(map(_encode_str, self.notes)),
+            _BOOL[model.equalized], _LABEL_NOTE, ",".join(map(_encode_str, self.notes)),
             _arrows(q.dashed_arrows), _arrows(q.diagonal_arrows), q.fiber_note,
             ",".join(['{"dim":%d,"label":%s}' % (n.dim, _encode_str(n.label))
                       for n in q.geometric]),
@@ -99,8 +100,8 @@ def _model_json(model: ActionModel) -> str:
     """``model`` or ``flat_model``: each critical value is written once, for
     the components of its level."""
     components = ",".join([
-        '{"dim":%d,"inner":%s,"name":%s,"nu_minus":%d,"nu_plus":%d,"weight":"%s"}'
-        % (c.dim, _BOOL[c.inner], _encode_str(c.name), c.nu_minus, c.nu_plus, weight)
+        f'{{"dim":{c.dim},"inner":{_BOOL[c.inner]},"name":{_encode_str(c.name)},'
+        f'"nu_minus":{c.nu_minus},"nu_plus":{c.nu_plus},"weight":"{weight}"}}'
         for weight, level in [(str(a), level) for a, level in model.levels] for c in level
     ])
     return (
@@ -126,20 +127,19 @@ def _lie_json(lie) -> str:
          _BOOL[lie.is_short], _encode_str(lie.space_label), certificates)
 
 
-def _flip_template(direction: str, level: int, centers, blocked) -> str:
-    """A flip record of ``modifications.flip_moves`` as text, with ``%s``
-    for the two nodes of a move; a ``%`` in an encoded name is doubled."""
+def _flip_parts(direction: str, level: int, centers, blocked) -> Tuple[str, str, str]:
+    """A flip record of ``modifications.flip_moves`` as the JSON text around
+    the two nodes of a move, written once per record: a move is its head,
+    its from node, its middle, its to node and its tail."""
     if blocked:
-        rows = '{"components":[%s]' % ",".join([_encode_str(name) for name in blocked])
+        head = '{"components":[' + ",".join([_encode_str(name) for name in blocked])
     else:
-        rows = '{"centers":[%s]' % ",".join([
-            '{"center_dim":%d,"component":%s,"dim":%d,"flipped_dim":%d}'
-            % (c.center_dim, _encode_str(c.component), c.dim, c.flipped_dim)
+        head = '{"centers":[' + ",".join([
+            f'{{"center_dim":{c.center_dim},"component":{_encode_str(c.component)},'
+            f'"dim":{c.dim},"flipped_dim":{c.flipped_dim}}}'
             for c in centers
         ])
-    return rows.replace("%", "%%") + (
-        ',"direction":"%s","from":%%s,"level":%d,"to":%%s}' % (direction, level)
-    )
+    return f'{head}],"direction":"{direction}","from":', f',"level":{level},"to":', "}"
 
 
 def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict[str, str]:
@@ -147,35 +147,36 @@ def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict[str, str]:
     P1-bundles), written row by row over the chamber triangle from O(r)
     facts.  Each critical value, corner ``[a_k,a_l]`` and node ``[i,j]`` is
     written once; a chamber joins its corners as ``row_corners`` reads them
-    from the table of corners, and each move fills its flip record's
-    template.  Keys are in sorted order."""
+    from the table of corners, and a move joins its two nodes with the
+    text parts of its flip record (``_flip_parts``).  Every entry is built by
+    concatenation, so no name is read as a format.  Keys are in sorted
+    order."""
     a = ['"%s"' % v for v in flat.critical_values]  # str(Fraction) is ASCII
     # corner[k][l] is the point (a_k, a_l); a chamber has k <= l
-    corner = [[None] * k + ["[%s,%s]" % (ak, al) for al in a[k:]] for k, ak in enumerate(a)]
+    corner = [[None] * k + [f"[{ak},{al}]" for al in a[k:]] for k, ak in enumerate(a)]
     rows = ch.chamber_rows(flat)
-    nodes = ["[%d,%d]" % (i, j) for i, columns in enumerate(rows) for j in columns]
+    nodes = [f"[{i},{j}]" for i, columns in enumerate(rows) for j in columns]
     polygons = [p for i, columns in enumerate(rows) for p in ch.row_corners(corner, i, columns)]
     records, moves = md.flip_moves(flat, rows)
     edges, obstructions = [], []
-    # per flip record: its template, and the list its moves go to
-    fills = [rec and (_flip_template(*rec), (obstructions if rec[3] else edges).append)
+    # per flip record: its text parts, and the list its moves go to
+    parts = [rec and (*_flip_parts(*rec), (obstructions if rec[3] else edges).append)
              for rec in records]
     for n, p, q in moves:
-        template, add = fills[n]
-        add(template % (nodes[p], nodes[q]))
+        head, middle, tail, add = parts[n]
+        add(f"{head}{nodes[p]}{middle}{nodes[q]}{tail}")
+    chambers = ",".join([f'{{"pair":{node},"polygon":[{",".join(polygon)}]}}'
+                         for node, polygon in zip(nodes, polygons)])
+    p1_bundles = ",".join([
+        f'{{"base":"GX({i},{i + 1})","index":{i},"nef_polygon":'
+        f'[{",".join(ch.row_corners(corner, i, range(i + 1, i + 2))[0])}],"node":[{i},{i + 1}]}}'
+        for i in index_set
+    ])
     return {
-        "chambers": "[" + ",".join([
-            '{"pair":%s,"polygon":[%s]}' % (node, ",".join(polygon))
-            for node, polygon in zip(nodes, polygons)
-        ]) + "]",
-        "flip_graph": '{"edges":[%s],"nodes":[%s],"obstructions":[%s]}' % (
-            ",".join(edges), ",".join(nodes), ",".join(obstructions)
-        ),
-        "p1_bundles": "[" + ",".join([
-            '{"base":"GX(%d,%d)","index":%d,"nef_polygon":[%s],"node":[%d,%d]}'
-            % (i, i + 1, i, ",".join(ch.row_corners(corner, i, range(i + 1, i + 2))[0]), i, i + 1)
-            for i in index_set
-        ]) + "]",
+        "chambers": f"[{chambers}]",
+        "flip_graph": f'{{"edges":[{",".join(edges)}],"nodes":[{",".join(nodes)}],'
+                      f'"obstructions":[{",".join(obstructions)}]}}',
+        "p1_bundles": f"[{p1_bundles}]",
     }
 
 

@@ -15,7 +15,7 @@ import json
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
-from .actions import ActionError, FixedComponent, shown
+from .actions import ActionError, FixedComponent, exact_component, shown
 
 # Largest number of decimal digits in an integer field or in the numerator or
 # denominator of a rational one, well below Python's limit for int <-> str
@@ -33,7 +33,7 @@ class SpecSyntaxError(ActionError):
 
 class SchemaError(ActionError):
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"{path}: {message}")
 
 
@@ -112,19 +112,24 @@ def _unknown_field(obj: dict, fields, path: str) -> SchemaError:
     return SchemaError(f"{path}.{shown(min(set(obj) - set(fields)))}", "unknown field")
 
 
-def _parse_component(obj, path: str) -> FixedComponent:
+def _parse_component(obj) -> FixedComponent:
+    """A component, its fields read in the order of ``_COMPONENT_FIELDS``:
+    the first that is missing or malformed is the error, with a path inside
+    the component, and no path is built before a check fails.  The weight
+    is already exact, so the component skips the constructor's coercion."""
     if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    component = FixedComponent(
-        name=_expect_str(_require(obj, "name", path), f"{path}.name"),
-        weight=_parse_rational(_require(obj, "weight", path), f"{path}.weight"),
-        dim=expect_int(_require(obj, "dim", path), f"{path}.dim"),
-        nu_minus=expect_int(_require(obj, "nu_minus", path), f"{path}.nu_minus"),
-        nu_plus=expect_int(_require(obj, "nu_plus", path), f"{path}.nu_plus"),
-    )
+        raise SchemaError("", "expected an object")
+    component = exact_component((
+        _expect_str(_require(obj, "name", ""), ".name"),
+        _parse_rational(_require(obj, "weight", ""), ".weight"),
+        expect_int(_require(obj, "dim", ""), ".dim"),
+        expect_int(_require(obj, "nu_minus", ""), ".nu_minus"),
+        expect_int(_require(obj, "nu_plus", ""), ".nu_plus"),
+        False,
+    ))
     # every field is present, so one more key is an unknown one
     if len(obj) > len(_COMPONENT_FIELDS):
-        raise _unknown_field(obj, _COMPONENT_FIELDS, path)
+        raise _unknown_field(obj, _COMPONENT_FIELDS, "")
     return component
 
 
@@ -158,9 +163,13 @@ def parse_spec_dict(obj, path: str = "") -> ActionSpecFile:
         raw = obj["components"]
         if not isinstance(raw, list) or not raw:
             raise SchemaError(f"{path}.components", "expected a nonempty list")
-        components = tuple(
-            [_parse_component(c, f"{path}.components[{k}]") for k, c in enumerate(raw)]
-        )
+        parsed = []
+        try:
+            for k, c in enumerate(raw):
+                parsed.append(_parse_component(c))
+        except SchemaError as exc:  # its path starts inside component k
+            raise SchemaError(f"{path}.components[{k}]{exc.path}", exc.message) from None
+        components = tuple(parsed)
     if components is None and lie is None:
         raise SchemaError(f"{path}.components", "need components or a lie block")
     dim_x = None

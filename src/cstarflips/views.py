@@ -34,31 +34,36 @@ def chambers(path, bundle):
             yield f"N_{{{i},{j}}}: {' '.join(corners)}"
 
 
-def _flip_line(direction: str, level: int, centers, blocked) -> str:
-    """A flip record as an edge or obstruction line, with ``%d`` for the
-    indices of the two nodes; a ``%`` in a name is doubled."""
+def _flip_parts(direction: str, level: int, centers, blocked):
+    """A flip record as the text around the two nodes of its line, written
+    once per record, and whether the line is an obstruction: a line is its
+    head, its from node, its middle, its to node and its tail."""
     if blocked:
-        return "blocked [%d, %d] -> [%d, %d]" + (
-            f": level {level} components {', '.join(blocked)} fail the flip inequality"
-        ).replace("%", "%%")
+        return ("blocked ", " -> ", f": level {level} components {', '.join(blocked)} "
+                "fail the flip inequality", True)
     tag = "psi+" if direction == md.PLUS else "psi-"
     rows = "; ".join(
         f"{c.component}: center dim {c.center_dim}, flipped dim {c.flipped_dim}" for c in centers
     )
-    return "X(%d,%d) -> X(%d,%d)" + f" [{tag}, level {level}] {rows}".replace("%", "%%")
+    return "", " -> ", f" [{tag}, level {level}] {rows}", False
 
 
 def flips(path, bundle):
     yield f"== {bundle.name} =="
     flat = bundle.flat
     pairs = ch.chamber_pairs(flat)
-    yield "nodes: " + ", ".join(f"X({i},{j})" for i, j in pairs)
+    nodes = [f"X({i},{j})" for i, j in pairs]
+    yield "nodes: " + ", ".join(nodes)
+    # an obstruction names its chambers by their index pairs
+    node_texts = (nodes, [f"[{i}, {j}]" for i, j in pairs])
     records, moves = md.flip_moves(flat, ch.chamber_rows(flat))
-    lines = [record and _flip_line(*record) for record in records]
+    parts = [record and _flip_parts(*record) for record in records]
     obstructions = []
     for n, p, q in moves:
-        line = lines[n] % (*pairs[p], *pairs[q])
-        if records[n][3]:  # obstructions are printed after every edge
+        head, middle, tail, blocked = parts[n]
+        names = node_texts[blocked]
+        line = f"{head}{names[p]}{middle}{names[q]}{tail}"
+        if blocked:  # obstructions are printed after every edge
             obstructions.append(line)
         else:
             yield line

@@ -4,6 +4,7 @@ its reader closes early, names that UTF-8 cannot encode, the modules a cold
 call imports, and generated hostile spec files."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -19,7 +20,8 @@ from cstarflips import specfiles
 from cstarflips.cli import EXIT_CLOSED_STDOUT, main
 from cstarflips.lie import roots
 from cstarflips.specfiles import SchemaError
-from test_report_export import BORDISM_SPEC, with_odd_names
+from test_report_export import BORDISM_SPEC, FORMAT_NAME, with_odd_names
+from test_report_golden import rational_chain_spec
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 GR24, A42, BORDISM = (str(SPECS / f) for f in ("gr24_k2.json", "a4_2.json", "bordism_r3.json"))
@@ -360,6 +362,31 @@ def test_odd_names_in_every_spec_command(tmp_path, capsys, command):
     assert ("\\ud800" in captured.out) == (command[-1] != "dot")
 
 
+# The stdout of a command on a spec whose names all end in FORMAT_NAME,
+# recorded when the report and the flips view still filled % templates: the
+# bordism of BORDISM_SPEC, and an r = 8 chain with blocked flips.
+FORMAT_NAME_GOLDEN = {
+    ("bordism", "analyze --format json"):
+        "a9083aa44649827e6aeaeeb34cb8d6ae00e7408d85518c922811448184416e44",
+    ("bordism", "flips"): "a69213caa3c14827687aa7e9bbbde33336118736130847ce3369be63455aed75",
+    ("chain", "analyze --format json"):
+        "886eed75c28143f310c4f5c4a86a7baaff3be3b20e2d3896609df7d8220343f1",
+    ("chain", "flips"): "f8731971de4fb38fe73bb96061a8c296ec1032ea821b9c322102ea55eed29bb8",
+}
+
+
+@pytest.mark.parametrize("spec,command", sorted(FORMAT_NAME_GOLDEN), ids=" ".join)
+def test_format_characters_in_names(tmp_path, capsysbinary, spec, command):
+    """``%s``, ``%%``, ``%d`` and braces in names come out as they went in."""
+    base = BORDISM_SPEC if spec == "bordism" else rational_chain_spec("bordism", 8)
+    path = write(tmp_path, "format.json", json.dumps(with_odd_names(base, FORMAT_NAME)))
+    assert main([*command.split(), path]) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    assert FORMAT_NAME.encode() in captured.out
+    assert hashlib.sha256(captured.out).hexdigest() == FORMAT_NAME_GOLDEN[(spec, command)]
+
+
 class TestUnknownFields:
     @pytest.mark.parametrize("where,path", [
         (("components", 0, "colour"), ".components[0].colour"),
@@ -406,6 +433,36 @@ class TestBoundedEchoes:
         with pytest.raises(SystemExit):
             main(["validate", GR24, "--max-cosets", "x" * 100_000])
         assert f"expected a positive integer, got '{'x' * 39}...\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,name,echo", [
+        (["9" * 5_000], "rank", "9" * 39),
+        (["3", "--node", "x" + "y" * 3_000, "--cochar-node", "1"], "--node", "x" + "y" * 38),
+        (["3", "--cochar-node", "9" * 5_000], "--cochar-node", "9" * 39),
+    ], ids=["rank", "node", "cochar-node"])
+    def test_dynkin_integer_arguments(self, capsys, argv, name, echo):
+        """An argument that ``int`` refuses, past its digit limit or not a
+        number, is echoed cut like every other; the usage lines stay short."""
+        with pytest.raises(SystemExit) as exc:
+            main(["dynkin", "A", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {name}: expected an integer, got '{echo}...\n")
+        assert max(map(len, err.splitlines())) < 200
+
+    @pytest.mark.parametrize("argv,rank", [(["+3"], 3), (["1_0"], 10), ([" 4 "], 4)],
+                             ids=["sign", "underscore", "spaces"])
+    def test_dynkin_rank_as_int_reads_it(self, capsys, argv, rank):
+        assert main(["dynkin", "A", *argv]) == 0
+        assert capsys.readouterr().out.startswith(f"A_{rank}: ")
+
+    def test_repeated_component_name(self, tmp_path, capsys):
+        spec = json.loads(Path(BORDISM).read_text())
+        for c in spec["components"][:2]:
+            c["name"] = "n" * 100_000
+        path = write(tmp_path, "repeated.json", json.dumps(spec))
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"{path}: invalid:", f"  DuplicateName: component name '{'n' * 39}... repeated"]
 
 
 class TestRankCap:
@@ -633,9 +690,10 @@ def _with_field(spec: dict, field: tuple, value) -> dict:
     spec = json.loads(json.dumps(spec))
     where = spec
     for key in field[:-1]:
-        if not isinstance(where, dict) or key not in where:
+        try:  # a key of an object or an index into a list
+            where = where[key]
+        except (KeyError, IndexError, TypeError):
             return spec
-        where = where[key]
     if isinstance(where, list) and field[-1] >= len(where):
         return spec
     where[field[-1]] = value
@@ -648,6 +706,13 @@ def _raw_value(spec: dict, field: tuple, text: str) -> bytes:
         json.dumps(_PLACEHOLDER), text).encode("utf-8", "surrogatepass")
 
 
+def _repeated_name(spec: dict, name: str) -> bytes:
+    """``spec`` with its first two components named ``name``."""
+    for k in (0, 1):
+        spec = _with_field(spec, ("components", k, "name"), name)
+    return json.dumps(spec).encode()
+
+
 @st.composite
 def hostile_specs(draw) -> bytes:
     """The bytes of a spec file that is wrong in one way, or of none at all."""
@@ -655,7 +720,7 @@ def hostile_specs(draw) -> bytes:
     field = draw(st.sampled_from(SPEC_FIELDS))
     kind = draw(st.sampled_from(
         ["wrong type", "line break", "deep nesting", "huge integer", "huge string",
-         "unknown field", "invalid utf-8", "empty"]))
+         "repeated name", "unknown field", "invalid utf-8", "empty"]))
     if kind == "wrong type":
         return json.dumps(_with_field(base, field, draw(JSON_VALUES))).encode()
     if kind == "line break":
@@ -673,6 +738,8 @@ def hostile_specs(draw) -> bytes:
     if kind == "huge string":
         text = "x" * draw(st.integers(1 << 16, 1 << 19))
         return json.dumps(_with_field(base, field, text)).encode()
+    if kind == "repeated name":
+        return _repeated_name(base, "x" * draw(st.integers(1 << 16, 1 << 17)))
     if kind == "unknown field":
         where = draw(st.sampled_from([(), ("components", 0), ("lie",)]))
         key = draw(TEXT.filter(bool))
@@ -698,11 +765,15 @@ class TestHostileSpecs:
                   b'"cocharacter": [1], "": 0}}', command=["analyze"])
     @example(data=b'{"name": "x", "lie": {"type": "A", "rank": ' + b"7" * 999
                   + b', "node": 1, "cocharacter": [1]}}', command=["validate"])
+    @example(data=_repeated_name(json.loads(Path(BORDISM).read_text()), "n" * 100_000),
+             command=["validate"])
     def test_each_ends_with_a_documented_code(self, data, command, tmp_path_factory):
         """A hostile file ends with exit 0, 2, 3 or 4 and raises nothing; a
         failed one gets one message on stderr that names it once, in at most
-        a few hundred bytes, and the run goes on with the next file.  A file
-        that parses has no unknown field at any level."""
+        a few hundred bytes, and the run goes on with the next file.  Each
+        violation line below it is bounded too: numbers have at most
+        ``MAX_RATIONAL_DIGITS`` digits and every other echo 40 characters.  A
+        file that parses has no unknown field at any level."""
         path = tmp_path_factory.mktemp("hostile") / "spec.json"
         path.write_bytes(data)
         out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
@@ -715,6 +786,8 @@ class TestHostileSpecs:
             assert len(messages) == 1 and messages[0].startswith(f"{path}: ")
             assert err.getvalue().count(str(path)) == 1
             assert len(messages[0]) < len(f"{path}: ") + 200
+            bound = 2 * (specfiles.MAX_RATIONAL_DIGITS + 1) + 200  # two numbers in a line
+            assert all(len(line) < bound for line in err.getvalue().splitlines())
         else:
             assert err.getvalue() == ""
         if code != 3:

@@ -45,6 +45,10 @@ SPECS = Path(__file__).resolve().parent.parent / "specs"
 # A quote, a backslash, a non-ASCII letter, a line separator and a lone
 # surrogate: each must come out of the report escaped.
 ODD_NAME = 'q"b\\\u00e9\u2028\ud800'
+# The pieces of a name that a printf-style or str.format template would
+# read as a directive; the report and the views must copy them as they are.
+FORMAT_PIECES = ("%s", "%%", "%d", "{", "}")
+FORMAT_NAME = "%s%%{}%d"
 
 # (type, rank, marked node, node of the fundamental cocharacter), all equalized.
 LIE_ITEMS = (("A", 4, 2, 2), ("C", 4, 4, 4), ("D", 5, 5, 5), ("E", 6, 1, 6))
@@ -129,11 +133,12 @@ def reads_back(payload: bytes, bundle) -> bool:
     return all(report[key] == value for key, value in report_values(bundle).items())
 
 
-def with_odd_names(spec: dict) -> dict:
+def with_odd_names(spec: dict, suffix: str = ODD_NAME) -> dict:
+    """``spec`` with ``suffix`` after its name and each component's name."""
     spec = json.loads(json.dumps(spec))
-    spec["name"] += ODD_NAME
+    spec["name"] += suffix
     for c in spec.get("components", []):
-        c["name"] += ODD_NAME
+        c["name"] += suffix
     return spec
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CASE_ISOLATED, action_models, synthetic_case_model
-from test_report_export import ODD_NAME, canonical, report_values
+from test_report_export import FORMAT_PIECES, ODD_NAME, canonical, report_values
 from test_report_golden import CASES, _model_spec, rational_chain_spec
 
 from cstarflips import chambers as ch
@@ -73,13 +73,15 @@ def _view_sections(flat) -> dict:
 @given(data=st.data())
 def test_report_agrees_with_the_views(case, data):
     """Same sections as the views, in canonical bytes, with names that need
-    escaping drawn from the characters of ``ODD_NAME``.  Criticality runs
-    from 1 (2 with both extremes isolated, which has no movable region) to
-    24, so the rows and columns next to the removed corners are drawn at
-    every length."""
+    escaping drawn from the characters of ``ODD_NAME``, or names that a
+    template would read as directives drawn from ``FORMAT_PIECES``.
+    Criticality runs from 1 (2 with both extremes isolated, which has no
+    movable region) to 24, so the rows and columns next to the removed
+    corners are drawn at every length."""
     model = data.draw(action_models(min_r=2 if case == "isolated-both" else 1, max_r=24,
                                     case=case))
-    odd = data.draw(st.text(st.sampled_from(ODD_NAME), max_size=4))
+    odd = data.draw(st.text(st.sampled_from(ODD_NAME), max_size=4)
+                    | st.lists(st.sampled_from(FORMAT_PIECES), max_size=4).map("".join))
     model = model._replace(components=tuple(
         [c._replace(name=c.name + odd) for c in model.components]
     ))

@@ -113,6 +113,58 @@ def test_missing_field_before_unknown_field():
     assert exc.value.path == ".components[1].nu_plus"
 
 
+COMPONENT = {"name": "Y", "weight": "1/2", "dim": 1, "nu_minus": 2, "nu_plus": 3}
+_MISSING = object()
+TOO_BIG = "more than 1000 digits"
+
+
+# A component's faults, as (fields set, a value _MISSING for a field left
+# out), and the message parse_spec_dict gives, recorded before the component
+# parser built its paths only on failure: the first field in the order name,
+# weight, dim, nu_minus, nu_plus that is missing or malformed is named.
+COMPONENT_FAULTS = [
+    ({"name": _MISSING}, ".name: missing required field"),
+    ({"name": 7}, ".name: expected a string, got 7"),
+    ({"name": True}, ".name: expected a string, got True"),
+    ({"name": 10**1000}, ".name: expected a string, got " + "1" + "0" * 39 + "..."),
+    ({"weight": _MISSING}, ".weight: missing required field"),
+    ({"weight": [1]}, ".weight: expected an integer or 'p/q' string, got [1]"),
+    ({"weight": True}, ".weight: expected a rational, got True"),
+    ({"weight": "1/" + "1" * 1000}, f".weight: {TOO_BIG}"),
+    ({"dim": _MISSING}, ".dim: missing required field"),
+    ({"dim": "1"}, ".dim: expected an integer, got '1'"),
+    ({"dim": True}, ".dim: expected an integer, got True"),
+    ({"dim": 10**1000}, f".dim: {TOO_BIG}"),
+    ({"nu_minus": _MISSING}, ".nu_minus: missing required field"),
+    ({"nu_minus": "2"}, ".nu_minus: expected an integer, got '2'"),
+    ({"nu_minus": True}, ".nu_minus: expected an integer, got True"),
+    ({"nu_minus": -10**1000}, f".nu_minus: {TOO_BIG}"),
+    ({"nu_plus": _MISSING}, ".nu_plus: missing required field"),
+    ({"nu_plus": None}, ".nu_plus: expected an integer, got None"),
+    ({"nu_plus": True}, ".nu_plus: expected an integer, got True"),
+    ({"nu_plus": 10**1000}, f".nu_plus: {TOO_BIG}"),
+    # two faults: the earlier field is named
+    ({"name": 1, "weight": _MISSING}, ".name: expected a string, got 1"),
+    ({"weight": False, "dim": _MISSING}, ".weight: expected a rational, got False"),
+    ({"dim": "x", "nu_plus": "y"}, ".dim: expected an integer, got 'x'"),
+    ({"nu_minus": 1.5, "nu_plus": _MISSING}, ".nu_minus: expected an integer, got 1.5"),
+    ({"colour": 1, "nu_plus": _MISSING}, ".nu_plus: missing required field"),
+    ({"weight": "1/0", "name": None}, ".name: expected a string, got None"),
+]
+
+
+@pytest.mark.parametrize("fault,message", COMPONENT_FAULTS)
+def test_component_fault_precedence(fault, message):
+    component = {**COMPONENT, **fault}
+    for key in [key for key, value in fault.items() if value is _MISSING]:
+        del component[key]
+    obj = {"name": "s", "dim_X": 6, "components": [COMPONENT, component]}
+    with pytest.raises(SchemaError) as exc:
+        parse_spec_dict(obj)
+    assert str(exc.value) == ".components[1]" + message
+    assert exc.value.path == ".components[1]" + message.split(":")[0]
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("dim", "7" * 100_000, "expected an integer, got '" + "7" * 39 + "..."),
     ("dim", [1] * 100_000, "expected an integer, got [" + "1, " * 13 + "..."),
