@@ -15,7 +15,7 @@ that the sink sits at weight zero.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property, cmp_to_key, partial
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
@@ -79,6 +79,22 @@ def _weight_key(c: "FixedComponent") -> Tuple[int, int]:
     """The weight of ``c`` as an exact key: a normalized ``Fraction``'s
     (numerator, denominator), which hashes and compares as plain ints."""
     return c.weight.as_integer_ratio()
+
+
+def _cross(x: Tuple[int, int], y: Tuple[int, int]) -> int:
+    """The sign of ``x - y`` for two weight keys, from the cross-product
+    ``n_x d_y - n_y d_x`` (denominators are positive): the order of the
+    weights in integer arithmetic, with no common denominator to build."""
+    return x[0] * y[1] - y[0] * x[1]
+
+
+_BY_WEIGHT = cmp_to_key(_cross)
+
+
+def shifted(key: Tuple[int, int], base: Tuple[int, int]) -> Fraction:
+    """The weight ``key - base`` of two weight keys, built as one ``Fraction``
+    from their numerators and denominators."""
+    return Fraction(key[0] * base[1] - base[0] * key[1], key[1] * base[1])
 
 
 def as_rational(value) -> Fraction:
@@ -240,9 +256,10 @@ def unit_tangent_weights(weights: Iterable[int]) -> bool:
 
 
 def _check(comps: list[FixedComponent], dim_x: int):
-    """The violations of :func:`check_action`, and the levels: the components
-    grouped by :func:`_weight_key`, in input order, the levels sorted by
-    weight, so that only the distinct critical values are compared."""
+    """The violations of :func:`check_action`, and the levels: (key, components)
+    pairs, the components grouped by :func:`_weight_key` in input order, the
+    levels sorted by their keys' cross-products, so that only the distinct
+    critical values are compared, and in integer arithmetic."""
     if not comps:
         return [Violation(EMPTY_SPEC, "no fixed components given")], []
     violations: list[Violation] = []
@@ -269,12 +286,12 @@ def _check(comps: list[FixedComponent], dim_x: int):
                        f"!= dim_x = {dim_x}")
             violations.append(Violation(DIMENSION_MISMATCH, message, c.name))
 
-    levels = sorted(groups.values(), key=lambda level: level[0].weight)
+    levels = [(key, groups[key]) for key in sorted(groups, key=_BY_WEIGHT)]
     if len(levels) < 2:
         violations.append(Violation(TRIVIAL_ACTION, "action has a single critical value"))
         return violations, levels
 
-    sink, source = levels[0], levels[-1]
+    sink, source = levels[0][1], levels[-1][1]
     for c, level in zip(comps, level_of):
         if level is sink:
             if c.nu_minus != 0:
@@ -319,18 +336,19 @@ def validate_action(
     and ``inner`` is set on the components strictly between sink and source.
     Each normalized component is built once, with its level's shifted weight
     and inner flag, and the model keeps the levels that :func:`_check`
-    grouped as its ``levels``.  Raises :class:`InvalidActionError` carrying
-    the full list of violations otherwise.
+    grouped as its ``levels``.  The shifted weights are computed from the
+    levels' keys (:func:`shifted`).  Raises :class:`InvalidActionError`
+    carrying the full list of violations otherwise.
     """
     violations, groups = _check(list(components), dim_x)
     if violations:
         raise InvalidActionError(violations)
 
-    offset = groups[0][0].weight
+    base, sink = groups[0]
     r = len(groups) - 1
     levels = []
-    for k, group in enumerate(groups):
-        weight, inner = group[0].weight - offset, 0 < k < r
+    for k, (key, group) in enumerate(groups):
+        weight, inner = shifted(key, base), 0 < k < r
         if len(group) > 1:
             group.sort(key=attrgetter("name"))
         levels.append((weight, tuple([
@@ -341,7 +359,7 @@ def validate_action(
         dim_x=dim_x,
         equalized=equalized,
         equalization_source=equalization_source,
-        weight_offset=offset,
+        weight_offset=sink[0].weight,
     )
 
 

@@ -44,18 +44,10 @@ def extremal_case(model: ActionModel) -> str:
     }[model.isolated_extremes()]
 
 
-def _dedup(points: list[Point]) -> Tuple[Point, ...]:
-    out: list[Point] = []
-    for p in points:
-        if not out or out[-1] != p:
-            out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def movable_polygon(model: ActionModel) -> Tuple[Point, ...]:
-    """Vertices of the movable region in the (tau_minus, tau_plus) plane.
+def movable_corners(model: ActionModel) -> Tuple[Tuple[int, int], ...]:
+    """The vertices of the movable region as index pairs: (k, l) is the
+    point (a_k, a_l).  The critical values increase strictly, so two
+    vertices coincide just when their indices do, and no weight is compared.
 
     The triangle 0 <= tau_minus <= tau_plus <= bandwidth loses the corner
     tau_plus < a_1 when the original sink is a point and the corner
@@ -64,17 +56,28 @@ def movable_polygon(model: ActionModel) -> Tuple[Point, ...]:
     blowup has no small modifications); with both extremes isolated there is
     nothing to describe and the call is rejected.
     """
-    a = model.critical_values
-    delta = a[-1]
-    zero = Fraction(0)
+    r = model.criticality
     sink_point, source_point = model.isolated_extremes()
-    if model.criticality == 1 and sink_point and source_point:
+    if r == 1 and sink_point and source_point:
         raise OutOfRangeError(
             "criticality-one action with isolated sink and source has no movable region"
         )
-    low = [(zero, a[1]), (a[1], a[1])] if sink_point else [(zero, zero)]
-    high = [(a[-2], a[-2]), (a[-2], delta)] if source_point else [(delta, delta)]
-    return _dedup(low + high + [(zero, delta)])
+    low = [(0, 1), (1, 1)] if sink_point else [(0, 0)]
+    high = [(r - 1, r - 1), (r - 1, r)] if source_point else [(r, r)]
+    out: list[Tuple[int, int]] = []
+    for p in low + high + [(0, r)]:
+        if not out or out[-1] != p:
+            out.append(p)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def movable_polygon(model: ActionModel) -> Tuple[Point, ...]:
+    """Vertices of the movable region in the (tau_minus, tau_plus) plane:
+    the points of :func:`movable_corners`."""
+    a = model.critical_values
+    return tuple([(a[k], a[l]) for k, l in movable_corners(model)])
 
 
 def chamber_rows(model: ActionModel) -> list[range]:

@@ -94,13 +94,16 @@ class HomogeneousSpace(_HomogeneousSpace):
         others = nodes[:self.node - 1] + nodes[self.node:]
         return weyl_order(self.datum, nodes) // weyl_order(self.datum, others)
 
-    def check_cap(self, max_cosets: int) -> None:
-        """Refuse a variety with more than ``max_cosets`` fixed points."""
-        if self.fixed_point_count > max_cosets:
+    def check_cap(self, max_cosets: int) -> int:
+        """The number of fixed points; refuses a variety with more than
+        ``max_cosets``."""
+        total = self.fixed_point_count
+        if total > max_cosets:
             raise CosetLimitError(
                 f"{self.label}: more than {max_cosets} fixed points; "
                 "raise max_cosets to enumerate"
             )
+        return total
 
 
 def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
@@ -125,18 +128,13 @@ class _Levi:
         self.root_pairings = datum.pairings(cocharacter)
         self.simple = [j for j, n in enumerate(cocharacter) if not n]
         self.order = weyl_order(datum, tuple(self.simple))
-        # per simple root j of L, the (i, <alpha_j, alpha_i^vee>, i a node of L)
-        # with a nonzero entry: column j of the Cartan matrix
-        in_levi = [not n for n in cocharacter]
-        self._cartan_columns = {
-            j: [(i, row[j], in_levi[i]) for i, row in enumerate(datum.cartan_matrix) if row[j]]
-            for j in self.simple
-        }
+        self._in_levi = [not n for n in cocharacter]
 
     def dominant(self, mu: Sequence[int]) -> Tuple[int, ...]:
         """The L-dominant weight in the W_L-orbit of ``mu``, reached by
         reflecting in simple roots ``alpha_j`` of L with ``mu_j < 0``."""
         mu = list(mu)
+        columns, in_levi = self.datum.cartan_columns, self._in_levi
         stack = [j for j in self.simple if mu[j] < 0]
         while stack:
             j = stack.pop()
@@ -144,9 +142,9 @@ class _Levi:
             if x >= 0:
                 continue
             # s_j(mu) = mu - mu_j alpha_j
-            for i, c, of_levi in self._cartan_columns[j]:
+            for i, c in columns[j]:
                 mu[i] -= x * c
-                if of_levi and mu[i] < 0:
+                if mu[i] < 0 and in_levi[i]:
                     stack.append(i)
         return tuple(mu)
 
@@ -245,13 +243,13 @@ def enumerate_fixed_points(
     a single point: the walk goes depth first from the fundamental weight
     and stops at the |W/W_P|-th point.
     """
-    space.check_cap(max_cosets)
+    total = space.check_cap(max_cosets)
     datum = space.datum
     n = datum.n_positive
     levi = _Levi(datum, (1,) * datum.rank)
     return tuple([
         FixedPoint(weight=mu, tangent_roots=tuple(sorted([r if p > 0 else r + n for r, p in scan])))
-        for mu, _, scan, _ in levi.walk(space.node, space.fixed_point_count)
+        for mu, _, scan, _ in levi.walk(space.node, total)
     ])
 
 
@@ -295,10 +293,10 @@ def build_action(
     the equalization verdict is then derived from the tangent pairings
     themselves.
     """
-    space.check_cap(max_cosets)
+    total = space.check_cap(max_cosets)
     levi = _Levi(space.datum, dominant_cocharacter(space.datum, cocharacter))
     root_pairings = levi.root_pairings
-    walk = levi.walk(space.node, space.fixed_point_count)
+    walk = levi.walk(space.node, total)
     offset = min([level for _, level, _, _ in walk])
     records = []
     for _, level, scan, points in walk:
@@ -333,7 +331,7 @@ def build_action(
         model=model,
         space_label=space.label,
         cocharacter=tuple([int(n) for n in cocharacter]),
-        fixed_point_count=space.fixed_point_count,
+        fixed_point_count=total,
         tangent_certificates=certificates,
         is_short=short,
         equalized=equalized,

@@ -170,9 +170,11 @@ class RootSystem:
         coroots: Tuple[Tuple[int, ...], ...],
     ):
         # written to the instance dict, which also holds the cached properties
+        # and the hash, which every memoized lookup by root system reads
         vars(self).update(
             dynkin_type=dynkin_type, rank=rank, cartan_matrix=cartan_matrix,
             coords=coords, labels=labels, coroots=coroots,
+            _hash=hash((dynkin_type, rank, cartan_matrix)),
         )
 
     def __setattr__(self, name, value):
@@ -187,7 +189,7 @@ class RootSystem:
         return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return "RootSystem(dynkin_type=%r, rank=%r, cartan_matrix=%r)" % self._key()
@@ -209,6 +211,15 @@ class RootSystem:
         """``coroot_columns[i][r]``: the i-th coordinate of the coroot of
         positive root ``r``."""
         return tuple(zip(*self.coroots))
+
+    @functools.cached_property
+    def cartan_columns(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """``cartan_columns[j]``: the pairs ``(i, <alpha_j, alpha_i^vee>)``
+        with a nonzero entry, column ``j`` of the Cartan matrix."""
+        return tuple([
+            tuple([(i, row[j]) for i, row in enumerate(self.cartan_matrix) if row[j]])
+            for j in range(self.rank)
+        ])
 
     @functools.cached_property
     def supports(self) -> Tuple[Tuple[int, int], ...]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple, Tuple
 
-from .actions import ActionError, ActionModel, flat_model, index_set_i
+from .actions import ActionError, ActionModel, flat_model, index_set_i, shifted
 from .chambers import Point, chamber_pairs, chamber_polygon, chamber_rows
 
 PLUS = "plus"
@@ -88,10 +88,10 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
         raise NotAChamberError(f"{pair} is not a chamber of this model")
     i, j = pair
     a = model.critical_values
-    base = a[i]
+    base = a[i].as_integer_ratio()
     inner = []
     for a_k, comps in model.levels[i + 1:j]:
-        weight = a_k - base
+        weight = shifted(a_k.as_integer_ratio(), base)
         inner.append((weight, tuple([c._replace(weight=weight) for c in comps])))
     sink_dim, source_dim = model.origin_dims()
     divisor = model.dim_x - 1
@@ -99,7 +99,7 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
         model,
         (f"GX({i},{i + 1})", f"GX({j - 1},{j})"),
         tuple(inner),
-        a[j] - base,
+        shifted(a[j].as_integer_ratio(), base),
         (sink_dim if i == 0 else divisor, source_dim if j == model.criticality else divisor),
         Fraction(0),
     )

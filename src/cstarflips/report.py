@@ -71,15 +71,18 @@ class ReportBundle(NamedTuple):
 
     def to_json(self) -> bytes:
         model, flat = self.model, self.flat
+        # the model and the flat model share their critical values, as the
+        # blowup keeps the bandwidth and the inner levels: each is written once
+        a = [str(v) for v in flat.critical_values]
         index_set = sorted(index_set_i(flat))
-        chain = _chain_sections(flat, index_set)
+        chain = _chain_sections(flat, index_set, a)
         s, q = md.flip_chain_summary(flat), md.quotient_diagram(flat)
         return (_SKELETON % (
-            flat.bandwidth, _BOOL[is_bordism(flat)], ch.extremal_case(flat),
+            a[-1], _BOOL[is_bordism(flat)], ch.extremal_case(flat),
             s.blowdowns, s.blowups, s.chain_arrows, s.flips, s.left, s.right,
-            chain["chambers"], flat.criticality, _model_json(flat), chain["flip_graph"],
-            ",".join(["%d" % i for i in index_set]), _lie_json(self.lie), _model_json(model),
-            ",".join(['["%s","%s"]' % point for point in ch.movable_polygon(flat)]),
+            chain["chambers"], flat.criticality, _model_json(flat, a), chain["flip_graph"],
+            ",".join(["%d" % i for i in index_set]), _lie_json(self.lie), _model_json(model, a),
+            ",".join([f'["{a[k]}","{a[l]}"]' for k, l in ch.movable_corners(flat)]),
             _encode_str(self.name), chain["p1_bundles"], _encode_str(model.equalization_source),
             _BOOL[model.equalized], _LABEL_NOTE, ",".join(map(_encode_str, self.notes)),
             _arrows(q.dashed_arrows), _arrows(q.diagonal_arrows), q.fiber_note,
@@ -96,13 +99,13 @@ def _arrows(pairs) -> str:
     return ",".join(["[%s,%s]" % (_encode_str(a), _encode_str(b)) for a, b in pairs])
 
 
-def _model_json(model: ActionModel) -> str:
-    """``model`` or ``flat_model``: each critical value is written once, for
-    the components of its level."""
+def _model_json(model: ActionModel, values: list[str]) -> str:
+    """``model`` or ``flat_model``, with ``values`` the texts of its critical
+    values: each is written for the components of its level."""
     components = ",".join([
         f'{{"dim":{c.dim},"inner":{_BOOL[c.inner]},"name":{_encode_str(c.name)},'
         f'"nu_minus":{c.nu_minus},"nu_plus":{c.nu_plus},"weight":"{weight}"}}'
-        for weight, level in [(str(a), level) for a, level in model.levels] for c in level
+        for weight, (_, level) in zip(values, model.levels) for c in level
     ])
     return (
         '{"components":[%s],"dim_X":%d,"equalization_source":%s,"equalized":%s,"flat":%s,'
@@ -142,16 +145,17 @@ def _flip_parts(direction: str, level: int, centers, blocked) -> Tuple[str, str,
     return f'{head}],"direction":"{direction}","from":', f',"level":{level},"to":', "}"
 
 
-def _chain_sections(flat: ActionModel, index_set: list[int]) -> dict[str, str]:
+def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str]) -> dict:
     """The canonical JSON text of the O(r^2) sections (chambers, flip graph,
     P1-bundles), written row by row over the chamber triangle from O(r)
-    facts.  Each critical value, corner ``[a_k,a_l]`` and node ``[i,j]`` is
-    written once; a chamber joins its corners as ``row_corners`` reads them
-    from the table of corners, and a move joins its two nodes with the
-    text parts of its flip record (``_flip_parts``).  Every entry is built by
+    facts, with ``values`` the texts of the critical values.  Each corner
+    ``[a_k,a_l]`` and node ``[i,j]`` is written once; a chamber joins its
+    corners as ``row_corners`` reads them from the table of corners, and a
+    move joins its two nodes with the text parts of its flip record
+    (``_flip_parts``).  Every entry is built by
     concatenation, so no name is read as a format.  Keys are in sorted
     order."""
-    a = ['"%s"' % v for v in flat.critical_values]  # str(Fraction) is ASCII
+    a = ['"%s"' % v for v in values]  # str(Fraction) is ASCII
     # corner[k][l] is the point (a_k, a_l); a chamber has k <= l
     corner = [[None] * k + [f"[{ak},{al}]" for al in a[k:]] for k, ak in enumerate(a)]
     rows = ch.chamber_rows(flat)

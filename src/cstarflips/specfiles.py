@@ -86,6 +86,10 @@ def _implied_digits(text: str) -> int:
 
 
 def _parse_rational(value, path: str) -> Fraction:
+    """A weight: an integer, or a string that ``Fraction`` reads.  An ASCII
+    string ``n`` or ``n/d`` of digits with an optional leading ``-`` is read
+    with ``int``, to the same value; every other form goes to ``Fraction``
+    (docs/spec-format.md)."""
     if isinstance(value, bool):
         raise SchemaError(path, f"expected a rational, got {shown(repr(value))}")
     if isinstance(value, int):
@@ -93,7 +97,11 @@ def _parse_rational(value, path: str) -> Fraction:
     if isinstance(value, str):
         if _implied_digits(value) > MAX_RATIONAL_DIGITS:
             raise SchemaError(path, TOO_BIG)
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
         try:
+            if value.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den or 1))
             return Fraction(value)
         except ZeroDivisionError:
             raise SchemaError(path, "zero denominator") from None

@@ -1,9 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cstarflips
 from cstarflips.actions import (
     DIMENSION_MISMATCH,
     DUPLICATE_NAME,
@@ -27,6 +34,8 @@ from cstarflips.actions import (
     is_equalized,
     validate_action,
 )
+from cstarflips.chambers import chamber_pairs
+from cstarflips.modifications import induced_action
 from conftest import action_models, components, model_from_rows
 
 
@@ -213,6 +222,74 @@ class TestAgainstTheSortingOracle:
         assert got.weight_offset == offset
         flat = blowup_extremal(got)
         assert flat.components == tuple(sorted(flat.components, key=lambda c: (c.weight, c.name)))
+
+
+@st.composite
+def _wide_chains(draw):
+    """Valid components at 2 to 30 distinct weights in [-10^6, 10^6] with
+    denominators up to 10^6, spelled as Fractions or ``"p/q"`` strings, a
+    second component on some inner levels spelled unreduced, in shuffled
+    order; with the weights in increasing order."""
+    weights = sorted(draw(st.lists(
+        st.fractions(-10**6, 10**6, max_denominator=10**6), min_size=2, max_size=30, unique=True,
+    )))
+    dim_x = 6
+    comps = [FixedComponent("S", weights[0], 1, 0, 5),
+             FixedComponent("T", str(weights[-1]), 1, 5, 0)]
+    for k, w in enumerate(weights[1:-1], 1):
+        comps.append(FixedComponent(f"P{k}", w if k % 2 else str(w), 2, 2, 2))
+        if draw(st.booleans()):
+            comps.append(FixedComponent(f"Q{k}", f"{3 * w.numerator}/{3 * w.denominator}",
+                                        3, 1, 2))
+    return draw(st.permutations(comps)), dim_x, weights
+
+
+class TestOrderAndShift:
+    """The levels are ordered by the cross-products of their weights' keys
+    and shifted by numerator and denominator arithmetic: the same levels,
+    critical values and offset as plain ``Fraction`` arithmetic gives."""
+
+    @given(_wide_chains())
+    def test_levels_match_fraction_arithmetic(self, drawn):
+        comps, dim_x, weights = drawn
+        model = validate_action(comps, dim_x)
+        base = weights[0]
+        assert model.weight_offset == base
+        assert model.critical_values == tuple([w - base for w in weights])
+        _, levels, _ = _oracle_model(comps)
+        assert model.levels == levels
+        assert all(type(a) is Fraction for a in model.critical_values)
+
+    @given(_wide_chains(), st.data())
+    def test_induced_action_shifts_match_fraction_arithmetic(self, drawn, data):
+        comps, dim_x, weights = drawn
+        flat = blowup_extremal(validate_action(comps, dim_x))
+        i, j = data.draw(st.sampled_from(chamber_pairs(flat)))
+        a = flat.critical_values
+        induced = induced_action(flat, (i, j))
+        assert induced.critical_values == tuple([a_k - a[i] for a_k in a[i:j + 1]])
+        assert induced.weight_offset == 0
+
+    def test_hostile_denominators(self, tmp_path):
+        """499 levels at k / (10^900 + k): no common denominator of 1.49
+        million bits is built, so a cold ``validate`` ends in under 1 s."""
+        big = 10**900
+        comps = [{"name": f"P{k}", "weight": f"{k}/{big + k}", "dim": 0,
+                  "nu_minus": 2, "nu_plus": 2} for k in range(1, 500)]
+        comps[0].update(dim=2, nu_minus=0)
+        comps[-1].update(dim=2, nu_plus=0)
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps({"name": "hostile", "dim_X": 4, "components": comps}))
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(cstarflips.__file__).resolve().parents[1]),
+                          os.environ.get("PYTHONPATH")]))}
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "cstarflips", "validate", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == f"{path}: ok (hostile, criticality 498)\n"
+        assert elapsed < 1.0
 
 
 class TestLevelIndex:

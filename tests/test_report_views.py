@@ -95,16 +95,29 @@ def test_report_agrees_with_the_views(case, data):
     assert {key: report[key] for key in values} == values
 
 
+# Every comparison and subtraction a Fraction can be asked for.
+FRACTION_ARITHMETIC = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__sub__", "__rsub__")
+
+
 @pytest.mark.parametrize("case", CASES)
-def test_each_fact_is_computed_once(monkeypatch, case):
-    """On an r=40 chain, within one ``to_json``: one flip record for each
-    (direction, level) that a move uses, one evaluation of the chamber rows,
-    each critical value written once in the chain sections and once per
-    level in each of the two models, and every chamber's corners read once
+def test_each_fact_is_computed_once(case):
+    """On r=40 chains, one with integer weights from zero and one with the
+    shuffled rational weights of ``rational_chain_spec`` from below zero:
+    the pipeline and ``to_json`` order and shift the weights in integer
+    arithmetic, with no Fraction compared or subtracted, and within one
+    ``to_json`` there is one flip record for each (direction, level) that a
+    move uses, one evaluation of the chamber rows, each critical value
+    written once for the whole report, and every chamber's corners read once
     from one table of corner texts (the P1-bundles read their triangles once
     more)."""
     r = 40
-    bundle = run_pipeline(parse_spec_dict(_model_spec(case, synthetic_case_model(case, r=r))))
+    for spec in (_model_spec(case, synthetic_case_model(case, r=r)),
+                 rational_chain_spec(case, r)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _check_computed_once(monkeypatch, case, r, parse_spec_dict(spec))
+
+
+def _check_computed_once(monkeypatch, case, r, spec):
     calls = collections.Counter()
     reads = collections.Counter()
     tables = set()
@@ -126,22 +139,29 @@ def test_each_fact_is_computed_once(monkeypatch, case):
         calls["str in chain sections"] = calls["str"] - before
         return sections
 
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, counting("arithmetic", getattr(Fraction, name)))
+    bundle = run_pipeline(spec)
+    assert calls["arithmetic"] == 0
     monkeypatch.setattr(ch, "chamber_rows", counting("chamber_rows", ch.chamber_rows))
     monkeypatch.setattr(md, "_flip_record", counting("_flip_record", md._flip_record))
     monkeypatch.setattr(Fraction, "__str__", counting("str", Fraction.__str__))
     monkeypatch.setattr(ch, "row_corners", reading)
     monkeypatch.setattr(report, "_chain_sections", chain_sections)
 
-    written = json.loads(bundle.to_json())
+    payload = bundle.to_json()
+    assert calls["arithmetic"] == 0
+    written = json.loads(payload)
     assert written["criticality"] == r
     graph = written["flip_graph"]
     used = {(m["direction"], m["level"]) for m in graph["edges"] + graph["obstructions"]}
     assert calls["_flip_record"] == len(used) == 2 * (r - 1) - sum(CASE_ISOLATED[case])
     assert calls["chamber_rows"] == 1
-    assert calls["str in chain sections"] == r + 1
-    # the two models write each level's value once; the bandwidth, the two
-    # weight offsets and the movable cone's coordinates are written once each
-    assert calls["str"] == 3 * (r + 1) + 3 + 2 * len(written["movable_cone"])
+    # the chain sections, the two models, the bandwidth and the movable cone
+    # share the texts of the r + 1 critical values; the two weight offsets
+    # are written once each
+    assert calls["str in chain sections"] == 0
+    assert calls["str"] <= r + 3
     assert len(tables) == 1
     pairs = [tuple(c["pair"]) for c in written["chambers"]]
     triangles = [tuple(b["node"]) for b in written["p1_bundles"]]

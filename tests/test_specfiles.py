@@ -1,10 +1,14 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from cstarflips.actions import shown, validate_action
 from cstarflips.specfiles import (
     SchemaError,
     SpecSyntaxError,
+    _implied_digits,
     parse_spec,
     parse_spec_dict,
 )
@@ -177,6 +181,86 @@ def test_a_quoted_value_is_cut_to_40_characters(field, value, message):
     with pytest.raises(SchemaError) as exc:
         parse_spec_dict(obj)
     assert str(exc.value) == f".components[0].{field}: {message}"
+
+
+def _fraction_reading(text: str):
+    """What a weight string means, by ``Fraction(text)`` alone: its value, or
+    the (path, message) of the parser's error, past the digit bound first."""
+    path = ".components[1].weight"
+    if _implied_digits(text) > 1000:
+        return path, TOO_BIG
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        return path, "zero denominator"
+    except ValueError:
+        return path, f"not a rational: {shown(repr(text))}"
+
+
+def _parsed_weight(text: str):
+    obj = {"name": "s", "dim_X": 6,
+           "components": [COMPONENT, {**COMPONENT, "name": "Z", "weight": text}]}
+    try:
+        return parse_spec_dict(obj).components[1].weight
+    except SchemaError as exc:
+        return exc.path, exc.message
+
+
+def _assert_read_as_fraction_reads(text: str):
+    want, got = _fraction_reading(text), _parsed_weight(text)
+    if isinstance(want, Fraction):
+        assert type(got) is Fraction
+        assert got.as_integer_ratio() == want.as_integer_ratio()
+    else:
+        assert got == want
+
+
+# Weight strings at the edges of the grammar of docs/spec-format.md: signs,
+# whitespace, underscores, leading zeros, zero and malformed denominators,
+# decimals, exponents, non-ASCII digits, and the 1,000-digit bound.
+WEIGHT_STRINGS = [
+    "0", "-0", "+0", "-0/5", "7", "-7", "+7", "007", "007/010", "2/4", "1/2", "-2/4",
+    "3/-4", "3/+4", "-3/4", "--3", "1/0", "0/0", "-1/00", "1/2/3", "1//2", "/2", "2/", "-",
+    "", " ", " 1/2", "1/2 ", "1 / 2", "\t-3\n", "1_000", "1_000/2_0", "_1", "1__0", "1_",
+    "1.5", "-.5", "5.", "1.5/2", "1e3", "1E-3", "-2.5e-3", "1e", "e3", "1/2e3",
+    "\u0663/4", "3/\u0664", "\uff13", "-\u0663", "\u00b2", "3\u00b2/4", "1x", "0x10",
+    "9" * 1000, "9" * 1001, "-" + "9" * 1000, "-" + "9" * 1001, "1/" + "9" * 998,
+    "1/" + "9" * 999, "1e996", "1e997", " " * 1001,
+]
+
+_WEIGHT_PIECES = st.sampled_from([
+    "-", "+", " ", "\t", "_", "/", ".", "e", "E-", "0", "00", "\u0663", "\uff14", "\u00b2",
+]) | st.text("0123456789", min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("text", WEIGHT_STRINGS)
+def test_weight_strings_read_as_fraction_reads_them(text):
+    """A weight string is what ``Fraction(text)`` reads, or both refuse it
+    with one path and message, whichever way the parser reads it."""
+    _assert_read_as_fraction_reads(text)
+
+
+@given(st.lists(_WEIGHT_PIECES, max_size=7).map("".join)
+       | st.builds("{}{}/{}".format, st.sampled_from(["", "-"]),
+                   st.integers(0, 10**12), st.integers(0, 10**12))
+       | st.integers(990, 1010).map(lambda n: "1/" + "3" * n))
+def test_generated_weight_strings_read_as_fraction_reads_them(text):
+    _assert_read_as_fraction_reads(text)
+
+
+def test_spellings_of_one_weight_share_a_level():
+    """``"2/4"``, ``"1/2"`` and ``"0.5"`` are one critical value."""
+    obj = {"name": "s", "dim_X": 4, "components": [
+        {"name": "S", "weight": "-3/4", "dim": 0, "nu_minus": 0, "nu_plus": 4},
+        {"name": "A", "weight": "2/4", "dim": 0, "nu_minus": 2, "nu_plus": 2},
+        {"name": "B", "weight": "1/2", "dim": 0, "nu_minus": 2, "nu_plus": 2},
+        {"name": "C", "weight": "0.5", "dim": 0, "nu_minus": 2, "nu_plus": 2},
+        {"name": "T", "weight": 4, "dim": 0, "nu_minus": 4, "nu_plus": 0},
+    ]}
+    spec = parse_spec_dict(obj)
+    model = validate_action(spec.components, spec.dim_x)
+    assert model.critical_values == (0, Fraction(5, 4), Fraction(19, 4))
+    assert [c.name for c in model.level_components(1)] == ["A", "B", "C"]
 
 
 def test_neither_components_nor_lie():
