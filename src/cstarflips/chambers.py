@@ -9,10 +9,12 @@ between the (j-1)-st and j-th, intersected with ``tau_minus <= tau_plus``.
 Divisor classes themselves, and where one sits in the slice, are in
 ``locate``.
 
-Chamber (i, j) sits in row i of a triangle, i < j <= r (``chamber_rows``),
-with its corners on the corner rows i and i + 1 (``row_corners``).  An
-isolated original sink removes (0, 1) from row 0 and an isolated source
+Chamber (i, j) sits in row i of a triangle, i < j <= r (``chamber_rows``).
+An isolated original sink removes (0, 1) from row 0 and an isolated source
 (r-1, r) from row r - 1; no other pair depends on the extremal components.
+Its shape, a box of the critical values cut by the diagonal, is written in
+one place, ``row_outlines``: every writer and ``chamber_polygon`` read the
+corners from there, texts for a whole row at a time.
 """
 
 from __future__ import annotations
@@ -96,21 +98,28 @@ def chamber_pairs(model: ActionModel) -> list[Tuple[int, int]]:
     return [(i, j) for i, columns in enumerate(chamber_rows(model)) for j in columns]
 
 
-def row_corners(points, i: int, columns: range) -> list[tuple]:
-    """The corners of the chambers (i, j), j in ``columns``, read from a table
-    with ``points[k][l]`` for (a_k, a_l): chamber (i, j) is the box
-    [a_i, a_(i+1)] x [a_(j-1), a_j] above the diagonal, so (i, i + 1) is a triangle."""
-    low, high = points[i], points[i + 1]
-    return [(low[j - 1], high[j], low[j]) if j == i + 1  # (a_(i+1), a_i) is cut off
-            else (low[j - 1], high[j - 1], high[j], low[j]) for j in columns]
+def row_outlines(x, y, sep: str, i: int, columns: range) -> list[str]:
+    """The outlines of the chambers (i, j), j in ``columns``, with the corner
+    (a_k, a_l) written ``x[k] + y[l]`` and the corners joined by ``sep``.
+    Chamber (i, j) is the box [a_i, a_(i+1)] x [a_(j-1), a_j] above the
+    diagonal, its corners (a_i, a_(j-1)), (a_(i+1), a_(j-1)), (a_(i+1), a_j),
+    (a_i, a_j) in turn; at j = i + 1 the corner (a_(i+1), a_i) is cut off and
+    the chamber is a triangle.  Each outline is one f-string over the texts
+    of rows i and i + 1 and columns j - 1 and j."""
+    low, high = x[i], x[i + 1]
+    return [f"{low}{y[j - 1]}{sep}{high}{y[j]}{sep}{low}{y[j]}" if j == i + 1
+            else f"{low}{y[j - 1]}{sep}{high}{y[j - 1]}{sep}{high}{y[j]}{sep}{low}{y[j]}"
+            for j in columns]
 
 
 def chamber_polygon(model: ActionModel, pair: Tuple[int, int]) -> Tuple[Point, ...]:
+    """The corners of chamber ``pair`` as points: its outline written in the
+    indices of the critical values, read back."""
     a = model.critical_values
     i, j = pair
-    # the box's points: corner rows i and i + 1, columns j - 1 and j
-    box = {k: {l: (a[k], a[l]) for l in (j - 1, j)} for k in (i, i + 1)}
-    return row_corners(box, i, range(j, j + 1))[0]
+    texts = {k: f"{k} " for k in (i, i + 1, j - 1, j)}
+    indices = [int(k) for k in row_outlines(texts, texts, "", i, range(j, j + 1))[0].split()]
+    return tuple([(a[k], a[l]) for k, l in zip(indices[::2], indices[1::2])])
 
 
 def chamber_decomposition(model: ActionModel) -> list[Chamber]:

@@ -125,8 +125,7 @@ def _cmd_analyze(args) -> int:
 def _analyze_text(path: str, bundle: ReportBundle):
     flat = bundle.flat
     pairs = ch.chamber_pairs(flat)
-    records, moves = md.flip_moves(flat, ch.chamber_rows(flat))
-    blocked = [bool(records[n][3]) for n, _, _ in moves]
+    blocked = [bool(record[3]) for _, _, record in md.flip_moves(flat)]
     yield f"== {bundle.name} =="
     yield (f"case: {ch.extremal_case(flat)}  bandwidth: {flat.bandwidth!s}  "
            f"criticality: {flat.criticality}")

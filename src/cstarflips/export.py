@@ -27,13 +27,9 @@ def export(bundle: ReportBundle, fmt: str) -> bytes:
 def export_dot(bundle: ReportBundle) -> bytes:
     """Two graphs: the flip graph and the quotient diagram."""
     lines = ["digraph flip_graph {", "  rankdir=LR;"]
-    pairs = ch.chamber_pairs(bundle.flat)
-    lines.extend([f'  "X({i},{j})";' for i, j in pairs])
-    records, moves = md.flip_moves(bundle.flat, ch.chamber_rows(bundle.flat))
-    for n, p, q in moves:
-        direction, level, _, blocked = records[n]
+    lines.extend([f'  "X({i},{j})";' for i, j in ch.chamber_pairs(bundle.flat)])
+    for (i, j), (k, l), (direction, level, _, blocked) in md.flip_moves(bundle.flat):
         if not blocked:
-            (i, j), (k, l) = pairs[p], pairs[q]
             tag = "psi+" if direction == md.PLUS else "psi-"
             lines.append(f'  "X({i},{j})" -> "X({k},{l})" [label="{tag} @ level {level}"];')
     lines += ["}", "", "digraph quotient_diagram {", "  rankdir=LR;"]
@@ -61,8 +57,16 @@ def _y(tau_plus: Fraction, delta: Fraction) -> float:
     return _PAD + float(delta - tau_plus) * _SCALE
 
 
+# XML 1.0 has no character for the C0 controls but tab, LF and CR, nor for
+# U+FFFE and U+FFFF: those are written as backslash escapes, as a lone
+# surrogate is when the text is encoded.
+_XML_TEXT = {c: "\\x%02x" % c for c in range(0x20) if chr(c) not in "\t\n\r"}
+_XML_TEXT.update({0xFFFE: "\\ufffe", 0xFFFF: "\\uffff",
+                  ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"})
+
+
 def _xml_text(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return text.translate(_XML_TEXT)
 
 
 def export_svg(bundle: ReportBundle) -> bytes:
@@ -82,19 +86,19 @@ def export_svg(bundle: ReportBundle) -> bytes:
         f'<title>{_xml_text(bundle.name)}: movable region and chambers</title>',
         '<style>text{font-family:sans-serif;font-size:13px;}</style>',
     ]
-    xs = ["%.2f" % _x(v) for v in a]
+    xs = ["%.2f," % _x(v) for v in a]  # the corner (a_k, a_l) is xs[k] + ys[l]
     ys = ["%.2f" % _y(v, delta) for v in a]
     steps = list(zip(a, a[1:]))
     quad_x = ["%.2f" % (_x((u + v) / 2) - 18) for u, v in steps]
     quad_y = [None] + ["%.2f" % (_y((u + v) / 2, delta) + 4) for u, v in steps]
     triangle = ['x="%.2f" y="%.2f"' % (_x((2 * u + v) / 3) - 18, _y((u + 2 * v) / 3, delta) + 4)
                 for u, v in steps]
-    points = [[None] * k + [f"{xk},{yl}" for yl in ys[k:]] for k, xk in enumerate(xs)]
     for i, columns in enumerate(ch.chamber_rows(bundle.flat)):
-        for j, corners in zip(columns, ch.row_corners(points, i, columns)):
-            out.append(f'<polygon points="{" ".join(corners)}" fill="#dfe7f5" stroke="#4a6ea9" '
+        for j, outline in zip(columns, ch.row_outlines(xs, ys, " ", i, columns)):
+            out.append(f'<polygon points="{outline}" fill="#dfe7f5" stroke="#4a6ea9" '
                        'stroke-width="1"/>')
-            at = triangle[i] if len(corners) == 3 else f'x="{quad_x[i]}" y="{quad_y[j]}"'
+            # a triangle's outline has three corners
+            at = triangle[i] if outline.count(" ") == 2 else f'x="{quad_x[i]}" y="{quad_y[j]}"'
             out.append(f'<text {at}>N_{{{i},{j}}}</text>')
     path = " ".join("%.2f,%.2f" % (_x(x), _y(y, delta)) for x, y in mov)
     out.append(f'<polygon points="{path}" fill="none" stroke="#1d2d50" stroke-width="2"/>')

@@ -19,12 +19,18 @@ closures attached to the shifting level:
 Either way, since dim Y + nu_minus(Y) + nu_plus(Y) = dim X, the center and
 flipped dimensions add up to dim X - 1 + dim Y, and the criticality drops by
 one.
+
+The flip rule is written once, in :func:`flip_at_level`, per (direction,
+level), and which flips are moves between chambers once, in
+:func:`row_moves`, per row of the chamber triangle.  The report's JSON
+writer calls both in its own row loop; :func:`flip_moves` walks the same
+rows for the object view (:func:`build_flip_graph`) and the text and DOT
+views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import NamedTuple, Tuple
 
 from .actions import ActionError, ActionModel, flat_model, index_set_i, shifted
@@ -105,51 +111,60 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     )
 
 
-def _flip_record(direction: str, level: int, comps):
+def flip_at_level(model: ActionModel, direction: str, level: int, center):
+    """The flip in ``direction`` at ``level``, in one pass over the level's
+    components Y: with (nu, nu') = (nu_minus, nu_plus) for the plus flip and
+    (nu_plus, nu_minus) for the minus flip, the center in Y has dimension
+    dim Y + nu and the flipped locus dim Y + nu' - 1, and a Y with nu' <= 1
+    blocks the flip.  Returns the list of ``center(Y, center_dim,
+    flipped_dim)``, one per component, and the names of the blocking
+    components."""
     centers, blocked = [], []
-    for c in comps:
-        # the center has dim Y + center, the flipped locus dim Y + flipped - 1
-        center, flipped = (c.nu_minus, c.nu_plus) if direction == PLUS else (c.nu_plus, c.nu_minus)
+    plus = direction == PLUS
+    for c in model.levels[level][1]:
+        nu, flipped = (c.nu_minus, c.nu_plus) if plus else (c.nu_plus, c.nu_minus)
         if flipped <= 1:  # the flip inequality fails
             blocked.append(c.name)
-        centers.append(FlipCenter(c.name, c.dim, c.dim + center, c.dim + flipped - 1))
-    return direction, level, tuple(centers), tuple(blocked)
+        centers.append(center(c, c.dim + nu, c.dim + flipped - 1))
+    return centers, blocked
 
 
-def flip_moves(model: ActionModel, rows: list[range]):
-    """The candidate flips between the chambers of ``chamber_rows``: from
-    (i, j) the minus flip to (i, j - 1) at level j - 1 and the plus flip to
-    (i + 1, j) at level i + 1, where the target is a chamber too.  Returns
-    (records, moves).  A record (direction, level, centers, blocked),
-    legal when ``blocked`` is empty, is made once per direction and level
-    that a move uses: every one but the minus flip at level 1 when the
-    original sink is a point, as (0, 1) is gone, and the plus flip at level
-    r - 1 when the source is, as (r - 1, r) is; those two are ``None``.
-    ``moves`` yields the flips row by row, in (from, to) order: a move (n, a, b)
-    flips the chamber at position a of ``chamber_pairs`` to the one at b,
-    with record n.
-    """
-    r = len(rows)
-    unused = dict(zip(((MINUS, 1), (PLUS, r - 1)), model.isolated_extremes()))
-    # records[level - 1] is the minus flip at a level, records[r - 2 + level] the plus flip
-    records = [None if unused.get((direction, level)) else
-               _flip_record(direction, level, model.level_components(level))
-               for direction in (MINUS, PLUS) for level in range(1, r)]
-    return records, chain.from_iterable(_moves_by_row(rows))
+def row_moves(rows: list[range], i: int) -> Tuple[range, range]:
+    """The flips out of row i of ``chamber_rows``: the columns j whose chamber
+    (i, j) has a minus flip, to (i, j - 1) at level j - 1, and those with a
+    plus flip, to (i + 1, j) at level i + 1.  A flip is a move only where its
+    target is a chamber too."""
+    columns = rows[i]
+    below = rows[i + 1] if i + 1 < len(rows) else range(0)
+    return columns[1:], range(max(columns.start, below.start), min(columns.stop, below.stop))
 
 
-def _moves_by_row(rows: list[range]):
-    r, a = len(rows), 0
-    for i, (columns, below) in enumerate(zip(rows, rows[1:] + [range(0)])):
-        down = len(columns) + columns.start - below.start  # position of (i + 1, j) less (i, j)
-        moves = []
-        for j in columns:
-            if j - 1 in columns:
-                moves.append((j - 2, a, a - 1))
-            if j in below:
-                moves.append((r - 1 + i, a, a + down))
-            a += 1
-        yield moves
+def _no_center(c, center_dim: int, flipped_dim: int) -> None:
+    return None
+
+
+def flip_moves(model: ActionModel, center=_no_center):
+    """The moves between the chambers row by row, in (from, to) order, as
+    (from pair, to pair, record): the record (direction, level, centers,
+    blocked), the two tuples from ``flip_at_level`` with ``center``, is made
+    once per (direction, level) that a move uses.  By default the centers
+    are ``None``, for a writer that only needs the blocked names."""
+    rows = chamber_rows(model)
+    records = {}
+
+    def record(direction, level):
+        if (direction, level) not in records:
+            centers, blocked = flip_at_level(model, direction, level, center)
+            records[direction, level] = (direction, level, tuple(centers), tuple(blocked))
+        return records[direction, level]
+
+    for i in range(len(rows)):
+        minus, plus = row_moves(rows, i)
+        for j in rows[i]:
+            if j in minus:
+                yield (i, j), (i, j - 1), record(MINUS, j - 1)
+            if j in plus:
+                yield (i, j), (i + 1, j), record(PLUS, i + 1)
 
 
 def build_flip_graph(model: ActionModel) -> FlipGraph:
@@ -160,17 +175,18 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     flip inequality, otherwise the obstruction is recorded and the edge
     omitted.
     """
-    pairs = chamber_pairs(model)
-    nodes = tuple([GraphNode(pair, chamber_polygon(model, pair)) for pair in pairs])
+    nodes = tuple([GraphNode(pair, chamber_polygon(model, pair)) for pair in chamber_pairs(model)])
     edges, obstructions = [], []
-    records, moves = flip_moves(model, chamber_rows(model))
-    for n, a, b in moves:
-        direction, level, centers, blocked = records[n]
+    for p, q, (direction, level, centers, blocked) in flip_moves(model, _flip_center):
         if blocked:
-            obstructions.append(FlipObstruction(pairs[a], pairs[b], direction, level, blocked))
+            obstructions.append(FlipObstruction(p, q, direction, level, blocked))
         else:
-            edges.append(FlipEdge(pairs[a], pairs[b], direction, level, centers))
+            edges.append(FlipEdge(p, q, direction, level, centers))
     return FlipGraph(nodes, tuple(edges), tuple(obstructions))
+
+
+def _flip_center(c, center_dim: int, flipped_dim: int) -> FlipCenter:
+    return FlipCenter(c.name, c.dim, center_dim, flipped_dim)
 
 
 class QuotientNode(NamedTuple):

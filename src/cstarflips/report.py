@@ -7,7 +7,11 @@ the cone, chamber, flip-graph and quotient data from them into one fixed
 skeleton.  Every list is in a canonical order and the encoding is canonical
 (sorted keys, no spaces, ASCII), so identical input produces byte-identical
 JSON output.  The three O(r^2) sections are written from the flat model's
-per-level facts, row by row over the chamber triangle.
+per-level facts in one loop over the rows of the chamber triangle.  The
+rules they follow are not restated here: a chamber's shape is
+``chambers.row_outlines``, which flips are moves is
+``modifications.row_moves`` and a flip's centers and obstruction are
+``modifications.flip_at_level``, as for every other view.
 """
 
 from __future__ import annotations
@@ -71,17 +75,20 @@ class ReportBundle(NamedTuple):
 
     def to_json(self) -> bytes:
         model, flat = self.model, self.flat
-        # the model and the flat model share their critical values, as the
-        # blowup keeps the bandwidth and the inner levels: each is written once
+        # the model and the flat model share their critical values and their
+        # inner components, as the blowup keeps the bandwidth and the inner
+        # levels: each is written once
         a = [str(v) for v in flat.critical_values]
+        inner = _components_json(flat.levels[1:-1], a[1:-1])
         index_set = sorted(index_set_i(flat))
         chain = _chain_sections(flat, index_set, a)
         s, q = md.flip_chain_summary(flat), md.quotient_diagram(flat)
         return (_SKELETON % (
             a[-1], _BOOL[is_bordism(flat)], ch.extremal_case(flat),
             s.blowdowns, s.blowups, s.chain_arrows, s.flips, s.left, s.right,
-            chain["chambers"], flat.criticality, _model_json(flat, a), chain["flip_graph"],
-            ",".join(["%d" % i for i in index_set]), _lie_json(self.lie), _model_json(model, a),
+            chain["chambers"], flat.criticality, _model_json(flat, a, inner),
+            chain["flip_graph"], ",".join(["%d" % i for i in index_set]), _lie_json(self.lie),
+            _model_json(model, a, inner),
             ",".join([f'["{a[k]}","{a[l]}"]' for k, l in ch.movable_corners(flat)]),
             _encode_str(self.name), chain["p1_bundles"], _encode_str(model.equalization_source),
             _BOOL[model.equalized], _LABEL_NOTE, ",".join(map(_encode_str, self.notes)),
@@ -99,14 +106,23 @@ def _arrows(pairs) -> str:
     return ",".join(["[%s,%s]" % (_encode_str(a), _encode_str(b)) for a, b in pairs])
 
 
-def _model_json(model: ActionModel, values: list[str]) -> str:
-    """``model`` or ``flat_model``, with ``values`` the texts of its critical
-    values: each is written for the components of its level."""
-    components = ",".join([
+def _components_json(levels, values) -> str:
+    """The components of ``levels``, each at the text of its level's critical
+    value in ``values``."""
+    return ",".join([
         f'{{"dim":{c.dim},"inner":{_BOOL[c.inner]},"name":{_encode_str(c.name)},'
         f'"nu_minus":{c.nu_minus},"nu_plus":{c.nu_plus},"weight":"{weight}"}}'
-        for weight, (_, level) in zip(values, model.levels) for c in level
+        for weight, (_, level) in zip(values, levels) for c in level
     ])
+
+
+def _model_json(model: ActionModel, values: list[str], inner: str) -> str:
+    """``model`` or ``flat_model``, with ``values`` the texts of its critical
+    values and ``inner`` the text of its inner components, which the two
+    models share."""
+    levels = model.levels
+    components = ",".join(filter(None, (_components_json(levels[:1], values), inner,
+                                        _components_json(levels[-1:], values[-1:]))))
     return (
         '{"components":[%s],"dim_X":%d,"equalization_source":%s,"equalized":%s,"flat":%s,'
         '"sink_origin_dim":%s,"source_origin_dim":%s,"weight_offset":"%s"}'
@@ -130,54 +146,77 @@ def _lie_json(lie) -> str:
          _BOOL[lie.is_short], _encode_str(lie.space_label), certificates)
 
 
-def _flip_parts(direction: str, level: int, centers, blocked) -> Tuple[str, str, str]:
-    """A flip record of ``modifications.flip_moves`` as the JSON text around
-    the two nodes of a move, written once per record: a move is its head,
-    its from node, its middle, its to node and its tail."""
+def _center_json(c, center_dim: int, flipped_dim: int) -> str:
+    return (f'{{"center_dim":{center_dim},"component":{_encode_str(c.name)},"dim":{c.dim},'
+            f'"flipped_dim":{flipped_dim}}}')
+
+
+def _flip_json(flat: ActionModel, direction: str, level: int, edges: list, obstructions: list):
+    """The flip at ``level`` as the JSON text around the two nodes of a move,
+    its head and its middle, and the list its moves go to: a move is the
+    head, its from node, the middle, its to node and a closing brace."""
+    centers, blocked = md.flip_at_level(flat, direction, level, _center_json)
+    middle = f',"level":{level},"to":'
     if blocked:
-        head = '{"components":[' + ",".join([_encode_str(name) for name in blocked])
-    else:
-        head = '{"centers":[' + ",".join([
-            f'{{"center_dim":{c.center_dim},"component":{_encode_str(c.component)},'
-            f'"dim":{c.dim},"flipped_dim":{c.flipped_dim}}}'
-            for c in centers
-        ])
-    return f'{head}],"direction":"{direction}","from":', f',"level":{level},"to":', "}"
+        names = ",".join(map(_encode_str, blocked))
+        return f'{{"components":[{names}],"direction":"{direction}","from":', middle, \
+            obstructions.append
+    return f'{{"centers":[{",".join(centers)}],"direction":"{direction}","from":', middle, \
+        edges.append
 
 
 def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str]) -> dict:
     """The canonical JSON text of the O(r^2) sections (chambers, flip graph,
-    P1-bundles), written row by row over the chamber triangle from O(r)
-    facts, with ``values`` the texts of the critical values.  Each corner
-    ``[a_k,a_l]`` and node ``[i,j]`` is written once; a chamber joins its
-    corners as ``row_corners`` reads them from the table of corners, and a
-    move joins its two nodes with the text parts of its flip record
-    (``_flip_parts``).  Every entry is built by
-    concatenation, so no name is read as a format.  Keys are in sorted
-    order."""
-    a = ['"%s"' % v for v in values]  # str(Fraction) is ASCII
-    # corner[k][l] is the point (a_k, a_l); a chamber has k <= l
-    corner = [[None] * k + [f"[{ak},{al}]" for al in a[k:]] for k, ak in enumerate(a)]
+    P1-bundles), written in one loop over the rows of the chamber triangle,
+    with ``values`` the texts of the critical values.  A chamber's polygon
+    is its ``row_outlines`` text, with the corner (a_k, a_l) written
+    ``[a_k,a_l]``; each node ``[i,j]`` is written once, a row ahead, as the
+    plus flips of row i go to row i + 1; each flip's head and middle
+    (``_flip_json``) are made when a move first uses its (direction, level),
+    and a move is one f-string around its two node texts.  Every entry is
+    built by concatenation, so no name is read as a format.  Keys are in
+    sorted order."""
+    x = [f'["{v}",' for v in values]  # str(Fraction) is ASCII
+    y = [f'"{v}"]' for v in values]
     rows = ch.chamber_rows(flat)
-    nodes = [f"[{i},{j}]" for i, columns in enumerate(rows) for j in columns]
-    polygons = [p for i, columns in enumerate(rows) for p in ch.row_corners(corner, i, columns)]
-    records, moves = md.flip_moves(flat, rows)
-    edges, obstructions = [], []
-    # per flip record: its text parts, and the list its moves go to
-    parts = [rec and (*_flip_parts(*rec), (obstructions if rec[3] else edges).append)
-             for rec in records]
-    for n, p, q in moves:
-        head, middle, tail, add = parts[n]
-        add(f"{head}{nodes[p]}{middle}{nodes[q]}{tail}")
-    chambers = ",".join([f'{{"pair":{node},"polygon":[{",".join(polygon)}]}}'
-                         for node, polygon in zip(nodes, polygons)])
+    r = len(rows)
+    ends = [f"{j}]" for j in range(r + 1)]  # the node [i,j] is "[i," + ends[j]
+    chambers, nodes, edges, obstructions = [], [], [], []
+    minus_flips = [None] * r  # by level, made on first use
+    outlines = [None] * r  # by row
+    below = ["[0," + ends[j] for j in rows[0]]
+    for i, columns in enumerate(rows):
+        row = below  # the node texts of row i
+        start = f"[{i + 1},"
+        below = [start + ends[j] for j in rows[i + 1]] if i + 1 < r else []
+        nodes += row
+        minus, plus = md.row_moves(rows, i)
+        if plus:
+            plus_head, plus_middle, plus_add = _flip_json(flat, md.PLUS, i + 1, edges,
+                                                          obstructions)
+            shift = rows[i + 1].start  # below[j - shift] is the node (i + 1, j)
+        left = None  # the node (i, j - 1)
+        outlines[i] = ch.row_outlines(x, y, ",", i, columns)
+        for j, node, outline in zip(columns, row, outlines[i]):
+            chambers.append(f'{{"pair":{node},"polygon":[{outline}]}}')
+            if j in minus:
+                flip = minus_flips[j - 1]
+                if flip is None:
+                    flip = minus_flips[j - 1] = _flip_json(flat, md.MINUS, j - 1, edges,
+                                                           obstructions)
+                head, middle, add = flip
+                add(f"{head}{node}{middle}{left}}}")
+            if j in plus:
+                plus_add(f"{plus_head}{node}{plus_middle}{below[j - shift]}}}")
+            left = node
+    # the P1-bundle at i is the chamber (i, i + 1)
     p1_bundles = ",".join([
         f'{{"base":"GX({i},{i + 1})","index":{i},"nef_polygon":'
-        f'[{",".join(ch.row_corners(corner, i, range(i + 1, i + 2))[0])}],"node":[{i},{i + 1}]}}'
+        f'[{outlines[i][i + 1 - rows[i].start]}],"node":[{i},{i + 1}]}}'
         for i in index_set
     ])
     return {
-        "chambers": f"[{chambers}]",
+        "chambers": f"[{','.join(chambers)}]",
         "flip_graph": f'{{"edges":[{",".join(edges)}],"nodes":[{",".join(nodes)}],'
                       f'"obstructions":[{",".join(obstructions)}]}}',
         "p1_bundles": f"[{p1_bundles}]",

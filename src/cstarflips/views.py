@@ -28,45 +28,28 @@ def validate(path, bundle):
 def chambers(path, bundle):
     yield f"== {bundle.name} =="
     a = [str(v) for v in bundle.flat.critical_values]
-    points = [[None] * k + [f"({ak},{al})" for al in a[k:]] for k, ak in enumerate(a)]
+    x, y = [f"({v}," for v in a], [f"{v})" for v in a]
     for i, columns in enumerate(ch.chamber_rows(bundle.flat)):
-        for j, corners in zip(columns, ch.row_corners(points, i, columns)):
-            yield f"N_{{{i},{j}}}: {' '.join(corners)}"
+        for j, outline in zip(columns, ch.row_outlines(x, y, " ", i, columns)):
+            yield f"N_{{{i},{j}}}: {outline}"
 
 
-def _flip_parts(direction: str, level: int, centers, blocked):
-    """A flip record as the text around the two nodes of its line, written
-    once per record, and whether the line is an obstruction: a line is its
-    head, its from node, its middle, its to node and its tail."""
-    if blocked:
-        return ("blocked ", " -> ", f": level {level} components {', '.join(blocked)} "
-                "fail the flip inequality", True)
-    tag = "psi+" if direction == md.PLUS else "psi-"
-    rows = "; ".join(
-        f"{c.component}: center dim {c.center_dim}, flipped dim {c.flipped_dim}" for c in centers
-    )
-    return "", " -> ", f" [{tag}, level {level}] {rows}", False
+def _center_text(c, center_dim: int, flipped_dim: int) -> str:
+    return f"{c.name}: center dim {center_dim}, flipped dim {flipped_dim}"
 
 
 def flips(path, bundle):
     yield f"== {bundle.name} =="
-    flat = bundle.flat
-    pairs = ch.chamber_pairs(flat)
-    nodes = [f"X({i},{j})" for i, j in pairs]
-    yield "nodes: " + ", ".join(nodes)
-    # an obstruction names its chambers by their index pairs
-    node_texts = (nodes, [f"[{i}, {j}]" for i, j in pairs])
-    records, moves = md.flip_moves(flat, ch.chamber_rows(flat))
-    parts = [record and _flip_parts(*record) for record in records]
+    yield "nodes: " + ", ".join([f"X({i},{j})" for i, j in ch.chamber_pairs(bundle.flat)])
     obstructions = []
-    for n, p, q in moves:
-        head, middle, tail, blocked = parts[n]
-        names = node_texts[blocked]
-        line = f"{head}{names[p]}{middle}{names[q]}{tail}"
-        if blocked:  # obstructions are printed after every edge
-            obstructions.append(line)
+    for (i, j), (k, l), (direction, level, centers, blocked) in md.flip_moves(bundle.flat,
+                                                                              _center_text):
+        if blocked:  # obstructions are printed after every edge, with index pairs
+            obstructions.append(f"blocked [{i}, {j}] -> [{k}, {l}]: level {level} components "
+                                f"{', '.join(blocked)} fail the flip inequality")
         else:
-            yield line
+            tag = "psi+" if direction == md.PLUS else "psi-"
+            yield f"X({i},{j}) -> X({k},{l}) [{tag}, level {level}] {'; '.join(centers)}"
     yield from obstructions
 
 

@@ -350,6 +350,24 @@ class TestExport:
         title = root.find("{http://www.w3.org/2000/svg}title")
         assert title.text == "a<b & c: movable region and chambers"
 
+    @given(name=st.text(st.sampled_from("\x00\x01\x08\x0b\x0c\x1f\t\n\r\ufffe\uffff<&>a"
+                                        "\ud800"), max_size=6))
+    def test_svg_parses_for_any_name(self, name):
+        """C0 controls other than tab, LF and CR, U+FFFE and U+FFFF, which XML
+        1.0 forbids, and lone surrogates, which UTF-8 cannot encode, are
+        written as backslash escapes, so the figure parses for any name."""
+        spec = dict(BORDISM_SPEC, name=name)
+        root = ElementTree.fromstring(export(run_pipeline(parse_spec_dict(spec)), "svg"))
+        title = root.find("{http://www.w3.org/2000/svg}title").text
+        escaped = "".join([
+            "\\x%02x" % ord(c) if c < " " and c not in "\t\n\r"
+            else "\\u%04x" % ord(c) if c in "\ufffe\uffff" or "\ud800" <= c <= "\udfff"
+            else c for c in name
+        ])
+        # an XML parser reads a CR or a CR LF as one LF
+        want = escaped.replace("\r\n", "\n").replace("\r", "\n")
+        assert title == want + ": movable region and chambers"
+
     def test_unsupported(self):
         with pytest.raises(UnsupportedFormatError):
             export(run_pipeline(parse_spec_dict(GR24_SPEC)), "png")

@@ -64,3 +64,36 @@ def test_reports_do_not_grow_the_heap():
     for _ in range(PASSES):
         one_pass()
     assert sys.getallocatedblocks() - before < MAX_DRIFT_BLOCKS
+
+
+# Chains up to r = 20 in the four cases and ten random chains, as one pass,
+# on CPython 3.11: the heap grows by about 36 blocks a pass, as the tuple
+# free lists fill, to about 1,810 blocks after 50 passes and 1,910 after 75,
+# and then by 0 to 2 blocks over the next 30 passes (by 4 over the next
+# 200).  A leak of one block per report would add 2,460 over those 30.
+LONG_WARM_PASSES = 70
+LONG_PASSES = 30
+MAX_LONG_DRIFT_BLOCKS = 200
+
+
+def test_long_chains_do_not_grow_the_heap():
+    """Once the free lists are full, no pass over chains up to r = 20 grows
+    the heap."""
+    specs = [
+        _model_spec(f"{case}-r{r}", synthetic_case_model(case, r=r))
+        for r in range(3, 21) for case in CASES
+    ]
+    rng = random.Random(3)
+    specs += [random_spec(rng) for _ in range(10)]
+    chains = [parse_spec_dict(spec) for spec in specs]
+
+    def one_pass():
+        for spec in chains:
+            run_pipeline(spec).to_json()
+
+    for _ in range(LONG_WARM_PASSES):
+        one_pass()
+    before = sys.getallocatedblocks()
+    for _ in range(LONG_PASSES):
+        one_pass()
+    assert sys.getallocatedblocks() - before < MAX_LONG_DRIFT_BLOCKS

@@ -1,11 +1,13 @@
 """The report's chain sections against the library's object views.
 
 ``ReportBundle.to_json`` writes the chambers, the flip graph and the
-P1-bundles row by row over the chamber triangle, from O(r) facts: the rows of
-chambers, each chamber's corners read from one table of corner texts, and one
-flip record per (direction, level).  ``chamber_decomposition``,
-``build_flip_graph`` and ``p1_bundle_models`` build the same data as objects
-from the same rules.  The two must agree, the report must be canonical JSON
+P1-bundles in one loop over the rows of the chamber triangle, from O(r)
+facts: the rows of chambers, each row's chamber outlines written from the
+texts of the critical values (``row_outlines``), the moves of each row
+(``row_moves``) and one flip record per (direction, level) that a move uses
+(``flip_at_level``).  ``chamber_decomposition``, ``build_flip_graph`` and
+``p1_bundle_models`` build the same data as objects by calling the same
+three functions.  The two must agree, the report must be canonical JSON
 (the writer splices encoded names into text by hand), and the report must
 compute each fact once.
 """
@@ -16,9 +18,9 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from conftest import CASE_ISOLATED, action_models, synthetic_case_model
+from conftest import CASE_ISOLATED, action_models, model_from_rows, synthetic_case_model
 from test_report_export import FORMAT_PIECES, ODD_NAME, canonical, report_values
 from test_report_golden import CASES, _model_spec, rational_chain_spec
 
@@ -69,19 +71,43 @@ def _view_sections(flat) -> dict:
     }
 
 
+def blocked_ends_model(case: str, r: int = 5):
+    """A chain whose flips at levels 1 and r - 1 are blocked both ways, next
+    to the extremes of ``case``: the minus flip at level 1 is no move when
+    the sink is a point, nor the plus flip at level r - 1 when the source
+    is, so a writer that made either would write an obstruction too many."""
+    dim_x = 6
+    sink_isolated, source_isolated = CASE_ISOLATED[case]
+    sink_dim, source_dim = 0 if sink_isolated else 2, 0 if source_isolated else 2
+    rows = [("Y0", 0, sink_dim, 0, dim_x - sink_dim),
+            (f"Y{r}", r, source_dim, dim_x - source_dim, 0)]
+    for level in range(1, r):
+        if level in (1, r - 1):
+            rows += [(f"Y{level}a", level, 2, 1, 3), (f"Y{level}b", level, 2, 3, 1)]
+        else:
+            rows.append((f"Y{level}a", level, 2, 2, 2))
+    return model_from_rows(rows, dim_x)
+
+
 @pytest.mark.parametrize("case", CASES)
 @given(data=st.data())
+@example(data=None)  # blocked_ends_model(case), with the characters of ODD_NAME
 def test_report_agrees_with_the_views(case, data):
     """Same sections as the views, in canonical bytes, with names that need
     escaping drawn from the characters of ``ODD_NAME``, or names that a
     template would read as directives drawn from ``FORMAT_PIECES``.
     Criticality runs from 1 (2 with both extremes isolated, which has no
     movable region) to 24, so the rows and columns next to the removed
-    corners are drawn at every length."""
-    model = data.draw(action_models(min_r=2 if case == "isolated-both" else 1, max_r=24,
-                                    case=case))
-    odd = data.draw(st.text(st.sampled_from(ODD_NAME), max_size=4)
-                    | st.lists(st.sampled_from(FORMAT_PIECES), max_size=4).map("".join))
+    corners are drawn at every length; about three draws in four block a
+    flip at the level next to an isolated extreme, and the explicit example
+    blocks both flips at levels 1 and r - 1."""
+    if data is None:
+        model, odd = blocked_ends_model(case), ODD_NAME
+    else:
+        model = data.draw(action_models(min_r=2 if case == "isolated-both" else 1, max_r=24,
+                                        case=case))
+        odd = data.draw(st.text(st.sampled_from(ODD_NAME), max_size=4)
+                        | st.lists(st.sampled_from(FORMAT_PIECES), max_size=4).map("".join))
     model = model._replace(components=tuple(
         [c._replace(name=c.name + odd) for c in model.components]
     ))
@@ -105,11 +131,11 @@ def test_each_fact_is_computed_once(case):
     shuffled rational weights of ``rational_chain_spec`` from below zero:
     the pipeline and ``to_json`` order and shift the weights in integer
     arithmetic, with no Fraction compared or subtracted, and within one
-    ``to_json`` there is one flip record for each (direction, level) that a
-    move uses, one evaluation of the chamber rows, each critical value
-    written once for the whole report, and every chamber's corners read once
-    from one table of corner texts (the P1-bundles read their triangles once
-    more)."""
+    ``to_json`` there is one flip record (``flip_at_level``) for each
+    (direction, level) that a move uses, one evaluation of the chamber rows,
+    each critical value written once for the whole report, and every
+    chamber's outline written once, by one ``row_outlines`` call per row
+    (a P1-bundle's nef polygon is the outline of its chamber)."""
     r = 40
     for spec in (_model_spec(case, synthetic_case_model(case, r=r)),
                  rational_chain_spec(case, r)):
@@ -120,7 +146,6 @@ def test_each_fact_is_computed_once(case):
 def _check_computed_once(monkeypatch, case, r, spec):
     calls = collections.Counter()
     reads = collections.Counter()
-    tables = set()
 
     def counting(name, fn):
         def wrapper(*args):
@@ -128,10 +153,10 @@ def _check_computed_once(monkeypatch, case, r, spec):
             return fn(*args)
         return wrapper
 
-    def reading(points, i, columns, original=ch.row_corners):
-        tables.add(id(points))
+    def reading(x, y, sep, i, columns, original=ch.row_outlines):
+        calls["row_outlines"] += 1
         reads.update((i, j) for j in columns)
-        return original(points, i, columns)
+        return original(x, y, sep, i, columns)
 
     def chain_sections(*args, original=report._chain_sections):
         before = calls["str"]
@@ -144,9 +169,9 @@ def _check_computed_once(monkeypatch, case, r, spec):
     bundle = run_pipeline(spec)
     assert calls["arithmetic"] == 0
     monkeypatch.setattr(ch, "chamber_rows", counting("chamber_rows", ch.chamber_rows))
-    monkeypatch.setattr(md, "_flip_record", counting("_flip_record", md._flip_record))
+    monkeypatch.setattr(md, "flip_at_level", counting("flip_at_level", md.flip_at_level))
     monkeypatch.setattr(Fraction, "__str__", counting("str", Fraction.__str__))
-    monkeypatch.setattr(ch, "row_corners", reading)
+    monkeypatch.setattr(ch, "row_outlines", reading)
     monkeypatch.setattr(report, "_chain_sections", chain_sections)
 
     payload = bundle.to_json()
@@ -155,17 +180,18 @@ def _check_computed_once(monkeypatch, case, r, spec):
     assert written["criticality"] == r
     graph = written["flip_graph"]
     used = {(m["direction"], m["level"]) for m in graph["edges"] + graph["obstructions"]}
-    assert calls["_flip_record"] == len(used) == 2 * (r - 1) - sum(CASE_ISOLATED[case])
+    assert calls["flip_at_level"] == len(used) == 2 * (r - 1) - sum(CASE_ISOLATED[case])
     assert calls["chamber_rows"] == 1
     # the chain sections, the two models, the bandwidth and the movable cone
     # share the texts of the r + 1 critical values; the two weight offsets
     # are written once each
     assert calls["str in chain sections"] == 0
     assert calls["str"] <= r + 3
-    assert len(tables) == 1
+    assert calls["row_outlines"] == r
     pairs = [tuple(c["pair"]) for c in written["chambers"]]
-    triangles = [tuple(b["node"]) for b in written["p1_bundles"]]
-    assert reads == collections.Counter(pairs + triangles)
+    assert reads == collections.Counter(pairs)
+    assert [b["nef_polygon"] for b in written["p1_bundles"]] == [
+        c["polygon"] for c in written["chambers"] if c["pair"][1] == c["pair"][0] + 1]
 
 
 # The stdout of each view over the r=40 rational chains of the four cases,
