@@ -9,15 +9,17 @@ orbits joining the component to lower critical values (toward the sink),
 the sink has ``nu_minus == 0`` and the source has ``nu_plus == 0``, and for
 every component ``dim + nu_minus + nu_plus == dim_x``.
 
+An :class:`ActionModel` is its levels, the components of each critical value;
+:func:`validate_action` is the one place that groups components into levels.
+
 Weights are exact rationals throughout; a validated model is normalized so
 that the sink sits at weight zero.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, cmp_to_key, partial
+from functools import cmp_to_key, partial
 from fractions import Fraction
-from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple
 
@@ -140,7 +142,7 @@ exact_component = partial(tuple.__new__, FixedComponent)
 
 class _ActionModel(NamedTuple):
     dim_x: int
-    components: Tuple[FixedComponent, ...]
+    levels: Tuple[Tuple[Fraction, Tuple[FixedComponent, ...]], ...]
     flat: bool = False
     equalized: bool = True
     equalization_source: str = "declared"
@@ -150,71 +152,49 @@ class _ActionModel(NamedTuple):
 
 
 class ActionModel(_ActionModel):
-    """A validated action, components sorted by weight and grouped in levels.
+    """A validated action: its ``levels``, the (critical value, components)
+    pairs in increasing weight, each level's components sorted by name.
+    ``components``, the critical values and the extremes are read from them.
 
     ``flat`` marks models whose extremal components are divisors (the shape
     :func:`flat_model` builds for :func:`blowup_extremal` and
     ``induced_action``); such models remember the extremal dimensions of the
     variety they came from in ``sink_origin_dim`` / ``source_origin_dim``,
     which drive the chamber bookkeeping downstream.
-
-    No ``__slots__``: the instance dict holds the cached ``levels`` and
-    ``critical_values``, and ``_replace`` starts a new, empty one.
-    :func:`validate_action` and :func:`flat_model` fill ``levels`` with the
-    levels they built (``_from_levels``), so those models never regroup.
     """
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: an ActionModel is immutable")
+    __slots__ = ()
 
-    @classmethod
-    def _from_levels(cls, levels, **fields) -> "ActionModel":
-        """The model whose components are those of ``levels``, (weight,
-        components) pairs in weight order, with ``levels`` as its cached
-        grouping, so that a builder that grouped them does not regroup."""
-        components = []
-        for _, level in levels:
-            components += level
-        model = cls(components=tuple(components), **fields)
-        vars(model)["levels"] = levels
-        return model
+    @property
+    def components(self) -> Tuple[FixedComponent, ...]:
+        return tuple([c for _, level in self.levels for c in level])
 
-    @cached_property
+    @property
     def critical_values(self) -> Tuple[Fraction, ...]:
         return tuple([a for a, _ in self.levels])
 
     @property
     def criticality(self) -> int:
-        return len(self.critical_values) - 1
+        return len(self.levels) - 1
 
     @property
     def bandwidth(self) -> Fraction:
-        return self.critical_values[-1]
-
-    @cached_property
-    def levels(self) -> Tuple[Tuple[Fraction, Tuple[FixedComponent, ...]], ...]:
-        # The components are sorted by weight, so a level is a run of equal
-        # exact weights.  The per-item path builds tuples from lists, not
-        # iterators: on CPython 3.11, tuple(<generator>) grows the
-        # interpreter's tuple free lists between full collections
-        # (tests/test_report_memory.py).
-        runs = [tuple(list(run)) for _, run in groupby(self.components, key=_weight_key)]
-        return tuple([(run[0].weight, run) for run in runs])
+        return self.levels[-1][0]
 
     def level_components(self, k: int) -> Tuple[FixedComponent, ...]:
         return self.levels[k][1]
 
     @property
     def sink(self) -> FixedComponent:
-        return self.level_components(0)[0]
+        return self.levels[0][1][0]
 
     @property
     def source(self) -> FixedComponent:
-        return self.level_components(self.criticality)[0]
+        return self.levels[-1][1][0]
 
     @property
     def inner_components(self) -> Tuple[FixedComponent, ...]:
-        return tuple([c for c in self.components if c.inner])
+        return tuple([c for _, level in self.levels[1:-1] for c in level])
 
     def origin_dims(self) -> Tuple[int, int]:
         """Extremal dims of the variety underlying a flat model."""
@@ -250,8 +230,9 @@ _UNIT_WEIGHTS = frozenset((-1, 0, 1))
 _ZERO = Fraction(0)
 
 
-def unit_tangent_weights(weights: Iterable[int]) -> bool:
-    """The equalization rule: every tangent weight is -1, 0 or 1."""
+def unit_weights(weights: Iterable[int]) -> bool:
+    """Every weight is -1, 0 or 1: the equalization rule on the tangent
+    weights of a component, and shortness of a grading's degrees."""
     return _UNIT_WEIGHTS.issuperset(weights)
 
 
@@ -335,8 +316,8 @@ def validate_action(
     sits at zero, the original minimum is kept as ``weight_offset`` metadata,
     and ``inner`` is set on the components strictly between sink and source.
     Each normalized component is built once, with its level's shifted weight
-    and inner flag, and the model keeps the levels that :func:`_check`
-    grouped as its ``levels``.  The shifted weights are computed from the
+    and inner flag, into the levels that :func:`_check` grouped, which the
+    model stores.  The shifted weights are computed from the
     levels' keys (:func:`shifted`).  Raises :class:`InvalidActionError`
     carrying the full list of violations otherwise.
     """
@@ -354,9 +335,9 @@ def validate_action(
         levels.append((weight, tuple([
             exact_component((c.name, weight, c.dim, c.nu_minus, c.nu_plus, inner)) for c in group
         ])))
-    return ActionModel._from_levels(
+    return ActionModel(
+        dim_x,
         tuple(levels),
-        dim_x=dim_x,
         equalized=equalized,
         equalization_source=equalization_source,
         weight_offset=sink[0].weight,
@@ -390,7 +371,7 @@ def is_equalized(
     for c in model.components:
         if c.name not in tangent_weights:
             raise UnknownComponentError(f"no tangent weights for component {c.name!r}")
-        if not unit_tangent_weights(tangent_weights[c.name]):
+        if not unit_weights(tangent_weights[c.name]):
             return False
     return True
 
@@ -436,9 +417,9 @@ def flat_model(
     dim = model.dim_x - 1
     sink = exact_component((names[0], _ZERO, dim, 0, 1, False))
     source = exact_component((names[1], bandwidth, dim, 1, 0, False))
-    return ActionModel._from_levels(
+    return ActionModel(
+        model.dim_x,
         ((_ZERO, (sink,)), *inner, (bandwidth, (source,))),
-        dim_x=model.dim_x,
         flat=True,
         equalized=model.equalized,
         equalization_source=model.equalization_source,

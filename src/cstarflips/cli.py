@@ -3,12 +3,13 @@
 ``analyze`` and ``export`` render here and in ``export``; the other commands
 are in ``views``, which only they import.
 
-Exit codes: 0 success, 2 validation failure, illegal Dynkin datum or an
-``--out`` path that cannot be opened, 3 parse/schema error, 4 verification
-mismatch between Lie-derived and expected components, 141 stdout closed by
-its reader before the output was written (as a shell reports for a program
-that SIGPIPE ended, e.g. ``cstarflips analyze ... | head -1``); the rest of
-the output is dropped without a message.
+Exit codes: 0 success, 2 validation failure, illegal Dynkin datum, or an
+``--out`` path or stdout that cannot be opened or written (one line on
+stderr: ``error: cannot write <path or stdout>: <reason>``), 3 parse/schema
+error, 4 verification mismatch between Lie-derived and expected components,
+141 stdout closed by its reader before the output was written (as a shell
+reports for a program that SIGPIPE ended, e.g. ``cstarflips analyze ... |
+head -1``); the rest of the output is dropped without a message.
 """
 
 from __future__ import annotations
@@ -63,15 +64,21 @@ def _pipeline(path: str, args) -> ReportBundle:
     )
 
 
-def _failure(exc: Exception) -> tuple[list[str], int]:
-    """The message lines and exit code of an error that ends a run or a file."""
+def _failure(exc: Exception, prefix: str = "", dest: str = "stdout") -> int:
+    """Print the message of an error that ends a run or a file on stderr,
+    after ``prefix``, and return its exit code.  An ``OSError`` is a failure
+    to open or write the output, ``dest``: a write error names no file."""
+    code = EXIT_VALIDATION
     if isinstance(exc, (SpecSyntaxError, SchemaError)):
-        return [f"parse error: {exc}"], EXIT_PARSE
-    if isinstance(exc, InvalidActionError):
-        return ["invalid:"] + [f"  {v.code}: {v.message}" for v in exc.violations], EXIT_VALIDATION
-    if isinstance(exc, OSError):
-        return [f"error: cannot write {exc.filename}: {exc.strerror}"], EXIT_VALIDATION
-    return [f"error: {exc}"], EXIT_VALIDATION
+        lines, code = [f"parse error: {exc}"], EXIT_PARSE
+    elif isinstance(exc, InvalidActionError):
+        lines = ["invalid:"] + [f"  {v.code}: {v.message}" for v in exc.violations]
+    elif isinstance(exc, OSError):
+        lines = [f"error: cannot write {dest}: {exc.strerror}"]
+    else:
+        lines = [f"error: {exc}"]
+    print(prefix + "\n".join(lines), file=sys.stderr)
+    return code
 
 
 def _run_per_spec(args, render) -> int:
@@ -81,7 +88,8 @@ def _run_per_spec(args, render) -> int:
     to ``--out`` (opened once, on the first spec rendered) or else to stdout.
     A file that fails to parse, validate or derive is reported on stderr and
     the loop goes on with the next file; the exit code is the worst over the
-    files.  An ``--out`` path that cannot be opened ends the run.
+    files.  An output that cannot be opened or written ends the run, in
+    :func:`main`.
     """
     out = getattr(args, "out", None)
     fh = None
@@ -91,17 +99,10 @@ def _run_per_spec(args, render) -> int:
             try:
                 bundle = _pipeline(path, args)
             except ActionError as exc:
-                lines, code = _failure(exc)
-                print(f"{path}: " + "\n".join(lines), file=sys.stderr)
-                worst = max(worst, code)
+                worst = max(worst, _failure(exc, f"{path}: "))
                 continue
-            if out and fh is None:
-                try:  # text as stdout writes it
-                    fh = open(out, "w", encoding="utf-8", errors="backslashreplace")
-                except OSError as exc:
-                    lines, code = _failure(exc)
-                    print("\n".join(lines), file=sys.stderr)
-                    return code
+            if out and fh is None:  # text as stdout writes it
+                fh = open(out, "w", encoding="utf-8", errors="backslashreplace")
             dest, payload = fh or sys.stdout, render(path, bundle)
             if isinstance(payload, bytes):
                 dest.buffer.write(payload)
@@ -214,6 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     # A name may hold characters that stdout cannot encode, such as a lone
     # surrogate (valid in a JSON string): print those as backslash escapes.
     if hasattr(sys.stdout, "reconfigure"):
@@ -222,14 +224,16 @@ def main(argv=None) -> int:
         try:
             code = args.func(args)
         except ActionError as exc:
-            lines, code = _failure(exc)
-            print("\n".join(lines), file=sys.stderr)
+            code = _failure(exc)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # Point stdout at devnull, so the flush at interpreter shutdown
-        # cannot raise again on what is still buffered.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_CLOSED_STDOUT
+    except OSError as exc:  # the output could not be opened or written
+        if out is None:
+            # Point stdout at devnull, so the flush at interpreter shutdown
+            # cannot raise again on what is still buffered.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return EXIT_CLOSED_STDOUT
+        code = _failure(exc, dest=out or "stdout")
     return code
 
 

@@ -45,10 +45,10 @@ from ..actions import (
     ActionError,
     FixedComponent,
     shown,
-    unit_tangent_weights,
+    unit_weights,
     validate_action,
 )
-from .roots import RootSystem, dominant_cocharacter, is_short_grading, weyl_order
+from .roots import RootSystem, dominant_cocharacter, weyl_order
 
 
 class IllegalRangeError(ActionError):
@@ -318,8 +318,8 @@ def build_action(
             components.append(FixedComponent(name, w, zeros, nu_minus=neg, nu_plus=pos))
             certificates[name] = cert
 
-    equalized = all(unit_tangent_weights(cert) for cert in certificates.values())
-    short = is_short_grading(root_pairings)
+    equalized = all(unit_weights(cert) for cert in certificates.values())
+    short = unit_weights(root_pairings)
     warnings = [] if short else ["GradingNotShort: grading support exceeds {-1, 0, 1}"]
     model = validate_action(
         components,

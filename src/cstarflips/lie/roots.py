@@ -22,9 +22,9 @@ from __future__ import annotations
 import functools
 import math
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
-from ..actions import ActionError, shown
+from ..actions import ActionError, shown, unit_weights
 
 POSITIVE_ROOT_COUNTS = {
     "A": lambda n: n * (n + 1) // 2,
@@ -296,11 +296,6 @@ def dominant_cocharacter(datum: RootSystem, cocharacter: Sequence[int]) -> Tuple
     return tuple(n)
 
 
-def is_short_grading(degrees: Iterable[int]) -> bool:
-    """A grading is short when every degree it takes is -1, 0 or 1."""
-    return max(map(abs, degrees), default=0) <= 1
-
-
 class GradingSpec(NamedTuple):
     """Dimensions of the graded pieces induced by a cocharacter."""
 
@@ -309,7 +304,7 @@ class GradingSpec(NamedTuple):
 
     @property
     def is_short(self) -> bool:
-        return is_short_grading([m for m, _ in self.graded_dims])
+        return unit_weights([m for m, _ in self.graded_dims])
 
     def dim(self, m: int) -> int:
         for degree, d in self.graded_dims:

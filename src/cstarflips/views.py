@@ -12,7 +12,7 @@ import sys
 from . import chambers as ch
 from . import modifications as md
 from .actions import ActionError, shown
-from .cli import EXIT_OK, EXIT_PARSE, EXIT_VERIFICATION
+from .cli import EXIT_OK, EXIT_VERIFICATION
 from .specfiles import TOO_BIG, SchemaError, expect_int
 
 
@@ -77,9 +77,8 @@ def dynkin(args) -> int:
     try:
         cochar = tuple([int(x) for x in texts]) or None
     except ValueError:
-        print(f"error: --cochar takes comma separated integers, got {shown(repr(args.cochar))}",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise SchemaError("--cochar", "expected comma separated integers, got "
+                          + shown(repr(args.cochar))) from None
     for k, n in enumerate(cochar or ()):
         expect_int(n, f"--cochar[{k}]")
     datum = build_root_system(args.type, args.rank)

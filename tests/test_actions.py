@@ -292,22 +292,58 @@ class TestOrderAndShift:
         assert elapsed < 1.0
 
 
-class TestLevelIndex:
-    def test_computed_once(self, gr24):
-        assert gr24.levels is gr24.levels
-        assert gr24.critical_values is gr24.critical_values
+def with_chambers(model):
+    """``model``, its blowup and the X(i, j) of every chamber of the blowup."""
+    flat = blowup_extremal(model)
+    return [model, flat, *[induced_action(flat, pair) for pair in chamber_pairs(flat)]]
 
-    def test_replace_starts_a_fresh_index(self, gr24):
-        assert len(gr24.levels) == 3
-        shorter = gr24._replace(components=gr24.components[:2])
-        assert shorter.critical_values == gr24.critical_values[:2]
-        assert len(shorter.levels) == 2
+
+class TestLevelIndex:
+    """A model is its levels: every other view of its components is read
+    from them, on validated models, their blowups and every X(i, j)."""
+
+    @given(action_models())
+    def test_critical_values_increase_from_zero(self, model):
+        for m in with_chambers(model):
+            a = m.critical_values
+            assert a[0] == 0
+            assert all(x < y for x, y in zip(a, a[1:]))
+
+    @given(action_models())
+    def test_each_level_carries_its_weight_sorted_by_name(self, model):
+        for m in with_chambers(model):
+            r = m.criticality
+            for k, (a, level) in enumerate(m.levels):
+                assert level
+                assert all(c.weight == a and c.inner == (0 < k < r) for c in level)
+                names = [c.name for c in level]
+                assert names == sorted(names)
+
+    @given(action_models())
+    def test_views_agree_with_the_levels(self, model):
+        for m in with_chambers(model):
+            levels = m.levels
+            assert m.components == tuple(c for _, level in levels for c in level)
+            assert m.critical_values == tuple(a for a, _ in levels)
+            assert m.criticality == len(levels) - 1
+            assert m.bandwidth == levels[-1][0]
+            assert ((m.sink,), (m.source,)) == (levels[0][1], levels[-1][1])
+            assert m.inner_components == tuple(c for _, level in levels[1:-1] for c in level)
 
     @given(action_models())
     def test_level_components_match_filter(self, model):
         for m in (model, blowup_extremal(model)):
             for k, a in enumerate(m.critical_values):
                 assert m.level_components(k) == tuple(c for c in m.components if c.weight == a)
+
+    @given(action_models())
+    def test_no_attribute_can_be_assigned(self, model):
+        derived = ("components", "critical_values", "criticality", "bandwidth", "sink",
+                   "source", "inner_components", "cache")
+        for m in with_chambers(model):
+            for name in m._fields + derived:
+                with pytest.raises(AttributeError):
+                    setattr(m, name, None)
 
 
 class TestBandwidthCriticality:

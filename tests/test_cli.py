@@ -4,6 +4,7 @@ its reader closes early, names that UTF-8 cannot encode, the modules a cold
 call imports, and generated hostile spec files."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -194,7 +195,9 @@ class TestArguments:
         assert main(["dynkin", "A", "3", "--node", "1", "--cochar", "1,x"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --cochar takes comma separated integers, got '1,x'\n"
+        assert captured.err == (
+            "parse error: --cochar: expected comma separated integers, got '1,x'\n"
+        )
 
     def test_dynkin_node_needs_a_cocharacter(self, capsys):
         assert main(["dynkin", "A", "3", "--node", "1"]) == 2
@@ -339,6 +342,37 @@ class TestClosedStdout:
         assert proc.wait(timeout=120) == EXIT_CLOSED_STDOUT
         assert first == b"== synthetic-bordism-r3 ==\n"
         assert err == b""
+
+
+FULL = "/dev/full"
+NO_SPACE = os.strerror(errno.ENOSPC)  # what every write to the full device fails with
+
+
+@pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL}")
+class TestWriteFailure:
+    """An output that fails to take the bytes ends the run with exit code 2
+    and one line on stderr that names it, not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["analyze", "--format", "json"],
+        ["export", "--format", "svg"], ["export", "--format", "dot"],
+    ], ids=" ".join)
+    def test_out_path(self, command, capsys):
+        assert main([*command, BORDISM, "--out", FULL]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {FULL}: {NO_SPACE}\n"
+
+    @pytest.mark.parametrize("command", [["dynkin", "A", "3"], ["chambers", BORDISM]],
+                             ids=["dynkin", "chambers"])
+    def test_stdout(self, command):
+        """Run in a child whose stdout is the full device, so that the flush
+        at interpreter shutdown is checked too."""
+        with open(FULL, "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "cstarflips", *command],
+                                  env=_child_env(), stdout=full, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {NO_SPACE}\n")
 
 
 SPEC_COMMANDS = (
@@ -578,7 +612,9 @@ class TestIntegerBound:
         assert main(["dynkin", "A", "3", "--node", "2", "--cochar", "1," + "x" * 100_000]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --cochar takes comma separated integers, got ")
+        assert captured.err.startswith(
+            "parse error: --cochar: expected comma separated integers, got "
+        )
         assert captured.err.count("\n") == 1 and len(captured.err) < 120
 
 

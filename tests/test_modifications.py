@@ -43,12 +43,12 @@ class TestInducedAction:
             if (0, r) not in chamber_pairs(flat):
                 continue
             renamed = (
-                flat.sink._replace(name="GX(0,1)"),
-                *flat.inner_components,
-                flat.source._replace(name=f"GX({r - 1},{r})"),
+                (flat.critical_values[0], (flat.sink._replace(name="GX(0,1)"),)),
+                *flat.levels[1:-1],
+                (flat.bandwidth, (flat.source._replace(name=f"GX({r - 1},{r})"),)),
             )
             assert induced_action(flat, (0, r)) == flat._replace(
-                components=renamed, weight_offset=0
+                levels=renamed, weight_offset=0
             )
 
     def test_r2_bordism_corner(self, bordism_r2_flat):

@@ -108,8 +108,8 @@ def test_report_agrees_with_the_views(case, data):
                                         case=case))
         odd = data.draw(st.text(st.sampled_from(ODD_NAME), max_size=4)
                         | st.lists(st.sampled_from(FORMAT_PIECES), max_size=4).map("".join))
-    model = model._replace(components=tuple(
-        [c._replace(name=c.name + odd) for c in model.components]
+    model = model._replace(levels=tuple(
+        [(a, tuple([c._replace(name=c.name + odd) for c in level])) for a, level in model.levels]
     ))
     bundle = run_pipeline(parse_spec_dict(_model_spec(case + odd, model)))
     views = _view_sections(blowup_extremal(model))
