@@ -140,18 +140,7 @@ class FixedComponent(_FixedComponent):
 exact_component = partial(tuple.__new__, FixedComponent)
 
 
-class _ActionModel(NamedTuple):
-    dim_x: int
-    levels: Tuple[Tuple[Fraction, Tuple[FixedComponent, ...]], ...]
-    flat: bool = False
-    equalized: bool = True
-    equalization_source: str = "declared"
-    sink_origin_dim: int | None = None
-    source_origin_dim: int | None = None
-    weight_offset: Fraction = Fraction(0)
-
-
-class ActionModel(_ActionModel):
+class ActionModel(NamedTuple):
     """A validated action: its ``levels``, the (critical value, components)
     pairs in increasing weight, each level's components sorted by name.
     ``components``, the critical values and the extremes are read from them.
@@ -163,7 +152,14 @@ class ActionModel(_ActionModel):
     which drive the chamber bookkeeping downstream.
     """
 
-    __slots__ = ()
+    dim_x: int
+    levels: Tuple[Tuple[Fraction, Tuple[FixedComponent, ...]], ...]
+    flat: bool = False
+    equalized: bool = True
+    equalization_source: str = "declared"
+    sink_origin_dim: int | None = None
+    source_origin_dim: int | None = None
+    weight_offset: Fraction = Fraction(0)
 
     @property
     def components(self) -> Tuple[FixedComponent, ...]:
@@ -435,17 +431,17 @@ def blowup_extremal(model: ActionModel) -> ActionModel:
     The extremal components are replaced by divisors carrying one normal
     direction toward the interior; the inner levels are reused as they are
     and the original extremal dims are recorded.  Blowing up a divisor
-    changes nothing, so a B-type input comes back with the same components,
-    marked flat, its own extremal dims recorded as the origin dims.
+    changes nothing, so a B-type input comes back with the same components
+    under their own names, marked flat, its own extremal dims recorded as
+    the origin dims.
     """
     if model.flat:
         raise AlreadyFlatError("model already has divisorial sink and source")
     sink, source = model.sink, model.source
-    if is_btype(model):
-        return model._replace(flat=True, sink_origin_dim=sink.dim, source_origin_dim=source.dim)
+    suffix = "" if is_btype(model) else "_flat"
     return flat_model(
         model,
-        (f"{sink.name}_flat", f"{source.name}_flat"),
+        (sink.name + suffix, source.name + suffix),
         model.levels[1:-1],
         model.bandwidth,
         (sink.dim, source.dim),

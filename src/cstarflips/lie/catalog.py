@@ -9,8 +9,12 @@ Three tables of varieties with equalized circle actions of Picard number one:
   Severi varieties.
 
 Rows of the last two tables carry enough Lie data for the fixed-point engine
-to recompute the level structure; ``verify_row`` compares level counts,
-weights and component dimensions against the label dimensions.
+to recompute the level structure.  A row (``GradedRow``) states its table,
+family, type, marked node and note once, and a function of the rank gives
+the rest: the grading nodes and the extremal and inner factors.  Its
+``RowInstance`` at a rank expects the weights ``0, 1, ..., table``, one per
+level; ``verify_row`` compares level counts, weights and component
+dimensions against the label dimensions.
 """
 
 from __future__ import annotations
@@ -77,21 +81,28 @@ class RowInstance(NamedTuple):
 
 
 class GradedRow(NamedTuple):
-    """A table row; parametric families instantiate at a chosen rank."""
+    """A table row; parametric families instantiate at a chosen rank, fixed
+    ones at ``min_rank``."""
 
     table: int
     family: str
+    dynkin_type: str
+    marked_node: int
     parameter: Optional[str]
     min_rank: int
-    make: Callable[[int], RowInstance]
+    make: Callable[[int], tuple]  # rank -> (grading nodes, extremal, inner factors)
     note: str = ""
 
     def instantiate(self, rank: Optional[int] = None) -> RowInstance:
         if self.parameter is None:
-            return self.make(self.min_rank)
-        if rank is None or rank < self.min_rank:
+            rank = self.min_rank
+        elif rank is None or rank < self.min_rank:
             raise ValueError(f"{self.family}: rank must be >= {self.min_rank}")
-        return self.make(rank)
+        nodes, extremal, inner = self.make(rank)
+        return RowInstance(
+            self.table, self.family, self.dynkin_type, rank, self.marked_node, nodes,
+            extremal, inner, tuple(range(self.table + 1)), self.note,
+        )
 
 
 def table1_rows() -> Tuple[HorosphericalRow, ...]:
@@ -110,45 +121,24 @@ def table1_rows() -> Tuple[HorosphericalRow, ...]:
 def table2_rows() -> Tuple[GradedRow, ...]:
     """Adjoint varieties with an equalized action of bandwidth two."""
     return (
-        GradedRow(
-            2, "B_m(2)", "m", 3,
-            lambda m: RowInstance(
-                2, "B_m(2)", "B", m, 2, (1,),
-                (Factor("B", m - 1, (1,)),), (Factor("B", m - 1, (2,)),), (0, 1, 2),
-            ),
-        ),
-        GradedRow(
-            2, "D_m(2) [node 1]", "m", 4,
-            # at m = 4 the inner component is the adjoint variety of D_3 = A_3,
-            # i.e. the flag A_3(1,3); the D_{m-1}(2) label only applies for m >= 5
-            lambda m: RowInstance(
-                2, "D_m(2) [node 1]", "D", m, 2, (1,),
-                (Factor("D", m - 1, (1,)),),
-                (Factor("A", 3, (1, 3)),) if m == 4 else (Factor("D", m - 1, (2,)),),
-                (0, 1, 2),
-            ),
-        ),
-        GradedRow(
-            2, "D_m(2) [nodes m-1, m]", "m", 4,
-            lambda m: RowInstance(
-                2, "D_m(2) [nodes m-1, m]", "D", m, 2, (m - 1, m),
-                (Factor("A", m - 1, (2,)),), (Factor("A", m - 1, (1, m - 1)),), (0, 1, 2),
-            ),
-        ),
-        GradedRow(
-            2, "E_6(2)", None, 6,
-            lambda m: RowInstance(
-                2, "E_6(2)", "E", 6, 2, (1, 6),
-                (Factor("D", 5, (5,)),), (Factor("D", 5, (2,)),), (0, 1, 2),
-            ),
-        ),
-        GradedRow(
-            2, "E_7(1)", None, 7,
-            lambda m: RowInstance(
-                2, "E_7(1)", "E", 7, 1, (7,),
-                (Factor("E", 6, (1,)),), (Factor("E", 6, (2,)),), (0, 1, 2),
-            ),
-        ),
+        GradedRow(2, "B_m(2)", "B", 2, "m", 3, lambda m: (
+            (1,), (Factor("B", m - 1, (1,)),), (Factor("B", m - 1, (2,)),),
+        )),
+        # at m = 4 the inner component is the adjoint variety of D_3 = A_3,
+        # i.e. the flag A_3(1,3); the D_{m-1}(2) label only applies for m >= 5
+        GradedRow(2, "D_m(2) [node 1]", "D", 2, "m", 4, lambda m: (
+            (1,), (Factor("D", m - 1, (1,)),),
+            (Factor("A", 3, (1, 3)),) if m == 4 else (Factor("D", m - 1, (2,)),),
+        )),
+        GradedRow(2, "D_m(2) [nodes m-1, m]", "D", 2, "m", 4, lambda m: (
+            (m - 1, m), (Factor("A", m - 1, (2,)),), (Factor("A", m - 1, (1, m - 1)),),
+        )),
+        GradedRow(2, "E_6(2)", "E", 2, None, 6, lambda m: (
+            (1, 6), (Factor("D", 5, (5,)),), (Factor("D", 5, (2,)),),
+        )),
+        GradedRow(2, "E_7(1)", "E", 1, None, 7, lambda m: (
+            (7,), (Factor("E", 6, (1,)),), (Factor("E", 6, (2,)),),
+        )),
     )
 
 
@@ -156,36 +146,14 @@ def table3_rows() -> Tuple[GradedRow, ...]:
     """Bandwidth three with isolated extremal fixed points; inner components
     are the Severi varieties."""
     return (
-        GradedRow(
-            3, "C_3(3)", None, 3,
-            lambda m: RowInstance(
-                3, "C_3(3)", "C", 3, 3, (3,),
-                (), (Factor("A", 2, (1,), veronese=True),), (0, 1, 2, 3),
-            ),
-        ),
-        GradedRow(
-            3, "A_5(3)", None, 5,
-            lambda m: RowInstance(
-                3, "A_5(3)", "A", 5, 3, (3,),
-                (), (Factor("A", 2, (1,)), Factor("A", 2, (2,))), (0, 1, 2, 3),
-                note="printed as A_3(3) in the source table",
-            ),
-            note="printed as A_3(3) in the source table",
-        ),
-        GradedRow(
-            3, "D_6(6)", None, 6,
-            lambda m: RowInstance(
-                3, "D_6(6)", "D", 6, 6, (6,),
-                (), (Factor("A", 5, (2,)),), (0, 1, 2, 3),
-            ),
-        ),
-        GradedRow(
-            3, "E_7(7)", None, 7,
-            lambda m: RowInstance(
-                3, "E_7(7)", "E", 7, 7, (7,),
-                (), (Factor("E", 6, (1,)),), (0, 1, 2, 3),
-            ),
-        ),
+        GradedRow(3, "C_3(3)", "C", 3, None, 3, lambda m: (
+            (3,), (), (Factor("A", 2, (1,), veronese=True),),
+        )),
+        GradedRow(3, "A_5(3)", "A", 3, None, 5, lambda m: (
+            (3,), (), (Factor("A", 2, (1,)), Factor("A", 2, (2,))),
+        ), note="printed as A_3(3) in the source table"),
+        GradedRow(3, "D_6(6)", "D", 6, None, 6, lambda m: ((6,), (), (Factor("A", 5, (2,)),))),
+        GradedRow(3, "E_7(7)", "E", 7, None, 7, lambda m: ((7,), (), (Factor("E", 6, (1,)),))),
     )
 
 

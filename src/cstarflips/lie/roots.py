@@ -4,9 +4,10 @@ Each type's Cartan matrix is written from its Dynkin diagram (Bourbaki
 numbering), and the relative root lengths follow from it by symmetrizing.
 The positive roots are generated from the matrix alone, by closing the
 simple roots under the simple reflections in simple-root coordinates, and
-kept in the ``RootSystem``; a negative root is the negation of a positive
-one and is not stored.  Everything downstream only needs two integer
-pairings:
+kept in the ``RootSystem``, a named tuple that ``build_root_system`` makes
+once per type and rank with every table derived from them, its columns
+included; a negative root is the negation of a positive one and is not
+stored.  Everything downstream only needs two integer pairings:
 
 * the pairing of a weight, written in Dynkin labels, with a coroot, and
 * the pairing of a root with an integral cocharacter written in the basis
@@ -26,29 +27,21 @@ from typing import NamedTuple, Sequence, Tuple
 
 from ..actions import ActionError, shown, unit_weights
 
+# Per type, the number of positive roots at each rank, and None at the ranks
+# that the type does not take: one table for the legal data and their counts.
 POSITIVE_ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": {6: 36, 7: 63, 8: 120},
-    "F": {4: 24},
-    "G": {2: 6},
+    "A": lambda n: n * (n + 1) // 2 if n >= 1 else None,
+    "B": lambda n: n * n if n >= 2 else None,
+    "C": lambda n: n * n if n >= 2 else None,
+    "D": lambda n: n * (n - 1) if n >= 3 else None,
+    "E": {6: 36, 7: 63, 8: 120}.get,
+    "F": {4: 24}.get,
+    "G": {2: 6}.get,
 }
 
 # Largest rank accepted.  The positive roots cost O(rank) each: 13-14 ms for
 # B_32, C_32 and D_32 in a cold process on a 2-core Xeon VM.
 MAX_RANK = 32
-
-_LEGAL_RANKS = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 2,
-    "C": lambda n: n >= 2,
-    "D": lambda n: n >= 3,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
-}
 
 
 class IllegalTypeError(ActionError):
@@ -144,9 +137,10 @@ def _root_table(cartan: Sequence[Sequence[int]], n_positive: int) -> tuple:
     return tuple(coords), tuple(labels), tuple(coroots)
 
 
-class RootSystem:
+class RootSystem(NamedTuple):
     """A root system: its type, its Cartan matrix and its positive roots,
-    generated from that matrix.
+    generated from that matrix.  Only :func:`build_root_system` makes one,
+    once per type and rank.
 
     The roots are integer data by index: ``0 .. n_positive - 1`` are the
     positive roots by height, the simple root ``alpha_k`` at index ``k``.
@@ -156,43 +150,29 @@ class RootSystem:
     positive one in all three and has no entry of its own.  Weights are
     written as Dynkin labels too, so every pairing is an integer sum.
 
-    A root system is immutable.  Equality and hashing look at the type, the
-    rank and the Cartan matrix only: the root tables follow from them.
+    The hash reads the type and the rank only, which fix every table.
     """
 
-    def __init__(
-        self,
-        dynkin_type: str,
-        rank: int,
-        cartan_matrix: Tuple[Tuple[int, ...], ...],  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
-        coords: Tuple[Tuple[int, ...], ...],
-        labels: Tuple[Tuple[int, ...], ...],
-        coroots: Tuple[Tuple[int, ...], ...],
-    ):
-        # written to the instance dict, which also holds the cached properties
-        # and the hash, which every memoized lookup by root system reads
-        vars(self).update(
-            dynkin_type=dynkin_type, rank=rank, cartan_matrix=cartan_matrix,
-            coords=coords, labels=labels, coroots=coroots,
-            _hash=hash((dynkin_type, rank, cartan_matrix)),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a RootSystem is immutable")
-
-    def _key(self):
-        return (self.dynkin_type, self.rank, self.cartan_matrix)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+    dynkin_type: str
+    rank: int
+    cartan_matrix: Tuple[Tuple[int, ...], ...]  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
+    coords: Tuple[Tuple[int, ...], ...]
+    labels: Tuple[Tuple[int, ...], ...]
+    coroots: Tuple[Tuple[int, ...], ...]
+    # coroot_columns[i][r]: the i-th coordinate of the coroot of positive root r
+    coroot_columns: Tuple[Tuple[int, ...], ...]
+    # cartan_columns[j]: the pairs (i, <alpha_j, alpha_i^vee>) with a nonzero
+    # entry, column j of the Cartan matrix
+    cartan_columns: Tuple[Tuple[Tuple[int, int], ...], ...]
+    # per positive root, its height and its support: the bitmask of the nodes
+    # where its simple-root coordinates are nonzero
+    supports: Tuple[Tuple[int, int], ...]
 
     def __hash__(self):
-        return self._hash
+        return hash((self.dynkin_type, self.rank))
 
     def __repr__(self):
-        return "RootSystem(dynkin_type=%r, rank=%r, cartan_matrix=%r)" % self._key()
+        return f"build_root_system({self.dynkin_type!r}, {self.rank})"
 
     @property
     def name(self) -> str:
@@ -205,27 +185,6 @@ class RootSystem:
     @property
     def dim_lie_algebra(self) -> int:
         return self.rank + 2 * self.n_positive
-
-    @functools.cached_property
-    def coroot_columns(self) -> Tuple[Tuple[int, ...], ...]:
-        """``coroot_columns[i][r]``: the i-th coordinate of the coroot of
-        positive root ``r``."""
-        return tuple(zip(*self.coroots))
-
-    @functools.cached_property
-    def cartan_columns(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        """``cartan_columns[j]``: the pairs ``(i, <alpha_j, alpha_i^vee>)``
-        with a nonzero entry, column ``j`` of the Cartan matrix."""
-        return tuple([
-            tuple([(i, row[j]) for i, row in enumerate(self.cartan_matrix) if row[j]])
-            for j in range(self.rank)
-        ])
-
-    @functools.cached_property
-    def supports(self) -> Tuple[Tuple[int, int], ...]:
-        """Per positive root, its height and its support: the bitmask of
-        the nodes where its simple-root coordinates are nonzero."""
-        return tuple([(sum(c), sum([1 << k for k, x in enumerate(c) if x])) for c in self.coords])
 
     def _check_cocharacter(self, cocharacter: Sequence[int]) -> None:
         if len(cocharacter) != self.rank:
@@ -248,17 +207,23 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
     datum = f"{shown(dynkin_type)}_{shown(str(rank))}"
     if rank > MAX_RANK:
         raise IllegalTypeError(f"illegal Dynkin datum {datum}: rank above {MAX_RANK}")
-    if t not in _LEGAL_RANKS or not _LEGAL_RANKS[t](rank):
+    expected = POSITIVE_ROOT_COUNTS[t](rank) if t in POSITIVE_ROOT_COUNTS else None
+    if expected is None:
         raise IllegalTypeError(f"illegal Dynkin datum {datum}")
     cartan = _cartan_matrix(t, rank)
-    expected = POSITIVE_ROOT_COUNTS[t]
-    expected_n = expected[rank] if isinstance(expected, dict) else expected(rank)
-    coords, labels, coroots = _root_table(cartan, expected_n)
-    if len(coords) != expected_n:  # pragma: no cover
+    coords, labels, coroots = _root_table(cartan, expected)
+    if len(coords) != expected:  # pragma: no cover
         raise IllegalTypeError(
-            f"{t}_{rank}: generated {len(coords)} positive roots, expected {expected_n}"
+            f"{t}_{rank}: generated {len(coords)} positive roots, expected {expected}"
         )
-    return RootSystem(t, rank, cartan, coords=coords, labels=labels, coroots=coroots)
+    return RootSystem(
+        t, rank, cartan, coords, labels, coroots,
+        coroot_columns=tuple(zip(*coroots)),
+        cartan_columns=tuple([
+            tuple([(i, row[j]) for i, row in enumerate(cartan) if row[j]]) for j in range(rank)
+        ]),
+        supports=tuple([(sum(c), sum([1 << k for k, x in enumerate(c) if x])) for c in coords]),
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -190,8 +190,6 @@ def _flip_center(c, center_dim: int, flipped_dim: int) -> FlipCenter:
 
 
 class QuotientNode(NamedTuple):
-    kind: str  # "geometric" | "semigeometric"
-    indices: Tuple[int, int]
     dim: int
     label: str
     identity: str | None = None  # extremal semigeometric nodes are the fixed components
@@ -215,15 +213,11 @@ def quotient_diagram(model: ActionModel) -> QuotientDiagram:
     """
     r = model.criticality
     sink_dim, source_dim = model.origin_dims()
-    geometric = tuple([
-        QuotientNode("geometric", (i, i + 1), model.dim_x - 1, f"GX({i},{i + 1})")
-        for i in range(r)
-    ])
+    geometric = tuple([QuotientNode(model.dim_x - 1, f"GX({i},{i + 1})") for i in range(r)])
     semi = (
-        QuotientNode("semigeometric", (0, 0), sink_dim, "GX(0,0)", identity="Y_0"),
-        *[QuotientNode("semigeometric", (i, i), model.dim_x - 1, f"GX({i},{i})")
-          for i in range(1, r)],
-        QuotientNode("semigeometric", (r, r), source_dim, f"GX({r},{r})", identity=f"Y_{r}"),
+        QuotientNode(sink_dim, "GX(0,0)", identity="Y_0"),
+        *[QuotientNode(model.dim_x - 1, f"GX({i},{i})") for i in range(1, r)],
+        QuotientNode(source_dim, f"GX({r},{r})", identity=f"Y_{r}"),
     )
     dashed = tuple([(geometric[i].label, geometric[i + 1].label) for i in range(r - 1)])
     diagonal = []

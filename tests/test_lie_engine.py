@@ -436,6 +436,46 @@ def test_cocharacter_of_the_wrong_length(cochar):
 
 
 # --------------------------------------------------------------------------
+# Equalized exactly when short
+# --------------------------------------------------------------------------
+
+# Cap on the fixed points of the varieties below, which leaves out the E8
+# varieties of more than 20,000 points.
+EQUALIZED_CAP = 20_000
+
+
+def assert_equalized_iff_short(dynkin_type, rank, node, cochar):
+    """The action on the variety marked at ``node`` is equalized just when
+    the grading is short.  The highest root and the highest short root lie
+    in the unipotent radical of P, so the Weyl group moves the tangent roots
+    at the fixed points onto every root: every root pairing is a tangent
+    weight somewhere.  A variety above the cap is left out."""
+    datum = build_root_system(dynkin_type, rank)
+    try:
+        res = build_action(HomogeneousSpace(datum, node), cochar, max_cosets=EQUALIZED_CAP)
+    except CosetLimitError:
+        return
+    assert res.equalized == grading(datum, cochar).is_short, (dynkin_type, rank, node, cochar)
+
+
+@pytest.mark.parametrize("dynkin_type,rank", SPACES + [("E", 7), ("E", 8)])
+def test_equalized_exactly_when_short_at_fundamental_cocharacters(dynkin_type, rank):
+    for node in range(1, rank + 1):
+        for k in range(1, rank + 1):
+            assert_equalized_iff_short(dynkin_type, rank, node, fundamental_cocharacter(rank, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gradings(), st.integers(1, 8))
+def test_equalized_exactly_when_short(case, node):
+    """Over cocharacters with entries in [-2, 2]; the zero one gives no
+    action."""
+    dynkin_type, rank, cochar = case
+    if any(cochar):
+        assert_equalized_iff_short(dynkin_type, rank, 1 + (node - 1) % rank, cochar)
+
+
+# --------------------------------------------------------------------------
 # The component walk
 # --------------------------------------------------------------------------
 

@@ -8,7 +8,8 @@ the shipped specs, the criterion-11 random corpus, the four extremal cases
 at two criticalities, rational chains at three more, an input whose
 extremes are already divisors, and Lie specs whose listed components
 disagree with the derived ones (which pins the wording of the verification
-failures).
+failures).  The stdout of every spec command over those inputs, and of the
+Lie commands ``catalog`` and ``dynkin`` on a few data, is pinned the same way.
 """
 
 import hashlib
@@ -254,3 +255,28 @@ def test_command_output_is_pinned(spec_dir, monkeypatch, capsysbinary, command):
     captured = capsysbinary.readouterr()
     assert captured.err == b""
     assert hashlib.sha256(captured.out).hexdigest() == COMMAND_GOLDEN[command]
+
+
+# The stdout bytes of the Lie commands, which read no spec file.
+LIE_COMMAND_GOLDEN = {
+    "catalog": "15956c7ddb9287010fbe89656eec9dcb81ccd3832473e6bcc40c610da8061001",
+    "catalog --verify --max-rank 32":
+        "dba906926ec2292d9640189e0fb723ff3cd08a33b8556c955b5eb823beb71488",
+    "dynkin A 3": "7c858c5669f3454e74f4b823b17c23688ee592e6121b77f03c6d81a6e25774ad",
+    "dynkin C 32": "38c1635ed58ec1538edd32626cf9d5e173048beeba35f0673714026e23ddbb8d",
+    "dynkin E 7 --node 1 --cochar-node 7":
+        "cd4d53e4e7c42fc72114809bae587878aaa206388ff2702d19597c127d0687b2",
+    "dynkin C 5 --node 2 --cochar 1,-1,0,2,0":
+        "fe0b842de7ab7ddbea048eeb57ca5f6cf9fa555fe99af81a1b53305200331c62",
+    "dynkin G 2 --node 1 --cochar-node 2":
+        "0a71e5f0df4d94ff55d325511640dd042ac865252b09a75f0c799a102e45ae9d",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIE_COMMAND_GOLDEN))
+def test_lie_command_output_is_pinned(capsysbinary, command):
+    """Exit 0, nothing on stderr, pinned stdout."""
+    assert main(command.split()) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    assert hashlib.sha256(captured.out).hexdigest() == LIE_COMMAND_GOLDEN[command]
