@@ -35,6 +35,7 @@ the whole derivation is integer sums and lookups.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, NamedTuple, Sequence, Tuple
@@ -43,12 +44,12 @@ from ..actions import (
     DEFAULT_MAX_COSETS,
     ActionModel,
     ActionError,
-    FixedComponent,
+    exact_component,
     shown,
     unit_weights,
     validate_action,
 )
-from .roots import RootSystem, dominant_cocharacter, weyl_order
+from .roots import RootSystem, column_sum, dominant_cocharacter, reflect_to_dominant, weyl_order
 
 
 class IllegalRangeError(ActionError):
@@ -108,12 +109,14 @@ class HomogeneousSpace(_HomogeneousSpace):
 
 def homogeneous_dim(datum: RootSystem, nodes: Sequence[int]) -> int:
     """Dimension of the flag variety marked at the given (1-based) nodes: the
-    number of positive roots with a nonzero coordinate at a marked node."""
+    number of positive roots with a nonzero coordinate at a marked node,
+    none of which is negative: the nonzero entries of those columns' sum."""
+    marked = [0] * datum.rank
     for n in nodes:
         if not 1 <= n <= datum.rank:
             raise IllegalRangeError(f"node {shown(str(n))} outside 1..{datum.rank}")
-    # column by column, since this runs once per derived action
-    return sum(map(any, zip(*([c[n - 1] for c in datum.coords] for n in nodes))))
+        marked[n - 1] = 1
+    return datum.n_positive - column_sum(marked, datum.coord_columns).count(0)
 
 
 class _Levi:
@@ -132,21 +135,9 @@ class _Levi:
 
     def dominant(self, mu: Sequence[int]) -> Tuple[int, ...]:
         """The L-dominant weight in the W_L-orbit of ``mu``, reached by
-        reflecting in simple roots ``alpha_j`` of L with ``mu_j < 0``."""
-        mu = list(mu)
-        columns, in_levi = self.datum.cartan_columns, self._in_levi
-        stack = [j for j in self.simple if mu[j] < 0]
-        while stack:
-            j = stack.pop()
-            x = mu[j]
-            if x >= 0:
-                continue
-            # s_j(mu) = mu - mu_j alpha_j
-            for i, c in columns[j]:
-                mu[i] -= x * c
-                if mu[i] < 0 and in_levi[i]:
-                    stack.append(i)
-        return tuple(mu)
+        reflecting in simple roots ``alpha_j`` of L with ``mu_j < 0``:
+        ``s_j(mu) = mu - mu_j alpha_j`` reads column ``j``."""
+        return reflect_to_dominant(mu, self.datum.cartan_columns, self._in_levi)
 
     def walk(self, node: int, total: int) -> list[tuple]:
         """One weight per fixed component of the variety marked at ``node``,
@@ -185,10 +176,7 @@ class _Levi:
         n = datum.n_positive
 
         def component(mu, level) -> tuple:
-            acc = [0] * n
-            for m, col in zip(mu, columns):
-                if m:
-                    acc = [a + m * c for a, c in zip(acc, col)]
+            acc = column_sum(mu, columns)
             # steps away from the fundamental weight first, lowest root
             # first, then steps back toward it, highest root first
             scan = [(r, p) for r, p in enumerate(acc) if p > 0]
@@ -311,11 +299,11 @@ def build_action(
     records.sort()
     components = []
     certificates: Dict[str, Tuple[int, ...]] = {}
-    for k, (_, group) in enumerate(groupby(records, key=itemgetter(0))):
-        at_level = list(group)
-        for idx, (w, zeros, pos, neg, cert, _points) in enumerate(at_level):
+    for k, (w, group) in enumerate(groupby(records, key=itemgetter(0))):
+        at_level, weight = list(group), Fraction(w)
+        for idx, (_, zeros, pos, neg, cert, _points) in enumerate(at_level):
             name = f"Y{k}{_suffix(idx, len(at_level))}"
-            components.append(FixedComponent(name, w, zeros, nu_minus=neg, nu_plus=pos))
+            components.append(exact_component((name, weight, zeros, neg, pos, False)))
             certificates[name] = cert
 
     equalized = all(unit_weights(cert) for cert in certificates.values())

@@ -14,8 +14,10 @@ stored.  Everything downstream only needs two integer pairings:
   of fundamental coweights, which is just the cocharacter-weighted sum of
   its simple-root coordinates.
 
-The order of the Weyl group of any subdiagram follows from the same table,
-as a product over the heights of the positive roots supported on it.
+Each is a sum of columns by node over every positive root at once.  One
+reflection loop makes a cocharacter dominant through the rows of the Cartan
+matrix, and a weight through its columns.  The order of the Weyl group of
+any subdiagram is a product over the heights of the roots supported on it.
 """
 
 from __future__ import annotations
@@ -159,10 +161,11 @@ class RootSystem(NamedTuple):
     coords: Tuple[Tuple[int, ...], ...]
     labels: Tuple[Tuple[int, ...], ...]
     coroots: Tuple[Tuple[int, ...], ...]
-    # coroot_columns[i][r]: the i-th coordinate of the coroot of positive root r
+    # coord_columns[i][r], coroot_columns[i][r]: coordinate i of positive root r, of its coroot
+    coord_columns: Tuple[Tuple[int, ...], ...]
     coroot_columns: Tuple[Tuple[int, ...], ...]
-    # cartan_columns[j]: the pairs (i, <alpha_j, alpha_i^vee>) with a nonzero
-    # entry, column j of the Cartan matrix
+    # row i and column j of the Cartan matrix as its nonzero (j, c) and (i, c)
+    cartan_rows: Tuple[Tuple[Tuple[int, int], ...], ...]
     cartan_columns: Tuple[Tuple[Tuple[int, int], ...], ...]
     # per positive root, its height and its support: the bitmask of the nodes
     # where its simple-root coordinates are nonzero
@@ -197,7 +200,16 @@ class RootSystem(NamedTuple):
         fundamental coweight): the cocharacter-weighted sum of its
         coordinates.  A negative root pairs to the negation."""
         self._check_cocharacter(cocharacter)
-        return [sum(map(mul, row, cocharacter)) for row in self.coords]
+        return column_sum(cocharacter, self.coord_columns)
+
+
+def column_sum(coefficients: Sequence[int], columns) -> list[int]:
+    """``sum_k coefficients[k] * columns[k]`` entry by entry, over the nonzero coefficients."""
+    acc = [0] * len(columns[0])
+    for m, column in zip(coefficients, columns):
+        if m:
+            acc = [a + m * c for a, c in zip(acc, column)]
+    return acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,7 +230,9 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
         )
     return RootSystem(
         t, rank, cartan, coords, labels, coroots,
+        coord_columns=tuple(zip(*coords)),
         coroot_columns=tuple(zip(*coroots)),
+        cartan_rows=tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in cartan]),
         cartan_columns=tuple([
             tuple([(i, row[j]) for i, row in enumerate(cartan) if row[j]]) for j in range(rank)
         ]),
@@ -247,18 +261,31 @@ def fundamental_cocharacter(rank: int, node: int) -> Tuple[int, ...]:
     return tuple([1 if k == node - 1 else 0 for k in range(rank)])
 
 
+def reflect_to_dominant(vector: Sequence[int], table, active: Sequence[bool]) -> Tuple[int, ...]:
+    """The one vector with no negative entry at an ``active`` node in the
+    orbit of ``vector`` under the reflections at those nodes: while ``v_k``
+    is negative at an active node, ``v_i -= v_k * c`` over the pairs
+    ``(i, c)`` of ``table[k]``.  A stack holds the nodes that went negative,
+    so no reflection rescans the vector."""
+    v = list(vector)
+    stack = [k for k, x in enumerate(v) if x < 0 and active[k]]
+    while stack:
+        k = stack.pop()
+        x = v[k]
+        if x < 0:  # else a later reflection turned it
+            for i, c in table[k]:
+                v[i] -= x * c
+                if v[i] < 0 and active[i]:
+                    stack.append(i)
+    return tuple(v)
+
+
 def dominant_cocharacter(datum: RootSystem, cocharacter: Sequence[int]) -> Tuple[int, ...]:
     """The dominant cocharacter, with no coefficient negative, in the Weyl
-    orbit of ``cocharacter``.  While a coefficient ``n_k`` is negative it
-    reflects in ``alpha_k``: ``s_k(n)_i = n_i - n_k <alpha_i, alpha_k^vee>``.
-    Each reflection leaves one positive root fewer of negative weight, so
-    there are at most ``n_positive``."""
+    orbit of ``cocharacter``: ``s_k(n)_i = n_i - n_k <alpha_i, alpha_k^vee>``
+    reads row ``k`` of the Cartan matrix."""
     datum._check_cocharacter(cocharacter)
-    n = list(cocharacter)
-    while min(n) < 0:
-        k = n.index(min(n))
-        n = [a - n[k] * c for a, c in zip(n, datum.cartan_matrix[k])]
-    return tuple(n)
+    return reflect_to_dominant(cocharacter, datum.cartan_rows, [True] * datum.rank)
 
 
 class GradingSpec(NamedTuple):

@@ -25,7 +25,9 @@ level), and which flips are moves between chambers once, in
 :func:`row_moves`, per row of the chamber triangle.  The report's JSON
 writer calls both in its own row loop; :func:`flip_moves` walks the same
 rows for the object view (:func:`build_flip_graph`) and the text and DOT
-views.
+views.  The quotient diagram's nodes and arrows are written once, in
+:func:`quotient_chain`, which the JSON writer reads directly and the other
+views through :func:`quotient_diagram`.
 """
 
 from __future__ import annotations
@@ -203,31 +205,32 @@ class QuotientDiagram(NamedTuple):
     fiber_note: str
 
 
-def quotient_diagram(model: ActionModel) -> QuotientDiagram:
-    """The chain of geometric quotients over the semigeometric ones.
-
-    r geometric nodes GX(i, i+1) of dimension dim X - 1 linked by r - 1 dashed
-    arrows; r + 1 semigeometric nodes GX(i, i) each receiving the diagonal
-    contractions from its neighbours (2r arrows).  The two outermost
-    semigeometric nodes are the extremal fixed components themselves.
-    """
-    r = model.criticality
+def quotient_chain(model: ActionModel) -> tuple:
+    """The chain of geometric quotients over the semigeometric ones: the
+    nodes as (dim, label, identity), the arrows as label pairs, the fibers.
+    The r geometric nodes GX(i, i+1) and the r + 1 semigeometric GX(i, i)
+    have dimension dim X - 1 but the outermost two, the extremal components
+    Y_0 and Y_r at the origin dims.  A dashed arrow joins each geometric
+    node to the next; each contracts onto its neighbours, GX(i, i) first."""
+    r, d = model.criticality, model.dim_x - 1
     sink_dim, source_dim = model.origin_dims()
-    geometric = tuple([QuotientNode(model.dim_x - 1, f"GX({i},{i + 1})") for i in range(r)])
-    semi = (
-        QuotientNode(sink_dim, "GX(0,0)", identity="Y_0"),
-        *[QuotientNode(model.dim_x - 1, f"GX({i},{i})") for i in range(1, r)],
-        QuotientNode(source_dim, f"GX({r},{r})", identity=f"Y_{r}"),
+    geometric = [f"GX({i},{i + 1})" for i in range(r)]
+    semi = [f"GX({i},{i})" for i in range(r + 1)]
+    return (
+        [(d, g, None) for g in geometric],
+        [(sink_dim, semi[0], "Y_0"), *[(d, s, None) for s in semi[1:-1]],
+         (source_dim, semi[-1], f"Y_{r}")],
+        list(zip(geometric, geometric[1:])),
+        [(g, s) for i, g in enumerate(geometric) for s in semi[i:i + 2]],
+        "projective spaces" if model.equalized else "weighted projective spaces",
     )
-    dashed = tuple([(geometric[i].label, geometric[i + 1].label) for i in range(r - 1)])
-    diagonal = []
-    for i in range(r + 1):
-        if i >= 1:
-            diagonal.append((geometric[i - 1].label, semi[i].label))
-        if i <= r - 1:
-            diagonal.append((geometric[i].label, semi[i].label))
-    fiber = "projective spaces" if model.equalized else "weighted projective spaces"
-    return QuotientDiagram(geometric, semi, dashed, tuple(diagonal), fiber)
+
+
+def quotient_diagram(model: ActionModel) -> QuotientDiagram:
+    """The quotient diagram of :func:`quotient_chain` as records."""
+    *nodes, dashed, diagonal, fiber = quotient_chain(model)
+    return QuotientDiagram(*[tuple([QuotientNode(*n) for n in ns]) for ns in nodes],
+                           tuple(dashed), tuple(diagonal), fiber)
 
 
 class P1BundleModel(NamedTuple):

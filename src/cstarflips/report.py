@@ -10,8 +10,9 @@ JSON output.  The three O(r^2) sections are written from the flat model's
 per-level facts in one loop over the rows of the chamber triangle.  The
 rules they follow are not restated here: a chamber's shape is
 ``chambers.row_outlines``, which flips are moves is
-``modifications.row_moves`` and a flip's centers and obstruction are
-``modifications.flip_at_level``, as for every other view.
+``modifications.row_moves``, a flip's centers and obstruction are
+``modifications.flip_at_level`` and the quotient diagram's nodes and arrows
+are ``modifications.quotient_chain``, as for every other view.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class ReportBundle(NamedTuple):
         inner = _components_json(flat.levels[1:-1], a[1:-1])
         index_set = sorted(index_set_i(flat))
         chain = _chain_sections(flat, index_set, a)
-        s, q = md.flip_chain_summary(flat), md.quotient_diagram(flat)
+        s = md.flip_chain_summary(flat)
+        geometric, semigeometric, dashed, diagonal, fiber = md.quotient_chain(flat)
         return (_SKELETON % (
             a[-1], _BOOL[is_bordism(flat)], ch.extremal_case(flat),
             s.blowdowns, s.blowups, s.chain_arrows, s.flips, s.left, s.right,
@@ -92,18 +94,13 @@ class ReportBundle(NamedTuple):
             ",".join([f'["{a[k]}","{a[l]}"]' for k, l in ch.movable_corners(flat)]),
             _encode_str(self.name), chain["p1_bundles"], _encode_str(model.equalization_source),
             _BOOL[model.equalized], _LABEL_NOTE, ",".join(map(_encode_str, self.notes)),
-            _arrows(q.dashed_arrows), _arrows(q.diagonal_arrows), q.fiber_note,
-            ",".join(['{"dim":%d,"label":%s}' % (n.dim, _encode_str(n.label))
-                      for n in q.geometric]),
-            ",".join(['{"dim":%d,"identity":%s,"label":%s}' % (
-                n.dim, "null" if n.identity is None else _encode_str(n.identity),
-                _encode_str(n.label)) for n in q.semigeometric]),
+            ",".join([f'["{g}","{h}"]' for g, h in dashed]),
+            ",".join([f'["{g}","{h}"]' for g, h in diagonal]), fiber,
+            ",".join([f'{{"dim":{d},"label":"{g}"}}' for d, g, _ in geometric]),
+            ",".join(['{"dim":%d,"identity":%s,"label":"%s"}' % (
+                d, "null" if y is None else f'"{y}"', g) for d, g, y in semigeometric]),
             _BOOL[self.checked], ",".join(map(_encode_str, self.failures)),
         )).encode("ascii")
-
-
-def _arrows(pairs) -> str:
-    return ",".join(["[%s,%s]" % (_encode_str(a), _encode_str(b)) for a, b in pairs])
 
 
 def _components_json(levels, values) -> str:
@@ -136,13 +133,13 @@ def _lie_json(lie) -> str:
     if lie is None:
         return "null"
     certificates = ",".join([
-        "%s:[%s]" % (_encode_str(name), ",".join(["%d" % w for w in cert]))
+        "%s:[%s]" % (_encode_str(name), ",".join(map(str, cert)))
         for name, cert in sorted(lie.tangent_certificates.items())
     ])
     return (
         '{"cocharacter":[%s],"fixed_points":%d,"is_short":%s,"space":%s,'
         '"tangent_certificates":{%s}}'
-    ) % (",".join(["%d" % n for n in lie.cocharacter]), lie.fixed_point_count,
+    ) % (",".join(map(str, lie.cocharacter)), lie.fixed_point_count,
          _BOOL[lie.is_short], _encode_str(lie.space_label), certificates)
 
 
@@ -301,7 +298,7 @@ def run_pipeline(
     if is_btype(model):
         notes.append("input already has divisorial extremes; treated as its own blowup")
     flat = blowup_extremal(model)
-    ch.movable_polygon(flat)  # refuses a model with no movable region, before any view is written
+    ch.movable_corners(flat)  # refuses a model with no movable region, before any view is written
 
     checked = spec.lie is not None and spec.components is not None
     return ReportBundle(spec.name, model, flat, tuple(sorted(notes)), checked, tuple(failures), lie)

@@ -141,31 +141,36 @@ def _parse_component(obj) -> FixedComponent:
     return component
 
 
-def _parse_lie(obj, path: str) -> LieInput:
+def _parse_lie(obj) -> LieInput:
+    """A lie block, read as ``_parse_component`` reads a component."""
     if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    dynkin_type = _expect_str(_require(obj, "type", path), f"{path}.type").upper()
-    rank = expect_int(_require(obj, "rank", path), f"{path}.rank")
-    node = expect_int(_require(obj, "node", path), f"{path}.node")
-    raw = _require(obj, "cocharacter", path)
+        raise SchemaError("", "expected an object")
+    dynkin_type = _expect_str(_require(obj, "type", ""), ".type").upper()
+    rank = expect_int(_require(obj, "rank", ""), ".rank")
+    node = expect_int(_require(obj, "node", ""), ".node")
+    raw = _require(obj, "cocharacter", "")
     if not isinstance(raw, list):
-        raise SchemaError(f"{path}.cocharacter", "expected a list of integers")
-    cochar = tuple(
-        [expect_int(v, f"{path}.cocharacter[{k}]") for k, v in enumerate(raw)]
-    )
-    if len(cochar) != rank:
-        raise SchemaError(f"{path}.cocharacter",
-                          f"expected {shown(str(rank))} entries, got {len(cochar)}")
+        raise SchemaError(".cocharacter", "expected a list of integers")
+    try:
+        for k, v in enumerate(raw):
+            expect_int(v, "")
+    except SchemaError as exc:
+        raise SchemaError(f".cocharacter[{k}]", exc.message) from None
+    if len(raw) != rank:
+        raise SchemaError(".cocharacter", f"expected {shown(str(rank))} entries, got {len(raw)}")
     if len(obj) > len(_LIE_FIELDS):
-        raise _unknown_field(obj, _LIE_FIELDS, path)
-    return LieInput(dynkin_type, rank, node, cochar)
+        raise _unknown_field(obj, _LIE_FIELDS, "")
+    return LieInput(dynkin_type, rank, node, tuple(raw))
 
 
 def parse_spec_dict(obj, path: str = "") -> ActionSpecFile:
     if not isinstance(obj, dict):
         raise SchemaError(path or ".", "top level must be an object")
     name = _expect_str(_require(obj, "name", path), f"{path}.name")
-    lie = _parse_lie(obj["lie"], f"{path}.lie") if "lie" in obj else None
+    try:
+        lie = _parse_lie(obj["lie"]) if "lie" in obj else None
+    except SchemaError as exc:  # its path starts inside the block
+        raise SchemaError(f"{path}.lie{exc.path}", exc.message) from None
     components = None
     if "components" in obj:
         raw = obj["components"]

@@ -336,6 +336,27 @@ def _irreducible_order(m: int, bonds: list) -> int:
     return 2 ** (m - 1) * math.factorial(m) if short_arms >= 2 else _E_ORDERS[m]
 
 
+def dominant_at_minimum(vector, matrix, nodes=None) -> tuple:
+    """The dominant vector in the Weyl orbit of ``vector``, found by
+    reflecting at its least entry, rescanned after every reflection:
+    ``s_k(v)_i = v_i - v_k * matrix[k][i]``.  With the Cartan matrix this
+    moves a cocharacter, with its transpose a weight in Dynkin labels; an
+    oracle for the engine's one reflection loop over the sparse tables.
+    Given ``nodes``, it reflects at those only, for the Weyl group of a
+    Levi subgroup, and the result is dominant at those nodes."""
+    v = list(vector)
+    nodes = range(len(v)) if nodes is None else nodes
+    while nodes and min([v[k] for k in nodes]) < 0:
+        k = min(nodes, key=v.__getitem__)
+        v = [a - v[k] * c for a, c in zip(v, matrix[k])]
+    return tuple(v)
+
+
+# Every legal type up to rank 8, and the exceptional ones.
+TYPES_TO_RANK_8 = [(t, n) for t, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                   for n in range(low, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
 # The Grassmannian closed form, an oracle that shares no code with the Lie
 # engine it checks.
 def _grass_part(rank: int, index: int) -> str:

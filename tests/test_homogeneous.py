@@ -2,6 +2,7 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstarflips.lie.homogeneous import (
     CosetLimitError,
@@ -12,7 +13,12 @@ from cstarflips.lie.homogeneous import (
     homogeneous_dim,
 )
 from cstarflips.lie.roots import build_root_system, fundamental_cocharacter, grading
-from conftest import grassmannian_action, grassmannian_model, grassmannian_reference
+from conftest import (
+    TYPES_TO_RANK_8,
+    grassmannian_action,
+    grassmannian_model,
+    grassmannian_reference,
+)
 
 
 def level_data(model):
@@ -177,6 +183,17 @@ class TestHomogeneousDim:
     )
     def test_known_dims(self, dynkin_type, rank, nodes, dim):
         assert homogeneous_dim(build_root_system(dynkin_type, rank), nodes) == dim
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(TYPES_TO_RANK_8), st.data())
+    def test_columns_agree_with_coords(self, space, data):
+        """Read off the columns by node, the dimension is the number of
+        positive roots with a nonzero coordinate at a marked node."""
+        dynkin_type, rank = space
+        datum = build_root_system(dynkin_type, rank)
+        nodes = data.draw(st.lists(st.integers(1, rank), max_size=rank))
+        assert homogeneous_dim(datum, nodes) == sum(
+            1 for c in datum.coords if any(c[n - 1] for n in nodes))
 
     def test_short_implies_equalized_sample(self):
         for t, n in [("A", 4), ("B", 4), ("C", 4), ("D", 4)]:

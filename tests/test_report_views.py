@@ -133,9 +133,10 @@ def test_each_fact_is_computed_once(case):
     arithmetic, with no Fraction compared or subtracted, and within one
     ``to_json`` there is one flip record (``flip_at_level``) for each
     (direction, level) that a move uses, one evaluation of the chamber rows,
-    each critical value written once for the whole report, and every
+    each critical value written once for the whole report, every
     chamber's outline written once, by one ``row_outlines`` call per row
-    (a P1-bundle's nef polygon is the outline of its chamber)."""
+    (a P1-bundle's nef polygon is the outline of its chamber), and no
+    ``quotient_diagram`` records."""
     r = 40
     for spec in (_model_spec(case, synthetic_case_model(case, r=r)),
                  rational_chain_spec(case, r)):
@@ -170,6 +171,7 @@ def _check_computed_once(monkeypatch, case, r, spec):
     assert calls["arithmetic"] == 0
     monkeypatch.setattr(ch, "chamber_rows", counting("chamber_rows", ch.chamber_rows))
     monkeypatch.setattr(md, "flip_at_level", counting("flip_at_level", md.flip_at_level))
+    monkeypatch.setattr(md, "quotient_diagram", counting("quotient_diagram", md.quotient_diagram))
     monkeypatch.setattr(Fraction, "__str__", counting("str", Fraction.__str__))
     monkeypatch.setattr(ch, "row_outlines", reading)
     monkeypatch.setattr(report, "_chain_sections", chain_sections)
@@ -182,6 +184,8 @@ def _check_computed_once(monkeypatch, case, r, spec):
     used = {(m["direction"], m["level"]) for m in graph["edges"] + graph["obstructions"]}
     assert calls["flip_at_level"] == len(used) == 2 * (r - 1) - sum(CASE_ISOLATED[case])
     assert calls["chamber_rows"] == 1
+    # the quotients are written from the chain, with no record per node
+    assert calls["quotient_diagram"] == 0
     # the chain sections, the two models, the bandwidth and the movable cone
     # share the texts of the r + 1 critical values; the two weight offsets
     # are written once each

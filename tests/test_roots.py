@@ -1,8 +1,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import EuclideanRootSystem
+from conftest import TYPES_TO_RANK_8, EuclideanRootSystem, dominant_at_minimum
+from cstarflips.lie.homogeneous import _Levi
 from cstarflips.lie.roots import (
     MAX_RANK,
     IllegalTypeError,
@@ -10,8 +12,10 @@ from cstarflips.lie.roots import (
     _half_norms,
     _root_table,
     build_root_system,
+    dominant_cocharacter,
     fundamental_cocharacter,
     grading,
+    reflect_to_dominant,
 )
 
 
@@ -239,3 +243,44 @@ class TestGrading:
             for k in range(1, n + 1):
                 g = grading(datum, fundamental_cocharacter(n, k))
                 assert g.dim(1) == k * (n + 1 - k)
+
+
+@st.composite
+def vectors(draw):
+    dynkin_type, rank = draw(st.sampled_from(TYPES_TO_RANK_8))
+    return dynkin_type, rank, tuple(draw(st.lists(st.integers(-3, 3), min_size=rank,
+                                                  max_size=rank)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors())
+def test_reflection_loop_matches_reflecting_at_the_minimum(case):
+    """The stack-driven loop over the sparse Cartan table reaches the
+    dominant vector that reflecting at the least entry reaches: a
+    cocharacter through the rows of the Cartan matrix, a weight through its
+    columns.  The two differ for B, C, F and G, whose matrices are not
+    symmetric."""
+    dynkin_type, rank, vector = case
+    datum = build_root_system(dynkin_type, rank)
+    cartan = datum.cartan_matrix
+    dominant = dominant_cocharacter(datum, vector)
+    assert dominant == dominant_at_minimum(vector, cartan)
+    assert min(dominant) >= 0
+    weight = reflect_to_dominant(vector, datum.cartan_columns, [True] * rank)
+    assert weight == dominant_at_minimum(vector, list(zip(*cartan)))
+    assert min(weight) >= 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors(), st.data())
+def test_levi_reflections_match_reflecting_at_the_minimum(case, data):
+    """A Levi subgroup's loop, ``_Levi.dominant``, reflects a weight only at
+    the nodes where the cocharacter is zero, and reaches what reflecting at
+    the least entry among those nodes reaches."""
+    dynkin_type, rank, weight = case
+    datum = build_root_system(dynkin_type, rank)
+    cochar = data.draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+    levi_nodes = [k for k, n in enumerate(cochar) if not n]
+    dominant = _Levi(datum, cochar).dominant(weight)
+    assert dominant == dominant_at_minimum(weight, list(zip(*datum.cartan_matrix)), levi_nodes)
+    assert all(dominant[k] >= 0 for k in levi_nodes)
