@@ -310,7 +310,8 @@ def validate_action(
 
     Components are sorted by (weight, name), weights are shifted so the sink
     sits at zero, the original minimum is kept as ``weight_offset`` metadata,
-    and ``inner`` is set on the components strictly between sink and source.
+    a ``Fraction`` also when the weights are ints, and ``inner`` is set on
+    the components strictly between sink and source.
     Each normalized component is built once, with its level's shifted weight
     and inner flag, into the levels that :func:`_check` grouped, which the
     model stores.  The shifted weights are computed from the
@@ -336,7 +337,7 @@ def validate_action(
         tuple(levels),
         equalized=equalized,
         equalization_source=equalization_source,
-        weight_offset=sink[0].weight,
+        weight_offset=as_rational(sink[0].weight),
     )
 
 

@@ -36,14 +36,14 @@ class Chamber(NamedTuple):
     polygon: Tuple[Point, ...]
 
 
+# The label of each isolated-extremes case, by (sink is a point, source is a point).
+_CASES = {(False, False): "bordism", (True, False): "isolated-sink",
+          (False, True): "isolated-source", (True, True): "isolated-both"}
+
+
 def extremal_case(model: ActionModel) -> str:
     """The label of the isolated-extremes case, as the report prints it."""
-    return {
-        (False, False): "bordism",
-        (True, False): "isolated-sink",
-        (False, True): "isolated-source",
-        (True, True): "isolated-both",
-    }[model.isolated_extremes()]
+    return _CASES[model.isolated_extremes()]
 
 
 def movable_corners(model: ActionModel) -> Tuple[Tuple[int, int], ...]:

@@ -34,8 +34,7 @@ the whole derivation is integer sums and lookups.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from fractions import Fraction
+from bisect import bisect_left
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, NamedTuple, Sequence, Tuple
@@ -158,56 +157,70 @@ class _Levi:
         L-dominant weight.  So the sum of these counts over the components
         found is exact, and it reaches ``total`` just when every component
         is found; the walk stops there.
+        The simple roots J of L orthogonal to ``mu`` generate W_J, which
+        fixes ``mu``, so ``s_{u gamma}(mu) = u s_gamma(mu)`` for ``u`` in W_J:
+        only the steps in the J-dominant tangent roots, one per W_J-orbit,
+        are needed.  A component tests this (``RootSystem.negative_labels``)
+        once a step from it has reached a component already found.
         A step in ``gamma`` moves the level by ``<mu, gamma^vee> <gamma, n>``
         for the cocharacter ``n``.  The L-dominance reflections that follow
         are in roots of L, which pair to zero with ``n``, so they leave the
         level as it is.
 
-        Returns ``(mu, level, scan, points)`` per component, in the order
+        Returns ``(mu, level, acc, points)`` per component, in the order
         found: ``level`` is the linearization weight at ``mu`` less that at
-        the fundamental weight, ``scan`` the pairs ``(r, <mu, beta_r^vee>)``
-        over the positive roots ``beta_r`` that pair nonzero with ``mu``, so
-        that ``beta_r`` (``p > 0``) or its negative (``p < 0``) is a tangent
-        root at ``mu``, and ``points`` the component's number of points.
+        the fundamental weight, ``acc`` the pairings ``<mu, beta_r^vee>``
+        with every positive root ``beta_r``, so that ``beta_r`` (``p > 0``)
+        or its negative (``p < 0``) is a tangent root at ``mu``, and
+        ``points`` the component's number of points.
         """
         datum = self.datum
         pairings = self.root_pairings
-        labels, columns = datum.labels, datum.coroot_columns
-        n = datum.n_positive
+        labels, columns, signs = datum.labels, datum.coroot_columns, datum.negative_labels
+        outside = [r for r, m in enumerate(pairings) if m]  # the positive roots not in L
+        inward = outside[::-1]
 
         def component(mu, level) -> tuple:
-            acc = column_sum(mu, columns)
-            # steps away from the fundamental weight first, lowest root
-            # first, then steps back toward it, highest root first
-            scan = [(r, p) for r, p in enumerate(acc) if p > 0]
-            scan += [(r, acc[r]) for r in range(n - 1, -1, -1) if acc[r] < 0]
             stabilizer = tuple([j for j in self.simple if not mu[j]])
-            return mu, level, scan, self.order // weyl_order(datum, stabilizer)
+            return mu, level, column_sum(mu, columns), self.order // weyl_order(datum, stabilizer)
+
+        def steps(acc):
+            # the tangent roots outside L, as the walk needs them: away from the fundamental
+            # weight first, lowest root first, then back toward it, highest root first
+            for r in outside:
+                if acc[r] > 0:
+                    yield r
+            for r in inward:
+                if acc[r] < 0:
+                    yield r
 
         # the fundamental weight is dominant, so L-dominant
-        rank = datum.rank
-        start = tuple([int(i == node - 1) for i in range(rank)])
+        start = tuple([int(i == node - 1) for i in range(datum.rank)])
         out = [component(start, 0)]
         seen = {start}
         count = out[0][3]
-        stack = [[out[0], 0]]  # a component and the next position in its scan
+        # a component, its steps left, and once a step from it has reached
+        # a component already found, the bitmask of its J
+        stack = [[out[0], steps(out[0][2]), 0]]
         while count < total:
             frame = stack[-1]
-            (mu, level, scan, _), k = frame
-            while k < len(scan) and not pairings[scan[k][0]]:  # a root of L
-                k += 1
-            if k == len(scan):
+            (mu, level, acc, _), left, fixed = frame
+            r = next(left, None)
+            if r is None:
                 stack.pop()
                 continue
-            frame[1] = k + 1
-            r, p = scan[k]
-            w = self.dominant([a - p * b for a, b in zip(mu, labels[r])])
+            p = acc[r]
+            if fixed and fixed & signs[r][p < 0]:  # the tangent root is not J-dominant
+                continue
+            w = self.dominant(column_sum((1, -p), (mu, labels[r])))  # mu - p labels[r]
             if w in seen:
+                if not fixed:
+                    frame[2] = sum([1 << j for j in self.simple if not mu[j]])
                 continue
             seen.add(w)
             out.append(component(w, level + p * pairings[r]))
             count += out[-1][3]
-            stack.append([out[-1], 0])
+            stack.append([out[-1], steps(out[-1][2]), 0])
         return out
 
 
@@ -236,16 +249,17 @@ def enumerate_fixed_points(
     n = datum.n_positive
     levi = _Levi(datum, (1,) * datum.rank)
     return tuple([
-        FixedPoint(weight=mu, tangent_roots=tuple(sorted([r if p > 0 else r + n for r, p in scan])))
-        for mu, _, scan, _ in levi.walk(space.node, total)
+        FixedPoint(weight=mu,
+                   tangent_roots=tuple(sorted([r if p > 0 else r + n for r, p in enumerate(acc) if p])))
+        for mu, _, acc, _ in levi.walk(space.node, total)
     ])
 
 
 def _suffix(idx: int, count: int) -> str:
-    """Letters naming the ``idx``-th of ``count`` components of a level: none
-    for a lone one, one letter for up to 26, else a fixed width of letters
-    (``aa``, ``ab``, ...), so that names stay ASCII and sort in record order."""
-    width = 0 if count == 1 else 1
+    """Letters naming the ``idx``-th of ``count > 1`` components of a level:
+    one letter for up to 26, else a fixed width of letters (``aa``, ``ab``,
+    ...), so that names stay ASCII and sort in record order."""
+    width = 1
     while 26 ** width < count:
         width += 1
     letters = ""
@@ -283,16 +297,16 @@ def build_action(
     """
     total = space.check_cap(max_cosets)
     levi = _Levi(space.datum, dominant_cocharacter(space.datum, cocharacter))
-    root_pairings = levi.root_pairings
+    pairings = levi.root_pairings
     walk = levi.walk(space.node, total)
     offset = min([level for _, level, _, _ in walk])
     records = []
-    for _, level, scan, points in walk:
+    for _, level, acc, points in walk:
         # the Levi Weyl group fixes the cocharacter, so one point per
         # component carries all of its tangent weights
-        cert = tuple(sorted([root_pairings[r] if p > 0 else -root_pairings[r] for r, p in scan]))
-        neg, pos = bisect_left(cert, 0), len(cert) - bisect_right(cert, 0)
-        records.append((level - offset, len(cert) - neg - pos, pos, neg, cert, points))
+        cert = sorted([m if p > 0 else -m for p, m in zip(acc, pairings) if p])
+        neg, zeros = bisect_left(cert, 0), cert.count(0)
+        records.append((level - offset, zeros, len(cert) - neg - zeros, neg, tuple(cert), points))
 
     # deterministic names: level index, then letters when a level is
     # reducible; the point count breaks ties
@@ -300,14 +314,15 @@ def build_action(
     components = []
     certificates: Dict[str, Tuple[int, ...]] = {}
     for k, (w, group) in enumerate(groupby(records, key=itemgetter(0))):
-        at_level, weight = list(group), Fraction(w)
+        at_level = list(group)
         for idx, (_, zeros, pos, neg, cert, _points) in enumerate(at_level):
-            name = f"Y{k}{_suffix(idx, len(at_level))}"
-            components.append(exact_component((name, weight, zeros, neg, pos, False)))
+            name = f"Y{k}" if len(at_level) == 1 else f"Y{k}{_suffix(idx, len(at_level))}"
+            # an integer weight: validate_action gives each level its Fraction
+            components.append(exact_component((name, w, zeros, neg, pos, False)))
             certificates[name] = cert
 
     equalized = all(unit_weights(cert) for cert in certificates.values())
-    short = unit_weights(root_pairings)
+    short = unit_weights(pairings)
     warnings = [] if short else ["GradingNotShort: grading support exceeds {-1, 0, 1}"]
     model = validate_action(
         components,
@@ -326,3 +341,13 @@ def build_action(
         warnings=tuple(warnings),
     )
 
+
+def unequalized_witness(result: LieActionResult, datum: RootSystem) -> str:
+    """Why ``result`` is not equalized, for a one-line message: the first
+    component in the model's order with a tangent weight outside {-1, 0, 1},
+    and its tangent weight of largest size; and that ``datum`` has no short
+    grading when no coefficient of its highest root is 1 (E_8, F_4, G_2)."""
+    certificates = result.tangent_certificates
+    name = next(c.name for c in result.model.components if not unit_weights(certificates[c.name]))
+    text = f"component {shown(name)} has tangent weight {max(certificates[name], key=abs)}"
+    return text if 1 in datum.coords[-1] else f"{text}; {datum.name} has no short grading"

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence, Tuple
 
 from ..actions import ActionError, shown, unit_weights
@@ -170,6 +170,8 @@ class RootSystem(NamedTuple):
     # per positive root, its height and its support: the bitmask of the nodes
     # where its simple-root coordinates are nonzero
     supports: Tuple[Tuple[int, int], ...]
+    # per positive root beta, the bitmasks of the nodes where beta and -beta have a negative label
+    negative_labels: Tuple[Tuple[int, int], ...]
 
     def __hash__(self):
         return hash((self.dynkin_type, self.rank))
@@ -204,12 +206,20 @@ class RootSystem(NamedTuple):
 
 
 def column_sum(coefficients: Sequence[int], columns) -> list[int]:
-    """``sum_k coefficients[k] * columns[k]`` entry by entry, over the nonzero coefficients."""
-    acc = [0] * len(columns[0])
+    """``sum_k coefficients[k] * columns[k]`` entry by entry, over the nonzero
+    coefficients: the first column copied, and at 1 or -1, nearly every
+    coefficient on a fundamental weight's orbit, no multiplication."""
+    acc = None
     for m, column in zip(coefficients, columns):
-        if m:
+        if not m:
+            continue
+        if acc is None:
+            acc = list(column) if m == 1 else [m * c for c in column]
+        elif m == 1 or m == -1:
+            acc = list(map(add if m == 1 else sub, acc, column))
+        else:
             acc = [a + m * c for a, c in zip(acc, column)]
-    return acc
+    return [0] * len(columns[0]) if acc is None else acc
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,6 +247,8 @@ def build_root_system(dynkin_type: str, rank: int) -> RootSystem:
             tuple([(i, row[j]) for i, row in enumerate(cartan) if row[j]]) for j in range(rank)
         ]),
         supports=tuple([(sum(c), sum([1 << k for k, x in enumerate(c) if x])) for c in coords]),
+        negative_labels=tuple([tuple([sum([1 << k for k, x in enumerate(lab) if sign * x < 0])
+                                      for sign in (1, -1)]) for lab in labels]),
     )
 
 

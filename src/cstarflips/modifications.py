@@ -249,14 +249,17 @@ def p1_bundle_models(model: ActionModel) -> list[P1BundleModel]:
     ]
 
 
-def extremal_ray_type(model: ActionModel, end: str) -> str:
+def extremal_ray_type(model: ActionModel, end: str | None = None) -> str | Tuple[str, str]:
     """Contraction type at an endpoint of the quotient chain: the projective
     bundle over a positive-dimensional extremal component, or divisorial when
-    that component is a point."""
-    ends = dict(zip(("left", "right"), model.isolated_extremes()))
-    if end not in ends:
+    that component is a point.  Without an ``end``, the types at the left
+    and the right end as a pair."""
+    types = tuple(["divisorial" if point else "fibration" for point in model.isolated_extremes()])
+    if end is None:
+        return types
+    if end not in ("left", "right"):
         raise ValueError(f"end must be 'left' or 'right', got {end!r}")
-    return "divisorial" if ends[end] else "fibration"
+    return types[end == "right"]
 
 
 class ChainSummary(NamedTuple):
@@ -275,9 +278,7 @@ def flip_chain_summary(model: ActionModel) -> ChainSummary:
     arrows then pair up, leaving r - 2 genuine flips, against r - 1 when both
     endpoints are fibrations."""
     r = model.criticality
-    left = extremal_ray_type(model, "left")
-    right = extremal_ray_type(model, "right")
-    blowups = 1 if left == "divisorial" else 0
-    blowdowns = 1 if right == "divisorial" else 0
+    left, right = extremal_ray_type(model)
+    blowups, blowdowns = int(left == "divisorial"), int(right == "divisorial")
     flips = r - 1 if blowups + blowdowns == 0 else max(r - 2, 0)
     return ChainSummary(r - 1, left, right, blowups, blowdowns, flips)

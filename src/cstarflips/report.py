@@ -51,7 +51,7 @@ _LABEL_NOTE = _encode_str(EXTREMAL_LABEL_NOTE)
 _SKELETON = (
     '{"bandwidth":"%s","bordism":%s,"case":"%s","chain_summary":{"blowdowns":%d,"blowups":%d,'
     '"chain_arrows":%d,"flips":%d,"left":"%s","right":"%s"},"chambers":%s,"criticality":%d,'
-    '"flat_model":%s,"flip_graph":%s,"index_set":[%s],"lie":%s,"model":%s,"movable_cone":[%s],'
+    '"flat_model":%s,"flip_graph":%s,"index_set":%s,"lie":%s,"model":%s,"movable_cone":[%s],'
     '"name":%s,"p1_bundles":%s,"provenance":{"equalization_source":%s,"equalized":%s,'
     '"label_convention":%s,"notes":[%s]},"quotients":{"dashed_arrows":[%s],'
     '"diagonal_arrows":[%s],"fiber_note":"%s",'
@@ -79,20 +79,20 @@ class ReportBundle(NamedTuple):
         # the model and the flat model share their critical values and their
         # inner components, as the blowup keeps the bandwidth and the inner
         # levels: each is written once
-        a = [str(v) for v in flat.critical_values]
-        inner = _components_json(flat.levels[1:-1], a[1:-1])
+        a = [str(v) for v, _ in flat.levels]
+        inner = ",".join([_component_json(c, weight) for weight, (_, level)
+                          in zip(a[1:-1], flat.levels[1:-1]) for c in level])
         index_set = sorted(index_set_i(flat))
-        chain = _chain_sections(flat, index_set, a)
+        chambers, flip_graph, p1_bundles = _chain_sections(flat, index_set, a)
         s = md.flip_chain_summary(flat)
         geometric, semigeometric, dashed, diagonal, fiber = md.quotient_chain(flat)
         return (_SKELETON % (
             a[-1], _BOOL[is_bordism(flat)], ch.extremal_case(flat),
             s.blowdowns, s.blowups, s.chain_arrows, s.flips, s.left, s.right,
-            chain["chambers"], flat.criticality, _model_json(flat, a, inner),
-            chain["flip_graph"], ",".join(["%d" % i for i in index_set]), _lie_json(self.lie),
-            _model_json(model, a, inner),
+            chambers, flat.criticality, _model_json(flat, a, inner), flip_graph,
+            _int_list(index_set), _lie_json(self.lie), _model_json(model, a, inner),
             ",".join([f'["{a[k]}","{a[l]}"]' for k, l in ch.movable_corners(flat)]),
-            _encode_str(self.name), chain["p1_bundles"], _encode_str(model.equalization_source),
+            _encode_str(self.name), p1_bundles, _encode_str(model.equalization_source),
             _BOOL[model.equalized], _LABEL_NOTE, ",".join(map(_encode_str, self.notes)),
             ",".join([f'["{g}","{h}"]' for g, h in dashed]),
             ",".join([f'["{g}","{h}"]' for g, h in diagonal]), fiber,
@@ -103,43 +103,42 @@ class ReportBundle(NamedTuple):
         )).encode("ascii")
 
 
-def _components_json(levels, values) -> str:
-    """The components of ``levels``, each at the text of its level's critical
-    value in ``values``."""
-    return ",".join([
-        f'{{"dim":{c.dim},"inner":{_BOOL[c.inner]},"name":{_encode_str(c.name)},'
-        f'"nu_minus":{c.nu_minus},"nu_plus":{c.nu_plus},"weight":"{weight}"}}'
-        for weight, (_, level) in zip(values, levels) for c in level
-    ])
+def _int_list(values) -> str:
+    """A JSON array of ints: the ``repr`` of their list, less its spaces."""
+    return str(list(values)).replace(" ", "")
+
+
+def _component_json(c, weight: str) -> str:
+    """Component ``c`` at the text ``weight`` of its level's critical value."""
+    return (f'{{"dim":{c.dim},"inner":{_BOOL[c.inner]},"name":{_encode_str(c.name)},'
+            f'"nu_minus":{c.nu_minus},"nu_plus":{c.nu_plus},"weight":"{weight}"}}')
 
 
 def _model_json(model: ActionModel, values: list[str], inner: str) -> str:
     """``model`` or ``flat_model``, with ``values`` the texts of its critical
     values and ``inner`` the text of its inner components, which the two
-    models share."""
-    levels = model.levels
-    components = ",".join(filter(None, (_components_json(levels[:1], values), inner,
-                                        _components_json(levels[-1:], values[-1:]))))
+    models share: the extremal levels hold one component each."""
+    (_, (sink,)), (_, (source,)) = model.levels[0], model.levels[-1]
+    sink, source = _component_json(sink, values[0]), _component_json(source, values[-1])
+    sink_dim, source_dim = model.sink_origin_dim, model.source_origin_dim
     return (
-        '{"components":[%s],"dim_X":%d,"equalization_source":%s,"equalized":%s,"flat":%s,'
+        '{"components":[%s%s%s],"dim_X":%d,"equalization_source":%s,"equalized":%s,"flat":%s,'
         '"sink_origin_dim":%s,"source_origin_dim":%s,"weight_offset":"%s"}'
-    ) % (components, model.dim_x, _encode_str(model.equalization_source),
-         _BOOL[model.equalized], _BOOL[model.flat],
-         *["null" if d is None else d for d in (model.sink_origin_dim, model.source_origin_dim)],
+    ) % (sink, f",{inner}," if inner else ",", source, model.dim_x,
+         _encode_str(model.equalization_source), _BOOL[model.equalized], _BOOL[model.flat],
+         "null" if sink_dim is None else sink_dim, "null" if source_dim is None else source_dim,
          model.weight_offset)
 
 
 def _lie_json(lie) -> str:
     if lie is None:
         return "null"
-    certificates = ",".join([
-        "%s:[%s]" % (_encode_str(name), ",".join(map(str, cert)))
-        for name, cert in sorted(lie.tangent_certificates.items())
-    ])
+    certificates = ",".join([f"{_encode_str(name)}:{_int_list(cert)}"
+                             for name, cert in sorted(lie.tangent_certificates.items())])
     return (
-        '{"cocharacter":[%s],"fixed_points":%d,"is_short":%s,"space":%s,'
+        '{"cocharacter":%s,"fixed_points":%d,"is_short":%s,"space":%s,'
         '"tangent_certificates":{%s}}'
-    ) % (",".join(map(str, lie.cocharacter)), lie.fixed_point_count,
+    ) % (_int_list(lie.cocharacter), lie.fixed_point_count,
          _BOOL[lie.is_short], _encode_str(lie.space_label), certificates)
 
 
@@ -162,9 +161,9 @@ def _flip_json(flat: ActionModel, direction: str, level: int, edges: list, obstr
         edges.append
 
 
-def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str]) -> dict:
-    """The canonical JSON text of the O(r^2) sections (chambers, flip graph,
-    P1-bundles), written in one loop over the rows of the chamber triangle,
+def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str]) -> tuple:
+    """The canonical JSON texts of the O(r^2) sections, chambers, flip graph
+    and P1-bundles, written in one loop over the rows of the chamber triangle,
     with ``values`` the texts of the critical values.  A chamber's polygon
     is its ``row_outlines`` text, with the corner (a_k, a_l) written
     ``[a_k,a_l]``; each node ``[i,j]`` is written once, a row ahead, as the
@@ -212,12 +211,12 @@ def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str]) 
         f'[{outlines[i][i + 1 - rows[i].start]}],"node":[{i},{i + 1}]}}'
         for i in index_set
     ])
-    return {
-        "chambers": f"[{','.join(chambers)}]",
-        "flip_graph": f'{{"edges":[{",".join(edges)}],"nodes":[{",".join(nodes)}],'
-                      f'"obstructions":[{",".join(obstructions)}]}}',
-        "p1_bundles": f"[{p1_bundles}]",
-    }
+    return (
+        f"[{','.join(chambers)}]",
+        f'{{"edges":[{",".join(edges)}],"nodes":[{",".join(nodes)}],'
+        f'"obstructions":[{",".join(obstructions)}]}}',
+        f"[{p1_bundles}]",
+    )
 
 
 def _compare_expected(model: ActionModel, expected: ActionModel) -> list[str]:
@@ -253,7 +252,7 @@ def run_pipeline(
     notes: list[str] = []
     lie, failures = None, []
     if spec.lie is not None:
-        from .lie.homogeneous import HomogeneousSpace, build_action
+        from .lie.homogeneous import HomogeneousSpace, build_action, unequalized_witness
         from .lie.roots import build_root_system
 
         datum = build_root_system(spec.lie.dynkin_type, spec.lie.rank)
@@ -281,9 +280,9 @@ def run_pipeline(
         )
 
     if not model.equalized:
-        raise InvalidActionError(
-            [Violation("NotEqualized", "action is not equalized; the construction needs it")]
-        )
+        why = "" if lie is None else ": " + unequalized_witness(lie, datum)
+        raise InvalidActionError([Violation(
+            "NotEqualized", "action is not equalized; the construction needs it" + why)])
     if strict_equalized and model.equalization_source == "declared":
         raise InvalidActionError(
             [

@@ -140,6 +140,35 @@ class TestPerFileIndependence:
         assert json.loads(proc.stdout)["name"] == "synthetic-bordism-r3"
 
 
+NOT_EQUALIZED = "  NotEqualized: action is not equalized; the construction needs it"
+
+
+class TestNotEqualized:
+    """A Lie action that is not equalized is refused with exit 2 and one
+    violation line that names the first component with a tangent weight
+    outside {-1, 0, 1}, and that weight; a type with no short grading says
+    so.  A declared refusal has no witness to name."""
+
+    @pytest.mark.parametrize("lie,witness", [
+        ({"type": "E", "rank": 8, "node": 8, "cocharacter": [0] * 7 + [1]},
+         ": component Y0 has tangent weight 2; E_8 has no short grading"),
+        ({"type": "A", "rank": 3, "node": 1, "cocharacter": [2, 0, 0]},
+         ": component Y0 has tangent weight 2"),
+        ({"type": "G", "rank": 2, "node": 1, "cocharacter": [0, 1]},
+         ": component Y0 has tangent weight 2; G_2 has no short grading"),
+        (None, ""),
+    ])
+    def test_witness(self, tmp_path, capsys, lie, witness):
+        spec = dict(json.loads(Path(BORDISM).read_text()), declared_equalized=False)
+        if lie is not None:
+            spec = {"name": "x", "lie": lie}
+        path = write(tmp_path, "spec.json", json.dumps(spec))
+        assert main(["analyze", path, GR24]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"{path}: invalid:", NOT_EQUALIZED + witness]
+        assert "== gr24-k2 ==" in captured.out
+
+
 class TestOut:
     def test_every_report_is_kept(self, tmp_path, capsys):
         out = tmp_path / "reports.json"

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EuclideanRootSystem, classified_weyl_order, dot
+from conftest import TYPES_TO_RANK_8, EuclideanRootSystem, classified_weyl_order, dot
 from cstarflips.actions import ActionError, FixedComponent, validate_action
 from cstarflips.lie import homogeneous
 from cstarflips.lie.homogeneous import (
@@ -490,9 +490,9 @@ def walk_records(datum, node, cochar):
     lowest = min(level for _, level, _, _ in walk)
     return sorted(
         (level - lowest,
-         tuple(sorted(pairings[r] if p > 0 else -pairings[r] for r, p in scan)),
+         tuple(sorted(m if p > 0 else -m for p, m in zip(acc, pairings) if p)),
          points)
-        for _, level, scan, points in walk
+        for _, level, acc, points in walk
     )
 
 
@@ -604,3 +604,73 @@ def test_walk_steps_per_component_on_shipped_specs(monkeypatch):
                                  spec.lie.node)
         res, calls = dominant_calls(monkeypatch, space, spec.lie.cocharacter)
         assert calls <= 2 * len(res.model.components), spec.name
+
+
+@pytest.mark.parametrize("dynkin_type,rank,node,cochar,components,bound", [
+    ("E", 8, 4, fundamental_cocharacter(8, 4), 1437, 15_000),
+    ("C", 32, 16, tuple([int(k in (8, 32)) for k in range(1, 33)]), 525, 4_000),
+])
+def test_steps_into_found_components_are_pruned(monkeypatch, dynkin_type, rank, node, cochar,
+                                                components, bound):
+    """From a component with a step that reached a component already found,
+    the walk steps only in the J-dominant tangent roots: E_8(4) at omega_4
+    made 18,416 ``dominant`` calls without that rule and C_32(16) at
+    omega_8 + omega_32 65,385."""
+    space = HomogeneousSpace(build_root_system(dynkin_type, rank), node)
+    res, calls = dominant_calls(monkeypatch, space, cochar, max_cosets=10**14)
+    assert len(res.model.components) == components
+    assert calls <= bound
+
+
+# Every type up to rank 6, and E_6, E_7 and F_4, on varieties of at most
+# PRUNED_CAP fixed points: the walk below steps from every component in
+# every tangent root.
+PRUNED_SPACES = [(t, n) for t, n in TYPES_TO_RANK_8 if n <= 6] + [("E", 7), ("F", 4)]
+PRUNED_CAP = 2_000
+
+
+def unpruned_walk(levi, node):
+    """(mu, level, points) per component, from every step out of every
+    component found, with no stabilizer filter and no stop at the last
+    component."""
+    datum, pairings = levi.datum, levi.root_pairings
+    start = tuple(int(i == node - 1) for i in range(datum.rank))
+    levels, stack = {start: 0}, [start]
+    while stack:
+        mu = stack.pop()
+        for r, (labels, coroot) in enumerate(zip(datum.labels, datum.coroots)):
+            p = sum(m * c for m, c in zip(mu, coroot))  # <mu, beta_r^vee>
+            if p and pairings[r]:
+                w = levi.dominant([a - p * b for a, b in zip(mu, labels)])
+                if w not in levels:
+                    levels[w] = levels[mu] + p * pairings[r]
+                    stack.append(w)
+    order = weyl_order(datum, tuple(levi.simple))
+    return {(mu, level, order // weyl_order(datum, tuple(j for j in levi.simple if not mu[j])))
+            for mu, level in levels.items()}
+
+
+@st.composite
+def pruned_actions(draw):
+    dynkin_type, rank = draw(st.sampled_from(PRUNED_SPACES))
+    node = draw(st.integers(1, rank))
+    cochar = tuple(draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)))
+    return dynkin_type, rank, node, cochar
+
+
+@settings(max_examples=120, deadline=None)
+@given(pruned_actions())
+def test_pruned_walk_finds_every_component(case):
+    """The walk's steps only in J-dominant tangent roots, once a component
+    has stepped into one already found, reach the same components, at the
+    same levels and with the same point counts, as every step from every
+    component."""
+    dynkin_type, rank, node, cochar = case
+    datum = build_root_system(dynkin_type, rank)
+    space = HomogeneousSpace(datum, node)
+    if space.fixed_point_count > PRUNED_CAP:
+        return
+    levi = _Levi(datum, dominant_cocharacter(datum, cochar))
+    walk = levi.walk(node, space.fixed_point_count)
+    assert {(mu, level, points) for mu, level, _, points in walk} == unpruned_walk(levi, node)
+    assert len(walk) == len({mu for mu, *_ in walk})

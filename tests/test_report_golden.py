@@ -270,6 +270,13 @@ LIE_COMMAND_GOLDEN = {
         "fe0b842de7ab7ddbea048eeb57ca5f6cf9fa555fe99af81a1b53305200331c62",
     "dynkin G 2 --node 1 --cochar-node 2":
         "0a71e5f0df4d94ff55d325511640dd042ac865252b09a75f0c799a102e45ae9d",
+    # the 1,437 components of E_8(4) at omega_4, and the 525 of C_32(16) at
+    # omega_8 + omega_32, recorded before the walk pruned its steps
+    "dynkin E 8 --node 4 --cochar-node 4 --max-cosets 500000":
+        "4659f41bf9ac55ce06c67982c8ffa1ef7aa958b0b04ea866e8fba5fedbe747d0",
+    "dynkin C 32 --node 16 --cochar " + ",".join(["0"] * 7 + ["1"] + ["0"] * 23 + ["1"])
+    + " --max-cosets 100000000000000":
+        "6a51d55f0714fec8fd615c2915fb8dfcbb06cc70f890b03ecebcc8aa887f8430",
 }
 
 
