@@ -10,7 +10,8 @@ the sink has ``nu_minus == 0`` and the source has ``nu_plus == 0``, and for
 every component ``dim + nu_minus + nu_plus == dim_x``.
 
 An :class:`ActionModel` is its levels, the components of each critical value;
-:func:`validate_action` is the one place that groups components into levels.
+:func:`_group` is the one place that groups components into levels, and
+:func:`_check` the one check of them, for spec input and Lie input alike.
 
 Weights are exact rationals throughout; a validated model is normalized so
 that the sink sits at weight zero.
@@ -203,14 +204,16 @@ class ActionModel(NamedTuple):
             )
         return (self.sink_origin_dim, self.source_origin_dim)
 
-    def isolated_extremes(self) -> Tuple[bool, bool]:
-        """Whether the original sink and source are points.
+    def isolated_extremes(self, dims: Tuple[int, int] | None = None) -> Tuple[bool, bool]:
+        """Whether the original sink and source are points, by ``dims`` if
+        the caller has read the :meth:`origin_dims`.
 
         This one fact decides every case of the blowup: an isolated sink
         removes chamber (0, 1) and index 0 and adds the curve C_{1,r}, and
         makes the left end of the quotient chain divisorial; an isolated
-        source is the mirror image."""
-        sink_dim, source_dim = self.origin_dims()
+        source is the mirror image.  Each rule that reads it also takes it
+        as ``isolated``, so that a report reads it once."""
+        sink_dim, source_dim = dims or self.origin_dims()
         return (sink_dim == 0, source_dim == 0)
 
 
@@ -232,27 +235,34 @@ def unit_weights(weights: Iterable[int]) -> bool:
     return _UNIT_WEIGHTS.issuperset(weights)
 
 
-def _check(comps: list[FixedComponent], dim_x: int):
-    """The violations of :func:`check_action`, and the levels: (key, components)
-    pairs, the components grouped by :func:`_weight_key` in input order, the
-    levels sorted by their keys' cross-products, so that only the distinct
-    critical values are compared, and in integer arithmetic."""
+def _group(comps: list[FixedComponent]):
+    """Per component, the list of its level; and the (key, components) levels,
+    grouped by :func:`_weight_key` in input order and sorted by the keys'
+    cross-products: only the distinct critical values are compared, as ints."""
+    groups: dict[tuple[int, int], list[FixedComponent]] = {}
+    level_of = []
+    for c in comps:
+        level = groups.setdefault(_weight_key(c), [])
+        level.append(c)
+        level_of.append(level)
+    return level_of, [(key, groups[key]) for key in sorted(groups, key=_BY_WEIGHT)]
+
+
+def _check(comps: Sequence[FixedComponent], level_of: list, levels: list, dim_x: int):
+    """The violations of :func:`check_action`: ``comps`` in input order,
+    ``level_of`` the component sequence of each one's level and ``levels``
+    the (weight, components) pairs in increasing weight."""
     if not comps:
-        return [Violation(EMPTY_SPEC, "no fixed components given")], []
+        return [Violation(EMPTY_SPEC, "no fixed components given")]
     violations: list[Violation] = []
     if dim_x <= 0:  # then no component's dimension sum is compared
         violations.append(Violation(NON_POSITIVE_DIM, f"dim_X = {dim_x} is not positive"))
     seen: set[str] = set()
-    groups: dict[tuple[int, int], list[FixedComponent]] = {}
-    level_of = []
     for c in comps:
         if c.name in seen:
             message = f"component name {shown(repr(c.name))} repeated"
             violations.append(Violation(DUPLICATE_NAME, message, c.name))
         seen.add(c.name)
-        level = groups.setdefault(_weight_key(c), [])
-        level.append(c)
-        level_of.append(level)
         if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0:
             message = f"negative field on {shown(repr(c.name))}"
             violations.append(Violation(NEGATIVE_FIELD, message, c.name))
@@ -263,10 +273,9 @@ def _check(comps: list[FixedComponent], dim_x: int):
                        f"!= dim_x = {dim_x}")
             violations.append(Violation(DIMENSION_MISMATCH, message, c.name))
 
-    levels = [(key, groups[key]) for key in sorted(groups, key=_BY_WEIGHT)]
     if len(levels) < 2:
         violations.append(Violation(TRIVIAL_ACTION, "action has a single critical value"))
-        return violations, levels
+        return violations
 
     sink, source = levels[0][1], levels[-1][1]
     for c, level in zip(comps, level_of):
@@ -285,7 +294,7 @@ def _check(comps: list[FixedComponent], dim_x: int):
         if len(level) != 1:
             message = f"{label} level has more than one component"
             violations.append(Violation(REDUCIBLE_EXTREMAL_LEVEL, message))
-    return violations, levels
+    return violations
 
 
 def check_action(components: Iterable[FixedComponent], dim_x: int) -> list[Violation]:
@@ -294,16 +303,12 @@ def check_action(components: Iterable[FixedComponent], dim_x: int) -> list[Viola
     derived from a root datum.  Returns an empty list when they form a valid
     model.
     """
-    return _check(list(components), dim_x)[0]
+    comps = list(components)
+    return _check(comps, *_group(comps), dim_x)
 
 
-def validate_action(
-    components: Iterable[FixedComponent],
-    dim_x: int,
-    *,
-    equalized: bool = True,
-    equalization_source: str = "declared",
-) -> ActionModel:
+def validate_action(components: Iterable[FixedComponent], dim_x: int, *, equalized: bool = True,
+                    equalization_source: str = "declared") -> ActionModel:
     """Validate the fixed components of an action and return the normalized,
     non-flat model; flat models come from :func:`blowup_extremal` and
     :func:`~cstarflips.modifications.induced_action`.
@@ -313,12 +318,14 @@ def validate_action(
     a ``Fraction`` also when the weights are ints, and ``inner`` is set on
     the components strictly between sink and source.
     Each normalized component is built once, with its level's shifted weight
-    and inner flag, into the levels that :func:`_check` grouped, which the
+    and inner flag, into the levels that :func:`_group` made, which the
     model stores.  The shifted weights are computed from the
     levels' keys (:func:`shifted`).  Raises :class:`InvalidActionError`
     carrying the full list of violations otherwise.
     """
-    violations, groups = _check(list(components), dim_x)
+    comps = list(components)
+    level_of, groups = _group(comps)
+    violations = _check(comps, level_of, groups, dim_x)
     if violations:
         raise InvalidActionError(violations)
 
@@ -332,13 +339,21 @@ def validate_action(
         levels.append((weight, tuple([
             exact_component((c.name, weight, c.dim, c.nu_minus, c.nu_plus, inner)) for c in group
         ])))
-    return ActionModel(
-        dim_x,
-        tuple(levels),
-        equalized=equalized,
-        equalization_source=equalization_source,
-        weight_offset=as_rational(sink[0].weight),
-    )
+    return ActionModel(dim_x, tuple(levels), equalized=equalized,
+                       equalization_source=equalization_source,
+                       weight_offset=as_rational(sink[0].weight))
+
+
+def checked_model(levels: list, dim_x: int, **fields) -> ActionModel:
+    """The model of ``levels``, already normalized as :func:`validate_action`
+    leaves them, after its one check over the components in level order:
+    the model ``validate_action`` returns for those components, or the
+    :class:`InvalidActionError` it raises."""
+    comps = [c for _, level in levels for c in level]
+    violations = _check(comps, [level for _, level in levels for _ in level], levels, dim_x)
+    if violations:
+        raise InvalidActionError(violations)
+    return ActionModel(dim_x, tuple(levels), **fields)
 
 
 def model_warnings(model: ActionModel) -> list[str]:
@@ -378,7 +393,7 @@ def is_btype(model: ActionModel) -> bool:
     return model.sink.dim == model.dim_x - 1 and model.source.dim == model.dim_x - 1
 
 
-def is_bordism(model: ActionModel) -> bool:
+def is_bordism(model: ActionModel, isolated: Tuple[bool, bool] | None = None) -> bool:
     """Whether a B-type model counts as a bordism.
 
     With recorded origin dims the verdict is the isolated-extremes fact alone:
@@ -388,7 +403,7 @@ def is_bordism(model: ActionModel) -> bool:
     if not is_btype(model):
         return False
     if model.flat and model.sink_origin_dim is not None and model.source_origin_dim is not None:
-        return not any(model.isolated_extremes())
+        return not any(isolated or model.isolated_extremes())
     return all(c.nu_minus >= 2 and c.nu_plus >= 2 for c in model.inner_components)
 
 
@@ -450,12 +465,12 @@ def blowup_extremal(model: ActionModel) -> ActionModel:
     )
 
 
-def index_set_i(model: ActionModel) -> frozenset[int]:
+def index_set_i(model: ActionModel, isolated: Tuple[bool, bool] | None = None) -> frozenset[int]:
     """Indices i whose stable-point compactification is a small modification.
 
     On a flat model this is {0, ..., r-1} with 0 removed when the original
     sink is a point and r-1 removed when the original source is a point.
     """
     r = model.criticality
-    ends = zip((0, r - 1), model.isolated_extremes())
+    ends = zip((0, r - 1), isolated or model.isolated_extremes())
     return frozenset(range(r)) - {i for i, isolated in ends if isolated}

@@ -41,12 +41,13 @@ _CASES = {(False, False): "bordism", (True, False): "isolated-sink",
           (False, True): "isolated-source", (True, True): "isolated-both"}
 
 
-def extremal_case(model: ActionModel) -> str:
+def extremal_case(model: ActionModel, isolated: Tuple[bool, bool] | None = None) -> str:
     """The label of the isolated-extremes case, as the report prints it."""
-    return _CASES[model.isolated_extremes()]
+    return _CASES[isolated or model.isolated_extremes()]
 
 
-def movable_corners(model: ActionModel) -> Tuple[Tuple[int, int], ...]:
+def movable_corners(model: ActionModel, isolated: Tuple[bool, bool] | None = None
+                    ) -> Tuple[Tuple[int, int], ...]:
     """The vertices of the movable region as index pairs: (k, l) is the
     point (a_k, a_l).  The critical values increase strictly, so two
     vertices coincide just when their indices do, and no weight is compared.
@@ -59,7 +60,7 @@ def movable_corners(model: ActionModel) -> Tuple[Tuple[int, int], ...]:
     nothing to describe and the call is rejected.
     """
     r = model.criticality
-    sink_point, source_point = model.isolated_extremes()
+    sink_point, source_point = isolated or model.isolated_extremes()
     if r == 1 and sink_point and source_point:
         raise OutOfRangeError(
             "criticality-one action with isolated sink and source has no movable region"
@@ -82,11 +83,11 @@ def movable_polygon(model: ActionModel) -> Tuple[Point, ...]:
     return tuple([(a[k], a[l]) for k, l in movable_corners(model)])
 
 
-def chamber_rows(model: ActionModel) -> list[range]:
+def chamber_rows(model: ActionModel, isolated: Tuple[bool, bool] | None = None) -> list[range]:
     """Row i of the chamber triangle: the columns j of the chambers (i, j), i < j <= r,
     less (0, 1) when the original sink is a point and (r - 1, r) when the source is."""
     r = model.criticality
-    sink_point, source_point = model.isolated_extremes()
+    sink_point, source_point = isolated or model.isolated_extremes()
     rows = [range(i + 1, r + 1) for i in range(r)]
     rows[0] = rows[0][sink_point:]  # a True drops the first column
     rows[-1] = rows[-1][:len(rows[-1]) - source_point]

@@ -57,13 +57,6 @@ def _add_spec_args(p: argparse.ArgumentParser):
     p.add_argument("--strict-equalized", action="store_true")
 
 
-def _pipeline(path: str, args) -> ReportBundle:
-    spec = parse_spec(path)
-    return run_pipeline(
-        spec, max_cosets=args.max_cosets, strict_equalized=args.strict_equalized
-    )
-
-
 def _failure(exc: Exception, prefix: str = "", dest: str = "stdout") -> int:
     """Print the message of an error that ends a run or a file on stderr,
     after ``prefix``, and return its exit code.  An ``OSError`` is a failure
@@ -97,7 +90,8 @@ def _run_per_spec(args, render) -> int:
     try:
         for path in args.specs:
             try:
-                bundle = _pipeline(path, args)
+                bundle = run_pipeline(parse_spec(path), max_cosets=args.max_cosets,
+                                      strict_equalized=args.strict_equalized)
             except ActionError as exc:
                 worst = max(worst, _failure(exc, f"{path}: "))
                 continue

@@ -35,14 +35,16 @@ the whole derivation is integer sums and lookups.
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, NamedTuple, Sequence, Tuple
 
-from ..actions import (
+from ..actions import (  # validate_action stays a name here: bench/spans.py wraps it
     DEFAULT_MAX_COSETS,
     ActionModel,
     ActionError,
+    checked_model,
     exact_component,
     shown,
     unit_weights,
@@ -309,37 +311,29 @@ def build_action(
         records.append((level - offset, zeros, len(cert) - neg - zeros, neg, tuple(cert), points))
 
     # deterministic names: level index, then letters when a level is
-    # reducible; the point count breaks ties
+    # reducible; the point count breaks ties.  Each component is made once,
+    # with its level's weight and inner flag: the sink's level is 0.
     records.sort()
-    components = []
+    top = records[-1][0]
+    levels = []
     certificates: Dict[str, Tuple[int, ...]] = {}
     for k, (w, group) in enumerate(groupby(records, key=itemgetter(0))):
         at_level = list(group)
+        weight, inner = Fraction(w), 0 < w < top
+        level = []
         for idx, (_, zeros, pos, neg, cert, _points) in enumerate(at_level):
             name = f"Y{k}" if len(at_level) == 1 else f"Y{k}{_suffix(idx, len(at_level))}"
-            # an integer weight: validate_action gives each level its Fraction
-            components.append(exact_component((name, w, zeros, neg, pos, False)))
+            level.append(exact_component((name, weight, zeros, neg, pos, inner)))
             certificates[name] = cert
+        levels.append((weight, tuple(level)))
 
     equalized = all(unit_weights(cert) for cert in certificates.values())
     short = unit_weights(pairings)
-    warnings = [] if short else ["GradingNotShort: grading support exceeds {-1, 0, 1}"]
-    model = validate_action(
-        components,
-        dim_x=space.dim,
-        equalized=equalized,
-        equalization_source="tangent-weights",
-    )
-    return LieActionResult(
-        model=model,
-        space_label=space.label,
-        cocharacter=tuple([int(n) for n in cocharacter]),
-        fixed_point_count=total,
-        tangent_certificates=certificates,
-        is_short=short,
-        equalized=equalized,
-        warnings=tuple(warnings),
-    )
+    warnings = () if short else ("GradingNotShort: grading support exceeds {-1, 0, 1}",)
+    model = checked_model(levels, space.dim, equalized=equalized,
+                          equalization_source="tangent-weights")
+    return LieActionResult(model, space.label, tuple([int(n) for n in cocharacter]), total,
+                           certificates, short, equalized, warnings)
 
 
 def unequalized_witness(result: LieActionResult, datum: RootSystem) -> str:

@@ -152,7 +152,8 @@ class RootSystem(NamedTuple):
     positive one in all three and has no entry of its own.  Weights are
     written as Dynkin labels too, so every pairing is an integer sum.
 
-    The hash reads the type and the rank only, which fix every table.
+    It hashes by identity, in C: there is one per type and rank, which fix
+    every table, and a copy or a pickle of it is that one.
     """
 
     dynkin_type: str
@@ -173,8 +174,10 @@ class RootSystem(NamedTuple):
     # per positive root beta, the bitmasks of the nodes where beta and -beta have a negative label
     negative_labels: Tuple[Tuple[int, int], ...]
 
-    def __hash__(self):
-        return hash((self.dynkin_type, self.rank))
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return build_root_system, (self.dynkin_type, self.rank)
 
     def __repr__(self):
         return f"build_root_system({self.dynkin_type!r}, {self.rank})"

@@ -205,15 +205,16 @@ class QuotientDiagram(NamedTuple):
     fiber_note: str
 
 
-def quotient_chain(model: ActionModel) -> tuple:
+def quotient_chain(model: ActionModel, dims: Tuple[int, int] | None = None) -> tuple:
     """The chain of geometric quotients over the semigeometric ones: the
     nodes as (dim, label, identity), the arrows as label pairs, the fibers.
     The r geometric nodes GX(i, i+1) and the r + 1 semigeometric GX(i, i)
     have dimension dim X - 1 but the outermost two, the extremal components
-    Y_0 and Y_r at the origin dims.  A dashed arrow joins each geometric
-    node to the next; each contracts onto its neighbours, GX(i, i) first."""
+    Y_0 and Y_r at the origin dims (``dims``, if the caller has read them).
+    A dashed arrow joins each geometric node to the next; each contracts
+    onto its neighbours, GX(i, i) first."""
     r, d = model.criticality, model.dim_x - 1
-    sink_dim, source_dim = model.origin_dims()
+    sink_dim, source_dim = dims or model.origin_dims()
     geometric = [f"GX({i},{i + 1})" for i in range(r)]
     semi = [f"GX({i},{i})" for i in range(r + 1)]
     return (
@@ -249,12 +250,14 @@ def p1_bundle_models(model: ActionModel) -> list[P1BundleModel]:
     ]
 
 
-def extremal_ray_type(model: ActionModel, end: str | None = None) -> str | Tuple[str, str]:
+def extremal_ray_type(model: ActionModel, end: str | None = None,
+                      isolated: Tuple[bool, bool] | None = None) -> str | Tuple[str, str]:
     """Contraction type at an endpoint of the quotient chain: the projective
     bundle over a positive-dimensional extremal component, or divisorial when
     that component is a point.  Without an ``end``, the types at the left
     and the right end as a pair."""
-    types = tuple(["divisorial" if point else "fibration" for point in model.isolated_extremes()])
+    types = tuple(["divisorial" if point else "fibration"
+                   for point in isolated or model.isolated_extremes()])
     if end is None:
         return types
     if end not in ("left", "right"):
@@ -271,14 +274,15 @@ class ChainSummary(NamedTuple):
     flips: int
 
 
-def flip_chain_summary(model: ActionModel) -> ChainSummary:
+def flip_chain_summary(model: ActionModel, isolated: Tuple[bool, bool] | None = None
+                       ) -> ChainSummary:
     """Counts for the quotient chain: r - 1 dashed arrows plus an endpoint
     classification.  A divisorial endpoint reclassifies the adjacent step as a
     blowup (left) or blowdown (right); the small contractions of the two end
     arrows then pair up, leaving r - 2 genuine flips, against r - 1 when both
     endpoints are fibrations."""
     r = model.criticality
-    left, right = extremal_ray_type(model)
+    left, right = extremal_ray_type(model, isolated=isolated)
     blowups, blowdowns = int(left == "divisorial"), int(right == "divisorial")
     flips = r - 1 if blowups + blowdowns == 0 else max(r - 2, 0)
     return ChainSummary(r - 1, left, right, blowups, blowdowns, flips)

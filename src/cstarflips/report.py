@@ -82,16 +82,19 @@ class ReportBundle(NamedTuple):
         a = [str(v) for v, _ in flat.levels]
         inner = ",".join([_component_json(c, weight) for weight, (_, level)
                           in zip(a[1:-1], flat.levels[1:-1]) for c in level])
-        index_set = sorted(index_set_i(flat))
-        chambers, flip_graph, p1_bundles = _chain_sections(flat, index_set, a)
-        s = md.flip_chain_summary(flat)
-        geometric, semigeometric, dashed, diagonal, fiber = md.quotient_chain(flat)
+        # the origin dims and the isolated-extremes fact, read once
+        dims = flat.origin_dims()
+        isolated = flat.isolated_extremes(dims)
+        index_set = sorted(index_set_i(flat, isolated))
+        chambers, flip_graph, p1_bundles = _chain_sections(flat, index_set, a, isolated)
+        s = md.flip_chain_summary(flat, isolated)
+        geometric, semigeometric, dashed, diagonal, fiber = md.quotient_chain(flat, dims)
         return (_SKELETON % (
-            a[-1], _BOOL[is_bordism(flat)], ch.extremal_case(flat),
+            a[-1], _BOOL[is_bordism(flat, isolated)], ch.extremal_case(flat, isolated),
             s.blowdowns, s.blowups, s.chain_arrows, s.flips, s.left, s.right,
             chambers, flat.criticality, _model_json(flat, a, inner), flip_graph,
             _int_list(index_set), _lie_json(self.lie), _model_json(model, a, inner),
-            ",".join([f'["{a[k]}","{a[l]}"]' for k, l in ch.movable_corners(flat)]),
+            ",".join([f'["{a[k]}","{a[l]}"]' for k, l in ch.movable_corners(flat, isolated)]),
             _encode_str(self.name), p1_bundles, _encode_str(model.equalization_source),
             _BOOL[model.equalized], _LABEL_NOTE, ",".join(map(_encode_str, self.notes)),
             ",".join([f'["{g}","{h}"]' for g, h in dashed]),
@@ -161,10 +164,12 @@ def _flip_json(flat: ActionModel, direction: str, level: int, edges: list, obstr
         edges.append
 
 
-def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str]) -> tuple:
+def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str],
+                    isolated: Tuple[bool, bool]) -> tuple:
     """The canonical JSON texts of the O(r^2) sections, chambers, flip graph
     and P1-bundles, written in one loop over the rows of the chamber triangle,
-    with ``values`` the texts of the critical values.  A chamber's polygon
+    with ``values`` the texts of the critical values and ``isolated`` the
+    isolated-extremes fact.  A chamber's polygon
     is its ``row_outlines`` text, with the corner (a_k, a_l) written
     ``[a_k,a_l]``; each node ``[i,j]`` is written once, a row ahead, as the
     plus flips of row i go to row i + 1; each flip's head and middle
@@ -174,7 +179,7 @@ def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str]) 
     sorted order."""
     x = [f'["{v}",' for v in values]  # str(Fraction) is ASCII
     y = [f'"{v}"]' for v in values]
-    rows = ch.chamber_rows(flat)
+    rows = ch.chamber_rows(flat, isolated)
     r = len(rows)
     ends = [f"{j}]" for j in range(r + 1)]  # the node [i,j] is "[i," + ends[j]
     chambers, nodes, edges, obstructions = [], [], [], []
@@ -223,26 +228,19 @@ def _compare_expected(model: ActionModel, expected: ActionModel) -> list[str]:
     failures = []
     if model.dim_x != expected.dim_x:
         failures.append(f"dim_X: derived {model.dim_x}, expected {expected.dim_x}")
-    got, want = dict(level_signature(model)), dict(level_signature(expected))
-    if set(got) != set(want):
-        failures.append(
-            f"critical values: derived {sorted(map(str, got))}, expected {sorted(map(str, want))}"
-        )
+    # both in increasing weight: the levels pair up in order, no weight hashed
+    got, want = level_signature(model), level_signature(expected)
+    values, wanted = [a for a, _ in got], [a for a, _ in want]
+    if values != wanted:
+        failures.append(f"critical values: derived {sorted(map(str, values))}, "
+                        f"expected {sorted(map(str, wanted))}")
         return failures
-    for a in sorted(got):
-        if got[a] != want[a]:
-            failures.append(
-                f"level {a}: derived (dim, nu-, nu+) = {list(got[a])}, expected {list(want[a])}"
-            )
-    return failures
+    return failures + [f"level {a}: derived (dim, nu-, nu+) = {list(g)}, expected {list(w)}"
+                       for (a, g), (_, w) in zip(got, want) if g != w]
 
 
-def run_pipeline(
-    spec: ActionSpecFile,
-    *,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    strict_equalized: bool = False,
-) -> ReportBundle:
+def run_pipeline(spec: ActionSpecFile, *, max_cosets: int = DEFAULT_MAX_COSETS,
+                 strict_equalized: bool = False) -> ReportBundle:
     """Validate or derive the model and pass to the flat model: the facts of the report.
 
     With a lie block, the model is recomputed from the root datum and any
@@ -256,15 +254,13 @@ def run_pipeline(
         from .lie.roots import build_root_system
 
         datum = build_root_system(spec.lie.dynkin_type, spec.lie.rank)
-        lie = build_action(
-            HomogeneousSpace(datum, spec.lie.node), spec.lie.cocharacter, max_cosets=max_cosets
-        )
+        lie = build_action(HomogeneousSpace(datum, spec.lie.node), spec.lie.cocharacter,
+                           max_cosets=max_cosets)
         model = lie.model
         notes.extend(lie.warnings)
         if spec.components is not None:
-            expected = validate_action(
-                spec.components, spec.dim_x if spec.dim_x is not None else model.dim_x
-            )
+            expected = validate_action(spec.components,
+                                       spec.dim_x if spec.dim_x is not None else model.dim_x)
             failures = _compare_expected(model, expected)
         elif spec.dim_x is not None and spec.dim_x != model.dim_x:
             failures = [f"dim_X: derived {model.dim_x}, expected {spec.dim_x}"]
@@ -272,26 +268,17 @@ def run_pipeline(
         declared = True if spec.declared_equalized is None else spec.declared_equalized
         if spec.declared_equalized is None:
             notes.append("equalization assumed (no declared_equalized field, no lie block)")
-        model = validate_action(
-            spec.components,
-            spec.dim_x,
-            equalized=declared,
-            equalization_source="declared",
-        )
+        model = validate_action(spec.components, spec.dim_x, equalized=declared,
+                                equalization_source="declared")
 
     if not model.equalized:
         why = "" if lie is None else ": " + unequalized_witness(lie, datum)
         raise InvalidActionError([Violation(
             "NotEqualized", "action is not equalized; the construction needs it" + why)])
     if strict_equalized and model.equalization_source == "declared":
-        raise InvalidActionError(
-            [
-                Violation(
-                    "DeclaredEqualization",
-                    "--strict-equalized: equalization is only declared, not derived",
-                )
-            ]
-        )
+        raise InvalidActionError([Violation(
+            "DeclaredEqualization",
+            "--strict-equalized: equalization is only declared, not derived")])
 
     notes.extend(model_warnings(model))
     if is_btype(model):

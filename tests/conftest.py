@@ -1,12 +1,23 @@
 import functools
 import math
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from cstarflips.actions import ActionModel, FixedComponent, blowup_extremal, validate_action
+from cstarflips import actions
+from cstarflips.actions import (
+    ActionModel,
+    FixedComponent,
+    InvalidActionError,
+    Violation,
+    blowup_extremal,
+    exact_component,
+    shown,
+    validate_action,
+)
 from cstarflips.lie.homogeneous import HomogeneousSpace, IllegalRangeError, build_action
 from cstarflips.lie.roots import build_root_system
 
@@ -154,6 +165,90 @@ def synthetic_case_model(case: str, r: int = 3) -> ActionModel:
         rows.append((f"Y{level}", level, 2, 2 + (level % 2), dim_x - 4 - (level % 2)))
     rows.append((f"Y{r}", r, source_dim, dim_x - source_dim, 0))
     return model_from_rows(rows, dim_x)
+
+
+# --------------------------------------------------------------------------
+# Validation in one loop: an oracle for the grouping and the check
+# --------------------------------------------------------------------------
+
+# The order of two weight keys (numerator, denominator), by cross-product.
+_BY_WEIGHT_KEY = functools.cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+
+def _one_loop_check(comps: list, dim_x: int):
+    """The violations and the (key, components) levels, as validation found
+    them when one loop grouped the components and checked them: the
+    violations in their codes, messages and order, the levels in increasing
+    weight, each level's components in input order."""
+    if not comps:
+        return [Violation(actions.EMPTY_SPEC, "no fixed components given")], []
+    violations = []
+    if dim_x <= 0:
+        violations.append(Violation(actions.NON_POSITIVE_DIM, f"dim_X = {dim_x} is not positive"))
+    seen = set()
+    groups = {}
+    level_of = []
+    for c in comps:
+        if c.name in seen:
+            message = f"component name {shown(repr(c.name))} repeated"
+            violations.append(Violation(actions.DUPLICATE_NAME, message, c.name))
+        seen.add(c.name)
+        level = groups.setdefault(c.weight.as_integer_ratio(), [])
+        level.append(c)
+        level_of.append(level)
+        if c.dim < 0 or c.nu_minus < 0 or c.nu_plus < 0:
+            message = f"negative field on {shown(repr(c.name))}"
+            violations.append(Violation(actions.NEGATIVE_FIELD, message, c.name))
+            continue
+        total = c.dim + c.nu_minus + c.nu_plus
+        if total != dim_x and dim_x > 0:
+            message = (f"{shown(repr(c.name))}: dim + nu_minus + nu_plus = {total} "
+                       f"!= dim_x = {dim_x}")
+            violations.append(Violation(actions.DIMENSION_MISMATCH, message, c.name))
+
+    levels = [(key, groups[key]) for key in sorted(groups, key=_BY_WEIGHT_KEY)]
+    if len(levels) < 2:
+        violations.append(Violation(actions.TRIVIAL_ACTION, "action has a single critical value"))
+        return violations, levels
+
+    sink, source = levels[0][1], levels[-1][1]
+    for c, level in zip(comps, level_of):
+        if level is sink:
+            if c.nu_minus != 0:
+                message = f"sink component {shown(repr(c.name))} has nu_minus != 0"
+                violations.append(Violation(actions.EXTREMAL_NONZERO_NU, message, c.name))
+        elif level is source:
+            if c.nu_plus != 0:
+                message = f"source component {shown(repr(c.name))} has nu_plus != 0"
+                violations.append(Violation(actions.EXTREMAL_NONZERO_NU, message, c.name))
+        elif c.nu_minus == 0 or c.nu_plus == 0:
+            message = f"inner component {shown(repr(c.name))} has nu_minus or nu_plus equal to 0"
+            violations.append(Violation(actions.NON_EXTREMAL_ZERO_NU, message, c.name))
+    for label, level in (("sink", sink), ("source", source)):
+        if len(level) != 1:
+            message = f"{label} level has more than one component"
+            violations.append(Violation(actions.REDUCIBLE_EXTREMAL_LEVEL, message))
+    return violations, levels
+
+
+def one_loop_validate(components, dim_x: int, **fields) -> ActionModel:
+    """``validate_action`` as it was with :func:`_one_loop_check`: raises its
+    violations, else builds the model from its levels, each level shifted
+    by the sink's weight, sorted by name and flagged inner between the
+    extremes."""
+    violations, groups = _one_loop_check(list(components), dim_x)
+    if violations:
+        raise InvalidActionError(violations)
+    (base_n, base_d), sink = groups[0]
+    r = len(groups) - 1
+    levels = []
+    for k, ((n, d), group) in enumerate(groups):
+        weight = Fraction(n * base_d - base_n * d, d * base_d)
+        levels.append((weight, tuple([
+            exact_component((c.name, weight, c.dim, c.nu_minus, c.nu_plus, 0 < k < r))
+            for c in sorted(group, key=attrgetter("name"))
+        ])))
+    return ActionModel(dim_x, tuple(levels), weight_offset=Fraction(sink[0].weight), **fields)
 
 
 # --------------------------------------------------------------------------

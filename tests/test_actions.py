@@ -21,6 +21,7 @@ from cstarflips.actions import (
     NON_EXTREMAL_ZERO_NU,
     REDUCIBLE_EXTREMAL_LEVEL,
     TRIVIAL_ACTION,
+    ActionModel,
     AlreadyFlatError,
     FixedComponent,
     InvalidActionError,
@@ -36,7 +37,7 @@ from cstarflips.actions import (
 )
 from cstarflips.chambers import chamber_pairs
 from cstarflips.modifications import induced_action
-from conftest import action_models, components, model_from_rows
+from conftest import action_models, components, model_from_rows, one_loop_validate
 
 
 class TestValidation:
@@ -242,6 +243,92 @@ def _wide_chains(draw):
             comps.append(FixedComponent(f"Q{k}", f"{3 * w.numerator}/{3 * w.denominator}",
                                         3, 1, 2))
     return draw(st.permutations(comps)), dim_x, weights
+
+
+# Each way to break a valid model, with the violation code it must raise.
+DEFECTS = {
+    "duplicate name": DUPLICATE_NAME,
+    "negative field": NEGATIVE_FIELD,
+    "dim mismatch": DIMENSION_MISMATCH,
+    "single level": TRIVIAL_ACTION,
+    "extremal nu": EXTREMAL_NONZERO_NU,
+    "inner zero nu": NON_EXTREMAL_ZERO_NU,
+    "reducible extreme": REDUCIBLE_EXTREMAL_LEVEL,
+    "dim_X not positive": NON_POSITIVE_DIM,
+    "no components": EMPTY_SPEC,
+}
+
+
+@st.composite
+def _broken_models(draw, defects):
+    """The components of a random valid model, their weights shifted, with
+    the ``defects`` made in them, in shuffled order, and dim X."""
+    model = draw(action_models())
+    shift = draw(st.fractions(-3, 3, max_denominator=6))
+    comps = [c._replace(weight=c.weight + shift) for c in model.components]
+    dim_x = model.dim_x
+    pick = st.integers(0, len(comps) - 1)
+    sink, source = comps[0], comps[-1]
+    for defect in sorted(defects):
+        if defect == "duplicate name":
+            i, j = draw(st.lists(pick, min_size=2, max_size=2, unique=True))
+            comps[j] = comps[j]._replace(name=comps[i].name)
+        elif defect == "negative field":
+            field = draw(st.sampled_from(("dim", "nu_minus", "nu_plus")))
+            i = draw(pick)
+            comps[i] = comps[i]._replace(**{field: -draw(st.integers(1, 3))})
+        elif defect == "dim mismatch":
+            i = draw(pick)
+            comps[i] = comps[i]._replace(dim=comps[i].dim + draw(st.integers(1, 3)))
+        elif defect == "single level":
+            comps = [c._replace(weight=sink.weight) for c in comps]
+        elif defect == "extremal nu":
+            k = draw(st.integers(1, 2))
+            end = draw(st.sampled_from((0, -1)))
+            field = "nu_minus" if end == 0 else "nu_plus"
+            comps[end] = comps[end]._replace(**{field: k})
+        elif defect == "inner zero nu":
+            field = draw(st.sampled_from(("nu_minus", "nu_plus")))
+            i = draw(st.integers(1, len(comps) - 2))
+            comps[i] = comps[i]._replace(**{field: 0})
+        elif defect == "reducible extreme":
+            end = draw(st.sampled_from((sink, source)))
+            comps.append(end._replace(name=end.name + "'"))
+        elif defect == "dim_X not positive":
+            dim_x = draw(st.integers(-2, 0))
+        elif defect == "no components":
+            comps = []
+    return draw(st.permutations(comps)), dim_x
+
+
+def _outcome(validate, comps, dim_x):
+    try:
+        return validate(comps, dim_x, equalized=False, equalization_source="tangent-weights")
+    except InvalidActionError as exc:
+        return exc.violations
+
+
+class TestAgainstTheOneLoopCheck:
+    """Grouping and checking are separate steps; the oracle is the one loop
+    that did both (``conftest.one_loop_validate``).  Over valid models and
+    every kind of defect, with others made beside it, validate_action
+    raises the oracle's violations, with their codes, messages and order,
+    or returns the oracle's model."""
+
+    @pytest.mark.parametrize("defect", [None, *DEFECTS])
+    @given(data=st.data())
+    def test_same_violations_or_model(self, defect, data):
+        others = data.draw(st.sets(st.sampled_from(sorted(DEFECTS)), max_size=3))
+        defects = others | ({defect} if defect else set())
+        comps, dim_x = data.draw(_broken_models(defects))
+        want = _outcome(one_loop_validate, comps, dim_x)
+        assert _outcome(validate_action, comps, dim_x) == want
+        violations = [] if isinstance(want, ActionModel) else list(want)
+        assert check_action(comps, dim_x) == violations
+        if not defects:
+            assert violations == []
+        elif defect and not others:
+            assert DEFECTS[defect] in [v.code for v in violations]
 
 
 class TestOrderAndShift:

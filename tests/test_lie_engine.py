@@ -14,11 +14,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TYPES_TO_RANK_8, EuclideanRootSystem, classified_weyl_order, dot
-from cstarflips.actions import ActionError, FixedComponent, validate_action
+from cstarflips.actions import (
+    TRIVIAL_ACTION,
+    ActionError,
+    FixedComponent,
+    InvalidActionError,
+    validate_action,
+)
 from cstarflips.lie import homogeneous
 from cstarflips.lie.homogeneous import (
     CosetLimitError,
@@ -473,6 +479,73 @@ def test_equalized_exactly_when_short(case, node):
     dynkin_type, rank, cochar = case
     if any(cochar):
         assert_equalized_iff_short(dynkin_type, rank, 1 + (node - 1) % rank, cochar)
+
+
+# --------------------------------------------------------------------------
+# The model built in one pass
+# --------------------------------------------------------------------------
+
+
+def walk_components(datum, node, cochar):
+    """The components of the walk at integer weights, named as build_action
+    names them: the records in order of level, then (dim, nu_plus,
+    nu_minus), certificate and point count."""
+    records = sorted(
+        (level, cert.count(0), len([m for m in cert if m > 0]), len([m for m in cert if m < 0]),
+         cert, points)
+        for level, cert, points in walk_records(datum, node, cochar)
+    )
+    comps = []
+    for k, (_, group) in enumerate(itertools.groupby(records, key=lambda rec: rec[0])):
+        group = list(group)
+        for idx, (w, zeros, pos, neg, _, _) in enumerate(group):
+            name = f"Y{k}" if len(group) == 1 else f"Y{k}{homogeneous._suffix(idx, len(group))}"
+            comps.append(FixedComponent(name, w, zeros, nu_minus=neg, nu_plus=pos))
+    return comps
+
+
+def assert_one_pass_model(dynkin_type, rank, node, cochar):
+    """build_action's model, whose levels it builds and checks itself, is
+    the model validate_action makes of its components; its
+    InvalidActionError carries the violations validate_action raises on
+    the components of the walk.  A variety above the cap is left out."""
+    datum = build_root_system(dynkin_type, rank)
+    space = HomogeneousSpace(datum, node)
+    try:
+        model = build_action(space, cochar, max_cosets=EQUALIZED_CAP).model
+    except CosetLimitError:
+        return None
+    except InvalidActionError as exc:
+        with pytest.raises(InvalidActionError) as want:
+            validate_action(walk_components(datum, node, cochar), space.dim)
+        assert exc.violations == want.value.violations, (dynkin_type, rank, node, cochar)
+        return exc.violations
+    assert model == validate_action(model.components, model.dim_x, equalized=model.equalized,
+                                    equalization_source="tangent-weights"), \
+        (dynkin_type, rank, node, cochar)
+    return None
+
+
+@pytest.mark.parametrize("dynkin_type,rank", SPACES + [("E", 7)])
+def test_one_pass_model_at_fundamental_cocharacters(dynkin_type, rank):
+    """Every marked node, every fundamental cocharacter of either sign, and
+    the zero cocharacter, which gives no action."""
+    for node in range(1, rank + 1):
+        for k in range(1, rank + 1):
+            for sign in (1, -1):
+                cochar = tuple(sign * x for x in fundamental_cocharacter(rank, k))
+                assert assert_one_pass_model(dynkin_type, rank, node, cochar) is None
+        violations = assert_one_pass_model(dynkin_type, rank, node, (0,) * rank)
+        assert [v.code for v in violations] == [TRIVIAL_ACTION]
+
+
+@settings(max_examples=80, deadline=None)
+@given(gradings(), st.integers(1, 8))
+@example(("A", 1, (0,)), 1)
+def test_one_pass_model(case, node):
+    """Over cocharacters with entries in [-2, 2], the zero one included."""
+    dynkin_type, rank, cochar = case
+    assert_one_pass_model(dynkin_type, rank, 1 + (node - 1) % rank, cochar)
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from test_report_golden import CASES, _model_spec, rational_chain_spec
 from cstarflips import chambers as ch
 from cstarflips import modifications as md
 from cstarflips import report
-from cstarflips.actions import blowup_extremal
+from cstarflips.actions import ActionModel, blowup_extremal
 from cstarflips.cli import main
 from cstarflips.report import run_pipeline
 from cstarflips.specfiles import parse_spec_dict
@@ -133,7 +133,9 @@ def test_each_fact_is_computed_once(case):
     arithmetic, with no Fraction compared or subtracted, and within one
     ``to_json`` there is one flip record (``flip_at_level``) for each
     (direction, level) that a move uses, one evaluation of the chamber rows,
-    each critical value written once for the whole report, every
+    one read of the origin dims and of the isolated-extremes fact, which
+    each rule of the report takes from the writer, one call of each such
+    rule, each critical value written once for the whole report, every
     chamber's outline written once, by one ``row_outlines`` call per row
     (a P1-bundle's nef polygon is the outline of its chamber), and no
     ``quotient_diagram`` records."""
@@ -149,9 +151,9 @@ def _check_computed_once(monkeypatch, case, r, spec):
     reads = collections.Counter()
 
     def counting(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     def reading(x, y, sep, i, columns, original=ch.row_outlines):
@@ -175,6 +177,13 @@ def _check_computed_once(monkeypatch, case, r, spec):
     monkeypatch.setattr(Fraction, "__str__", counting("str", Fraction.__str__))
     monkeypatch.setattr(ch, "row_outlines", reading)
     monkeypatch.setattr(report, "_chain_sections", chain_sections)
+    for name in ("origin_dims", "isolated_extremes"):
+        monkeypatch.setattr(ActionModel, name, counting(name, getattr(ActionModel, name)))
+    rules = ((report, "index_set_i"), (report, "is_bordism"), (ch, "extremal_case"),
+             (ch, "movable_corners"), (md, "flip_chain_summary"), (md, "extremal_ray_type"),
+             (md, "quotient_chain"))
+    for module, name in rules:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
     payload = bundle.to_json()
     assert calls["arithmetic"] == 0
@@ -184,6 +193,9 @@ def _check_computed_once(monkeypatch, case, r, spec):
     used = {(m["direction"], m["level"]) for m in graph["edges"] + graph["obstructions"]}
     assert calls["flip_at_level"] == len(used) == 2 * (r - 1) - sum(CASE_ISOLATED[case])
     assert calls["chamber_rows"] == 1
+    # the chain facts are read once and handed to every rule that needs them
+    assert calls["origin_dims"] == calls["isolated_extremes"] == 1
+    assert [calls[name] for _, name in rules] == [1] * len(rules)
     # the quotients are written from the chain, with no record per node
     assert calls["quotient_diagram"] == 0
     # the chain sections, the two models, the bandwidth and the movable cone
