@@ -19,10 +19,11 @@ that the sink sits at weight zero.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cmp_to_key, partial
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 # Default cap on the torus-fixed points of a Lie-derived action (|W/W_P|),
 # shared by the CLI, the pipeline and the Lie engine.
@@ -54,10 +55,7 @@ def shown(text: str) -> str:
     return text if len(text) <= 40 else text[:40] + "..."
 
 
-class Violation(NamedTuple):
-    code: str
-    message: str
-    component: str | None = None
+Violation = namedtuple("Violation", "code message component", defaults=(None,))
 
 
 class InvalidActionError(ActionError):
@@ -110,16 +108,8 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class _FixedComponent(NamedTuple):
-    name: str
-    weight: Fraction
-    dim: int
-    nu_minus: int
-    nu_plus: int
-    inner: bool = False
-
-
-class FixedComponent(_FixedComponent):
+class FixedComponent(namedtuple("FixedComponent", "name weight dim nu_minus nu_plus inner",
+                                defaults=(False,))):
     """One irreducible fixed component with its local invariants.  The
     weight may be given as an int or a ``"p/q"`` string; it is kept as a
     ``Fraction``."""
@@ -141,7 +131,9 @@ class FixedComponent(_FixedComponent):
 exact_component = partial(tuple.__new__, FixedComponent)
 
 
-class ActionModel(NamedTuple):
+class ActionModel(namedtuple("ActionModel", "dim_x levels flat equalized equalization_source "
+                             "sink_origin_dim source_origin_dim weight_offset",
+                             defaults=(False, True, "declared", None, None, Fraction(0)))):
     """A validated action: its ``levels``, the (critical value, components)
     pairs in increasing weight, each level's components sorted by name.
     ``components``, the critical values and the extremes are read from them.
@@ -153,14 +145,7 @@ class ActionModel(NamedTuple):
     which drive the chamber bookkeeping downstream.
     """
 
-    dim_x: int
-    levels: Tuple[Tuple[Fraction, Tuple[FixedComponent, ...]], ...]
-    flat: bool = False
-    equalized: bool = True
-    equalization_source: str = "declared"
-    sink_origin_dim: int | None = None
-    source_origin_dim: int | None = None
-    weight_offset: Fraction = Fraction(0)
+    __slots__ = ()
 
     @property
     def components(self) -> Tuple[FixedComponent, ...]:

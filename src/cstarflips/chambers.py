@@ -19,8 +19,9 @@ corners from there, texts for a whole row at a time.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .actions import ActionModel, ActionError
 
@@ -31,9 +32,7 @@ class OutOfRangeError(ActionError):
     pass
 
 
-class Chamber(NamedTuple):
-    pair: Tuple[int, int]
-    polygon: Tuple[Point, ...]
+Chamber = namedtuple("Chamber", "pair polygon")
 
 
 # The label of each isolated-extremes case, by (sink is a point, source is a point).
@@ -76,11 +75,12 @@ def movable_corners(model: ActionModel, isolated: Tuple[bool, bool] | None = Non
     return tuple(out)
 
 
-def movable_polygon(model: ActionModel) -> Tuple[Point, ...]:
+def movable_polygon(model: ActionModel, isolated: Tuple[bool, bool] | None = None
+                    ) -> Tuple[Point, ...]:
     """Vertices of the movable region in the (tau_minus, tau_plus) plane:
     the points of :func:`movable_corners`."""
     a = model.critical_values
-    return tuple([(a[k], a[l]) for k, l in movable_corners(model)])
+    return tuple([(a[k], a[l]) for k, l in movable_corners(model, isolated)])
 
 
 def chamber_rows(model: ActionModel, isolated: Tuple[bool, bool] | None = None) -> list[range]:
@@ -94,9 +94,10 @@ def chamber_rows(model: ActionModel, isolated: Tuple[bool, bool] | None = None) 
     return rows
 
 
-def chamber_pairs(model: ActionModel) -> list[Tuple[int, int]]:
+def chamber_pairs(model: ActionModel, isolated: Tuple[bool, bool] | None = None
+                  ) -> list[Tuple[int, int]]:
     """The index pairs whose chamber lies inside the movable cone."""
-    return [(i, j) for i, columns in enumerate(chamber_rows(model)) for j in columns]
+    return [(i, j) for i, columns in enumerate(chamber_rows(model, isolated)) for j in columns]
 
 
 def row_outlines(x, y, sep: str, i: int, columns: range) -> list[str]:

@@ -51,12 +51,6 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {shown(repr(text))}")
 
 
-def _add_spec_args(p: argparse.ArgumentParser):
-    p.add_argument("specs", nargs="+", help="action spec file(s)")
-    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
-    p.add_argument("--strict-equalized", action="store_true")
-
-
 def _failure(exc: Exception, prefix: str = "", dest: str = "stdout") -> int:
     """Print the message of an error that ends a run or a file on stderr,
     after ``prefix``, and return its exit code.  An ``OSError`` is a failure
@@ -119,17 +113,19 @@ def _cmd_analyze(args) -> int:
 
 def _analyze_text(path: str, bundle: ReportBundle):
     flat = bundle.flat
-    pairs = ch.chamber_pairs(flat)
-    blocked = [bool(record[3]) for _, _, record in md.flip_moves(flat)]
+    isolated = flat.isolated_extremes()  # read once, handed to every rule
+    pairs = ch.chamber_pairs(flat, isolated)
+    blocked = [bool(record[3]) for _, _, record in md.flip_moves(flat, isolated=isolated)]
     yield f"== {bundle.name} =="
-    yield (f"case: {ch.extremal_case(flat)}  bandwidth: {flat.bandwidth!s}  "
+    yield (f"case: {ch.extremal_case(flat, isolated)}  bandwidth: {flat.bandwidth!s}  "
            f"criticality: {flat.criticality}")
-    yield f"bordism: {is_bordism(flat)}  index set: {sorted(index_set_i(flat))}"
-    gens = ", ".join(f"L({a!s},{b!s})" for a, b in ch.movable_polygon(flat))
+    yield (f"bordism: {is_bordism(flat, isolated)}  "
+           f"index set: {sorted(index_set_i(flat, isolated))}")
+    gens = ", ".join(f"L({a!s},{b!s})" for a, b in ch.movable_polygon(flat, isolated))
     yield f"movable cone generators: {gens}"
     yield f"chambers ({len(pairs)}): " + ", ".join(f"({i},{j})" for i, j in pairs)
     yield f"flip edges: {blocked.count(False)}  obstructions: {blocked.count(True)}"
-    cs = md.flip_chain_summary(flat)
+    cs = md.flip_chain_summary(flat, isolated)
     yield (f"quotient chain: {cs.chain_arrows} arrows, endpoints {cs.left}/{cs.right}, "
            f"{cs.blowups} blowup(s) + {cs.flips} flip(s) + {cs.blowdowns} blowdown(s)")
     for note in bundle.notes:
@@ -157,40 +153,26 @@ def _cmd_view(args) -> int:
     return _run_per_spec(args, command) if hasattr(args, "specs") else command(args)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cstarflips",
-        description="Chamber decompositions, flip graphs and quotient diagrams "
-        "of equalized C*-actions from fixed-point data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _spec_args(p: argparse.ArgumentParser, func=_cmd_view):
+    p.add_argument("specs", nargs="+", help="action spec file(s)")
+    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
+    p.add_argument("--strict-equalized", action="store_true")
+    p.set_defaults(func=func)
 
-    p = sub.add_parser("validate", help="validate spec files")
-    _add_spec_args(p)
-    p.set_defaults(func=_cmd_view)
 
-    p = sub.add_parser("analyze", help="run the full pipeline")
-    _add_spec_args(p)
+def _analyze_args(p: argparse.ArgumentParser):
+    _spec_args(p, _cmd_analyze)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_analyze)
 
-    for name, help_text in (
-        ("chambers", "print the chamber decomposition"),
-        ("flips", "print the flip graph"),
-        ("quotients", "print the quotient diagram"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_spec_args(p)
-        p.set_defaults(func=_cmd_view)
 
-    p = sub.add_parser("export", help="export json/dot/svg")
-    _add_spec_args(p)
+def _export_args(p: argparse.ArgumentParser):
+    _spec_args(p, _cmd_export)
     p.add_argument("--format", choices=["json", "dot", "svg"], required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_export)
 
-    p = sub.add_parser("dynkin", help="root systems, gradings, induced actions")
+
+def _dynkin_args(p: argparse.ArgumentParser):
     p.add_argument("type")
     p.add_argument("rank", type=_integer)
     p.add_argument("--node", type=_integer, help="marked node of the variety")
@@ -199,16 +181,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.set_defaults(func=_cmd_view)
 
-    p = sub.add_parser("catalog", help="list (and optionally verify) the catalog")
+
+def _catalog_args(p: argparse.ArgumentParser):
     p.add_argument("--verify", action="store_true")
     p.add_argument("--max-rank", type=_positive_int, default=6)
     p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     p.set_defaults(func=_cmd_view)
+
+
+# name -> (help, the function that adds the command's arguments and its func)
+_COMMANDS = {
+    "validate": ("validate spec files", _spec_args),
+    "analyze": ("run the full pipeline", _analyze_args),
+    "chambers": ("print the chamber decomposition", _spec_args),
+    "flips": ("print the flip graph", _spec_args),
+    "quotients": ("print the quotient diagram", _spec_args),
+    "export": ("export json/dot/svg", _export_args),
+    "dynkin": ("root systems, gradings, induced actions", _dynkin_args),
+    "catalog": ("list (and optionally verify) the catalog", _catalog_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  A command's
+    prog, usage and help come from the main parser's prog, not from the
+    other commands, so both parse a call of ``command`` alike, up to an
+    error that prints the main usage, which lists every command."""
+    parser = argparse.ArgumentParser(
+        prog="cstarflips",
+        description="Chamber decompositions, flip graphs and quotient diagrams "
+        "of equalized C*-actions from fixed-point data.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the parser of the command that argv names, if it names one; an argument
+    # left over is refused by the full parser, whose usage lists every command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args, rest = build_parser(command).parse_known_args(argv)
+    if rest:
+        args = build_parser().parse_args(argv)
     out = getattr(args, "out", None)
     # A name may hold characters that stdout cannot encode, such as a lone
     # surrogate (valid in a JSON string): print those as backslash escapes.

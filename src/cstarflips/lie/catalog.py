@@ -19,7 +19,8 @@ dimensions against the label dimensions.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from typing import Optional, Tuple
 
 from ..actions import level_signature
 from .homogeneous import (
@@ -31,14 +32,11 @@ from .homogeneous import (
 from .roots import build_root_system, fundamental_cocharacter
 
 
-class Factor(NamedTuple):
+class Factor(namedtuple("Factor", "dynkin_type rank nodes veronese", defaults=(False,))):
     """One factor of a fixed-component label: a flag variety of the given
     type, marked at ``nodes``, possibly re-embedded by a quadric Veronese."""
 
-    dynkin_type: str
-    rank: int
-    nodes: Tuple[int, ...]
-    veronese: bool = False
+    __slots__ = ()
 
     @property
     def text(self) -> str:
@@ -58,40 +56,25 @@ def label_dim(factors: Tuple[Factor, ...]) -> int:
     return sum(f.dim() for f in factors)
 
 
-class HorosphericalRow(NamedTuple):
+class HorosphericalRow(namedtuple("HorosphericalRow",
+                                  "sink_label source_label conditions variety")):
     """Criticality-one pair and the variety it glues to (data only)."""
 
-    sink_label: str
-    source_label: str
-    conditions: str
-    variety: str
+    __slots__ = ()
 
 
-class RowInstance(NamedTuple):
-    table: int
-    family: str
-    dynkin_type: str
-    rank: int
-    marked_node: int
-    grading_nodes: Tuple[int, ...]
-    extremal_factors: Tuple[Factor, ...]
-    inner_factors: Tuple[Factor, ...]
-    expected_weights: Tuple[int, ...]
-    note: str = ""
+RowInstance = namedtuple("RowInstance", (
+    "table family dynkin_type rank marked_node grading_nodes extremal_factors inner_factors "
+    "expected_weights note"), defaults=("",))
 
 
-class GradedRow(NamedTuple):
+class GradedRow(namedtuple("GradedRow", "table family dynkin_type marked_node parameter "
+                           "min_rank make note", defaults=("",))):
     """A table row; parametric families instantiate at a chosen rank, fixed
-    ones at ``min_rank``."""
+    ones at ``min_rank``.  ``make`` maps a rank to the grading nodes and the
+    extremal and inner factors."""
 
-    table: int
-    family: str
-    dynkin_type: str
-    marked_node: int
-    parameter: Optional[str]
-    min_rank: int
-    make: Callable[[int], tuple]  # rank -> (grading nodes, extremal, inner factors)
-    note: str = ""
+    __slots__ = ()
 
     def instantiate(self, rank: Optional[int] = None) -> RowInstance:
         if self.parameter is None:
@@ -157,21 +140,15 @@ def table3_rows() -> Tuple[GradedRow, ...]:
     )
 
 
-class Catalog(NamedTuple):
-    table1: Tuple[HorosphericalRow, ...]
-    table2: Tuple[GradedRow, ...]
-    table3: Tuple[GradedRow, ...]
+Catalog = namedtuple("Catalog", "table1 table2 table3")
 
 
 def catalog() -> Catalog:
     return Catalog(table1_rows(), table2_rows(), table3_rows())
 
 
-class RowVerification(NamedTuple):
-    instance: RowInstance
-    ok: bool
-    failures: list[str]
-    signatures_equal: Optional[bool]  # only for rows with two grading nodes
+# signatures_equal is None but for rows with two grading nodes.
+RowVerification = namedtuple("RowVerification", "instance ok failures signatures_equal")
 
 
 def verify_row(instance: RowInstance, max_cosets: int = DEFAULT_MAX_COSETS) -> RowVerification:

@@ -35,14 +35,14 @@ the whole derivation is integer sums and lookups.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, NamedTuple, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..actions import (  # validate_action stays a name here: bench/spans.py wraps it
     DEFAULT_MAX_COSETS,
-    ActionModel,
     ActionError,
     checked_model,
     exact_component,
@@ -61,13 +61,9 @@ class CosetLimitError(ActionError):
     pass
 
 
-class _HomogeneousSpace(NamedTuple):
-    datum: RootSystem
-    node: int  # 1-based marked node
-
-
-class HomogeneousSpace(_HomogeneousSpace):
-    """The flag variety G/P of a root system, P maximal at a marked node."""
+class HomogeneousSpace(namedtuple("HomogeneousSpace", "datum node")):
+    """The flag variety G/P of a root system, P maximal at a marked node
+    (``node``, 1-based)."""
 
     __slots__ = ()
 
@@ -226,13 +222,13 @@ class _Levi:
         return out
 
 
-class FixedPoint(NamedTuple):
-    """A torus-fixed point.  Its tangent roots are named by index: ``r`` for
+class FixedPoint(namedtuple("FixedPoint", "weight tangent_roots")):
+    """A torus-fixed point: its weight, the Dynkin labels of the translated
+    fundamental weight, and its tangent roots, named by index: ``r`` for
     the positive root ``r`` of the root system and ``r + n_positive`` for
     the negative of that root."""
 
-    weight: Tuple[int, ...]  # Dynkin labels of the translated fundamental weight
-    tangent_roots: Tuple[int, ...]
+    __slots__ = ()
 
 
 def enumerate_fixed_points(
@@ -271,17 +267,13 @@ def _suffix(idx: int, count: int) -> str:
     return letters
 
 
-class LieActionResult(NamedTuple):
-    """Validated model plus the tangent-weight certificates behind it."""
+class LieActionResult(namedtuple("LieActionResult", (
+        "model space_label cocharacter fixed_point_count tangent_certificates is_short "
+        "equalized warnings"))):
+    """Validated model plus the tangent-weight certificates behind it, a
+    dict from component name to its tangent weights."""
 
-    model: ActionModel
-    space_label: str
-    cocharacter: Tuple[int, ...]
-    fixed_point_count: int
-    tangent_certificates: Dict[str, Tuple[int, ...]]
-    is_short: bool
-    equalized: bool
-    warnings: Tuple[str, ...]
+    __slots__ = ()
 
 
 def build_action(
@@ -316,7 +308,7 @@ def build_action(
     records.sort()
     top = records[-1][0]
     levels = []
-    certificates: Dict[str, Tuple[int, ...]] = {}
+    certificates: dict[str, Tuple[int, ...]] = {}
     for k, (w, group) in enumerate(groupby(records, key=itemgetter(0))):
         at_level = list(group)
         weight, inner = Fraction(w), 0 < w < top

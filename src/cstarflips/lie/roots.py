@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from operator import add, mul, sub
-from typing import NamedTuple, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..actions import ActionError, shown, unit_weights
 
@@ -139,7 +140,9 @@ def _root_table(cartan: Sequence[Sequence[int]], n_positive: int) -> tuple:
     return tuple(coords), tuple(labels), tuple(coroots)
 
 
-class RootSystem(NamedTuple):
+class RootSystem(namedtuple("RootSystem", "dynkin_type rank cartan_matrix coords labels coroots "
+                            "coord_columns coroot_columns cartan_rows cartan_columns supports "
+                            "negative_labels")):
     """A root system: its type, its Cartan matrix and its positive roots,
     generated from that matrix.  Only :func:`build_root_system` makes one,
     once per type and rank.
@@ -152,28 +155,21 @@ class RootSystem(NamedTuple):
     positive one in all three and has no entry of its own.  Weights are
     written as Dynkin labels too, so every pairing is an integer sum.
 
+    The other tables, all tuples: ``cartan_matrix[i][j]`` is
+    ``<alpha_j, alpha_i^vee>``; ``coord_columns[i][r]`` and
+    ``coroot_columns[i][r]`` are coordinate i of positive root r and of its
+    coroot; ``cartan_rows[i]`` and ``cartan_columns[j]`` are row i and
+    column j of the Cartan matrix as its nonzero (j, c) and (i, c); per
+    positive root, ``supports`` holds its height and its support, the
+    bitmask of the nodes where its simple-root coordinates are nonzero, and
+    ``negative_labels`` the bitmasks of the nodes where beta and -beta have
+    a negative label.
+
     It hashes by identity, in C: there is one per type and rank, which fix
     every table, and a copy or a pickle of it is that one.
     """
 
-    dynkin_type: str
-    rank: int
-    cartan_matrix: Tuple[Tuple[int, ...], ...]  # cartan_matrix[i][j] = <alpha_j, alpha_i^vee>
-    coords: Tuple[Tuple[int, ...], ...]
-    labels: Tuple[Tuple[int, ...], ...]
-    coroots: Tuple[Tuple[int, ...], ...]
-    # coord_columns[i][r], coroot_columns[i][r]: coordinate i of positive root r, of its coroot
-    coord_columns: Tuple[Tuple[int, ...], ...]
-    coroot_columns: Tuple[Tuple[int, ...], ...]
-    # row i and column j of the Cartan matrix as its nonzero (j, c) and (i, c)
-    cartan_rows: Tuple[Tuple[Tuple[int, int], ...], ...]
-    cartan_columns: Tuple[Tuple[Tuple[int, int], ...], ...]
-    # per positive root, its height and its support: the bitmask of the nodes
-    # where its simple-root coordinates are nonzero
-    supports: Tuple[Tuple[int, int], ...]
-    # per positive root beta, the bitmasks of the nodes where beta and -beta have a negative label
-    negative_labels: Tuple[Tuple[int, int], ...]
-
+    __slots__ = ()
     __hash__ = object.__hash__
 
     def __reduce__(self):
@@ -303,11 +299,11 @@ def dominant_cocharacter(datum: RootSystem, cocharacter: Sequence[int]) -> Tuple
     return reflect_to_dominant(cocharacter, datum.cartan_rows, [True] * datum.rank)
 
 
-class GradingSpec(NamedTuple):
-    """Dimensions of the graded pieces induced by a cocharacter."""
+class GradingSpec(namedtuple("GradingSpec", "cocharacter graded_dims")):
+    """Dimensions of the graded pieces induced by a cocharacter, as the
+    sorted (degree, dimension) pairs ``graded_dims``."""
 
-    cocharacter: Tuple[int, ...]
-    graded_dims: Tuple[Tuple[int, int], ...]  # (degree, dimension), sorted
+    __slots__ = ()
 
     @property
     def is_short(self) -> bool:

@@ -13,8 +13,9 @@ cone.  The pipeline does not use this module.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .actions import ActionModel, ActionError, as_rational
 from .chambers import OutOfRangeError, chamber_pairs, movable_polygon
@@ -24,13 +25,8 @@ class OutOfSliceError(ActionError):
     pass
 
 
-class _DivisorClass(NamedTuple):
-    tau_minus: Fraction
-    tau_plus: Fraction
-    m: Fraction = Fraction(1)
-
-
-class DivisorClass(_DivisorClass):
+class DivisorClass(namedtuple("DivisorClass", "tau_minus tau_plus m",
+                              defaults=(Fraction(1),))):
     """The class m * (pullback of L - tau_minus * sink divisor - (bandwidth - tau_plus) * source divisor).
 
     Equality is tested on (m, tau_minus, tau_plus) after canonicalizing the
@@ -80,26 +76,24 @@ class CurveClass(enum.Enum):
     C0RM1 = "C_{0,r-1}"
 
 
-class BaseLocusDescription(NamedTuple):
+class BaseLocusDescription(namedtuple("BaseLocusDescription", "plus_levels minus_levels flat",
+                                      defaults=(True,))):
     """Stable base locus as level sets: downward cell closures of the
     ``plus_levels`` union upward cell closures of the ``minus_levels``."""
 
-    plus_levels: frozenset[int]
-    minus_levels: frozenset[int]
-    flat: bool = True
+    __slots__ = ()
 
     @property
     def is_empty(self) -> bool:
         return not self.plus_levels and not self.minus_levels
 
 
-class SliceLocation(NamedTuple):
-    """Result of locating a divisor class in the chamber decomposition."""
+class SliceLocation(namedtuple("SliceLocation", "kind chambers tight fixed_divisor",
+                               defaults=((), (), None))):
+    """Result of locating a divisor class in the chamber decomposition, of
+    the ``kind`` "interior", "wall", "vertex" or "outside-movable"."""
 
-    kind: str  # "interior" | "wall" | "vertex" | "outside-movable"
-    chambers: Tuple[Tuple[int, int], ...] = ()
-    tight: Tuple[str, ...] = ()
-    fixed_divisor: str | None = None
+    __slots__ = ()
 
 
 def tau_indices(model: ActionModel, tau: Fraction) -> Tuple[int, int]:

@@ -32,11 +32,12 @@ views through :func:`quotient_diagram`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 from .actions import ActionError, ActionModel, flat_model, index_set_i, shifted
-from .chambers import Point, chamber_pairs, chamber_polygon, chamber_rows
+from .chambers import chamber_pairs, chamber_polygon, chamber_rows
 
 PLUS = "plus"
 MINUS = "minus"
@@ -46,40 +47,21 @@ class NotAChamberError(ActionError):
     pass
 
 
-class FlipCenter(NamedTuple):
+class FlipCenter(namedtuple("FlipCenter", "component dim center_dim flipped_dim")):
     """Per-component bookkeeping of one flip at the shifting level."""
 
-    component: str
-    dim: int
-    center_dim: int
-    flipped_dim: int
+    __slots__ = ()
 
 
-class FlipEdge(NamedTuple):
-    from_pair: Tuple[int, int]
-    to_pair: Tuple[int, int]
-    direction: str  # PLUS or MINUS
-    level: int  # shifting level, in the numbering of the flat model
-    centers: Tuple[FlipCenter, ...]
+# A flip between two chambers: its direction is PLUS or MINUS and its level
+# the shifting level, in the numbering of the flat model.
+FlipEdge = namedtuple("FlipEdge", "from_pair to_pair direction level centers")
+FlipObstruction = namedtuple("FlipObstruction", "from_pair to_pair direction level components")
+GraphNode = namedtuple("GraphNode", "pair nef_polygon")
 
 
-class FlipObstruction(NamedTuple):
-    from_pair: Tuple[int, int]
-    to_pair: Tuple[int, int]
-    direction: str
-    level: int
-    components: Tuple[str, ...]
-
-
-class GraphNode(NamedTuple):
-    pair: Tuple[int, int]
-    nef_polygon: Tuple[Point, ...]
-
-
-class FlipGraph(NamedTuple):
-    nodes: Tuple[GraphNode, ...]
-    edges: Tuple[FlipEdge, ...]
-    obstructions: Tuple[FlipObstruction, ...]
+class FlipGraph(namedtuple("FlipGraph", "nodes edges obstructions")):
+    __slots__ = ()
 
     def node(self, pair: Tuple[int, int]) -> GraphNode:
         for n in self.nodes:
@@ -145,13 +127,13 @@ def _no_center(c, center_dim: int, flipped_dim: int) -> None:
     return None
 
 
-def flip_moves(model: ActionModel, center=_no_center):
+def flip_moves(model: ActionModel, center=_no_center, isolated: Tuple[bool, bool] | None = None):
     """The moves between the chambers row by row, in (from, to) order, as
     (from pair, to pair, record): the record (direction, level, centers,
     blocked), the two tuples from ``flip_at_level`` with ``center``, is made
     once per (direction, level) that a move uses.  By default the centers
     are ``None``, for a writer that only needs the blocked names."""
-    rows = chamber_rows(model)
+    rows = chamber_rows(model, isolated)
     records = {}
 
     def record(direction, level):
@@ -191,18 +173,10 @@ def _flip_center(c, center_dim: int, flipped_dim: int) -> FlipCenter:
     return FlipCenter(c.name, c.dim, center_dim, flipped_dim)
 
 
-class QuotientNode(NamedTuple):
-    dim: int
-    label: str
-    identity: str | None = None  # extremal semigeometric nodes are the fixed components
-
-
-class QuotientDiagram(NamedTuple):
-    geometric: Tuple[QuotientNode, ...]
-    semigeometric: Tuple[QuotientNode, ...]
-    dashed_arrows: Tuple[Tuple[str, str], ...]
-    diagonal_arrows: Tuple[Tuple[str, str], ...]
-    fiber_note: str
+# The identity of an extremal semigeometric node is its fixed component.
+QuotientNode = namedtuple("QuotientNode", "dim label identity", defaults=(None,))
+QuotientDiagram = namedtuple(
+    "QuotientDiagram", "geometric semigeometric dashed_arrows diagonal_arrows fiber_note")
 
 
 def quotient_chain(model: ActionModel, dims: Tuple[int, int] | None = None) -> tuple:
@@ -234,11 +208,7 @@ def quotient_diagram(model: ActionModel) -> QuotientDiagram:
                            tuple(dashed), tuple(diagonal), fiber)
 
 
-class P1BundleModel(NamedTuple):
-    index: int
-    base_label: str
-    node_pair: Tuple[int, int]
-    nef_polygon: Tuple[Point, ...]
+P1BundleModel = namedtuple("P1BundleModel", "index base_label node_pair nef_polygon")
 
 
 def p1_bundle_models(model: ActionModel) -> list[P1BundleModel]:
@@ -265,13 +235,7 @@ def extremal_ray_type(model: ActionModel, end: str | None = None,
     return types[end == "right"]
 
 
-class ChainSummary(NamedTuple):
-    chain_arrows: int
-    left: str
-    right: str
-    blowups: int
-    blowdowns: int
-    flips: int
+ChainSummary = namedtuple("ChainSummary", "chain_arrows left right blowups blowdowns flips")
 
 
 def flip_chain_summary(model: ActionModel, isolated: Tuple[bool, bool] | None = None

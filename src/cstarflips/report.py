@@ -18,7 +18,8 @@ are ``modifications.quotient_chain``, as for every other view.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional, Tuple
+from collections import namedtuple
+from typing import Tuple
 
 from . import chambers as ch
 from . import modifications as md
@@ -60,19 +61,15 @@ _SKELETON = (
 )
 
 
-class ReportBundle(NamedTuple):
+class ReportBundle(namedtuple("ReportBundle", "name model flat notes checked failures lie")):
     """A report as the facts it is written from: the spec's name, the model
-    and the flat model, the sorted notes, the verification result and the
-    Lie derivation (``None`` without a lie block).  ``to_json`` writes every
-    section from these; the text, DOT and SVG views read the same facts."""
+    and the flat model, the sorted notes, the verification result (whether
+    a lie block with listed components was cross-checked, and the failures)
+    and the Lie derivation, a ``LieActionResult`` or ``None`` without a lie
+    block.  ``to_json`` writes every section from these; the text, DOT and
+    SVG views read the same facts."""
 
-    name: str
-    model: ActionModel
-    flat: ActionModel
-    notes: Tuple[str, ...]
-    checked: bool  # a lie block with listed components was cross-checked
-    failures: Tuple[str, ...]
-    lie: Optional[tuple]  # lie.homogeneous.LieActionResult
+    __slots__ = ()
 
     def to_json(self) -> bytes:
         model, flat = self.model, self.flat

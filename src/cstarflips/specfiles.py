@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import io
 import json
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
 
 from .actions import ActionError, FixedComponent, exact_component, shown
 
@@ -37,19 +37,9 @@ class SchemaError(ActionError):
         super().__init__(f"{path}: {message}")
 
 
-class LieInput(NamedTuple):
-    dynkin_type: str
-    rank: int
-    node: int
-    cocharacter: Tuple[int, ...]
-
-
-class ActionSpecFile(NamedTuple):
-    name: str
-    dim_x: Optional[int]
-    components: Optional[Tuple[FixedComponent, ...]]
-    lie: Optional[LieInput]
-    declared_equalized: Optional[bool]
+LieInput = namedtuple("LieInput", "dynkin_type rank node cocharacter")
+# dim_x, components, lie and declared_equalized are None where the spec leaves them out.
+ActionSpecFile = namedtuple("ActionSpecFile", "name dim_x components lie declared_equalized")
 
 
 def _require(obj: dict, key: str, path: str):

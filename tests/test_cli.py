@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cstarflips
 from cstarflips import specfiles
-from cstarflips.cli import EXIT_CLOSED_STDOUT, main
+from cstarflips.cli import EXIT_CLOSED_STDOUT, build_parser, main
 from cstarflips.lie import roots
 from cstarflips.specfiles import SchemaError
 from test_report_export import BORDISM_SPEC, FORMAT_NAME, with_odd_names
@@ -257,6 +257,42 @@ class TestArguments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"expected a positive integer, got '{value}'" in captured.err
+
+
+# Help, usage and error calls, and two spellings of --format.
+PARSER_CASES = [
+    [], ["bogus"], ["--help"], ["-h", "analyze"],
+    *[[command, "--help"] for command in (
+        "validate", "analyze", "chambers", "flips", "quotients", "export", "dynkin", "catalog")],
+    ["analyze"], ["analyze", "--format", "xml", A42], ["analyze", "--max-cosets", "0", A42],
+    ["dynkin", "A", "x"], ["export", A42], ["analyze", "--form", "json", A42],
+    ["analyze", "--format=json", A42], ["analyze", A42, "--bogus"],
+]
+
+
+def _outcome(call, argv, capsysbinary) -> tuple:
+    """The exit code, stdout and stderr of ``call(argv)``."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsysbinary.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES,
+                         ids=lambda argv: " ".join(Path(a).name for a in argv) or "none")
+def test_single_command_parser_parses_as_the_full_one(argv, monkeypatch, capsysbinary):
+    """``main`` builds only the parser of the command that ``argv`` names:
+    it prints, writes and exits as the parser of every command does.  The
+    terminal width is fixed, as argparse wraps help text to it."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def full(argv):
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+
+    assert _outcome(main, argv, capsysbinary) == _outcome(full, argv, capsysbinary)
 
 
 # Runs cli.main on argv in a fresh interpreter, then prints the exit code and

@@ -25,12 +25,13 @@ from test_report_export import FORMAT_PIECES, ODD_NAME, canonical, report_values
 from test_report_golden import CASES, _model_spec, rational_chain_spec
 
 from cstarflips import chambers as ch
+from cstarflips import cli
 from cstarflips import modifications as md
 from cstarflips import report
 from cstarflips.actions import ActionModel, blowup_extremal
 from cstarflips.cli import main
 from cstarflips.report import run_pipeline
-from cstarflips.specfiles import parse_spec_dict
+from cstarflips.specfiles import parse_spec, parse_spec_dict
 
 
 def _polygon(points) -> list:
@@ -126,7 +127,7 @@ FRACTION_ARITHMETIC = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__sub_
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_each_fact_is_computed_once(case):
+def test_each_fact_is_computed_once(case, tmp_path):
     """On r=40 chains, one with integer weights from zero and one with the
     shuffled rational weights of ``rational_chain_spec`` from below zero:
     the pipeline and ``to_json`` order and shift the weights in integer
@@ -138,12 +139,38 @@ def test_each_fact_is_computed_once(case):
     rule, each critical value written once for the whole report, every
     chamber's outline written once, by one ``row_outlines`` call per row
     (a P1-bundle's nef polygon is the outline of its chamber), and no
-    ``quotient_diagram`` records."""
+    ``quotient_diagram`` records.  Text ``analyze`` reads the two facts
+    once as well, and calls each rule it prints once."""
     r = 40
-    for spec in (_model_spec(case, synthetic_case_model(case, r=r)),
-                 rational_chain_spec(case, r)):
+    for k, spec in enumerate((_model_spec(case, synthetic_case_model(case, r=r)),
+                              rational_chain_spec(case, r))):
         with pytest.MonkeyPatch.context() as monkeypatch:
             _check_computed_once(monkeypatch, case, r, parse_spec_dict(spec))
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(spec))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _check_text_computed_once(monkeypatch, str(path))
+
+
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _check_text_computed_once(monkeypatch, path):
+    bundle = run_pipeline(parse_spec(path))  # its own reads are pinned above
+    monkeypatch.setattr(cli, "run_pipeline", lambda spec, **options: bundle)
+    calls = collections.Counter()
+    rules = ((ch, "extremal_case"), (cli, "is_bordism"), (cli, "index_set_i"),
+             (ch, "movable_polygon"), (ch, "chamber_pairs"), (md, "flip_moves"),
+             (md, "flip_chain_summary"))
+    for owner, name in [(ActionModel, "origin_dims"), (ActionModel, "isolated_extremes"), *rules]:
+        monkeypatch.setattr(owner, name, _counting(calls, name, getattr(owner, name)))
+    assert main(["analyze", path]) == 0
+    assert calls == {name: 1 for name in ["origin_dims", "isolated_extremes",
+                                          *[name for _, name in rules]]}
 
 
 def _check_computed_once(monkeypatch, case, r, spec):
@@ -151,10 +178,7 @@ def _check_computed_once(monkeypatch, case, r, spec):
     reads = collections.Counter()
 
     def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+        return _counting(calls, name, fn)
 
     def reading(x, y, sep, i, columns, original=ch.row_outlines):
         calls["row_outlines"] += 1
