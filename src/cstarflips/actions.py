@@ -189,16 +189,15 @@ class ActionModel(namedtuple("ActionModel", "dim_x levels flat equalized equaliz
             )
         return (self.sink_origin_dim, self.source_origin_dim)
 
-    def isolated_extremes(self, dims: Tuple[int, int] | None = None) -> Tuple[bool, bool]:
-        """Whether the original sink and source are points, by ``dims`` if
-        the caller has read the :meth:`origin_dims`.
+    def isolated_extremes(self) -> Tuple[bool, bool]:
+        """Whether the original sink and source are points.
 
         This one fact decides every case of the blowup: an isolated sink
         removes chamber (0, 1) and index 0 and adds the curve C_{1,r}, and
         makes the left end of the quotient chain divisorial; an isolated
-        source is the mirror image.  Each rule that reads it also takes it
-        as ``isolated``, so that a report reads it once."""
-        sink_dim, source_dim = dims or self.origin_dims()
+        source is the mirror image.  ``modifications.build_chain`` reads it
+        once per report and hands it to each rule."""
+        sink_dim, source_dim = self.origin_dims()
         return (sink_dim == 0, source_dim == 0)
 
 
@@ -241,7 +240,8 @@ def _check(comps: Sequence[FixedComponent], level_of: list, levels: list, dim_x:
         return [Violation(EMPTY_SPEC, "no fixed components given")]
     violations: list[Violation] = []
     if dim_x <= 0:  # then no component's dimension sum is compared
-        violations.append(Violation(NON_POSITIVE_DIM, f"dim_X = {dim_x} is not positive"))
+        message = f"dim_X = {shown(str(dim_x))} is not positive"
+        violations.append(Violation(NON_POSITIVE_DIM, message))
     seen: set[str] = set()
     for c in comps:
         if c.name in seen:
@@ -254,8 +254,8 @@ def _check(comps: Sequence[FixedComponent], level_of: list, levels: list, dim_x:
             continue
         total = c.dim + c.nu_minus + c.nu_plus
         if total != dim_x and dim_x > 0:
-            message = (f"{shown(repr(c.name))}: dim + nu_minus + nu_plus = {total} "
-                       f"!= dim_x = {dim_x}")
+            message = (f"{shown(repr(c.name))}: dim + nu_minus + nu_plus = {shown(str(total))} "
+                       f"!= dim_x = {shown(str(dim_x))}")
             violations.append(Violation(DIMENSION_MISMATCH, message, c.name))
 
     if len(levels) < 2:
@@ -378,7 +378,7 @@ def is_btype(model: ActionModel) -> bool:
     return model.sink.dim == model.dim_x - 1 and model.source.dim == model.dim_x - 1
 
 
-def is_bordism(model: ActionModel, isolated: Tuple[bool, bool] | None = None) -> bool:
+def is_bordism(model: ActionModel) -> bool:
     """Whether a B-type model counts as a bordism.
 
     With recorded origin dims the verdict is the isolated-extremes fact alone:
@@ -388,7 +388,7 @@ def is_bordism(model: ActionModel, isolated: Tuple[bool, bool] | None = None) ->
     if not is_btype(model):
         return False
     if model.flat and model.sink_origin_dim is not None and model.source_origin_dim is not None:
-        return not any(isolated or model.isolated_extremes())
+        return not any(model.isolated_extremes())
     return all(c.nu_minus >= 2 and c.nu_plus >= 2 for c in model.inner_components)
 
 
@@ -450,12 +450,13 @@ def blowup_extremal(model: ActionModel) -> ActionModel:
     )
 
 
-def index_set_i(model: ActionModel, isolated: Tuple[bool, bool] | None = None) -> frozenset[int]:
-    """Indices i whose stable-point compactification is a small modification.
+def index_set_i(model: ActionModel) -> frozenset[int]:
+    """Indices i whose stable-point compactification is a small modification."""
+    return frozenset(index_range(model.criticality, model.isolated_extremes()))
 
-    On a flat model this is {0, ..., r-1} with 0 removed when the original
-    sink is a point and r-1 removed when the original source is a point.
-    """
-    r = model.criticality
-    ends = zip((0, r - 1), isolated or model.isolated_extremes())
-    return frozenset(range(r)) - {i for i, isolated in ends if isolated}
+
+def index_range(r: int, isolated: Tuple[bool, bool]) -> range:
+    """The index set of a flat model of criticality ``r``: {0, ..., r-1}
+    with 0 removed when the original sink is a point and r-1 removed when
+    the original source is, by the isolated-extremes fact ``isolated``."""
+    return range(isolated[0], r - isolated[1])

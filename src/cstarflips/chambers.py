@@ -12,9 +12,11 @@ Divisor classes themselves, and where one sits in the slice, are in
 Chamber (i, j) sits in row i of a triangle, i < j <= r (``chamber_rows``).
 An isolated original sink removes (0, 1) from row 0 and an isolated source
 (r-1, r) from row r - 1; no other pair depends on the extremal components.
-Its shape, a box of the critical values cut by the diagonal, is written in
-one place, ``row_outlines``: every writer and ``chamber_polygon`` read the
-corners from there, texts for a whole row at a time.
+The rows and the movable corners are rules of r and that fact, which
+``modifications.build_chain`` reads once per report.  A chamber's shape, a
+box of the critical values cut by the diagonal, is written in one place,
+``row_outlines``: every writer and ``chamber_polygon`` read the corners from
+there, texts for a whole row at a time.
 """
 
 from __future__ import annotations
@@ -36,30 +38,29 @@ Chamber = namedtuple("Chamber", "pair polygon")
 
 
 # The label of each isolated-extremes case, by (sink is a point, source is a point).
-_CASES = {(False, False): "bordism", (True, False): "isolated-sink",
-          (False, True): "isolated-source", (True, True): "isolated-both"}
+CASES = {(False, False): "bordism", (True, False): "isolated-sink",
+         (False, True): "isolated-source", (True, True): "isolated-both"}
 
 
-def extremal_case(model: ActionModel, isolated: Tuple[bool, bool] | None = None) -> str:
+def extremal_case(model: ActionModel) -> str:
     """The label of the isolated-extremes case, as the report prints it."""
-    return _CASES[isolated or model.isolated_extremes()]
+    return CASES[model.isolated_extremes()]
 
 
-def movable_corners(model: ActionModel, isolated: Tuple[bool, bool] | None = None
-                    ) -> Tuple[Tuple[int, int], ...]:
-    """The vertices of the movable region as index pairs: (k, l) is the
-    point (a_k, a_l).  The critical values increase strictly, so two
-    vertices coincide just when their indices do, and no weight is compared.
+def movable_corners(r: int, isolated: Tuple[bool, bool]) -> Tuple[Tuple[int, int], ...]:
+    """The vertices of the movable region of a flat model of criticality
+    ``r`` as index pairs: (k, l) is the point (a_k, a_l).  The critical
+    values increase strictly, so two vertices coincide just when their
+    indices do, and no weight is compared.
 
     The triangle 0 <= tau_minus <= tau_plus <= bandwidth loses the corner
     tau_plus < a_1 when the original sink is a point and the corner
-    tau_minus > a_{r-1} when the original source is.  For criticality one
-    with a single isolated extreme the region degenerates to a segment (the
-    blowup has no small modifications); with both extremes isolated there is
-    nothing to describe and the call is rejected.
+    tau_minus > a_{r-1} when the original source is (``isolated``).  For
+    criticality one with a single isolated extreme the region degenerates to
+    a segment (the blowup has no small modifications); with both extremes
+    isolated there is nothing to describe and the call is rejected.
     """
-    r = model.criticality
-    sink_point, source_point = isolated or model.isolated_extremes()
+    sink_point, source_point = isolated
     if r == 1 and sink_point and source_point:
         raise OutOfRangeError(
             "criticality-one action with isolated sink and source has no movable region"
@@ -75,29 +76,29 @@ def movable_corners(model: ActionModel, isolated: Tuple[bool, bool] | None = Non
     return tuple(out)
 
 
-def movable_polygon(model: ActionModel, isolated: Tuple[bool, bool] | None = None
-                    ) -> Tuple[Point, ...]:
+def movable_polygon(model: ActionModel) -> Tuple[Point, ...]:
     """Vertices of the movable region in the (tau_minus, tau_plus) plane:
     the points of :func:`movable_corners`."""
     a = model.critical_values
-    return tuple([(a[k], a[l]) for k, l in movable_corners(model, isolated)])
+    return tuple([(a[k], a[l])
+                  for k, l in movable_corners(model.criticality, model.isolated_extremes())])
 
 
-def chamber_rows(model: ActionModel, isolated: Tuple[bool, bool] | None = None) -> list[range]:
-    """Row i of the chamber triangle: the columns j of the chambers (i, j), i < j <= r,
-    less (0, 1) when the original sink is a point and (r - 1, r) when the source is."""
-    r = model.criticality
-    sink_point, source_point = isolated or model.isolated_extremes()
+def chamber_rows(r: int, isolated: Tuple[bool, bool]) -> list[range]:
+    """Row i of the chamber triangle of criticality ``r``: the columns j of
+    the chambers (i, j), i < j <= r, less (0, 1) when the original sink is a
+    point and (r - 1, r) when the source is (``isolated``)."""
+    sink_point, source_point = isolated
     rows = [range(i + 1, r + 1) for i in range(r)]
     rows[0] = rows[0][sink_point:]  # a True drops the first column
     rows[-1] = rows[-1][:len(rows[-1]) - source_point]
     return rows
 
 
-def chamber_pairs(model: ActionModel, isolated: Tuple[bool, bool] | None = None
-                  ) -> list[Tuple[int, int]]:
+def chamber_pairs(model: ActionModel) -> list[Tuple[int, int]]:
     """The index pairs whose chamber lies inside the movable cone."""
-    return [(i, j) for i, columns in enumerate(chamber_rows(model, isolated)) for j in columns]
+    rows = chamber_rows(model.criticality, model.isolated_extremes())
+    return [(i, j) for i, columns in enumerate(rows) for j in columns]
 
 
 def row_outlines(x, y, sep: str, i: int, columns: range) -> list[str]:

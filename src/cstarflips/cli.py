@@ -20,9 +20,7 @@ import sys
 
 from . import chambers as ch
 from . import modifications as md
-from .actions import (
-    DEFAULT_MAX_COSETS, ActionError, InvalidActionError, index_set_i, is_bordism, shown,
-)
+from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError, shown
 from .report import ReportBundle, run_pipeline
 from .specfiles import SchemaError, SpecSyntaxError, parse_spec
 
@@ -112,25 +110,23 @@ def _cmd_analyze(args) -> int:
 
 
 def _analyze_text(path: str, bundle: ReportBundle):
-    flat = bundle.flat
-    isolated = flat.isolated_extremes()  # read once, handed to every rule
-    pairs = ch.chamber_pairs(flat, isolated)
-    blocked = [bool(record[3]) for _, _, record in md.flip_moves(flat, isolated=isolated)]
+    chain = bundle.chain
+    a = chain.values
+    pairs = [(i, j) for i, columns in enumerate(chain.rows) for j in columns]
+    blocked = [bool(flip[3]) for _, _, flip in md.flip_moves(chain)]
     yield f"== {bundle.name} =="
-    yield (f"case: {ch.extremal_case(flat, isolated)}  bandwidth: {flat.bandwidth!s}  "
-           f"criticality: {flat.criticality}")
-    yield (f"bordism: {is_bordism(flat, isolated)}  "
-           f"index set: {sorted(index_set_i(flat, isolated))}")
-    gens = ", ".join(f"L({a!s},{b!s})" for a, b in ch.movable_polygon(flat, isolated))
-    yield f"movable cone generators: {gens}"
+    yield (f"case: {ch.CASES[chain.isolated]}  bandwidth: {a[-1]}  "
+           f"criticality: {bundle.flat.criticality}")
+    yield f"bordism: {not any(chain.isolated)}  index set: {list(chain.index_set)}"
+    yield "movable cone generators: " + ", ".join(f"L({a[k]},{a[l]})" for k, l in chain.corners)
     yield f"chambers ({len(pairs)}): " + ", ".join(f"({i},{j})" for i, j in pairs)
     yield f"flip edges: {blocked.count(False)}  obstructions: {blocked.count(True)}"
-    cs = md.flip_chain_summary(flat, isolated)
+    cs = chain.summary
     yield (f"quotient chain: {cs.chain_arrows} arrows, endpoints {cs.left}/{cs.right}, "
            f"{cs.blowups} blowup(s) + {cs.flips} flip(s) + {cs.blowdowns} blowdown(s)")
     for note in bundle.notes:
         yield f"note: {note}"
-    if bundle.checked:
+    if bundle.checked or bundle.failures:
         yield "verification: " + ("; ".join(bundle.failures) or "ok")
 
 

@@ -26,20 +26,21 @@ def export(bundle: ReportBundle, fmt: str) -> bytes:
 
 def export_dot(bundle: ReportBundle) -> bytes:
     """Two graphs: the flip graph and the quotient diagram."""
+    chain = bundle.chain
     lines = ["digraph flip_graph {", "  rankdir=LR;"]
-    lines.extend([f'  "X({i},{j})";' for i, j in ch.chamber_pairs(bundle.flat)])
-    for (i, j), (k, l), (direction, level, _, blocked) in md.flip_moves(bundle.flat):
+    lines.extend([f'  "X({i},{j})";' for i, columns in enumerate(chain.rows) for j in columns])
+    for (i, j), (k, l), (direction, level, _, blocked) in md.flip_moves(chain):
         if not blocked:
             tag = "psi+" if direction == md.PLUS else "psi-"
             lines.append(f'  "X({i},{j})" -> "X({k},{l})" [label="{tag} @ level {level}"];')
     lines += ["}", "", "digraph quotient_diagram {", "  rankdir=LR;"]
-    q = md.quotient_diagram(bundle.flat)
-    for node in q.geometric + q.semigeometric:
-        lines.append(f'  "{node.label}" [label="{node.label} (dim {node.dim})"];')
-    for a, b in q.dashed_arrows:
-        lines.append(f'  "{a}" -> "{b}" [style=dashed];')
-    for a, b in q.diagonal_arrows:
-        lines.append(f'  "{a}" -> "{b}";')
+    geometric, semigeometric, dashed, diagonal, _ = chain.quotients
+    for d, label, _ in geometric + semigeometric:
+        lines.append(f'  "{label}" [label="{label} (dim {d})"];')
+    for g, h in dashed:
+        lines.append(f'  "{g}" -> "{h}" [style=dashed];')
+    for g, h in diagonal:
+        lines.append(f'  "{g}" -> "{h}";')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -76,9 +77,9 @@ def export_svg(bundle: ReportBundle) -> bytes:
     centroid, which for a quad (i, j) is ((a_i + a_(i+1))/2, (a_(j-1) + a_j)/2)
     and for a triangle (i, i+1) depends on i alone, so each coordinate is
     written once per critical value."""
+    chain = bundle.chain
     a = bundle.flat.critical_values
     delta = bundle.flat.bandwidth
-    mov = ch.movable_polygon(bundle.flat)
     side = 2 * _PAD + float(delta) * _SCALE
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{side:.0f}" height="{side:.0f}" '
@@ -93,19 +94,20 @@ def export_svg(bundle: ReportBundle) -> bytes:
     quad_y = [None] + ["%.2f" % (_y((u + v) / 2, delta) + 4) for u, v in steps]
     triangle = ['x="%.2f" y="%.2f"' % (_x((2 * u + v) / 3) - 18, _y((u + 2 * v) / 3, delta) + 4)
                 for u, v in steps]
-    for i, columns in enumerate(ch.chamber_rows(bundle.flat)):
+    for i, columns in enumerate(chain.rows):
         for j, outline in zip(columns, ch.row_outlines(xs, ys, " ", i, columns)):
             out.append(f'<polygon points="{outline}" fill="#dfe7f5" stroke="#4a6ea9" '
                        'stroke-width="1"/>')
             # a triangle's outline has three corners
             at = triangle[i] if outline.count(" ") == 2 else f'x="{quad_x[i]}" y="{quad_y[j]}"'
             out.append(f'<text {at}>N_{{{i},{j}}}</text>')
-    path = " ".join("%.2f,%.2f" % (_x(x), _y(y, delta)) for x, y in mov)
+    path = " ".join([xs[k] + ys[l] for k, l in chain.corners])
     out.append(f'<polygon points="{path}" fill="none" stroke="#1d2d50" stroke-width="2"/>')
-    for p in mov:
-        x, y = _x(p[0]), _y(p[1], delta)
+    for k, l in chain.corners:
+        x, y = _x(a[k]), _y(a[l], delta)
         out.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#1d2d50"/>')
-        out.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}">L({p[0]},{p[1]})</text>')
+        out.append(f'<text x="{x + 6:.2f}" y="{y - 6:.2f}">'
+                   f'L({chain.values[k]},{chain.values[l]})</text>')
     out.append("</svg>")
     # a character UTF-8 cannot encode (a lone surrogate) is written escaped
     return ("\n".join(out) + "\n").encode("utf-8", "backslashreplace")

@@ -22,12 +22,12 @@ one.
 
 The flip rule is written once, in :func:`flip_at_level`, per (direction,
 level), and which flips are moves between chambers once, in
-:func:`row_moves`, per row of the chamber triangle.  The report's JSON
-writer calls both in its own row loop; :func:`flip_moves` walks the same
-rows for the object view (:func:`build_flip_graph`) and the text and DOT
-views.  The quotient diagram's nodes and arrows are written once, in
-:func:`quotient_chain`, which the JSON writer reads directly and the other
-views through :func:`quotient_diagram`.
+:func:`row_moves`, per row of the chamber triangle.  A report is written
+from the :class:`Chain` of its flat model, which :func:`build_chain` makes
+once per spec; the JSON, DOT, SVG and text writers read it, and
+:func:`flip_moves` walks its moves.  The object views
+(:func:`build_flip_graph`, :func:`quotient_diagram` and the others) take a
+model and follow the same rules.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Tuple
 
-from .actions import ActionError, ActionModel, flat_model, index_set_i, shifted
-from .chambers import chamber_pairs, chamber_polygon, chamber_rows
+from .actions import ActionError, ActionModel, flat_model, index_range, index_set_i, shifted
+from .chambers import chamber_pairs, chamber_polygon, chamber_rows, movable_corners
 
 PLUS = "plus"
 MINUS = "minus"
@@ -70,6 +70,39 @@ class FlipGraph(namedtuple("FlipGraph", "nodes edges obstructions")):
         raise NotAChamberError(f"{pair} is not a chamber of this model")
 
 
+# The O(r) facts that a flat model's report is written from, each computed
+# once: the texts of the critical values; the rows of the chamber triangle
+# and the (minus, plus) moves out of each (``row_moves``); the record of the
+# flip at each level in either direction (``flip_at_level``), ``None`` where
+# no move uses it; the isolated-extremes fact, the index set and the movable
+# corners; the ``chain_summary`` and the ``quotient_chain``.
+Chain = namedtuple("Chain", "values rows moves minus plus isolated index_set corners "
+                   "summary quotients")
+
+
+def build_chain(flat: ActionModel) -> Chain:
+    """The chain of the flat model ``flat``, in one pass over its levels.
+    The isolated-extremes fact is read once, and through it the origin dims,
+    recorded in the flat model; a model with no movable region is refused
+    (``movable_corners``)."""
+    isolated = flat.isolated_extremes()
+    r = flat.criticality
+    corners = movable_corners(r, isolated)
+    rows = chamber_rows(r, isolated)
+    moves = [row_moves(rows, i) for i in range(r)]
+    minus_levels = {j - 1 for minus, _ in moves for j in minus}  # (i, j) -> (i, j - 1)
+    values, minus, plus = [], [None] * r, [None] * r
+    for k, (a, _) in enumerate(flat.levels):
+        values.append(str(a))
+        if k in minus_levels:
+            minus[k] = flip_at_level(flat, MINUS, k)
+        if 0 < k < r and moves[k - 1][1]:  # (k - 1, j) -> (k, j)
+            plus[k] = flip_at_level(flat, PLUS, k)
+    return Chain(values, rows, moves, minus, plus, isolated, index_range(r, isolated), corners,
+                 chain_summary(r, isolated),
+                 quotient_chain(flat, (flat.sink_origin_dim, flat.source_origin_dim)))
+
+
 def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     """X(i, j): inner levels i+1 .. j-1 of the flat model at weights a_k - a_i,
     between divisorial extremes GX(i, i+1) and GX(j-1, j); an end at i = 0 or
@@ -95,22 +128,22 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     )
 
 
-def flip_at_level(model: ActionModel, direction: str, level: int, center):
+def flip_at_level(model: ActionModel, direction: str, level: int) -> tuple:
     """The flip in ``direction`` at ``level``, in one pass over the level's
     components Y: with (nu, nu') = (nu_minus, nu_plus) for the plus flip and
     (nu_plus, nu_minus) for the minus flip, the center in Y has dimension
     dim Y + nu and the flipped locus dim Y + nu' - 1, and a Y with nu' <= 1
-    blocks the flip.  Returns the list of ``center(Y, center_dim,
-    flipped_dim)``, one per component, and the names of the blocking
-    components."""
+    blocks the flip.  Returns the record (direction, level, centers,
+    blocked): the (Y, center dim, flipped dim) of each component and the
+    names of the blocking ones."""
     centers, blocked = [], []
     plus = direction == PLUS
     for c in model.levels[level][1]:
         nu, flipped = (c.nu_minus, c.nu_plus) if plus else (c.nu_plus, c.nu_minus)
         if flipped <= 1:  # the flip inequality fails
             blocked.append(c.name)
-        centers.append(center(c, c.dim + nu, c.dim + flipped - 1))
-    return centers, blocked
+        centers.append((c, c.dim + nu, c.dim + flipped - 1))
+    return direction, level, tuple(centers), tuple(blocked)
 
 
 def row_moves(rows: list[range], i: int) -> Tuple[range, range]:
@@ -123,36 +156,20 @@ def row_moves(rows: list[range], i: int) -> Tuple[range, range]:
     return columns[1:], range(max(columns.start, below.start), min(columns.stop, below.stop))
 
 
-def _no_center(c, center_dim: int, flipped_dim: int) -> None:
-    return None
-
-
-def flip_moves(model: ActionModel, center=_no_center, isolated: Tuple[bool, bool] | None = None):
-    """The moves between the chambers row by row, in (from, to) order, as
-    (from pair, to pair, record): the record (direction, level, centers,
-    blocked), the two tuples from ``flip_at_level`` with ``center``, is made
-    once per (direction, level) that a move uses.  By default the centers
-    are ``None``, for a writer that only needs the blocked names."""
-    rows = chamber_rows(model, isolated)
-    records = {}
-
-    def record(direction, level):
-        if (direction, level) not in records:
-            centers, blocked = flip_at_level(model, direction, level, center)
-            records[direction, level] = (direction, level, tuple(centers), tuple(blocked))
-        return records[direction, level]
-
-    for i in range(len(rows)):
-        minus, plus = row_moves(rows, i)
-        for j in rows[i]:
+def flip_moves(chain: Chain):
+    """The moves between the chambers of ``chain`` row by row, in (from, to)
+    order, as (from pair, to pair, the flip's record)."""
+    for i, (columns, (minus, plus)) in enumerate(zip(chain.rows, chain.moves)):
+        for j in columns:
             if j in minus:
-                yield (i, j), (i, j - 1), record(MINUS, j - 1)
+                yield (i, j), (i, j - 1), chain.minus[j - 1]
             if j in plus:
-                yield (i, j), (i + 1, j), record(PLUS, i + 1)
+                yield (i, j), (i + 1, j), chain.plus[i + 1]
 
 
 def build_flip_graph(model: ActionModel) -> FlipGraph:
-    """Graph of all small modifications X(i, j) with their connecting flips.
+    """Graph of all small modifications X(i, j) of the flat model ``model``
+    with their connecting flips.
 
     Nodes are the chambers; a candidate edge is emitted only when its target
     is again a chamber and every component of the shifting level satisfies the
@@ -161,16 +178,14 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     """
     nodes = tuple([GraphNode(pair, chamber_polygon(model, pair)) for pair in chamber_pairs(model)])
     edges, obstructions = [], []
-    for p, q, (direction, level, centers, blocked) in flip_moves(model, _flip_center):
+    for p, q, (direction, level, centers, blocked) in flip_moves(build_chain(model)):
         if blocked:
             obstructions.append(FlipObstruction(p, q, direction, level, blocked))
         else:
-            edges.append(FlipEdge(p, q, direction, level, centers))
+            edges.append(FlipEdge(p, q, direction, level, tuple([
+                FlipCenter(c.name, c.dim, center_dim, flipped_dim)
+                for c, center_dim, flipped_dim in centers])))
     return FlipGraph(nodes, tuple(edges), tuple(obstructions))
-
-
-def _flip_center(c, center_dim: int, flipped_dim: int) -> FlipCenter:
-    return FlipCenter(c.name, c.dim, center_dim, flipped_dim)
 
 
 # The identity of an extremal semigeometric node is its fixed component.
@@ -179,16 +194,16 @@ QuotientDiagram = namedtuple(
     "QuotientDiagram", "geometric semigeometric dashed_arrows diagonal_arrows fiber_note")
 
 
-def quotient_chain(model: ActionModel, dims: Tuple[int, int] | None = None) -> tuple:
+def quotient_chain(model: ActionModel, dims: Tuple[int, int]) -> tuple:
     """The chain of geometric quotients over the semigeometric ones: the
     nodes as (dim, label, identity), the arrows as label pairs, the fibers.
     The r geometric nodes GX(i, i+1) and the r + 1 semigeometric GX(i, i)
     have dimension dim X - 1 but the outermost two, the extremal components
-    Y_0 and Y_r at the origin dims (``dims``, if the caller has read them).
-    A dashed arrow joins each geometric node to the next; each contracts
-    onto its neighbours, GX(i, i) first."""
+    Y_0 and Y_r at the origin dims ``dims``.  A dashed arrow joins each
+    geometric node to the next; each contracts onto its neighbours, GX(i, i)
+    first."""
     r, d = model.criticality, model.dim_x - 1
-    sink_dim, source_dim = dims or model.origin_dims()
+    sink_dim, source_dim = dims
     geometric = [f"GX({i},{i + 1})" for i in range(r)]
     semi = [f"GX({i},{i})" for i in range(r + 1)]
     return (
@@ -203,7 +218,7 @@ def quotient_chain(model: ActionModel, dims: Tuple[int, int] | None = None) -> t
 
 def quotient_diagram(model: ActionModel) -> QuotientDiagram:
     """The quotient diagram of :func:`quotient_chain` as records."""
-    *nodes, dashed, diagonal, fiber = quotient_chain(model)
+    *nodes, dashed, diagonal, fiber = quotient_chain(model, model.origin_dims())
     return QuotientDiagram(*[tuple([QuotientNode(*n) for n in ns]) for ns in nodes],
                            tuple(dashed), tuple(diagonal), fiber)
 
@@ -220,33 +235,33 @@ def p1_bundle_models(model: ActionModel) -> list[P1BundleModel]:
     ]
 
 
-def extremal_ray_type(model: ActionModel, end: str | None = None,
-                      isolated: Tuple[bool, bool] | None = None) -> str | Tuple[str, str]:
-    """Contraction type at an endpoint of the quotient chain: the projective
-    bundle over a positive-dimensional extremal component, or divisorial when
-    that component is a point.  Without an ``end``, the types at the left
-    and the right end as a pair."""
-    types = tuple(["divisorial" if point else "fibration"
-                   for point in isolated or model.isolated_extremes()])
-    if end is None:
-        return types
-    if end not in ("left", "right"):
+def extremal_ray_type(model: ActionModel, end: str | None = None) -> str | Tuple[str, str]:
+    """Contraction type at the ``end`` of the quotient chain, "left" or
+    "right" (:func:`chain_summary`), or at both ends as a pair."""
+    if end not in (None, "left", "right"):
         raise ValueError(f"end must be 'left' or 'right', got {end!r}")
-    return types[end == "right"]
+    s = flip_chain_summary(model)
+    return (s.left, s.right) if end is None else getattr(s, end)
 
 
 ChainSummary = namedtuple("ChainSummary", "chain_arrows left right blowups blowdowns flips")
 
 
-def flip_chain_summary(model: ActionModel, isolated: Tuple[bool, bool] | None = None
-                       ) -> ChainSummary:
-    """Counts for the quotient chain: r - 1 dashed arrows plus an endpoint
-    classification.  A divisorial endpoint reclassifies the adjacent step as a
-    blowup (left) or blowdown (right); the small contractions of the two end
-    arrows then pair up, leaving r - 2 genuine flips, against r - 1 when both
-    endpoints are fibrations."""
-    r = model.criticality
-    left, right = extremal_ray_type(model, isolated=isolated)
+def flip_chain_summary(model: ActionModel) -> ChainSummary:
+    """The :func:`chain_summary` of ``model``."""
+    return chain_summary(model.criticality, model.isolated_extremes())
+
+
+def chain_summary(r: int, isolated: Tuple[bool, bool]) -> ChainSummary:
+    """Counts for the quotient chain of criticality ``r``: r - 1 dashed
+    arrows plus an endpoint classification.  An endpoint contracts as the
+    projective bundle over a positive-dimensional extremal component, or
+    divisorially when that component is a point (``isolated``).  A
+    divisorial endpoint reclassifies the adjacent step as a blowup (left)
+    or blowdown (right); the small contractions of the two end arrows then
+    pair up, leaving r - 2 genuine flips, against r - 1 when both endpoints
+    are fibrations."""
+    left, right = ["divisorial" if point else "fibration" for point in isolated]
     blowups, blowdowns = int(left == "divisorial"), int(right == "divisorial")
     flips = r - 1 if blowups + blowdowns == 0 else max(r - 2, 0)
     return ChainSummary(r - 1, left, right, blowups, blowdowns, flips)

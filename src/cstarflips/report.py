@@ -1,29 +1,25 @@
 """Pipeline orchestration and the canonical report bundle.
 
 ``run_pipeline`` takes a parsed spec, validates (or derives, for Lie input)
-the action model and passes to the divisorial-extremes model; the
-:class:`ReportBundle` it returns holds these facts, and ``to_json`` writes
-the cone, chamber, flip-graph and quotient data from them into one fixed
-skeleton.  Every list is in a canonical order and the encoding is canonical
-(sorted keys, no spaces, ASCII), so identical input produces byte-identical
-JSON output.  The three O(r^2) sections are written from the flat model's
-per-level facts in one loop over the rows of the chamber triangle.  The
-rules they follow are not restated here: a chamber's shape is
-``chambers.row_outlines``, which flips are moves is
-``modifications.row_moves``, a flip's centers and obstruction are
-``modifications.flip_at_level`` and the quotient diagram's nodes and arrows
-are ``modifications.quotient_chain``, as for every other view.
+the action model, passes to the divisorial-extremes model and builds its
+chain (``modifications.build_chain``) once; the :class:`ReportBundle` it
+returns holds these facts, and ``to_json`` writes the cone, chamber,
+flip-graph and quotient data from the chain into one fixed skeleton.  Every
+list is in a canonical order and the encoding is canonical (sorted keys, no
+spaces, ASCII), so identical input produces byte-identical JSON output.  The
+three O(r^2) sections are written from the chain's rows, moves and flip
+records in one loop over the rows of the chamber triangle; a chamber's shape
+is ``chambers.row_outlines``, as for every other view.
 """
 
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from typing import Tuple
 
 from . import chambers as ch
 from . import modifications as md
-from .actions import (
+from .actions import (  # index_set_i and is_bordism stay names here: bench/spans.py wraps them
     DEFAULT_MAX_COSETS,
     ActionModel,
     InvalidActionError,
@@ -34,6 +30,7 @@ from .actions import (
     index_set_i,
     level_signature,
     model_warnings,
+    shown,
     validate_action,
 )
 from .specfiles import ActionSpecFile
@@ -61,37 +58,34 @@ _SKELETON = (
 )
 
 
-class ReportBundle(namedtuple("ReportBundle", "name model flat notes checked failures lie")):
-    """A report as the facts it is written from: the spec's name, the model
-    and the flat model, the sorted notes, the verification result (whether
-    a lie block with listed components was cross-checked, and the failures)
-    and the Lie derivation, a ``LieActionResult`` or ``None`` without a lie
-    block.  ``to_json`` writes every section from these; the text, DOT and
-    SVG views read the same facts."""
+class ReportBundle(namedtuple("ReportBundle", "name model flat chain notes checked failures lie")):
+    """A report as the facts it is written from: the spec's name, the model,
+    the flat model and its chain (``modifications.Chain``), the sorted
+    notes, the verification result (whether a lie block with listed
+    components was cross-checked, and the failures) and the Lie derivation,
+    a ``LieActionResult`` or ``None`` without a lie block.  ``to_json``
+    writes every section from these; the text, DOT and SVG views read the
+    same chain."""
 
     __slots__ = ()
 
     def to_json(self) -> bytes:
-        model, flat = self.model, self.flat
+        model, flat, chain = self.model, self.flat, self.chain
         # the model and the flat model share their critical values and their
         # inner components, as the blowup keeps the bandwidth and the inner
         # levels: each is written once
-        a = [str(v) for v, _ in flat.levels]
+        a = chain.values
         inner = ",".join([_component_json(c, weight) for weight, (_, level)
                           in zip(a[1:-1], flat.levels[1:-1]) for c in level])
-        # the origin dims and the isolated-extremes fact, read once
-        dims = flat.origin_dims()
-        isolated = flat.isolated_extremes(dims)
-        index_set = sorted(index_set_i(flat, isolated))
-        chambers, flip_graph, p1_bundles = _chain_sections(flat, index_set, a, isolated)
-        s = md.flip_chain_summary(flat, isolated)
-        geometric, semigeometric, dashed, diagonal, fiber = md.quotient_chain(flat, dims)
+        chambers, flip_graph, p1_bundles = _chain_sections(chain)
+        s = chain.summary
+        geometric, semigeometric, dashed, diagonal, fiber = chain.quotients
         return (_SKELETON % (
-            a[-1], _BOOL[is_bordism(flat, isolated)], ch.extremal_case(flat, isolated),
+            a[-1], _BOOL[not any(chain.isolated)], ch.CASES[chain.isolated],
             s.blowdowns, s.blowups, s.chain_arrows, s.flips, s.left, s.right,
             chambers, flat.criticality, _model_json(flat, a, inner), flip_graph,
-            _int_list(index_set), _lie_json(self.lie), _model_json(model, a, inner),
-            ",".join([f'["{a[k]}","{a[l]}"]' for k, l in ch.movable_corners(flat, isolated)]),
+            _int_list(chain.index_set), _lie_json(self.lie), _model_json(model, a, inner),
+            ",".join([f'["{a[k]}","{a[l]}"]' for k, l in chain.corners]),
             _encode_str(self.name), p1_bundles, _encode_str(model.equalization_source),
             _BOOL[model.equalized], _LABEL_NOTE, ",".join(map(_encode_str, self.notes)),
             ",".join([f'["{g}","{h}"]' for g, h in dashed]),
@@ -142,67 +136,53 @@ def _lie_json(lie) -> str:
          _BOOL[lie.is_short], _encode_str(lie.space_label), certificates)
 
 
-def _center_json(c, center_dim: int, flipped_dim: int) -> str:
-    return (f'{{"center_dim":{center_dim},"component":{_encode_str(c.name)},"dim":{c.dim},'
-            f'"flipped_dim":{flipped_dim}}}')
-
-
-def _flip_json(flat: ActionModel, direction: str, level: int, edges: list, obstructions: list):
-    """The flip at ``level`` as the JSON text around the two nodes of a move,
-    its head and its middle, and the list its moves go to: a move is the
-    head, its from node, the middle, its to node and a closing brace."""
-    centers, blocked = md.flip_at_level(flat, direction, level, _center_json)
+def _flip_json(flip: tuple, edges: list, obstructions: list):
+    """The flip record ``flip`` as the JSON text around the two nodes of a
+    move, its head and its middle, and the list its moves go to: a move is
+    the head, its from node, the middle, its to node and a closing brace."""
+    direction, level, centers, blocked = flip
     middle = f',"level":{level},"to":'
     if blocked:
         names = ",".join(map(_encode_str, blocked))
         return f'{{"components":[{names}],"direction":"{direction}","from":', middle, \
             obstructions.append
-    return f'{{"centers":[{",".join(centers)}],"direction":"{direction}","from":', middle, \
-        edges.append
+    centers = ",".join([f'{{"center_dim":{center_dim},"component":{_encode_str(c.name)},'
+                        f'"dim":{c.dim},"flipped_dim":{flipped_dim}}}'
+                        for c, center_dim, flipped_dim in centers])
+    return f'{{"centers":[{centers}],"direction":"{direction}","from":', middle, edges.append
 
 
-def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str],
-                    isolated: Tuple[bool, bool]) -> tuple:
+def _chain_sections(chain: md.Chain) -> tuple:
     """The canonical JSON texts of the O(r^2) sections, chambers, flip graph
-    and P1-bundles, written in one loop over the rows of the chamber triangle,
-    with ``values`` the texts of the critical values and ``isolated`` the
-    isolated-extremes fact.  A chamber's polygon
-    is its ``row_outlines`` text, with the corner (a_k, a_l) written
-    ``[a_k,a_l]``; each node ``[i,j]`` is written once, a row ahead, as the
-    plus flips of row i go to row i + 1; each flip's head and middle
-    (``_flip_json``) are made when a move first uses its (direction, level),
-    and a move is one f-string around its two node texts.  Every entry is
-    built by concatenation, so no name is read as a format.  Keys are in
-    sorted order."""
-    x = [f'["{v}",' for v in values]  # str(Fraction) is ASCII
-    y = [f'"{v}"]' for v in values]
-    rows = ch.chamber_rows(flat, isolated)
+    and P1-bundles, in one loop over the rows of the chamber triangle.  A
+    chamber's polygon is its ``row_outlines`` text, the corner (a_k, a_l)
+    written ``[a_k,a_l]``; each node ``[i,j]`` is written once, a row ahead,
+    as the plus flips of row i go to row i + 1; a move is one f-string of
+    its two node texts around its flip's head and middle (``_flip_json``),
+    made once.  No name is read as a format.  Keys are in sorted order."""
+    x = [f'["{v}",' for v in chain.values]  # str(Fraction) is ASCII
+    y = [f'"{v}"]' for v in chain.values]
+    rows = chain.rows
     r = len(rows)
     ends = [f"{j}]" for j in range(r + 1)]  # the node [i,j] is "[i," + ends[j]
     chambers, nodes, edges, obstructions = [], [], [], []
-    minus_flips = [None] * r  # by level, made on first use
+    minus_flips = [flip and _flip_json(flip, edges, obstructions) for flip in chain.minus]
     outlines = [None] * r  # by row
     below = ["[0," + ends[j] for j in rows[0]]
-    for i, columns in enumerate(rows):
+    for i, (columns, (minus, plus)) in enumerate(zip(rows, chain.moves)):
         row = below  # the node texts of row i
         start = f"[{i + 1},"
         below = [start + ends[j] for j in rows[i + 1]] if i + 1 < r else []
         nodes += row
-        minus, plus = md.row_moves(rows, i)
         if plus:
-            plus_head, plus_middle, plus_add = _flip_json(flat, md.PLUS, i + 1, edges,
-                                                          obstructions)
+            plus_head, plus_middle, plus_add = _flip_json(chain.plus[i + 1], edges, obstructions)
             shift = rows[i + 1].start  # below[j - shift] is the node (i + 1, j)
         left = None  # the node (i, j - 1)
         outlines[i] = ch.row_outlines(x, y, ",", i, columns)
         for j, node, outline in zip(columns, row, outlines[i]):
             chambers.append(f'{{"pair":{node},"polygon":[{outline}]}}')
             if j in minus:
-                flip = minus_flips[j - 1]
-                if flip is None:
-                    flip = minus_flips[j - 1] = _flip_json(flat, md.MINUS, j - 1, edges,
-                                                           obstructions)
-                head, middle, add = flip
+                head, middle, add = minus_flips[j - 1]
                 add(f"{head}{node}{middle}{left}}}")
             if j in plus:
                 plus_add(f"{plus_head}{node}{plus_middle}{below[j - shift]}}}")
@@ -211,7 +191,7 @@ def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str],
     p1_bundles = ",".join([
         f'{{"base":"GX({i},{i + 1})","index":{i},"nef_polygon":'
         f'[{outlines[i][i + 1 - rows[i].start]}],"node":[{i},{i + 1}]}}'
-        for i in index_set
+        for i in chain.index_set
     ])
     return (
         f"[{','.join(chambers)}]",
@@ -224,7 +204,8 @@ def _chain_sections(flat: ActionModel, index_set: list[int], values: list[str],
 def _compare_expected(model: ActionModel, expected: ActionModel) -> list[str]:
     failures = []
     if model.dim_x != expected.dim_x:
-        failures.append(f"dim_X: derived {model.dim_x}, expected {expected.dim_x}")
+        failures.append(f"dim_X: derived {shown(str(model.dim_x))}, "
+                        f"expected {shown(str(expected.dim_x))}")
     # both in increasing weight: the levels pair up in order, no weight hashed
     got, want = level_signature(model), level_signature(expected)
     values, wanted = [a for a, _ in got], [a for a, _ in want]
@@ -260,7 +241,8 @@ def run_pipeline(spec: ActionSpecFile, *, max_cosets: int = DEFAULT_MAX_COSETS,
                                        spec.dim_x if spec.dim_x is not None else model.dim_x)
             failures = _compare_expected(model, expected)
         elif spec.dim_x is not None and spec.dim_x != model.dim_x:
-            failures = [f"dim_X: derived {model.dim_x}, expected {spec.dim_x}"]
+            failures = [f"dim_X: derived {shown(str(model.dim_x))}, "
+                        f"expected {shown(str(spec.dim_x))}"]
     else:
         declared = True if spec.declared_equalized is None else spec.declared_equalized
         if spec.declared_equalized is None:
@@ -281,7 +263,8 @@ def run_pipeline(spec: ActionSpecFile, *, max_cosets: int = DEFAULT_MAX_COSETS,
     if is_btype(model):
         notes.append("input already has divisorial extremes; treated as its own blowup")
     flat = blowup_extremal(model)
-    ch.movable_corners(flat)  # refuses a model with no movable region, before any view is written
+    chain = md.build_chain(flat)  # refuses a model with no movable region
 
     checked = spec.lie is not None and spec.components is not None
-    return ReportBundle(spec.name, model, flat, tuple(sorted(notes)), checked, tuple(failures), lie)
+    return ReportBundle(spec.name, model, flat, chain, tuple(sorted(notes)), checked,
+                        tuple(failures), lie)

@@ -27,43 +27,43 @@ def validate(path, bundle):
 
 def chambers(path, bundle):
     yield f"== {bundle.name} =="
-    a = [str(v) for v in bundle.flat.critical_values]
-    x, y = [f"({v}," for v in a], [f"{v})" for v in a]
-    for i, columns in enumerate(ch.chamber_rows(bundle.flat)):
+    chain = bundle.chain
+    x, y = [f"({v}," for v in chain.values], [f"{v})" for v in chain.values]
+    for i, columns in enumerate(chain.rows):
         for j, outline in zip(columns, ch.row_outlines(x, y, " ", i, columns)):
             yield f"N_{{{i},{j}}}: {outline}"
 
 
-def _center_text(c, center_dim: int, flipped_dim: int) -> str:
-    return f"{c.name}: center dim {center_dim}, flipped dim {flipped_dim}"
-
-
 def flips(path, bundle):
+    chain = bundle.chain
     yield f"== {bundle.name} =="
-    yield "nodes: " + ", ".join([f"X({i},{j})" for i, j in ch.chamber_pairs(bundle.flat)])
+    yield "nodes: " + ", ".join([f"X({i},{j})" for i, columns in enumerate(chain.rows)
+                                 for j in columns])
+    texts = {}  # the text of each flip's centers, by (direction, level)
     obstructions = []
-    for (i, j), (k, l), (direction, level, centers, blocked) in md.flip_moves(bundle.flat,
-                                                                              _center_text):
+    for (i, j), (k, l), (direction, level, centers, blocked) in md.flip_moves(chain):
         if blocked:  # obstructions are printed after every edge, with index pairs
             obstructions.append(f"blocked [{i}, {j}] -> [{k}, {l}]: level {level} components "
                                 f"{', '.join(blocked)} fail the flip inequality")
-        else:
-            tag = "psi+" if direction == md.PLUS else "psi-"
-            yield f"X({i},{j}) -> X({k},{l}) [{tag}, level {level}] {'; '.join(centers)}"
+            continue
+        if (direction, level) not in texts:
+            texts[direction, level] = "; ".join([f"{c.name}: center dim {d}, flipped dim {e}"
+                                                 for c, d, e in centers])
+        tag = "psi+" if direction == md.PLUS else "psi-"
+        yield f"X({i},{j}) -> X({k},{l}) [{tag}, level {level}] {texts[direction, level]}"
     yield from obstructions
 
 
 def quotients(path, bundle):
     yield f"== {bundle.name} =="
-    q = md.quotient_diagram(bundle.flat)
-    yield "geometric: " + ", ".join(f"{n.label} (dim {n.dim})" for n in q.geometric)
-    semi = [f"{n.label} (dim {n.dim}" + (f" = {n.identity})" if n.identity else ")")
-            for n in q.semigeometric]
+    geometric, semigeometric, dashed, diagonal, fiber = bundle.chain.quotients
+    yield "geometric: " + ", ".join(f"{g} (dim {d})" for d, g, _ in geometric)
+    semi = [f"{g} (dim {d}" + (f" = {y})" if y else ")") for d, g, y in semigeometric]
     yield "semigeometric: " + ", ".join(semi)
-    for a, b in q.dashed_arrows:
-        yield f"{a} --> {b} (flip)"
-    for a, b in q.diagonal_arrows:
-        yield f"{a} -> {b} (contraction, fibers {q.fiber_note})"
+    for g, h in dashed:
+        yield f"{g} --> {h} (flip)"
+    for g, h in diagonal:
+        yield f"{g} -> {h} (contraction, fibers {fiber})"
 
 
 def dynkin(args) -> int:

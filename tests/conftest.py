@@ -184,7 +184,8 @@ def _one_loop_check(comps: list, dim_x: int):
         return [Violation(actions.EMPTY_SPEC, "no fixed components given")], []
     violations = []
     if dim_x <= 0:
-        violations.append(Violation(actions.NON_POSITIVE_DIM, f"dim_X = {dim_x} is not positive"))
+        message = f"dim_X = {shown(str(dim_x))} is not positive"
+        violations.append(Violation(actions.NON_POSITIVE_DIM, message))
     seen = set()
     groups = {}
     level_of = []
@@ -202,8 +203,8 @@ def _one_loop_check(comps: list, dim_x: int):
             continue
         total = c.dim + c.nu_minus + c.nu_plus
         if total != dim_x and dim_x > 0:
-            message = (f"{shown(repr(c.name))}: dim + nu_minus + nu_plus = {total} "
-                       f"!= dim_x = {dim_x}")
+            message = (f"{shown(repr(c.name))}: dim + nu_minus + nu_plus = {shown(str(total))} "
+                       f"!= dim_x = {shown(str(dim_x))}")
             violations.append(Violation(actions.DIMENSION_MISMATCH, message, c.name))
 
     levels = [(key, groups[key]) for key in sorted(groups, key=_BY_WEIGHT_KEY)]

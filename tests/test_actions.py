@@ -33,6 +33,7 @@ from cstarflips.actions import (
     is_bordism,
     is_btype,
     is_equalized,
+    shown,
     validate_action,
 )
 from cstarflips.chambers import chamber_pairs
@@ -101,7 +102,7 @@ def _oracle_violations(comps, dim_x):
         return [Violation(EMPTY_SPEC, "no fixed components given")]
     out, seen = [], set()
     if dim_x <= 0:
-        out.append(Violation(NON_POSITIVE_DIM, f"dim_X = {dim_x} is not positive"))
+        out.append(Violation(NON_POSITIVE_DIM, f"dim_X = {shown(str(dim_x))} is not positive"))
     for c in comps:
         if c.name in seen:
             out.append(Violation(DUPLICATE_NAME, f"component name {c.name!r} repeated", c.name))
@@ -113,7 +114,8 @@ def _oracle_violations(comps, dim_x):
         if dim_x > 0 and total != dim_x:
             out.append(Violation(
                 DIMENSION_MISMATCH,
-                f"{c.name!r}: dim + nu_minus + nu_plus = {total} != dim_x = {dim_x}", c.name,
+                f"{c.name!r}: dim + nu_minus + nu_plus = {shown(str(total))} "
+                f"!= dim_x = {shown(str(dim_x))}", c.name,
             ))
     weights = sorted({c.weight for c in comps})
     if len(weights) < 2:

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import cstarflips
 from cstarflips import specfiles
+from cstarflips.actions import shown
 from cstarflips.cli import EXIT_CLOSED_STDOUT, build_parser, main
 from cstarflips.lie import roots
 from cstarflips.specfiles import SchemaError
@@ -642,6 +643,32 @@ class TestIntegerBound:
             f"{path}: parse error: .components[0].dim: more than 1000 digits",
         ]
         assert captured.out.splitlines() == [f"{GR24}: ok (gr24-k2, criticality 2)"]
+
+    @pytest.mark.parametrize("dim_x", [10**999, -(10**999)], ids=["plus", "minus"])
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_echoed_dimensions_are_cut(self, tmp_path, capsys, command, dim_x):
+        """A message that echoes dim_X, or a component's dimension sum,
+        shows at most 40 characters of the number: on the components of
+        ``bordism_r3`` (exit 2, one violation per component, or a
+        non-positive dim_X), and on a Lie derivation checked against
+        components of that dimension or against dim_X alone (exit 4)."""
+        spec = json.loads(Path(BORDISM).read_text())
+        spec["dim_X"] = dim_x
+        lie = json.loads(Path(GR24).read_text())
+        del lie["components"]
+        lie["dim_X"] = abs(dim_x)
+        listed = dict(lie, components=[
+            {"name": "Y0", "weight": 0, "dim": 0, "nu_minus": 0, "nu_plus": abs(dim_x)},
+            {"name": "Y1", "weight": 1, "dim": 0, "nu_minus": abs(dim_x), "nu_plus": 0}])
+        paths = [write(tmp_path, f"{k}.json", json.dumps(s))
+                 for k, s in enumerate((spec, lie, listed))]
+        assert main([command, *paths]) == 4
+        captured = capsys.readouterr()
+        shown_dim = shown(str(dim_x))
+        assert len(shown_dim) == 43 and shown_dim in captured.err
+        assert captured.out.count(shown(str(abs(dim_x)))) == 2
+        lines = (captured.err + captured.out).splitlines()
+        assert lines and max(len(line.encode()) for line in lines) < 300
 
     def test_analyze_huge_cocharacter(self, tmp_path, capsys):
         spec = json.loads(Path(GR24).read_text())

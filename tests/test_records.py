@@ -16,7 +16,7 @@ from cstarflips.lie.roots import build_root_system
 SRC = Path(__file__).resolve().parent.parent / "src" / "cstarflips"
 
 # (module, record) -> (_fields, _field_defaults), as the typing.NamedTuple
-# classes had them.
+# classes had them; ``Chain`` and ``ReportBundle.chain`` came later.
 RECORDS = {
     ("actions", "Violation"): (("code", "message", "component"), {"component": None}),
     ("actions", "FixedComponent"): (
@@ -54,6 +54,9 @@ RECORDS = {
     ("locate", "SliceLocation"): (
         ("kind", "chambers", "tight", "fixed_divisor"),
         {"chambers": (), "tight": (), "fixed_divisor": None}),
+    ("modifications", "Chain"): (
+        ("values", "rows", "moves", "minus", "plus", "isolated", "index_set", "corners",
+         "summary", "quotients"), {}),
     ("modifications", "FlipCenter"): (("component", "dim", "center_dim", "flipped_dim"), {}),
     ("modifications", "FlipEdge"): (("from_pair", "to_pair", "direction", "level", "centers"), {}),
     ("modifications", "FlipObstruction"): (
@@ -67,7 +70,7 @@ RECORDS = {
     ("modifications", "ChainSummary"): (
         ("chain_arrows", "left", "right", "blowups", "blowdowns", "flips"), {}),
     ("report", "ReportBundle"): (
-        ("name", "model", "flat", "notes", "checked", "failures", "lie"), {}),
+        ("name", "model", "flat", "chain", "notes", "checked", "failures", "lie"), {}),
     ("specfiles", "LieInput"): (("dynkin_type", "rank", "node", "cocharacter"), {}),
     ("specfiles", "ActionSpecFile"): (
         ("name", "dim_x", "components", "lie", "declared_equalized"), {}),

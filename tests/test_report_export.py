@@ -399,6 +399,15 @@ class TestCli:
         bad["components"][1]["dim"] = 1
         assert main(["validate", self._write(tmp_path, bad)]) == 4
 
+    def test_analyze_names_a_mismatch_with_dim_x_alone(self, tmp_path, capsys):
+        """A lie block with dim_X and no components is checked against dim_X
+        alone: text analyze exits 4 and prints the mismatch, as validate does."""
+        spec = {key: value for key, value in GR24_SPEC.items() if key != "components"}
+        spec["dim_X"] = 5
+        assert main(["analyze", self._write(tmp_path, spec)]) == 4
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "verification: dim_X: derived 4, expected 5")
+
     def test_analyze_json_out(self, tmp_path):
         out = tmp_path / "bundle.json"
         code = main(

@@ -222,7 +222,7 @@ COMMANDS = {
 }
 COMMAND_GOLDEN = {
     "validate": "a52d003657b816fd77fdaa0d3b9d3c61328cad3b6c9a741bb38e535e76623294",
-    "analyze": "4ef6dc2f839fe9847dd457e45bd9321883b4e8c81d798f1a49e7e4f18e81b108",
+    "analyze": "00649860a83919896510b15bf1f3f81ed8a6fa56a3a5a6cd6638d66aa7eb01e2",
     "chambers": "f4ca46941d8dac70a82cb3a85473e2744f2c32ddb8e9edd742e386c3d0aa6e9c",
     "flips": "db53177aad94e256b7c5327a27b212d83e7fce3af4ecaafee0e061ff955b99c3",
     "quotients": "ee1f7feb4731b8e06e2cc1474e3d74d12da366921e95de3598d79bc9d65497e0",

@@ -1,15 +1,15 @@
 """The report's chain sections against the library's object views.
 
 ``ReportBundle.to_json`` writes the chambers, the flip graph and the
-P1-bundles in one loop over the rows of the chamber triangle, from O(r)
-facts: the rows of chambers, each row's chamber outlines written from the
-texts of the critical values (``row_outlines``), the moves of each row
-(``row_moves``) and one flip record per (direction, level) that a move uses
-(``flip_at_level``).  ``chamber_decomposition``, ``build_flip_graph`` and
-``p1_bundle_models`` build the same data as objects by calling the same
-three functions.  The two must agree, the report must be canonical JSON
-(the writer splices encoded names into text by hand), and the report must
-compute each fact once.
+P1-bundles in one loop over the rows of the chamber triangle, from the
+spec's chain (``modifications.Chain``), its O(r) facts: the rows of
+chambers, each row's chamber outlines written from the texts of the critical
+values (``row_outlines``), the moves of each row (``row_moves``) and one
+flip record per (direction, level) that a move uses (``flip_at_level``).
+``chamber_decomposition``, ``build_flip_graph`` and ``p1_bundle_models``
+build the same data as objects from the same rules.  The two must agree,
+the report must be canonical JSON (the writer splices encoded names into
+text by hand), and every command must compute each fact once.
 """
 
 import collections
@@ -25,13 +25,12 @@ from test_report_export import FORMAT_PIECES, ODD_NAME, canonical, report_values
 from test_report_golden import CASES, _model_spec, rational_chain_spec
 
 from cstarflips import chambers as ch
-from cstarflips import cli
 from cstarflips import modifications as md
 from cstarflips import report
 from cstarflips.actions import ActionModel, blowup_extremal
 from cstarflips.cli import main
 from cstarflips.report import run_pipeline
-from cstarflips.specfiles import parse_spec, parse_spec_dict
+from cstarflips.specfiles import parse_spec_dict
 
 
 def _polygon(points) -> list:
@@ -126,30 +125,36 @@ def test_report_agrees_with_the_views(case, data):
 FRACTION_ARITHMETIC = ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__sub__", "__rsub__")
 
 
+# Every command that writes a spec's chain: the JSON report in process, and
+# the text, DOT and SVG commands through ``main``.
+CHAIN_COMMANDS = (None, ("analyze",), ("chambers",), ("flips",), ("quotients",),
+                  ("export", "--format", "dot"), ("export", "--format", "svg"))
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_each_fact_is_computed_once(case, tmp_path):
     """On r=40 chains, one with integer weights from zero and one with the
-    shuffled rational weights of ``rational_chain_spec`` from below zero:
-    the pipeline and ``to_json`` order and shift the weights in integer
-    arithmetic, with no Fraction compared or subtracted, and within one
-    ``to_json`` there is one flip record (``flip_at_level``) for each
-    (direction, level) that a move uses, one evaluation of the chamber rows,
-    one read of the origin dims and of the isolated-extremes fact, which
-    each rule of the report takes from the writer, one call of each such
-    rule, each critical value written once for the whole report, every
-    chamber's outline written once, by one ``row_outlines`` call per row
-    (a P1-bundle's nef polygon is the outline of its chamber), and no
-    ``quotient_diagram`` records.  Text ``analyze`` reads the two facts
-    once as well, and calls each rule it prints once."""
+    shuffled rational weights of ``rational_chain_spec`` from below zero,
+    every command that writes the chain (``to_json``, text ``analyze``,
+    ``chambers``, ``flips``, ``quotients`` and ``export --format dot|svg``)
+    builds one chain per spec, reads the origin dims and the
+    isolated-extremes fact once, evaluates the chamber rows once, makes one
+    flip record (``flip_at_level``) for each (direction, level) that a move
+    uses, writes each critical value once (at most r + 3 ``Fraction``
+    strings, with the two weight offsets of the JSON report), makes no
+    ``quotient_diagram`` records and, where it draws the chambers, writes
+    each chamber's outline once, by one ``row_outlines`` call per row.  The
+    pipeline and every command but the SVG figure, which places its labels
+    in floating point from Fraction sums, order and shift the weights in
+    integer arithmetic, with no Fraction compared or subtracted."""
     r = 40
     for k, spec in enumerate((_model_spec(case, synthetic_case_model(case, r=r)),
                               rational_chain_spec(case, r))):
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            _check_computed_once(monkeypatch, case, r, parse_spec_dict(spec))
         path = tmp_path / f"{k}.json"
         path.write_text(json.dumps(spec))
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            _check_text_computed_once(monkeypatch, str(path))
+        for command in CHAIN_COMMANDS:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                _check_computed_once(monkeypatch, case, r, spec, str(path), command)
 
 
 def _counting(calls, name, fn):
@@ -159,21 +164,7 @@ def _counting(calls, name, fn):
     return wrapper
 
 
-def _check_text_computed_once(monkeypatch, path):
-    bundle = run_pipeline(parse_spec(path))  # its own reads are pinned above
-    monkeypatch.setattr(cli, "run_pipeline", lambda spec, **options: bundle)
-    calls = collections.Counter()
-    rules = ((ch, "extremal_case"), (cli, "is_bordism"), (cli, "index_set_i"),
-             (ch, "movable_polygon"), (ch, "chamber_pairs"), (md, "flip_moves"),
-             (md, "flip_chain_summary"))
-    for owner, name in [(ActionModel, "origin_dims"), (ActionModel, "isolated_extremes"), *rules]:
-        monkeypatch.setattr(owner, name, _counting(calls, name, getattr(owner, name)))
-    assert main(["analyze", path]) == 0
-    assert calls == {name: 1 for name in ["origin_dims", "isolated_extremes",
-                                          *[name for _, name in rules]]}
-
-
-def _check_computed_once(monkeypatch, case, r, spec):
+def _check_computed_once(monkeypatch, case, r, spec, path, command):
     calls = collections.Counter()
     reads = collections.Counter()
 
@@ -193,9 +184,8 @@ def _check_computed_once(monkeypatch, case, r, spec):
 
     for name in FRACTION_ARITHMETIC:
         monkeypatch.setattr(Fraction, name, counting("arithmetic", getattr(Fraction, name)))
-    bundle = run_pipeline(spec)
-    assert calls["arithmetic"] == 0
-    monkeypatch.setattr(ch, "chamber_rows", counting("chamber_rows", ch.chamber_rows))
+    monkeypatch.setattr(md, "build_chain", counting("build_chain", md.build_chain))
+    monkeypatch.setattr(md, "chamber_rows", counting("chamber_rows", md.chamber_rows))
     monkeypatch.setattr(md, "flip_at_level", counting("flip_at_level", md.flip_at_level))
     monkeypatch.setattr(md, "quotient_diagram", counting("quotient_diagram", md.quotient_diagram))
     monkeypatch.setattr(Fraction, "__str__", counting("str", Fraction.__str__))
@@ -203,35 +193,35 @@ def _check_computed_once(monkeypatch, case, r, spec):
     monkeypatch.setattr(report, "_chain_sections", chain_sections)
     for name in ("origin_dims", "isolated_extremes"):
         monkeypatch.setattr(ActionModel, name, counting(name, getattr(ActionModel, name)))
-    rules = ((report, "index_set_i"), (report, "is_bordism"), (ch, "extremal_case"),
-             (ch, "movable_corners"), (md, "flip_chain_summary"), (md, "extremal_ray_type"),
-             (md, "quotient_chain"))
-    for module, name in rules:
-        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
 
-    payload = bundle.to_json()
-    assert calls["arithmetic"] == 0
-    written = json.loads(payload)
-    assert written["criticality"] == r
-    graph = written["flip_graph"]
-    used = {(m["direction"], m["level"]) for m in graph["edges"] + graph["obstructions"]}
-    assert calls["flip_at_level"] == len(used) == 2 * (r - 1) - sum(CASE_ISOLATED[case])
-    assert calls["chamber_rows"] == 1
-    # the chain facts are read once and handed to every rule that needs them
+    if command is None:
+        payload = run_pipeline(parse_spec_dict(spec)).to_json()
+        written = json.loads(payload)
+        assert written["criticality"] == r
+        graph = written["flip_graph"]
+        used = {(m["direction"], m["level"]) for m in graph["edges"] + graph["obstructions"]}
+        assert len(used) == 2 * (r - 1) - sum(CASE_ISOLATED[case])
+        # the chain sections share the texts of the chain's critical values
+        assert calls["str in chain sections"] == 0
+        pairs = [tuple(c["pair"]) for c in written["chambers"]]
+        assert reads == collections.Counter(pairs)
+        assert [b["nef_polygon"] for b in written["p1_bundles"]] == [
+            c["polygon"] for c in written["chambers"] if c["pair"][1] == c["pair"][0] + 1]
+    else:
+        assert main([*command, path]) == 0
+    assert calls["build_chain"] == calls["chamber_rows"] == 1
     assert calls["origin_dims"] == calls["isolated_extremes"] == 1
-    assert [calls[name] for _, name in rules] == [1] * len(rules)
-    # the quotients are written from the chain, with no record per node
+    assert calls["flip_at_level"] == 2 * (r - 1) - sum(CASE_ISOLATED[case])
     assert calls["quotient_diagram"] == 0
-    # the chain sections, the two models, the bandwidth and the movable cone
-    # share the texts of the r + 1 critical values; the two weight offsets
-    # are written once each
-    assert calls["str in chain sections"] == 0
+    # the r + 1 critical values, and the two weight offsets of the JSON report
     assert calls["str"] <= r + 3
-    assert calls["row_outlines"] == r
-    pairs = [tuple(c["pair"]) for c in written["chambers"]]
-    assert reads == collections.Counter(pairs)
-    assert [b["nef_polygon"] for b in written["p1_bundles"]] == [
-        c["polygon"] for c in written["chambers"] if c["pair"][1] == c["pair"][0] + 1]
+    if command in (None, ("chambers",), ("export", "--format", "svg")):
+        assert calls["row_outlines"] == r
+        assert sorted(reads.values()) == [1] * sum(reads.values())
+    else:
+        assert calls["row_outlines"] == 0
+    if command != ("export", "--format", "svg"):
+        assert calls["arithmetic"] == 0
 
 
 # The stdout of each view over the r=40 rational chains of the four cases,
