@@ -18,7 +18,6 @@ _EXPORTS = {
     "index_set_i": "actions",
     "is_bordism": "actions",
     "is_btype": "actions",
-    "is_equalized": "actions",
     "validate_action": "actions",
     "Chamber": "chambers",
     "chamber_decomposition": "chambers",

@@ -23,7 +23,7 @@ from collections import namedtuple
 from functools import cmp_to_key, partial
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 # Default cap on the torus-fixed points of a Lie-derived action (|W/W_P|),
 # shared by the CLI, the pipeline and the Lie engine.
@@ -65,10 +65,6 @@ class InvalidActionError(ActionError):
 
 
 class AlreadyFlatError(ActionError):
-    pass
-
-
-class UnknownComponentError(ActionError):
     pass
 
 
@@ -195,7 +191,7 @@ class ActionModel(namedtuple("ActionModel", "dim_x levels flat equalized equaliz
         This one fact decides every case of the blowup: an isolated sink
         removes chamber (0, 1) and index 0 and adds the curve C_{1,r}, and
         makes the left end of the quotient chain divisorial; an isolated
-        source is the mirror image.  ``modifications.build_chain`` reads it
+        source is the mirror image.  ``chain.build_chain`` reads it
         once per report and hands it to each rule."""
         sink_dim, source_dim = self.origin_dims()
         return (sink_dim == 0, source_dim == 0)
@@ -353,24 +349,6 @@ def model_warnings(model: ActionModel) -> list[str]:
     if model.equalization_source == "declared":
         notes.append("equalization is declared, not derived from tangent weights")
     return notes
-
-
-def is_equalized(
-    model: ActionModel, tangent_weights: Mapping[str, Sequence[int]] | None = None
-) -> bool:
-    """Equalization verdict: every nonzero tangent weight is +-1.
-
-    Without tangent data the model's declared flag is returned; callers that
-    need the distinction should consult ``model.equalization_source``.
-    """
-    if tangent_weights is None:
-        return model.equalized
-    for c in model.components:
-        if c.name not in tangent_weights:
-            raise UnknownComponentError(f"no tangent weights for component {c.name!r}")
-        if not unit_weights(tangent_weights[c.name]):
-            return False
-    return True
 
 
 def is_btype(model: ActionModel) -> bool:

@@ -18,8 +18,7 @@ import argparse
 import os
 import sys
 
-from . import chambers as ch
-from . import modifications as md
+from . import chain as cn
 from .actions import DEFAULT_MAX_COSETS, ActionError, InvalidActionError, shown
 from .report import ReportBundle, run_pipeline
 from .specfiles import SchemaError, SpecSyntaxError, parse_spec
@@ -113,9 +112,9 @@ def _analyze_text(path: str, bundle: ReportBundle):
     chain = bundle.chain
     a = chain.values
     pairs = [(i, j) for i, columns in enumerate(chain.rows) for j in columns]
-    blocked = [bool(flip[3]) for _, _, flip in md.flip_moves(chain)]
+    blocked = [bool(flip[3]) for _, _, flip in cn.flip_moves(chain)]
     yield f"== {bundle.name} =="
-    yield (f"case: {ch.CASES[chain.isolated]}  bandwidth: {a[-1]}  "
+    yield (f"case: {cn.CASES[chain.isolated]}  bandwidth: {a[-1]}  "
            f"criticality: {bundle.flat.criticality}")
     yield f"bordism: {not any(chain.isolated)}  index set: {list(chain.index_set)}"
     yield "movable cone generators: " + ", ".join(f"L({a[k]},{a[l]})" for k, l in chain.corners)

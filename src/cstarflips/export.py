@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import chambers as ch
-from . import modifications as md
+from . import chain as cn
 from .actions import ActionError
 from .report import ReportBundle
 
@@ -29,9 +28,9 @@ def export_dot(bundle: ReportBundle) -> bytes:
     chain = bundle.chain
     lines = ["digraph flip_graph {", "  rankdir=LR;"]
     lines.extend([f'  "X({i},{j})";' for i, columns in enumerate(chain.rows) for j in columns])
-    for (i, j), (k, l), (direction, level, _, blocked) in md.flip_moves(chain):
+    for (i, j), (k, l), (direction, level, _, blocked) in cn.flip_moves(chain):
         if not blocked:
-            tag = "psi+" if direction == md.PLUS else "psi-"
+            tag = "psi+" if direction == cn.PLUS else "psi-"
             lines.append(f'  "X({i},{j})" -> "X({k},{l})" [label="{tag} @ level {level}"];')
     lines += ["}", "", "digraph quotient_diagram {", "  rankdir=LR;"]
     geometric, semigeometric, dashed, diagonal, _ = chain.quotients
@@ -95,7 +94,7 @@ def export_svg(bundle: ReportBundle) -> bytes:
     triangle = ['x="%.2f" y="%.2f"' % (_x((2 * u + v) / 3) - 18, _y((u + 2 * v) / 3, delta) + 4)
                 for u, v in steps]
     for i, columns in enumerate(chain.rows):
-        for j, outline in zip(columns, ch.row_outlines(xs, ys, " ", i, columns)):
+        for j, outline in zip(columns, cn.row_outlines(xs, ys, " ", i, columns)):
             out.append(f'<polygon points="{outline}" fill="#dfe7f5" stroke="#4a6ea9" '
                        'stroke-width="1"/>')
             # a triangle's outline has three corners

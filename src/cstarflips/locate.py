@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Tuple
 
 from .actions import ActionModel, ActionError, as_rational
-from .chambers import OutOfRangeError, chamber_pairs, movable_polygon
+from .chain import OutOfRangeError
+from .chambers import chamber_pairs, movable_polygon
 
 
 class OutOfSliceError(ActionError):

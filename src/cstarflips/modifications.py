@@ -1,33 +1,15 @@
-"""Small modifications of the flat model: flip graph and quotient diagram.
+"""Small modifications of the flat model as objects: the flip graph, the
+quotient diagram and the models X(i, j), kept for the API and for the
+benchmark's tracer.
 
 Each chamber pair (i, j) carries a small modification X(i, j) of the flat
 model, again with a divisorial-extremes action: sink GX(i, i+1), source
 GX(j-1, j), and the original inner components between critical values i and j
 copied bit-exactly (weights renormalized to start at zero).  X(i, j) is built
 on demand by :func:`induced_action`; a flip-graph node carries only its pair
-and nef polygon.  Moving to (i+1, j) or (i, j-1) is a flip removing the cell
-closures attached to the shifting level:
-
-* the plus flip (i, j) -> (i+1, j) removes the downward closures of level
-  i+1; per component Y the removed center has dimension dim Y + nu_minus(Y)
-  and is replaced by a locus of dimension dim Y + nu_plus(Y) - 1, legal when
-  nu_plus(Y) > 1 on every component of the level;
-* the minus flip (i, j) -> (i, j-1) mirrors this at level j-1, with center
-  dimension dim Y + nu_plus(Y), flipped dimension dim Y + nu_minus(Y) - 1,
-  legal when nu_minus(Y) > 1.
-
-Either way, since dim Y + nu_minus(Y) + nu_plus(Y) = dim X, the center and
-flipped dimensions add up to dim X - 1 + dim Y, and the criticality drops by
-one.
-
-The flip rule is written once, in :func:`flip_at_level`, per (direction,
-level), and which flips are moves between chambers once, in
-:func:`row_moves`, per row of the chamber triangle.  A report is written
-from the :class:`Chain` of its flat model, which :func:`build_chain` makes
-once per spec; the JSON, DOT, SVG and text writers read it, and
-:func:`flip_moves` walks its moves.  The object views
-(:func:`build_flip_graph`, :func:`quotient_diagram` and the others) take a
-model and follow the same rules.
+and nef polygon.  The flips between the chambers, and the chain of
+quotients, follow the rules in ``chain``, which the commands read; no
+command loads this module.
 """
 
 from __future__ import annotations
@@ -36,11 +18,9 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Tuple
 
-from .actions import ActionError, ActionModel, flat_model, index_range, index_set_i, shifted
-from .chambers import chamber_pairs, chamber_polygon, chamber_rows, movable_corners
-
-PLUS = "plus"
-MINUS = "minus"
+from .actions import ActionError, ActionModel, flat_model, index_set_i, shifted
+from .chain import ChainSummary, build_chain, chain_summary, flip_moves, quotient_chain
+from .chambers import chamber_pairs, chamber_polygon
 
 
 class NotAChamberError(ActionError):
@@ -70,39 +50,6 @@ class FlipGraph(namedtuple("FlipGraph", "nodes edges obstructions")):
         raise NotAChamberError(f"{pair} is not a chamber of this model")
 
 
-# The O(r) facts that a flat model's report is written from, each computed
-# once: the texts of the critical values; the rows of the chamber triangle
-# and the (minus, plus) moves out of each (``row_moves``); the record of the
-# flip at each level in either direction (``flip_at_level``), ``None`` where
-# no move uses it; the isolated-extremes fact, the index set and the movable
-# corners; the ``chain_summary`` and the ``quotient_chain``.
-Chain = namedtuple("Chain", "values rows moves minus plus isolated index_set corners "
-                   "summary quotients")
-
-
-def build_chain(flat: ActionModel) -> Chain:
-    """The chain of the flat model ``flat``, in one pass over its levels.
-    The isolated-extremes fact is read once, and through it the origin dims,
-    recorded in the flat model; a model with no movable region is refused
-    (``movable_corners``)."""
-    isolated = flat.isolated_extremes()
-    r = flat.criticality
-    corners = movable_corners(r, isolated)
-    rows = chamber_rows(r, isolated)
-    moves = [row_moves(rows, i) for i in range(r)]
-    minus_levels = {j - 1 for minus, _ in moves for j in minus}  # (i, j) -> (i, j - 1)
-    values, minus, plus = [], [None] * r, [None] * r
-    for k, (a, _) in enumerate(flat.levels):
-        values.append(str(a))
-        if k in minus_levels:
-            minus[k] = flip_at_level(flat, MINUS, k)
-        if 0 < k < r and moves[k - 1][1]:  # (k - 1, j) -> (k, j)
-            plus[k] = flip_at_level(flat, PLUS, k)
-    return Chain(values, rows, moves, minus, plus, isolated, index_range(r, isolated), corners,
-                 chain_summary(r, isolated),
-                 quotient_chain(flat, (flat.sink_origin_dim, flat.source_origin_dim)))
-
-
 def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     """X(i, j): inner levels i+1 .. j-1 of the flat model at weights a_k - a_i,
     between divisorial extremes GX(i, i+1) and GX(j-1, j); an end at i = 0 or
@@ -126,45 +73,6 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
         (sink_dim if i == 0 else divisor, source_dim if j == model.criticality else divisor),
         Fraction(0),
     )
-
-
-def flip_at_level(model: ActionModel, direction: str, level: int) -> tuple:
-    """The flip in ``direction`` at ``level``, in one pass over the level's
-    components Y: with (nu, nu') = (nu_minus, nu_plus) for the plus flip and
-    (nu_plus, nu_minus) for the minus flip, the center in Y has dimension
-    dim Y + nu and the flipped locus dim Y + nu' - 1, and a Y with nu' <= 1
-    blocks the flip.  Returns the record (direction, level, centers,
-    blocked): the (Y, center dim, flipped dim) of each component and the
-    names of the blocking ones."""
-    centers, blocked = [], []
-    plus = direction == PLUS
-    for c in model.levels[level][1]:
-        nu, flipped = (c.nu_minus, c.nu_plus) if plus else (c.nu_plus, c.nu_minus)
-        if flipped <= 1:  # the flip inequality fails
-            blocked.append(c.name)
-        centers.append((c, c.dim + nu, c.dim + flipped - 1))
-    return direction, level, tuple(centers), tuple(blocked)
-
-
-def row_moves(rows: list[range], i: int) -> Tuple[range, range]:
-    """The flips out of row i of ``chamber_rows``: the columns j whose chamber
-    (i, j) has a minus flip, to (i, j - 1) at level j - 1, and those with a
-    plus flip, to (i + 1, j) at level i + 1.  A flip is a move only where its
-    target is a chamber too."""
-    columns = rows[i]
-    below = rows[i + 1] if i + 1 < len(rows) else range(0)
-    return columns[1:], range(max(columns.start, below.start), min(columns.stop, below.stop))
-
-
-def flip_moves(chain: Chain):
-    """The moves between the chambers of ``chain`` row by row, in (from, to)
-    order, as (from pair, to pair, the flip's record)."""
-    for i, (columns, (minus, plus)) in enumerate(zip(chain.rows, chain.moves)):
-        for j in columns:
-            if j in minus:
-                yield (i, j), (i, j - 1), chain.minus[j - 1]
-            if j in plus:
-                yield (i, j), (i + 1, j), chain.plus[i + 1]
 
 
 def build_flip_graph(model: ActionModel) -> FlipGraph:
@@ -192,28 +100,6 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
 QuotientNode = namedtuple("QuotientNode", "dim label identity", defaults=(None,))
 QuotientDiagram = namedtuple(
     "QuotientDiagram", "geometric semigeometric dashed_arrows diagonal_arrows fiber_note")
-
-
-def quotient_chain(model: ActionModel, dims: Tuple[int, int]) -> tuple:
-    """The chain of geometric quotients over the semigeometric ones: the
-    nodes as (dim, label, identity), the arrows as label pairs, the fibers.
-    The r geometric nodes GX(i, i+1) and the r + 1 semigeometric GX(i, i)
-    have dimension dim X - 1 but the outermost two, the extremal components
-    Y_0 and Y_r at the origin dims ``dims``.  A dashed arrow joins each
-    geometric node to the next; each contracts onto its neighbours, GX(i, i)
-    first."""
-    r, d = model.criticality, model.dim_x - 1
-    sink_dim, source_dim = dims
-    geometric = [f"GX({i},{i + 1})" for i in range(r)]
-    semi = [f"GX({i},{i})" for i in range(r + 1)]
-    return (
-        [(d, g, None) for g in geometric],
-        [(sink_dim, semi[0], "Y_0"), *[(d, s, None) for s in semi[1:-1]],
-         (source_dim, semi[-1], f"Y_{r}")],
-        list(zip(geometric, geometric[1:])),
-        [(g, s) for i, g in enumerate(geometric) for s in semi[i:i + 2]],
-        "projective spaces" if model.equalized else "weighted projective spaces",
-    )
 
 
 def quotient_diagram(model: ActionModel) -> QuotientDiagram:
@@ -244,24 +130,6 @@ def extremal_ray_type(model: ActionModel, end: str | None = None) -> str | Tuple
     return (s.left, s.right) if end is None else getattr(s, end)
 
 
-ChainSummary = namedtuple("ChainSummary", "chain_arrows left right blowups blowdowns flips")
-
-
 def flip_chain_summary(model: ActionModel) -> ChainSummary:
     """The :func:`chain_summary` of ``model``."""
     return chain_summary(model.criticality, model.isolated_extremes())
-
-
-def chain_summary(r: int, isolated: Tuple[bool, bool]) -> ChainSummary:
-    """Counts for the quotient chain of criticality ``r``: r - 1 dashed
-    arrows plus an endpoint classification.  An endpoint contracts as the
-    projective bundle over a positive-dimensional extremal component, or
-    divisorially when that component is a point (``isolated``).  A
-    divisorial endpoint reclassifies the adjacent step as a blowup (left)
-    or blowdown (right); the small contractions of the two end arrows then
-    pair up, leaving r - 2 genuine flips, against r - 1 when both endpoints
-    are fibrations."""
-    left, right = ["divisorial" if point else "fibration" for point in isolated]
-    blowups, blowdowns = int(left == "divisorial"), int(right == "divisorial")
-    flips = r - 1 if blowups + blowdowns == 0 else max(r - 2, 0)
-    return ChainSummary(r - 1, left, right, blowups, blowdowns, flips)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import sys
 
-from . import chambers as ch
-from . import modifications as md
+from . import chain as cn
 from .actions import ActionError, shown
 from .cli import EXIT_OK, EXIT_VERIFICATION
 from .specfiles import TOO_BIG, SchemaError, expect_int
@@ -30,7 +29,7 @@ def chambers(path, bundle):
     chain = bundle.chain
     x, y = [f"({v}," for v in chain.values], [f"{v})" for v in chain.values]
     for i, columns in enumerate(chain.rows):
-        for j, outline in zip(columns, ch.row_outlines(x, y, " ", i, columns)):
+        for j, outline in zip(columns, cn.row_outlines(x, y, " ", i, columns)):
             yield f"N_{{{i},{j}}}: {outline}"
 
 
@@ -41,7 +40,7 @@ def flips(path, bundle):
                                  for j in columns])
     texts = {}  # the text of each flip's centers, by (direction, level)
     obstructions = []
-    for (i, j), (k, l), (direction, level, centers, blocked) in md.flip_moves(chain):
+    for (i, j), (k, l), (direction, level, centers, blocked) in cn.flip_moves(chain):
         if blocked:  # obstructions are printed after every edge, with index pairs
             obstructions.append(f"blocked [{i}, {j}] -> [{k}, {l}]: level {level} components "
                                 f"{', '.join(blocked)} fail the flip inequality")
@@ -49,7 +48,7 @@ def flips(path, bundle):
         if (direction, level) not in texts:
             texts[direction, level] = "; ".join([f"{c.name}: center dim {d}, flipped dim {e}"
                                                  for c, d, e in centers])
-        tag = "psi+" if direction == md.PLUS else "psi-"
+        tag = "psi+" if direction == cn.PLUS else "psi-"
         yield f"X({i},{j}) -> X({k},{l}) [{tag}, level {level}] {texts[direction, level]}"
     yield from obstructions
 

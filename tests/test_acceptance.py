@@ -21,7 +21,8 @@ from cstarflips.chambers import (
     movable_polygon,
 )
 from cstarflips.locate import DivisorClass, movable_cone, stable_base_locus
-from cstarflips.modifications import MINUS, build_flip_graph, flip_chain_summary, induced_action
+from cstarflips.chain import MINUS
+from cstarflips.modifications import build_flip_graph, flip_chain_summary, induced_action
 from cstarflips.report import run_pipeline
 from cstarflips.specfiles import parse_spec_dict
 from conftest import (

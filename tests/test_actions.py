@@ -32,8 +32,8 @@ from cstarflips.actions import (
     index_set_i,
     is_bordism,
     is_btype,
-    is_equalized,
     shown,
+    unit_weights,
     validate_action,
 )
 from cstarflips.chambers import chamber_pairs
@@ -452,16 +452,24 @@ class TestBandwidthCriticality:
 
 
 class TestEqualization:
+    """The rule ``build_action`` applies to the tangent weights of each
+    component, ``unit_weights``: the action is equalized when every weight
+    is -1, 0 or 1."""
+
+    @staticmethod
+    def equalized(model, tangent_weights) -> bool:
+        return all(unit_weights(tangent_weights[c.name]) for c in model.components)
+
     def test_tangent_data_true(self, gr24):
         data = {"Y0": [1, 1, 1, 1], "Y1": [-1, 0, 0, 1], "Y2": [-1, -1, -1, -1]}
-        assert is_equalized(gr24, data) is True
+        assert self.equalized(gr24, data) is True
 
     def test_tangent_data_false(self, gr24):
         data = {"Y0": [1, 1, 1, 2], "Y1": [-1, 0, 0, 1], "Y2": [-1, -1, -1, -1]}
-        assert is_equalized(gr24, data) is False
+        assert self.equalized(gr24, data) is False
 
     def test_declared_fallback(self, gr24):
-        assert is_equalized(gr24) is True
+        assert gr24.equalized is True
         assert gr24.equalization_source == "declared"
 
 

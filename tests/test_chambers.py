@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 
 from cstarflips.actions import blowup_extremal
-from cstarflips.chambers import OutOfRangeError, chamber_pairs, chamber_polygon, movable_polygon
+from cstarflips.chain import OutOfRangeError
+from cstarflips.chambers import chamber_pairs, chamber_polygon, movable_polygon
 from cstarflips.locate import (
     CurveClass,
     DivisorClass,

@@ -374,21 +374,30 @@ def test_cold_start_loads_no_dataclasses_or_inspect(argv):
     assert not loaded & {"dataclasses", "inspect"}
 
 
+# the modules no analyze or export call loads: the other commands' views,
+# the slice geometry and the object views of the chain
+_OFF_THE_CHAIN_PATH = ("views", "locate", "chambers", "modifications")
+
+
 @pytest.mark.parametrize("argv, unused", [
-    (["analyze", "--format", "json", BORDISM], ("export", "lie", "views", "locate")),
-    (["analyze", BORDISM], ("export", "views", "locate")),
-    (["analyze", A42], ("export", "views", "locate")),
-    (["export", "--format", "svg", BORDISM], ("views", "locate")),
-    (["export", "--format", "dot", A42], ("views", "locate")),
-], ids=["analyze-json", "analyze-text", "analyze-text-lie", "export-svg", "export-dot-lie"])
+    (["analyze", "--format", "json", BORDISM], ("export", "lie")),
+    (["analyze", BORDISM], ("export", "report_json")),
+    (["analyze", A42], ("export", "report_json")),
+    (["export", "--format", "svg", BORDISM], ("report_json",)),
+    (["export", "--format", "dot", A42], ("report_json",)),
+    (["export", "--format", "json", BORDISM], ("lie",)),
+], ids=["analyze-json", "analyze-text", "analyze-text-lie", "export-svg", "export-dot-lie",
+        "export-json"])
 def test_cold_call_compiles_only_what_its_command_runs(argv, unused):
     """``analyze`` and ``export``, the commands of the CLI benchmark, import
-    neither the other commands' views nor the slice geometry, JSON
-    ``analyze`` not the exporters, and a spec without a ``lie`` block not the
-    Lie engine."""
+    neither the other commands' views, nor the slice geometry, nor the object
+    views of the chain; JSON ``analyze`` not the exporters, text output not
+    the JSON writer, and a spec without a ``lie`` block not the Lie engine."""
     loaded = _imported(*argv)
-    assert "cstarflips.cli" in loaded
+    assert "cstarflips.cli" in loaded and "cstarflips.chain" in loaded
     assert ("cstarflips.export" in loaded) == (argv[0] == "export")
+    assert ("cstarflips.report_json" in loaded) == ("json" in argv)
+    unused += _OFF_THE_CHAIN_PATH
     assert not {m for m in loaded if m.startswith("cstarflips.") and m.split(".")[1] in unused}
 
 
@@ -669,6 +678,34 @@ class TestIntegerBound:
         assert captured.out.count(shown(str(abs(dim_x)))) == 2
         lines = (captured.err + captured.out).splitlines()
         assert lines and max(len(line.encode()) for line in lines) < 300
+
+    @pytest.mark.parametrize("command", ["validate", "analyze"])
+    def test_verification_messages_are_cut(self, tmp_path, capsys, command):
+        """A Lie derivation checked against listed components with 1,000-digit
+        fields echoes at most 40 characters of each level signature and of
+        each list of critical values: A3(2) at omega_2 against components
+        of dimension sums near 10**999 at its weights 0, 1, 2, and against
+        its own components at weights 0, w, 2w."""
+        big = 10**999
+        lie = json.loads(Path(GR24).read_text())
+        dims = dict(lie, dim_X=big, components=[
+            {"name": "Y0", "weight": 0, "dim": 0, "nu_minus": 0, "nu_plus": big},
+            {"name": "Y1", "weight": 1, "dim": big - 2, "nu_minus": 1, "nu_plus": 1},
+            {"name": "Y2", "weight": 2, "dim": 0, "nu_minus": big, "nu_plus": 0}])
+        weights = json.loads(json.dumps(lie))
+        for k, c in enumerate(weights["components"]):
+            c["weight"] = k * (big - 1)
+        paths = [write(tmp_path, f"{k}.json", json.dumps(s))
+                 for k, s in enumerate((dims, weights))]
+        assert main([command, *paths]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.count(f"expected {shown(str([(0, 0, big)]))}") == 1
+        values = sorted(["0", str(big - 1), str(2 * big - 2)])  # as the message sorts them
+        assert captured.out.count(f"expected {shown(str(values))}") == 1
+        # text analyze joins a spec's messages on one line, with "; "
+        messages = [m for line in captured.out.splitlines() for m in line.split("; ")]
+        assert max(len(m.encode()) for m in messages) < 200
 
     def test_analyze_huge_cocharacter(self, tmp_path, capsys):
         spec = json.loads(Path(GR24).read_text())

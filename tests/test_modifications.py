@@ -7,9 +7,8 @@ from cstarflips import modifications
 from cstarflips.actions import blowup_extremal, index_set_i, is_bordism, level_signature
 from cstarflips.chambers import chamber_pairs, chamber_polygon
 from cstarflips.locate import relevant_curves
+from cstarflips.chain import MINUS, PLUS
 from cstarflips.modifications import (
-    MINUS,
-    PLUS,
     NotAChamberError,
     build_flip_graph,
     extremal_ray_type,
@@ -294,6 +293,18 @@ class TestLongChains:
         moves = sum(((i + 1, j) in pairs) + ((i, j - 1) in pairs) for i, j in pairs)
         fg = report["flip_graph"]
         assert len(fg["edges"]) + len(fg["obstructions"]) == moves
+
+    @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+    def test_flip_records_where_moves_use_them(self, case):
+        """The chain holds a flip record at a level just where a move of
+        its direction shifts that level: minus at j - 1 for a minus move out
+        of (i, j), plus at i + 1 for a plus move out of row i."""
+        for r in range(1 + (case == "isolated-both"), 40):
+            chain = _chain_report(case, r).chain
+            minus_levels = {j - 1 for minus, _ in chain.moves for j in minus}
+            plus_levels = {i + 1 for i, (_, plus) in enumerate(chain.moves) if plus}
+            assert {k for k, flip in enumerate(chain.minus) if flip} == minus_levels
+            assert {k for k, flip in enumerate(chain.plus) if flip} == plus_levels
 
 
 class TestReducibleLevels:

@@ -54,7 +54,7 @@ RECORDS = {
     ("locate", "SliceLocation"): (
         ("kind", "chambers", "tight", "fixed_divisor"),
         {"chambers": (), "tight": (), "fixed_divisor": None}),
-    ("modifications", "Chain"): (
+    ("chain", "Chain"): (
         ("values", "rows", "moves", "minus", "plus", "isolated", "index_set", "corners",
          "summary", "quotients"), {}),
     ("modifications", "FlipCenter"): (("component", "dim", "center_dim", "flipped_dim"), {}),
@@ -67,7 +67,7 @@ RECORDS = {
     ("modifications", "QuotientDiagram"): (
         ("geometric", "semigeometric", "dashed_arrows", "diagonal_arrows", "fiber_note"), {}),
     ("modifications", "P1BundleModel"): (("index", "base_label", "node_pair", "nef_polygon"), {}),
-    ("modifications", "ChainSummary"): (
+    ("chain", "ChainSummary"): (
         ("chain_arrows", "left", "right", "blowups", "blowdowns", "flips"), {}),
     ("report", "ReportBundle"): (
         ("name", "model", "flat", "chain", "notes", "checked", "failures", "lie"), {}),

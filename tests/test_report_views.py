@@ -2,7 +2,7 @@
 
 ``ReportBundle.to_json`` writes the chambers, the flip graph and the
 P1-bundles in one loop over the rows of the chamber triangle, from the
-spec's chain (``modifications.Chain``), its O(r) facts: the rows of
+spec's chain (``chain.Chain``), its O(r) facts: the rows of
 chambers, each row's chamber outlines written from the texts of the critical
 values (``row_outlines``), the moves of each row (``row_moves``) and one
 flip record per (direction, level) that a move uses (``flip_at_level``).
@@ -24,9 +24,10 @@ from conftest import CASE_ISOLATED, action_models, model_from_rows, synthetic_ca
 from test_report_export import FORMAT_PIECES, ODD_NAME, canonical, report_values
 from test_report_golden import CASES, _model_spec, rational_chain_spec
 
+from cstarflips import chain as cn
 from cstarflips import chambers as ch
 from cstarflips import modifications as md
-from cstarflips import report
+from cstarflips import report_json
 from cstarflips.actions import ActionModel, blowup_extremal
 from cstarflips.cli import main
 from cstarflips.report import run_pipeline
@@ -171,12 +172,12 @@ def _check_computed_once(monkeypatch, case, r, spec, path, command):
     def counting(name, fn):
         return _counting(calls, name, fn)
 
-    def reading(x, y, sep, i, columns, original=ch.row_outlines):
+    def reading(x, y, sep, i, columns, original=cn.row_outlines):
         calls["row_outlines"] += 1
         reads.update((i, j) for j in columns)
         return original(x, y, sep, i, columns)
 
-    def chain_sections(*args, original=report._chain_sections):
+    def chain_sections(*args, original=report_json._chain_sections):
         before = calls["str"]
         sections = original(*args)
         calls["str in chain sections"] = calls["str"] - before
@@ -184,13 +185,13 @@ def _check_computed_once(monkeypatch, case, r, spec, path, command):
 
     for name in FRACTION_ARITHMETIC:
         monkeypatch.setattr(Fraction, name, counting("arithmetic", getattr(Fraction, name)))
-    monkeypatch.setattr(md, "build_chain", counting("build_chain", md.build_chain))
-    monkeypatch.setattr(md, "chamber_rows", counting("chamber_rows", md.chamber_rows))
-    monkeypatch.setattr(md, "flip_at_level", counting("flip_at_level", md.flip_at_level))
+    monkeypatch.setattr(cn, "build_chain", counting("build_chain", cn.build_chain))
+    monkeypatch.setattr(cn, "chamber_rows", counting("chamber_rows", cn.chamber_rows))
+    monkeypatch.setattr(cn, "flip_at_level", counting("flip_at_level", cn.flip_at_level))
     monkeypatch.setattr(md, "quotient_diagram", counting("quotient_diagram", md.quotient_diagram))
     monkeypatch.setattr(Fraction, "__str__", counting("str", Fraction.__str__))
-    monkeypatch.setattr(ch, "row_outlines", reading)
-    monkeypatch.setattr(report, "_chain_sections", chain_sections)
+    monkeypatch.setattr(cn, "row_outlines", reading)
+    monkeypatch.setattr(report_json, "_chain_sections", chain_sections)
     for name in ("origin_dims", "isolated_extremes"):
         monkeypatch.setattr(ActionModel, name, counting(name, getattr(ActionModel, name)))
 
@@ -246,7 +247,7 @@ def test_views_write_no_chain_text(tmp_path, monkeypatch, capsysbinary, command)
     def refuse(*args):
         raise AssertionError("the chain sections were written as JSON")
 
-    monkeypatch.setattr(report, "_chain_sections", refuse)
+    monkeypatch.setattr(report_json, "_chain_sections", refuse)
     monkeypatch.chdir(tmp_path)
     for case in CASES:
         (tmp_path / f"{case}.json").write_text(json.dumps(rational_chain_spec(case, 40)))
