@@ -21,18 +21,17 @@ _EXPORTS = {
     "validate_action": "actions",
     "Chamber": "chambers",
     "chamber_decomposition": "chambers",
-    "BaseLocusDescription": "locate",
-    "CurveClass": "locate",
-    "DivisorClass": "locate",
-    "intersection_number": "locate",
-    "locate_chamber": "locate",
-    "movable_cone": "locate",
-    "stable_base_locus": "locate",
-    "tau_indices": "locate",
+    "BaseLocusDescription": "chambers",
+    "CurveClass": "chambers",
+    "DivisorClass": "chambers",
+    "intersection_number": "chambers",
+    "locate_chamber": "chambers",
+    "movable_cone": "chambers",
+    "stable_base_locus": "chambers",
+    "tau_indices": "chambers",
     "FlipEdge": "modifications",
     "FlipGraph": "modifications",
     "build_flip_graph": "modifications",
-    "extremal_ray_type": "modifications",
     "flip_chain_summary": "modifications",
     "induced_action": "modifications",
     "p1_bundle_models": "modifications",

@@ -14,23 +14,21 @@ command loads this module.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
+from operator import index, itemgetter
 from typing import Tuple
 
-from .actions import ActionError, ActionModel, flat_model, index_set_i, shifted
-from .chain import ChainSummary, build_chain, chain_summary, flip_moves, quotient_chain
-from .chambers import chamber_pairs, chamber_polygon
+from .actions import ActionModel, flat_model, index_range, shifted
+from .chain import (
+    ChainSummary, build_chain, chain_summary, chamber_rows, flip_moves, quotient_chain)
+# chamber_pairs and chamber_polygon stay names here: bench/spans.py wraps them
+from .chambers import NotAChamberError, chamber_pairs, chamber_polygon, checked_pair, row_polygons
 
 
-class NotAChamberError(ActionError):
-    pass
-
-
-class FlipCenter(namedtuple("FlipCenter", "component dim center_dim flipped_dim")):
-    """Per-component bookkeeping of one flip at the shifting level."""
-
-    __slots__ = ()
+# Per-component bookkeeping of one flip at the shifting level.
+FlipCenter = namedtuple("FlipCenter", "component dim center_dim flipped_dim")
 
 
 # A flip between two chambers: its direction is PLUS or MINUS and its level
@@ -44,9 +42,14 @@ class FlipGraph(namedtuple("FlipGraph", "nodes edges obstructions")):
     __slots__ = ()
 
     def node(self, pair: Tuple[int, int]) -> GraphNode:
-        for n in self.nodes:
-            if n.pair == pair:
-                return n
+        """The node of chamber ``pair``, by bisection of the sorted nodes."""
+        try:
+            key = tuple(map(index, pair))
+            k = bisect_left(self.nodes, key, key=itemgetter(0))
+            if self.nodes[k].pair == key:
+                return self.nodes[k]
+        except (IndexError, TypeError):
+            pass
         raise NotAChamberError(f"{pair} is not a chamber of this model")
 
 
@@ -54,9 +57,7 @@ def induced_action(model: ActionModel, pair: Tuple[int, int]) -> ActionModel:
     """X(i, j): inner levels i+1 .. j-1 of the flat model at weights a_k - a_i,
     between divisorial extremes GX(i, i+1) and GX(j-1, j); an end at i = 0 or
     j = r keeps the flat model's origin dim, any other is its own blowup."""
-    if pair not in chamber_pairs(model):
-        raise NotAChamberError(f"{pair} is not a chamber of this model")
-    i, j = pair
+    i, j = checked_pair(chamber_rows(model.criticality, model.isolated_extremes()), pair)
     a = model.critical_values
     base = a[i].as_integer_ratio()
     inner = []
@@ -84,9 +85,10 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     flip inequality, otherwise the obstruction is recorded and the edge
     omitted.
     """
-    nodes = tuple([GraphNode(pair, chamber_polygon(model, pair)) for pair in chamber_pairs(model)])
+    chain = build_chain(model)
+    nodes = tuple(map(GraphNode._make, row_polygons(model.critical_values, enumerate(chain.rows))))
     edges, obstructions = [], []
-    for p, q, (direction, level, centers, blocked) in flip_moves(build_chain(model)):
+    for p, q, (direction, level, centers, blocked) in flip_moves(chain):
         if blocked:
             obstructions.append(FlipObstruction(p, q, direction, level, blocked))
         else:
@@ -114,20 +116,11 @@ P1BundleModel = namedtuple("P1BundleModel", "index base_label node_pair nef_poly
 
 def p1_bundle_models(model: ActionModel) -> list[P1BundleModel]:
     """The small modifications that are P1-bundles over geometric quotients,
-    one for every admissible index."""
-    return [
-        P1BundleModel(i, f"GX({i},{i + 1})", (i, i + 1), chamber_polygon(model, (i, i + 1)))
-        for i in sorted(index_set_i(model))
-    ]
-
-
-def extremal_ray_type(model: ActionModel, end: str | None = None) -> str | Tuple[str, str]:
-    """Contraction type at the ``end`` of the quotient chain, "left" or
-    "right" (:func:`chain_summary`), or at both ends as a pair."""
-    if end not in (None, "left", "right"):
-        raise ValueError(f"end must be 'left' or 'right', got {end!r}")
-    s = flip_chain_summary(model)
-    return (s.left, s.right) if end is None else getattr(s, end)
+    one for every admissible index: chamber (i, i + 1), the first of row i."""
+    rows = [(i, range(i + 1, i + 2))
+            for i in index_range(model.criticality, model.isolated_extremes())]
+    return [P1BundleModel(i, f"GX({i},{j})", (i, j), polygon)
+            for (i, j), polygon in row_polygons(model.critical_values, rows)]
 
 
 def flip_chain_summary(model: ActionModel) -> ChainSummary:

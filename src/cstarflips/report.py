@@ -60,11 +60,17 @@ def _write_json(bundle: ReportBundle) -> bytes:
     return _write_json(bundle)
 
 
-def _compare_expected(model: ActionModel, expected: ActionModel) -> list[str]:
+def _compare_expected(model: ActionModel, spec: ActionSpecFile) -> list[str]:
+    """The failures of a derived ``model`` against the spec's ``dim_X`` and
+    listed components."""
     failures = []
-    if model.dim_x != expected.dim_x:
+    if spec.dim_x is not None and model.dim_x != spec.dim_x:
         failures.append(f"dim_X: derived {shown(str(model.dim_x))}, "
-                        f"expected {shown(str(expected.dim_x))}")
+                        f"expected {shown(str(spec.dim_x))}")
+    if spec.components is None:
+        return failures
+    expected = validate_action(spec.components,
+                               spec.dim_x if spec.dim_x is not None else model.dim_x)
     # both in increasing weight: the levels pair up in order, no weight hashed
     got, want = level_signature(model), level_signature(expected)
     values, wanted = [a for a, _ in got], [a for a, _ in want]
@@ -97,13 +103,7 @@ def run_pipeline(spec: ActionSpecFile, *, max_cosets: int = DEFAULT_MAX_COSETS,
                            max_cosets=max_cosets)
         model = lie.model
         notes.extend(lie.warnings)
-        if spec.components is not None:
-            expected = validate_action(spec.components,
-                                       spec.dim_x if spec.dim_x is not None else model.dim_x)
-            failures = _compare_expected(model, expected)
-        elif spec.dim_x is not None and spec.dim_x != model.dim_x:
-            failures = [f"dim_X: derived {shown(str(model.dim_x))}, "
-                        f"expected {shown(str(spec.dim_x))}"]
+        failures = _compare_expected(model, spec)
     else:
         declared = True if spec.declared_equalized is None else spec.declared_equalized
         if spec.declared_equalized is None:

@@ -15,12 +15,14 @@ from hypothesis import given, settings
 
 from cstarflips.actions import blowup_extremal
 from cstarflips.chambers import (
+    DivisorClass,
     chamber_decomposition,
     chamber_pairs,
     chamber_polygon,
+    movable_cone,
     movable_polygon,
+    stable_base_locus,
 )
-from cstarflips.locate import DivisorClass, movable_cone, stable_base_locus
 from cstarflips.chain import MINUS
 from cstarflips.modifications import build_flip_graph, flip_chain_summary, induced_action
 from cstarflips.report import run_pipeline

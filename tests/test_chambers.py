@@ -2,23 +2,27 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from cstarflips.actions import blowup_extremal
 from cstarflips.chain import OutOfRangeError
-from cstarflips.chambers import chamber_pairs, chamber_polygon, movable_polygon
-from cstarflips.locate import (
+from cstarflips.chambers import (
     CurveClass,
     DivisorClass,
+    NotAChamberError,
     OutOfSliceError,
+    SliceLocation,
+    chamber_pairs,
+    chamber_polygon,
     intersection_number,
     locate_chamber,
     movable_cone,
+    movable_polygon,
     relevant_curves,
     stable_base_locus,
     tau_indices,
 )
-from conftest import action_models, synthetic_case_model
+from conftest import CASE_ISOLATED, action_models, synthetic_case_model
 
 
 class TestTauIndices:
@@ -124,6 +128,23 @@ class TestChamberDecomposition:
         assert chamber_polygon(bordism_r3_flat, (0, 1)) == ((0, 0), (1, 1), (0, 1))
         assert chamber_polygon(bordism_r3_flat, (1, 3)) == ((1, 2), (2, 2), (2, 3), (1, 3))
 
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 1), (0, 0), (5, 9), (-1, 2), (0, 2, 3), "02",
+                                      (0, Fraction(2))],
+                             ids=["removed-corner", "below-diagonal", "on-diagonal",
+                                  "out-of-range", "negative-row", "three-indices", "string",
+                                  "fraction"])
+    def test_polygon_of_no_chamber(self, pair):
+        """The removed corner (0, 1) of an isolated sink, a pair below or on
+        the diagonal, one past the triangle and anything but two ints name
+        no chamber."""
+        flat = blowup_extremal(synthetic_case_model("isolated-sink", r=3))
+        with pytest.raises(NotAChamberError):
+            chamber_polygon(flat, pair)
+
+    def test_polygon_of_a_listed_pair(self):
+        flat = blowup_extremal(synthetic_case_model("isolated-sink", r=3))
+        assert chamber_polygon(flat, [0, 2]) == chamber_polygon(flat, (0, 2))
+
     @given(action_models())
     def test_partition_by_grid(self, model):
         """Interior grid points lie in exactly one chamber; the chamber count
@@ -185,6 +206,71 @@ class TestLocateChamber:
     def test_out_of_slice(self, gr24_flat):
         with pytest.raises(OutOfSliceError):
             locate_chamber(gr24_flat, DivisorClass(Fraction(3, 2), Fraction(1, 2)))
+
+
+def _located_by_scan(flat, d):
+    """``locate_chamber`` by a scan of every chamber's closure, after the
+    two corner checks: the reference the row lookup is checked against."""
+    x, y = d.tau_minus, d.tau_plus
+    a = flat.critical_values
+    r = flat.criticality
+    sink_point, source_point = flat.isolated_extremes()
+    if sink_point and y < a[1]:
+        return SliceLocation(kind="outside-movable", fixed_divisor="closure of X^-(Y_1)")
+    if source_point and x > a[-2]:
+        return SliceLocation(kind="outside-movable",
+                             fixed_divisor=f"closure of X^+(Y_{{{r - 1}}})")
+    tight = []
+    for k, v in enumerate(a):
+        if x == v:
+            tight.append(f"tau_minus=a_{k}")
+        if y == v:
+            tight.append(f"tau_plus=a_{k}")
+    if x == y:
+        tight.append("tau_minus=tau_plus")
+    incident = tuple([(i, j) for i, j in chamber_pairs(flat)
+                      if a[i] <= x <= a[i + 1] and a[j - 1] <= y <= a[j]])
+    if not incident:
+        return SliceLocation(kind="outside-movable", tight=tuple(tight))
+    kind = {0: "interior", 1: "wall"}.get(len(tight), "vertex")
+    return SliceLocation(kind=kind, chambers=incident, tight=tuple(tight))
+
+
+def _check_against_scan(flat):
+    """Every point x <= y of the quarter grid, walls and vertices included,
+    is placed as the scan places it."""
+    a = flat.critical_values
+    grid = [a[k] + (a[k + 1] - a[k]) * Fraction(t, 4)
+            for k in range(flat.criticality) for t in range(4)] + [a[-1]]
+    for p, x in enumerate(grid):
+        for y in grid[p:]:
+            d = DivisorClass(x, y)
+            assert locate_chamber(flat, d) == _located_by_scan(flat, d), (x, y)
+
+
+class TestLocateAgainstScan:
+    @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+    def test_integer_chains(self, case):
+        for r in range(1, 9):
+            _check_against_scan(blowup_extremal(synthetic_case_model(case, r=r)))
+
+    @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_rational_chains(self, case, data):
+        _check_against_scan(blowup_extremal(data.draw(action_models(min_r=1, max_r=8,
+                                                                    case=case))))
+
+    @pytest.mark.parametrize("case", ["isolated-sink", "isolated-source"])
+    def test_r1_segment(self, case):
+        """With one extreme a point, r = 1 leaves a segment and no chamber:
+        a point of it is outside the movable cone, tight, with no fixed
+        divisor."""
+        flat = blowup_extremal(synthetic_case_model(case, r=1))
+        (x0, y0), (x1, y1) = movable_polygon(flat)
+        loc = locate_chamber(flat, DivisorClass((x0 + x1) / 2, (y0 + y1) / 2))
+        assert loc == SliceLocation(kind="outside-movable", tight=loc.tight)
+        assert loc.tight and loc.fixed_divisor is None
 
 
 class TestIntersectionNumbers:

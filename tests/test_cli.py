@@ -374,9 +374,9 @@ def test_cold_start_loads_no_dataclasses_or_inspect(argv):
     assert not loaded & {"dataclasses", "inspect"}
 
 
-# the modules no analyze or export call loads: the other commands' views,
-# the slice geometry and the object views of the chain
-_OFF_THE_CHAIN_PATH = ("views", "locate", "chambers", "modifications")
+# the modules no analyze or export call loads: the other commands' views
+# and the object views of the chain and the slice
+_OFF_THE_CHAIN_PATH = ("views", "chambers", "modifications")
 
 
 @pytest.mark.parametrize("argv, unused", [

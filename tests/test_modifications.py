@@ -1,17 +1,25 @@
+import collections
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cstarflips import modifications
-from cstarflips.actions import blowup_extremal, index_set_i, is_bordism, level_signature
-from cstarflips.chambers import chamber_pairs, chamber_polygon
-from cstarflips.locate import relevant_curves
+from cstarflips import chambers, modifications
+from cstarflips.actions import (
+    ActionModel, blowup_extremal, index_set_i, is_bordism, level_signature)
+from cstarflips.chambers import (
+    DivisorClass,
+    chamber_decomposition,
+    chamber_pairs,
+    chamber_polygon,
+    locate_chamber,
+    relevant_curves,
+)
 from cstarflips.chain import MINUS, PLUS
 from cstarflips.modifications import (
     NotAChamberError,
     build_flip_graph,
-    extremal_ray_type,
     flip_chain_summary,
     induced_action,
     p1_bundle_models,
@@ -72,6 +80,10 @@ class TestInducedAction:
     def test_not_a_chamber(self, a42_flat):
         with pytest.raises(NotAChamberError):
             induced_action(a42_flat, (0, 1))
+
+    def test_listed_pair(self):
+        flat = blowup_extremal(synthetic_case_model("isolated-sink", r=3))
+        assert induced_action(flat, [0, 2]) == induced_action(flat, (0, 2))
 
     def test_origin_dims(self, a42_flat):
         assert induced_action(a42_flat, (0, 2)).origin_dims() == (0, 2)
@@ -182,9 +194,14 @@ class TestFlipGraph:
     def test_node_lookup(self, a42_flat):
         g = build_flip_graph(a42_flat)
         assert g.node((0, 2)).pair == (0, 2)
-        for pair in ((0, 1), (2, 3), (1, 1)):
+        for pair in ((0, 1), (2, 3), (1, 1), (0, 3), (-1, 2), (0, 2, 3), "02"):
             with pytest.raises(NotAChamberError):
                 g.node(pair)
+
+    def test_node_of_a_listed_pair(self):
+        flat = blowup_extremal(synthetic_case_model("isolated-sink", r=3))
+        g = build_flip_graph(flat)
+        assert g.node([0, 2]) == g.node((0, 2)) == g.nodes[0]
 
     def test_nef_attachment(self, bordism_r3_flat):
         g = build_flip_graph(bordism_r3_flat)
@@ -293,6 +310,33 @@ class TestLongChains:
         moves = sum(((i + 1, j) in pairs) + ((i, j - 1) in pairs) for i, j in pairs)
         fg = report["flip_graph"]
         assert len(fg["edges"]) + len(fg["obstructions"]) == moves
+
+    @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+    def test_views_read_the_rows_once(self, case, monkeypatch):
+        """On the r = 160 chain, the views that list the chambers read the
+        critical values at most once a call, not once a chamber (12,880
+        times), and ``induced_action`` and ``locate_chamber`` check a pair
+        against its row without listing the chamber pairs."""
+        flat = blowup_extremal(synthetic_case_model(case, r=160))
+        reads = collections.Counter()
+
+        def counted(model, original=ActionModel.critical_values.fget):
+            reads["critical_values"] += 1
+            return original(model)
+
+        def refuse(model):
+            raise AssertionError("chamber_pairs listed")
+
+        monkeypatch.setattr(ActionModel, "critical_values", property(counted))
+        for module in (chambers, modifications):
+            monkeypatch.setattr(module, "chamber_pairs", refuse)
+        for view in (chamber_decomposition, build_flip_graph, p1_bundle_models):
+            reads.clear()
+            view(flat)
+            assert reads["critical_values"] <= 1, view.__name__
+        assert induced_action(flat, (40, 120)).criticality == 80
+        for x, y in ((Fraction(81, 2), Fraction(241, 2)), (40, Fraction(241, 2)), (40, 120)):
+            assert locate_chamber(flat, DivisorClass(x, y)).chambers
 
     @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
     def test_flip_records_where_moves_use_them(self, case):
@@ -438,16 +482,16 @@ class TestLieGeneratedGraphs:
 
 class TestEndpoints:
     def test_bordism_fibrations(self, bordism_r3_flat):
-        assert extremal_ray_type(bordism_r3_flat, "left") == "fibration"
-        assert extremal_ray_type(bordism_r3_flat, "right") == "fibration"
+        assert flip_chain_summary(bordism_r3_flat).left == "fibration"
+        assert flip_chain_summary(bordism_r3_flat).right == "fibration"
 
     def test_point_sink(self, a42_flat):
-        assert extremal_ray_type(a42_flat, "left") == "divisorial"
-        assert extremal_ray_type(a42_flat, "right") == "fibration"
+        assert flip_chain_summary(a42_flat).left == "divisorial"
+        assert flip_chain_summary(a42_flat).right == "fibration"
 
     def test_gr24_both(self, gr24_flat):
-        assert extremal_ray_type(gr24_flat, "left") == "divisorial"
-        assert extremal_ray_type(gr24_flat, "right") == "divisorial"
+        assert flip_chain_summary(gr24_flat).left == "divisorial"
+        assert flip_chain_summary(gr24_flat).right == "divisorial"
 
 
 class TestChainSummary:

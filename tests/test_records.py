@@ -48,10 +48,10 @@ RECORDS = {
         ("dynkin_type", "rank", "cartan_matrix", "coords", "labels", "coroots", "coord_columns",
          "coroot_columns", "cartan_rows", "cartan_columns", "supports", "negative_labels"), {}),
     ("lie.roots", "GradingSpec"): (("cocharacter", "graded_dims"), {}),
-    ("locate", "DivisorClass"): (("tau_minus", "tau_plus", "m"), {"m": Fraction(1)}),
-    ("locate", "BaseLocusDescription"): (
+    ("chambers", "DivisorClass"): (("tau_minus", "tau_plus", "m"), {"m": Fraction(1)}),
+    ("chambers", "BaseLocusDescription"): (
         ("plus_levels", "minus_levels", "flat"), {"flat": True}),
-    ("locate", "SliceLocation"): (
+    ("chambers", "SliceLocation"): (
         ("kind", "chambers", "tight", "fixed_divisor"),
         {"chambers": (), "tight": (), "fixed_divisor": None}),
     ("chain", "Chain"): (
