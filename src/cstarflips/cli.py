@@ -10,11 +10,16 @@ error, 4 verification mismatch between Lie-derived and expected components,
 141 stdout closed by its reader before the output was written (as a shell
 reports for a program that SIGPIPE ended, e.g. ``cstarflips analyze ... |
 head -1``); the rest of the output is dropped without a message.
+
+A call from the command line (:func:`entry`) ends once its output is
+flushed and the ``atexit`` handlers have run, without interpreter teardown;
+a traced, profiled or interactive process exits normally.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
 
@@ -244,5 +249,37 @@ def main(argv=None) -> int:
     return code
 
 
+def _observed() -> bool:
+    """Whether a tracer or a profiler (``trace``, ``coverage``, ``cProfile``;
+    a ``sys.monitoring`` tool from Python 3.12), or ``python -i``, waits for
+    the interpreter to return."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or bool(sys.flags.inspect)
+            or monitoring is not None and any(map(monitoring.get_tool, range(6))))
+
+
+def entry():
+    """``python -m cstarflips`` and the ``cstarflips`` script: :func:`main`,
+    then the end of the process as soon as its output is out.
+
+    In the order of a normal shutdown, the ``atexit`` handlers run and
+    stdout and stderr are flushed; then the process ends with ``os._exit``
+    and skips the teardown of every module and object.  A ``SystemExit``
+    or another exception from ``main``, a flush that fails, and an observed
+    process (:func:`_observed`) take the normal exit instead."""
+    code = main()
+    if not _observed():
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except OSError:
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -87,14 +87,18 @@ def build_flip_graph(model: ActionModel) -> FlipGraph:
     """
     chain = build_chain(model)
     nodes = tuple(map(GraphNode._make, row_polygons(model.critical_values, enumerate(chain.rows))))
+    # one tuple of centers per flip record, which every edge at its
+    # (direction, level) shares
+    shared = {(direction, level): tuple([FlipCenter(c.name, c.dim, center_dim, flipped_dim)
+                                         for c, center_dim, flipped_dim in centers])
+              for direction, level, centers, blocked in filter(None, chain.minus + chain.plus)
+              if not blocked}
     edges, obstructions = [], []
-    for p, q, (direction, level, centers, blocked) in flip_moves(chain):
+    for p, q, (direction, level, _, blocked) in flip_moves(chain):
         if blocked:
             obstructions.append(FlipObstruction(p, q, direction, level, blocked))
         else:
-            edges.append(FlipEdge(p, q, direction, level, tuple([
-                FlipCenter(c.name, c.dim, center_dim, flipped_dim)
-                for c, center_dim, flipped_dim in centers])))
+            edges.append(FlipEdge(p, q, direction, level, shared[direction, level]))
     return FlipGraph(nodes, tuple(edges), tuple(obstructions))
 
 

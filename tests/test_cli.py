@@ -450,6 +450,135 @@ class TestWriteFailure:
         assert (proc.returncode, proc.stderr) == (2, f"error: cannot write stdout: {NO_SPACE}\n")
 
 
+def _cold_env() -> dict:
+    """The child environment at a terminal width of 80, with stdout
+    block-buffered as by default."""
+    env = {**_child_env(), "COLUMNS": "80"}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _cold(*args, stdin=b"") -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args``."""
+    return subprocess.run([sys.executable, *args], env=_cold_env(), input=stdin,
+                          capture_output=True, timeout=120)
+
+
+def _spec_files(tmp_path) -> dict:
+    """A spec that fails validation, one that fails to parse, and a Lie
+    spec whose listed components differ from the derived ones."""
+    invalid = json.loads(Path(BORDISM).read_text())
+    invalid["components"][1]["dim"] = 7
+    mismatch = json.loads(Path(GR24).read_text())
+    mismatch["components"][1].update(dim=1, nu_minus=2)
+    return {"@invalid": write(tmp_path, "invalid.json", json.dumps(invalid)),
+            "@unparsable": write(tmp_path, "unparsable.json", '{"name": "x", '),
+            "@mismatch": write(tmp_path, "mismatch.json", json.dumps(mismatch))}
+
+
+class TestFastExit:
+    """``python -m cstarflips`` ends with ``os._exit`` once ``main`` has
+    returned, its ``atexit`` handlers have run and its output is flushed:
+    a cold call writes and exits as ``main`` does in process."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["analyze", "--format", "json", A42, BORDISM], 0),
+        (["export", "--format", "svg", BORDISM], 0),
+        (["validate", "@invalid", GR24], 2),
+        (["analyze", GR24, "@unparsable"], 3),
+        (["analyze", "@mismatch"], 4),
+        (["--help"], 0),
+        (["analyze", "--format", "xml", A42], 2),
+    ], ids=["json", "svg", "invalid", "unparsable", "mismatch", "help", "usage"])
+    def test_bytes_and_exit_code_as_in_process(self, argv, code, tmp_path, monkeypatch,
+                                               capsysbinary):
+        files = _spec_files(tmp_path)
+        argv = [files.get(a, a) for a in argv]
+        monkeypatch.setenv("COLUMNS", "80")
+        proc = _cold("-m", "cstarflips", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == _outcome(main, argv, capsysbinary)
+        assert proc.returncode == code
+
+    @pytest.mark.parametrize("command", [["export", "--format", "svg"],
+                                         ["analyze", "--format", "json"]], ids=" ".join)
+    def test_out_file_as_in_process(self, command, tmp_path, capsys):
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        proc = _cold("-m", "cstarflips", *command, A42, BORDISM, "--out", str(cold))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert main([*command, A42, BORDISM, "--out", str(warm)]) == 0
+        assert cold.read_bytes() == warm.read_bytes()
+
+    def test_many_reports_through_a_pipe_arrive_whole(self, capsysbinary):
+        """1,000 reports, about 400 kB, many times what a pipe holds."""
+        assert main(["analyze", BORDISM]) == 0
+        report = capsysbinary.readouterr().out
+        proc = _cold("-m", "cstarflips", "analyze", *[BORDISM] * 1000)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == report * 1000
+
+
+# Registers an atexit handler that writes to stdout, then runs cstarflips
+# with the arguments after the first as __main__ ("entry") or through
+# sys.exit(main()), the normal exit ("normal").
+_ATEXIT_PROBE = """
+import atexit, runpy, sys
+atexit.register(print, "atexit handler ran")
+if sys.argv.pop(1) == "entry":
+    runpy.run_module("cstarflips", run_name="__main__", alter_sys=True)
+else:
+    from cstarflips.cli import main
+    sys.exit(main())
+"""
+
+
+class TestNormalExit:
+    """The cases in which a CLI call still runs the interpreter's teardown,
+    or does what it would."""
+
+    @pytest.mark.parametrize("spec, code", [(BORDISM, 0), ("@unparsable", 3)],
+                             ids=["ok", "unparsable"])
+    def test_atexit_handlers_run(self, spec, code, tmp_path, capsysbinary):
+        """A handler runs after ``main``, and its output is flushed too."""
+        spec = _spec_files(tmp_path).get(spec, spec)
+        assert main(["analyze", spec]) == code
+        expected = capsysbinary.readouterr()
+        proc = _cold("-c", _ATEXIT_PROBE, "entry", "analyze", spec)
+        assert proc.returncode == code
+        assert proc.stdout == expected.out + b"atexit handler ran\n"
+        assert proc.stderr == expected.err
+
+    def test_failed_final_flush(self, tmp_path):
+        """``main`` succeeds and writes to ``--out``; the handler's line to a
+        stdout whose reader has gone fails at the final flush, which then
+        exits as the normal exit does."""
+        results = []
+        for mode in ("entry", "normal"):
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _ATEXIT_PROBE, mode, "analyze", BORDISM,
+                 "--out", str(tmp_path / mode)],
+                env=_cold_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            proc.stdout.close()
+            results.append((proc.wait(timeout=120), proc.stderr.read()))
+            proc.stderr.close()
+        assert results[0] == results[1]
+        assert results[0][0] != 0 and b"BrokenPipeError" in results[0][1]
+        assert (tmp_path / "entry").read_bytes() == (tmp_path / "normal").read_bytes()
+
+    @pytest.mark.parametrize("observer, last", [
+        (["-m", "cProfile", "-m"], b"function calls"),
+        (["-m", "trace", "--listfuncs", "--module"], b"funcname: main"),
+        (["-i", "-m"], b"interactive\n"),
+    ], ids=["cProfile", "trace", "interactive"])
+    def test_observed_process(self, observer, last, capsysbinary):
+        """A profiler or a tracer prints its results after the call returns,
+        and ``python -i`` reads its commands."""
+        assert main(["analyze", BORDISM]) == 0
+        report = capsysbinary.readouterr().out
+        proc = _cold(*observer, "cstarflips", "analyze", BORDISM, stdin=b'print("interactive")\n')
+        assert proc.returncode == 0
+        assert proc.stdout.startswith(report) and last in proc.stdout[len(report):]
+
+
 SPEC_COMMANDS = (
     ["validate"], ["analyze"], ["analyze", "--format", "json"], ["chambers"], ["flips"],
     ["quotients"], ["export", "--format", "json"], ["export", "--format", "dot"],

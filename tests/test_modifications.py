@@ -203,6 +203,23 @@ class TestFlipGraph:
         g = build_flip_graph(flat)
         assert g.node([0, 2]) == g.node((0, 2)) == g.nodes[0]
 
+    @pytest.mark.parametrize("case", sorted(CASE_ISOLATED))
+    def test_edges_of_one_flip_share_its_centers(self, case):
+        """Every edge at one (direction, level) holds the same tuple of
+        centers, equal to the one built from the level's components."""
+        flat = blowup_extremal(synthetic_case_model(case, r=6))
+        by_flip = collections.defaultdict(list)
+        for e in build_flip_graph(flat).edges:
+            by_flip[e.direction, e.level].append(e.centers)
+        assert max(map(len, by_flip.values())) > 1
+        for (direction, level), centers in by_flip.items():
+            nu = "nu_minus" if direction == PLUS else "nu_plus"
+            other = "nu_plus" if direction == PLUS else "nu_minus"
+            assert centers[0] == tuple(
+                (c.name, c.dim, c.dim + getattr(c, nu), c.dim + getattr(c, other) - 1)
+                for c in flat.level_components(level))
+            assert all(c is centers[0] for c in centers)
+
     def test_nef_attachment(self, bordism_r3_flat):
         g = build_flip_graph(bordism_r3_flat)
         for node in g.nodes:
